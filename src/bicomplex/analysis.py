@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .backend import Real
 from .convex import DConvexSet, is_dabsorbing, minkowski_diff_translate, minkowski_gauge
 from .errors import (
@@ -714,6 +712,8 @@ def omt_delta(T: BCLinearMap) -> OpenMapBound:
     Surjectivity per component is decided first by exact row rank; singular
     values below the rank tolerance are rejected rather than reported.
     """
+    import numpy as np
+
     for l in (1, 2):
         if complex_rank(_component_scalar_rows(T, l)) < T.rows:
             raise NotSurjectiveError(f"component {l} has deficient row rank", component=l)

@@ -42,6 +42,13 @@ from .errors import (
 from .suites import SUITE_NAMES, run_suite
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicomplex",
@@ -54,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all",
                         help="which suite to run (default: all)")
     verify.add_argument("--seed", type=int, default=0, help="deterministic seed (default: 0)")
-    verify.add_argument("--cases", type=int, default=50,
+    verify.add_argument("--cases", type=_positive_int, default=50,
                         help="cases per suite (default: 50)")
     verify.add_argument("--backend", choices=BACKENDS, default=EXACT,
                         help="scalar backend (default: exact)")

@@ -126,7 +126,3 @@ class LPError(BicomplexError):
 
 class LPUnboundedError(LPError):
     """The linear program is unbounded in the optimization direction."""
-
-
-class LPInfeasibleError(LPError):
-    """The linear program has no feasible point."""

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .backend import Real, rsqrt
 from .convex import DConvexSet
@@ -22,6 +20,9 @@ from .errors import ConstantComponentError, DimensionMismatch
 from .polytope import extreme_points
 from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from .vectors import BCVector, DVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FunctionalForm(Enum):
@@ -297,6 +298,8 @@ class BCLinearMap:
         return [[pick(e) for e in row] for row in self.matrix]
 
     def component_array(self, l: int) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[complex(float(z.re), float(z.im)) for z in row] for row in self.component(l)],
             dtype=complex,
@@ -305,6 +308,8 @@ class BCLinearMap:
 
 def operator_dnorm(T: BCLinearMap) -> HyperbolicScalar:
     """e1*||T1|| + e2*||T2|| with spectral component norms (float backend)."""
+    import numpy as np
+
     n1 = float(np.linalg.norm(T.component_array(1), ord=2))
     n2 = float(np.linalg.norm(T.component_array(2), ord=2))
     return HyperbolicScalar(n1, n2)

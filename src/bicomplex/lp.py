@@ -1,18 +1,24 @@
 """Exact-rational linear programming.
 
-A dense two-phase tableau simplex over `fractions.Fraction` with Bland's
-anti-cycling rule.  Instances here are tiny (tens of rows/columns), so the
-priorities are exactness and termination, not speed: every answer is a
-certificate-grade rational, never a float.
+A dense two-phase tableau simplex with Bland's anti-cycling rule, run on
+the fraction-free integer kernel of `bicomplex.elim`.  Each constraint row
+is scaled to integers once; the tableau is then integer rows T over one
+common denominator d > 0 (the true tableau is T/d), and every pivot divides
+exactly by the previous d.  Reduced costs are integers on the scale s*d,
+with s > 0 the lcm of the objective's denominators, so their signs, and
+with them Bland's choice of entering column and the cross-multiplied ratio
+test, are those of the rational tableau: the pivot sequence and every
+answer are exactly what a `Fraction` Gauss-Jordan tableau gives.  Answers
+are certificate-grade `Fraction`s, never floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
+from .elim import integer_row, pivot
 from .errors import LPError
 
 OPTIMAL = "optimal"
@@ -25,6 +31,9 @@ class LPResult:
     status: str
     x: Optional[list[Fraction]]
     value: Optional[Fraction]
+    # basic columns of the internal standard form (free variables split in
+    # two, then slacks, then artificials) where the solve stopped
+    basis: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.status == OPTIMAL
@@ -94,98 +103,81 @@ class LinearProgram:
         nslack = sum(1 for _, _, kind in self._rows if kind == "le")
         total = ncols + nslack
 
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        slack_col = ncols
+        rows: list[list[int]] = []
         slack_of_row: list[Optional[int]] = []
+        slack_col = ncols
         for coeffs, b, kind in self._rows:
-            # scale the row to integers: same feasible set, smaller pivots
-            scale = lcm(b.denominator, *(c.denominator for c in coeffs))
-            if scale != 1:
-                coeffs = [c * scale for c in coeffs]
-                b = b * scale
-            row = [Fraction(0)] * total
-            for i, c in enumerate(coeffs):
-                pos, neg = col_of[i]
-                row[pos] += c
-                if neg is not None:
-                    row[neg] -= c
+            # scale the row to integers: same feasible set, integer tableau
+            *ints, rhs = integer_row([*coeffs, b])
+            row = [0] * total + [rhs]
+            for i, v in enumerate(ints):
+                if v:
+                    pos, neg = col_of[i]
+                    row[pos] += v
+                    if neg is not None:
+                        row[neg] -= v
             if kind == "le":
-                row[slack_col] = Fraction(1)
+                row[slack_col] = 1
                 slack_of_row.append(slack_col)
                 slack_col += 1
             else:
                 slack_of_row.append(None)
+            if row[-1] < 0:  # make rhs nonnegative
+                row = [-v for v in row]
+                slack_of_row[-1] = None  # slack coefficient now -1, unusable as basis
             rows.append(row)
-            rhs.append(b)
-
-        # make rhs nonnegative
-        for i in range(len(rows)):
-            if rhs[i] < 0:
-                rows[i] = [-v for v in rows[i]]
-                rhs[i] = -rhs[i]
-                if slack_of_row[i] is not None:
-                    slack_of_row[i] = None  # slack coefficient now -1, unusable as basis
 
         # initial basis: slacks where possible, artificials elsewhere
         basis: list[int] = []
-        art_cols: list[int] = []
-        for i, row in enumerate(rows):
-            sc = slack_of_row[i]
-            if sc is not None and row[sc] == 1:
+        art_rows: list[int] = []
+        for i, sc in enumerate(slack_of_row):
+            if sc is not None:
                 basis.append(sc)
             else:
-                art = total + len(art_cols)
-                art_cols.append(art)
-                basis.append(art)
-        full = total + len(art_cols)
+                basis.append(total + len(art_rows))
+                art_rows.append(i)
+        full = total + len(art_rows)
+        tableau = []
         for i, row in enumerate(rows):
-            row.extend([Fraction(0)] * len(art_cols))
+            arts = [0] * len(art_rows)
             if basis[i] >= total:
-                row[basis[i]] = Fraction(1)
+                arts[basis[i] - total] = 1
+            tableau.append(row[:-1] + arts + row[-1:])
+        d = 1  # the true tableau is tableau / d
 
-        tableau = [row + [rhs[i]] for i, row in enumerate(rows)]
-        m = len(tableau)
-
-        if art_cols:
+        if art_rows:
             # phase 1: minimize the sum of artificials
-            z = [Fraction(0)] * (full + 1)
-            for j in art_cols:
-                z[j] = Fraction(1)
-            for i in range(m):
-                if basis[i] >= total:
-                    z = [zj - tj for zj, tj in zip(z, tableau[i])]
-            self._iterate(tableau, basis, z, full)
-            phase1 = -z[-1]
-            if phase1 != 0:
-                return LPResult(INFEASIBLE, None, None)
-            self._drive_out_artificials(tableau, basis, total)
-            # drop artificial columns
-            keep = list(range(total)) + [full]
-            tableau[:] = [[row[j] for j in keep] for row in tableau]
-            m = len(tableau)
+            z = [0] * total + [1] * len(art_rows) + [0]
+            for i in art_rows:
+                z = [zj - tj for zj, tj in zip(z, tableau[i])]
+            _, d = self._iterate(tableau, basis, z, full, d)
+            if z[-1] != 0:  # the artificials' least sum is -z[-1]/d
+                return LPResult(INFEASIBLE, None, None, tuple(basis))
+            d = self._drive_out_artificials(tableau, basis, total, d)
+            tableau[:] = [row[:total] + row[-1:] for row in tableau]
             full = total
 
-        # phase 2
+        # phase 2: reduced costs scaled by s*d, s > 0 clearing c's denominators
         c_std = [Fraction(0)] * total
         for i, c in enumerate(c_user):
             pos, neg = col_of[i]
             c_std[pos] += self._sense * c
             if neg is not None:
                 c_std[neg] -= self._sense * c
-        z = list(c_std) + [Fraction(0)]
-        for i in range(m):
-            if z[basis[i]] != 0:
-                coeff = z[basis[i]]
-                z = [zj - coeff * tj for zj, tj in zip(z, tableau[i])]
-        status = self._iterate(tableau, basis, z, full)
+        c_int = integer_row(c_std)
+        z = [c * d for c in c_int] + [0]
+        for i, row in enumerate(tableau):
+            cb = c_int[basis[i]]
+            if cb:
+                z = [zj - cb * tj for zj, tj in zip(z, row)]
+        status, d = self._iterate(tableau, basis, z, full, d)
         if status == UNBOUNDED:
-            return LPResult(UNBOUNDED, None, None)
+            return LPResult(UNBOUNDED, None, None, tuple(basis))
 
         values = [Fraction(0)] * total
-        for i in range(m):
+        for i, row in enumerate(tableau):
             if basis[i] < total:
-                values[basis[i]] = tableau[i][-1]
+                values[basis[i]] = Fraction(row[-1], d)
         x = []
         for pos, neg in col_of:
             v = values[pos]
@@ -193,54 +185,52 @@ class LinearProgram:
                 v -= values[neg]
             x.append(v)
         objective = sum(c * v for c, v in zip(c_user, x))
-        return LPResult(OPTIMAL, x, objective)
+        return LPResult(OPTIMAL, x, objective, tuple(basis))
 
     @staticmethod
-    def _iterate(tableau, basis, z, ncols) -> str:
-        """Run simplex pivots (Bland's rule) until optimal or unbounded."""
-        m = len(tableau)
+    def _iterate(tableau, basis, z, ncols, d) -> tuple[str, int]:
+        """Run simplex pivots (Bland's rule) until optimal or unbounded.
+
+        Returns the status and the final denominator.  Ratios rhs/a are
+        compared by cross-multiplication; all pivots here are positive.
+        """
         while True:
             enter = next((j for j in range(ncols) if z[j] < 0), None)
             if enter is None:
-                return OPTIMAL
-            leave, best = None, None
-            for i in range(m):
-                a = tableau[i][enter]
+                return OPTIMAL, d
+            leave = None
+            for i, row in enumerate(tableau):
+                a = row[enter]
                 if a > 0:
-                    ratio = tableau[i][-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        best, leave = ratio, i
+                    if leave is None:
+                        leave, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, den = i, row[-1], a
             if leave is None:
-                return UNBOUNDED
-            LinearProgram._pivot(tableau, basis, z, leave, enter)
+                return UNBOUNDED, d
+            d = pivot(tableau, d, leave, enter, z)
+            basis[leave] = enter
 
     @staticmethod
-    def _pivot(tableau, basis, z, r, c) -> None:
-        piv = tableau[r][c]
-        tableau[r] = [v / piv if v else v for v in tableau[r]]
-        row_r = tableau[r]
-        for i in range(len(tableau)):
-            if i != r and tableau[i][c] != 0:
-                f = tableau[i][c]
-                tableau[i] = [v - f * w if w else v for v, w in zip(tableau[i], row_r)]
-        if z[c] != 0:
-            f = z[c]
-            z[:] = [v - f * w if w else v for v, w in zip(z, row_r)]
-        basis[r] = c
+    def _drive_out_artificials(tableau, basis, total, d) -> int:
+        """Pivot zero-valued artificial basics onto real columns; drop dead rows.
 
-    @staticmethod
-    def _drive_out_artificials(tableau, basis, total) -> None:
-        """Pivot zero-valued artificial basics onto real columns; drop dead rows."""
+        A dead row's artificial column is a unit vector of the starting
+        matrix, so deleting both keeps d the basis determinant and the later
+        divisions exact.  Pivots here may be negative.
+        """
         i = 0
         while i < len(tableau):
             if basis[i] >= total:
-                col = next((j for j in range(total) if tableau[i][j] != 0), None)
+                row = tableau[i]
+                col = next((j for j in range(total) if row[j] != 0), None)
                 if col is None:
                     del tableau[i]
                     del basis[i]
                     continue
-                dummy = [Fraction(0)] * len(tableau[i])
-                LinearProgram._pivot(tableau, basis, dummy, i, col)
+                d = pivot(tableau, d, i, col)
+                basis[i] = col
             i += 1
+        return d

@@ -10,7 +10,7 @@ Baire procedure needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -66,22 +66,6 @@ class DBall:
 
 def ball_contains(B: DBall, y: DVector) -> bool:
     return lt_strict(dmetric(B.center, y), B.radius)
-
-
-@dataclass(frozen=True, slots=True)
-class DMetric:
-    """The componentwise-Euclidean metric structure, bundled."""
-
-    kind: str = field(default="euclidean")
-
-    def distance(self, x: DVector, y: DVector) -> HyperbolicScalar:
-        return dmetric(x, y)
-
-    def norm(self, x: DVector) -> HyperbolicScalar:
-        return dnorm(x)
-
-    def ball(self, center: DVector, radius: HyperbolicScalar) -> DBall:
-        return DBall(center, radius)
 
 
 # -- closed rectangle sets in D and the Baire procedure ----------------------

@@ -4,6 +4,13 @@ Everything here works over exact rationals (float inputs are converted to
 their exact binary values), so hulls, conversions, memberships and gauges
 are certificate-grade.  V↔H conversion is deliberately limited to full
 dimension <= 3 — the scale the rest of the library needs.
+
+Elimination runs on integers: `solve_square` and `matrix_rank` scale each
+row to integers and pivot with the fraction-free kernel of `bicomplex.elim`
+(integer rows T over one denominator d > 0, true matrix T/d), the same
+kernel under the simplex of `bicomplex.lp`.  Rank and affine-rank tests and
+the 3-D facet scan work on the points times the lcm of their denominators,
+in plain `int`s; only returned values are built as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -11,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
+from . import elim
 from .backend import Real, rdiv, rle, rlt
 from .errors import (
     DimensionMismatch,
@@ -52,50 +60,31 @@ def _frac_point(p: Sequence[Real]) -> tuple[Fraction, ...]:
 
 def solve_square(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """Solve A x = b exactly; None when A is singular."""
-    n = len(b)
-    M = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(A, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [v / inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+    return elim.solve([elim.integer_row([*map(Fraction, row), Fraction(rhs)])
+                       for row, rhs in zip(A, b)])
 
 
 def matrix_rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    work = [list(map(Fraction, r)) for r in rows]
-    rank, col = 0, 0
-    ncols = len(work[0]) if work else 0
-    while rank < len(work) and col < ncols:
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col]
-        work[rank] = [v / inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return elim.rank([elim.integer_row(list(map(Fraction, r))) for r in rows])
+
+
+def _integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
+    """The points times L, the lcm of all their denominators, and L."""
+    pts = [_frac_point(p) for p in points]
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts], scale
+
+
+def _integer_affine_rank(pts: Sequence[tuple[int, ...]]) -> int:
+    base = pts[0]
+    return elim.rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
 
 
 def affine_rank(points: Sequence[Point]) -> int:
     """Dimension of the affine hull of the points."""
-    pts = [_frac_point(p) for p in points]
-    if len(pts) <= 1:
+    if len(points) <= 1:
         return 0
-    base = pts[0]
-    return matrix_rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
+    return _integer_affine_rank(_integer_points(points)[0])
 
 
 def _primitive(vals: Sequence[Fraction]) -> tuple[int, ...]:
@@ -229,20 +218,20 @@ def _convex_hull_2d(points: Sequence[Point]) -> list[Point]:
 
 def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
     """Facets of a full-dimensional polytope from its points (dim <= 3)."""
-    verts = [_frac_point(v) for v in vertices]
-    if not verts:
+    if not vertices:
         raise EmptySetError("no vertices")
     if dim > 3:
         raise DimensionMismatch("V->H conversion supports dim <= 3 only")
-    if affine_rank(verts) < dim:
+    pts, scale = _integer_points(vertices)
+    if _integer_affine_rank(pts) < dim:
         raise DimensionMismatch("V->H conversion needs a full-dimensional polytope")
 
     if dim == 1:
-        xs = [v[0] for v in verts]
+        xs = [Fraction(v[0]) for v in vertices]
         return [Halfspace((Fraction(1),), max(xs)), Halfspace((Fraction(-1),), -min(xs))]
 
     if dim == 2:
-        hull = _convex_hull_2d(verts)
+        hull = _convex_hull_2d([_frac_point(v) for v in vertices])
         faces = []
         for t in range(len(hull)):
             p, q = hull[t], hull[(t + 1) % len(hull)]
@@ -252,29 +241,42 @@ def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
             faces.append(Halfspace(tuple(Fraction(v) for v in n), _dot(n, p)))
         return faces
 
+    # Every triple spans a candidate plane n.x = t (integer coordinates, so
+    # n and t are scale^2 and scale^3 times the true ones); it bounds a face
+    # on each side that no point lies beyond.
     faces: dict[tuple, Halfspace] = {}
-    for i, j, k in combinations(range(len(verts)), 3):
-        p, q, r = verts[i], verts[j], verts[k]
-        u = [q[c] - p[c] for c in range(3)]
-        w = [r[c] - p[c] for c in range(3)]
-        n = (
-            u[1] * w[2] - u[2] * w[1],
-            u[2] * w[0] - u[0] * w[2],
-            u[0] * w[1] - u[1] * w[0],
-        )
-        if n == (0, 0, 0):
+
+    def add(n0: int, n1: int, n2: int, p: tuple[int, ...]) -> None:
+        g = gcd(n0, n1, n2)
+        a = (n0 // g, n1 // g, n2 // g)
+        key = (a, Fraction(a[0] * p[0] + a[1] * p[1] + a[2] * p[2], scale))
+        if key not in faces:
+            faces[key] = Halfspace(tuple(Fraction(v) for v in a), key[1])
+
+    for p, q, r in combinations(pts, 3):
+        u0, u1, u2 = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+        w0, w1, w2 = r[0] - p[0], r[1] - p[1], r[2] - p[2]
+        n0 = u1 * w2 - u2 * w1
+        n1 = u2 * w0 - u0 * w2
+        n2 = u0 * w1 - u1 * w0
+        if not (n0 or n1 or n2):
             continue
-        d = _dot(n, p)
-        side_le = all(_dot(n, v) <= d for v in verts)
-        side_ge = all(_dot(n, v) >= d for v in verts)
+        t = n0 * p[0] + n1 * p[1] + n2 * p[2]
+        side_le = side_ge = True
+        for x, y, z in pts:
+            v = n0 * x + n1 * y + n2 * z
+            if v > t:
+                side_le = False
+                if not side_ge:
+                    break
+            elif v < t:
+                side_ge = False
+                if not side_le:
+                    break
         if side_le:
-            a = _primitive([Fraction(x) for x in n])
-            key = (a, Fraction(_dot(a, p)))
-            faces.setdefault(key, Halfspace(tuple(Fraction(v) for v in a), key[1]))
+            add(n0, n1, n2, p)
         if side_ge:
-            a = _primitive([Fraction(-x) for x in n])
-            key = (a, Fraction(_dot(a, p)))
-            faces.setdefault(key, Halfspace(tuple(Fraction(v) for v in a), key[1]))
+            add(-n0, -n1, -n2, p)
     return list(faces.values())
 
 

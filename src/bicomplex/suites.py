@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import scalars
 from .backend import EPSILON, EXACT, FLOAT, Real, req
@@ -103,6 +101,9 @@ from .scalars import (
     modulus,
 )
 from .vectors import BCVector, DVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUITE_NAMES = (
     "algebra",
@@ -612,6 +613,8 @@ def suite_linear(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
 
 def _bisection_gauge(P: RealPolytope, point) -> float:
     """Brute-force float gauge: bisect the smallest t with x in t*P (H-rep)."""
+    import numpy as np
+
     faces = [(np.array([float(c) for c in h.a]), float(h.b)) for h in P.halfspaces()]
     x = np.array([float(c) for c in point])
 
@@ -800,11 +803,15 @@ def suite_separation(seed: int, cases: int, backend: str = EXACT) -> SuiteReport
 
 
 def _np_rng(tag: str, seed: int, idx: int) -> np.random.RandomState:
+    import numpy as np
+
     return np.random.RandomState(Random(f"{tag}:{seed}:{idx}").randrange(2**32))
 
 
 def _sampled_rows(rs: np.random.RandomState, count: int, n: int) -> np.ndarray:
     """count complex row vectors with unit Euclidean norm."""
+    import numpy as np
+
     raw = rs.standard_normal((count, n)) + 1j * rs.standard_normal((count, n))
     norms = np.linalg.norm(raw, axis=1)
     norms[norms == 0] = 1.0
@@ -819,6 +826,8 @@ def check_ubp_guarantee(
     rs: np.random.RandomState,
 ) -> bool:
     """Sample |x|_D <' delta and confirm sup over the family |T x|_D <' eps."""
+    import numpy as np
+
     n = F.maps[0].cols
     for l in (1, 2):
         d = min(float(delta.a1 if l == 1 else delta.a2), 1e6)
@@ -839,6 +848,8 @@ def check_omt_guarantee(
     rs: np.random.RandomState,
 ) -> bool:
     """Sample |y|_D <' delta and confirm a preimage of norm <' 1 exists."""
+    import numpy as np
+
     for l in (1, 2):
         M = T.component_array(l)
         d = float(delta.a1 if l == 1 else delta.a2)
@@ -926,6 +937,8 @@ def _scale_map(T: BCLinearMap, c: int) -> BCLinearMap:
 
 
 def _omt_case(rec: _Recorder, rng: Random, seed: int, idx: int, samples: int = 64) -> None:
+    import numpy as np
+
     n = 1 + idx % 3
     T = gen.rand_component_invertible_map(rng, n)
     got = rec.guard("omt-delta", T, lambda: omt_delta(T))
@@ -956,6 +969,8 @@ def _null_row_map(rng: Random, n: int) -> BCLinearMap:
 
 
 def _imt_case(rec: _Recorder, rng: Random) -> None:
+    import numpy as np
+
     n = 1 + rng.randrange(3)
     T = gen.rand_component_invertible_map(rng, n)
     got = rec.guard("imt-invert", T, lambda: inverse_map(T))
@@ -1124,6 +1139,8 @@ def _hyperplane_case(rec: _Recorder, rng: Random, seed: int, idx: int) -> None:
 
 def _grid_gauge_sweep(B: DConvexSet, f: DLinearFunctional, total: int) -> bool:
     """Float sweep of -q(-x) <=' f(x) <=' q(x) over a dense grid per component."""
+    import numpy as np
+
     dim = B.dim
     per = max(2, math.ceil(total ** (1.0 / dim)))
     axes = np.linspace(-2.0, 2.0, per)

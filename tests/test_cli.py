@@ -89,6 +89,13 @@ class TestVerify:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cases", ["0", "-3", "two"])
+    def test_nonpositive_cases_exit_two(self, cases, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "order", "--cases", cases])
+        assert exc.value.code == 2
+        assert "--cases" in capsys.readouterr().err
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -207,6 +214,23 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "1/1 suites passed" in proc.stdout
+
+    def test_separate_and_gauge_do_not_load_numpy(self, tmp_path):
+        pair = write_pair(tmp_path, box_pair(dim=2, open_flag=True), point_pair((3, 0), (0, 3)))
+        sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))
+        xp = write_json(tmp_path, "point.json", encode_dvector(DVector.of(h(2, 3))))
+        script = (
+            "import io, sys\n"
+            "import bicomplex.cli as cli\n"
+            "loaded = 'numpy' in sys.modules\n"
+            f"assert cli.cmd_separate({pair!r}, out=io.StringIO()) == 0\n"
+            f"assert cli.cmd_gauge({sp!r}, {xp!r}, out=io.StringIO()) == 0\n"
+            "print(loaded, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_main_dispatches_gauge(self, tmp_path, capsys):
         sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))

@@ -1,0 +1,172 @@
+"""The fraction-free integer kernel against the `Fraction` reference code.
+
+Seeded random instances go through both the library and the reference
+routines in ``fraction_reference.py`` (the `Fraction` Gauss-Jordan code the
+kernel replaced).  Everything must agree exactly: LP statuses, solutions,
+values and final bases; ranks and square solves; 3-D facet lists in order.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+import fraction_reference as ref
+from bicomplex import elim, lp as lp_module
+from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
+from bicomplex.polytope import facet_enumeration, matrix_rank, solve_square
+
+F = Fraction
+
+
+def _rational(rng: Random, lo: int = -3, hi: int = 3) -> Fraction:
+    return F(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
+
+
+def _random_lp_spec(rng: Random) -> dict:
+    """Constraints and objective of a small LP with the degenerate cases mixed in.
+
+    Zero right-hand sides give ratio-test ties; copies and sums of
+    equalities give redundant rows that phase 1 leaves on dead artificials.
+    """
+    n = rng.randint(1, 4)
+    nonneg = [rng.random() < 0.6 for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = [_rational(rng) for _ in range(n)]
+        rhs = F(0) if rng.random() < 0.3 else _rational(rng, -4, 4)
+        rows.append((rng.choice(("le", "le", "ge", "eq")), coeffs, rhs))
+    eqs = [r for r in rows if r[0] == "eq"]
+    if eqs and rng.random() < 0.5:
+        _, coeffs, rhs = rng.choice(eqs)
+        k = F(rng.choice((-2, -1, 2, 3)), rng.choice((1, 2)))
+        rows.append(("eq", [k * c for c in coeffs], k * rhs))
+    if len(eqs) >= 2 and rng.random() < 0.5:
+        (_, c1, b1), (_, c2, b2) = rng.sample(eqs, 2)
+        rows.append(("eq", [x + y for x, y in zip(c1, c2)], b1 + b2))
+    rng.shuffle(rows)
+    objective = [_rational(rng) for _ in range(n)]
+    return {"n": n, "nonneg": nonneg, "rows": rows, "sense": rng.choice(("min", "max")),
+            "objective": objective if rng.random() < 0.9 else None}
+
+
+def _build(cls, spec: dict) -> LinearProgram:
+    lp = cls(spec["n"], nonneg=spec["nonneg"])
+    for kind, coeffs, rhs in spec["rows"]:
+        getattr(lp, f"add_{kind}")(coeffs, rhs)
+    if spec["objective"] is not None:
+        getattr(lp, f"set_{spec['sense']}imize")(spec["objective"])
+    return lp
+
+
+@pytest.fixture
+def negative_pivots(monkeypatch):
+    """Counts pivots the simplex makes on a negative entry."""
+    seen = Counter()
+
+    def recording_pivot(rows, d, r, c, z=None):
+        seen["negative"] += rows[r][c] < 0
+        return elim.pivot(rows, d, r, c, z)
+
+    monkeypatch.setattr(lp_module, "pivot", recording_pivot)
+    return seen
+
+
+def test_random_lps_match_fraction_simplex(negative_pivots):
+    rng = Random("elim:lp")
+    seen = Counter()
+    for _ in range(1500):
+        spec = _random_lp_spec(rng)
+        got = _build(LinearProgram, spec).solve()
+        want = _build(ref.FractionLinearProgram, spec).solve()
+        assert (got.status, got.x, got.value, got.basis) == (
+            want.status, want.x, want.value, want.basis), spec
+        assert got.x is None or all(type(v) is Fraction for v in got.x)
+        seen[got.status] += 1
+        seen["dead row"] += len(got.basis) < len(spec["rows"])
+    # every path of the kernel was exercised
+    assert seen[OPTIMAL] > 100 and seen[INFEASIBLE] > 100 and seen[UNBOUNDED] > 100
+    assert seen["dead row"] > 20
+    assert negative_pivots["negative"] > 20
+
+
+def test_degenerate_tie_breaks_by_basis_index():
+    # x1 and x2 tie in the ratio test at zero; Bland takes the lower basic index
+    spec = {"n": 2, "nonneg": [True, True], "sense": "max", "objective": [1, 1],
+            "rows": [("le", [1, 1], 0), ("le", [1, -1], 0), ("le", [1, 0], 2)]}
+    got = _build(LinearProgram, spec).solve()
+    want = _build(ref.FractionLinearProgram, spec).solve()
+    assert (got.status, got.x, got.basis) == (want.status, want.x, want.basis)
+    assert got.value == 0
+
+
+def test_redundant_equality_row_is_dropped():
+    spec = {"n": 2, "nonneg": [True, True], "sense": "min", "objective": [1, 2],
+            "rows": [("eq", [1, 1], 2), ("eq", [2, 2], 4), ("eq", [F(1, 2), F(1, 2)], 1)]}
+    got = _build(LinearProgram, spec).solve()
+    want = _build(ref.FractionLinearProgram, spec).solve()
+    assert (got.status, got.x, got.value, got.basis) == (
+        want.status, want.x, want.value, want.basis)
+    assert got.x == [2, 0] and len(got.basis) == 1
+
+
+def test_pivot_keeps_denominator_positive_and_exact():
+    rows = [[2, 3, 5], [4, -1, 7]]
+    d = elim.pivot(rows, 1, 1, 1)  # pivot on -1
+    assert d == 1 and rows[1] == [-4, 1, -7]
+    d = elim.pivot(rows, d, 0, 0)
+    # rows/d is the reduced form of 2x + 3y = 5, 4x - y = 7
+    assert d == 14 and [[F(v, d) for v in r] for r in rows] == [[1, 0, F(13, 7)], [0, 1, F(3, 7)]]
+
+
+def _random_matrix(rng: Random, m: int, n: int) -> list[list[Fraction]]:
+    rows = [[_rational(rng) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rng.random() < 0.4:  # a dependent row
+        k = _rational(rng)
+        rows[rng.randrange(m)] = [k * a + b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def test_rank_and_solve_match_fraction_elimination():
+    rng = Random("elim:matrix")
+    singular = 0
+    for _ in range(600):
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        rows = _random_matrix(rng, m, n)
+        assert matrix_rank(rows) == ref.matrix_rank(rows)
+        k = rng.randint(1, 5)
+        A = _random_matrix(rng, k, k)
+        b = [_rational(rng) for _ in range(k)]
+        got = solve_square(A, b)
+        assert got == ref.solve_square(A, b)
+        singular += got is None
+    assert singular > 50
+
+
+def test_rank_of_empty_and_zero_rows():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
+    assert matrix_rank([[]]) == 0
+
+
+def _random_cloud(rng: Random) -> list[tuple[Fraction, ...]]:
+    base = [tuple(_rational(rng) for _ in range(3)) for _ in range(rng.randint(4, 9))]
+    extra = []
+    for _ in range(rng.randint(0, 4)):  # points on edges, faces, or repeated
+        p, q = rng.sample(base, 2)
+        t = F(rng.randint(0, 4), 4)
+        extra.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+    return base + extra
+
+
+def test_facet_enumeration_3d_matches_fraction_scan():
+    rng = Random("elim:facets")
+    checked = 0
+    for _ in range(120):
+        pts = _random_cloud(rng)
+        if ref.matrix_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) < 3:
+            continue
+        assert facet_enumeration(pts, 3) == ref.facet_enumeration_3d(pts)
+        checked += 1
+    assert checked > 80
