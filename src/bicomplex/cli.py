@@ -24,8 +24,10 @@ Reports are byte-identical across runs with the same flags, except for the
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
+from types import ModuleType
 from typing import Optional
 
 from . import serialize
@@ -39,7 +41,30 @@ from .errors import (
     NotOpenError,
     SchemaError,
 )
-from .suites import SUITE_NAMES, run_suite
+
+
+def _lazy_import(name: str) -> ModuleType:
+    """The module ``name``, registered at once but executed on first attribute use."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# Only ``verify`` runs the property suites (about 1200 lines, plus the
+# instance generators).  The module is registered lazily, so ``separate`` and
+# ``gauge`` never execute it, while code that looks it up in sys.modules (a
+# profiler wrapping its functions, say) still finds it.
+suites = _lazy_import("bicomplex.suites")
+# suites.SUITE_NAMES, spelled out so that building the parser runs no suite
+# code (a test checks that the two agree)
+SUITE_NAMES = ("algebra", "order", "metric", "linear", "convex", "separation", "theorems")
 
 
 def _positive_int(text: str) -> int:
@@ -94,7 +119,7 @@ def cmd_verify(suite: str, seed: int, cases: int, backend: str,
                out=None) -> int:
     out = out if out is not None else sys.stdout
     names = SUITE_NAMES if suite == "all" else (suite,)
-    reports = [run_suite(name, seed, cases, backend) for name in names]
+    reports = [suites.run_suite(name, seed, cases, backend) for name in names]
     document = {
         "seed": seed,
         "cases": cases,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Sequence
 
 from .elim import integer_row, pivot
@@ -56,16 +57,18 @@ class LinearProgram:
             self.nonneg = list(nonneg)
             if len(self.nonneg) != num_vars:
                 raise LPError("nonneg flags do not match variable count")
-        self._rows: list[tuple[list[Fraction], Fraction, str]] = []
-        self._c: Optional[list[Fraction]] = None
+        self._rows: list[tuple[list[Rational], Fraction, str]] = []
+        self._c: Optional[list[Rational]] = None
         self._sense = 1  # +1 minimize, -1 maximize
 
     # -- construction ---------------------------------------------------
 
-    def _coeffs(self, coeffs: Sequence) -> list[Fraction]:
+    def _coeffs(self, coeffs: Sequence) -> list[Rational]:
+        """The coefficients as exact rationals: ints and Fractions as they are,
+        anything else (floats exactly) converted to Fraction."""
         if len(coeffs) != self.n:
             raise LPError("coefficient length mismatch")
-        return [Fraction(c) for c in coeffs]
+        return [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
 
     def add_le(self, coeffs: Sequence, rhs) -> None:
         self._rows.append((self._coeffs(coeffs), Fraction(rhs), "le"))
@@ -158,7 +161,7 @@ class LinearProgram:
             full = total
 
         # phase 2: reduced costs scaled by s*d, s > 0 clearing c's denominators
-        c_std = [Fraction(0)] * total
+        c_std: list[Rational] = [0] * total
         for i, c in enumerate(c_user):
             pos, neg = col_of[i]
             c_std[pos] += self._sense * c

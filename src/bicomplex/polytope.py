@@ -8,9 +8,22 @@ dimension <= 3 — the scale the rest of the library needs.
 Elimination runs on integers: `solve_square` and `matrix_rank` scale each
 row to integers and pivot with the fraction-free kernel of `bicomplex.elim`
 (integer rows T over one denominator d > 0, true matrix T/d), the same
-kernel under the simplex of `bicomplex.lp`.  Rank and affine-rank tests and
-the 3-D facet scan work on the points times the lcm of their denominators,
-in plain `int`s; only returned values are built as `Fraction`s.
+kernel under the simplex of `bicomplex.lp`.  Rank and affine-rank tests,
+the 3-D facet scan and the probe forms of `extreme_points` work on the
+points times the lcm of their denominators, in plain `int`s; only returned
+values are built as `Fraction`s.
+
+A `RealPolytope` is immutable after construction: nothing writes its
+representations except its own lazy conversions, which derive the missing
+one from the one it was built with.  It therefore computes each set-level
+fact once and memoizes it:
+
+- the vertices (from an H-rep) and the halfspaces (from a V-rep);
+- whether 0 is interior (`origin_interior`, one V-rep LP at most);
+- the exact vertex columns of the V-rep gauge LP (`gauge_vrep`), so each
+  query only supplies its right-hand side;
+- for the closed-form gauge (`gauge_hrep`), whether every b_i > 0 and, for
+  exact faces, each face scaled to integers (a, b).
 """
 
 from __future__ import annotations
@@ -19,10 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, inf, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import elim
-from .backend import Real, rdiv, rle, rlt
+from .backend import Real, is_exact, rdiv, rle, rlt
 from .errors import (
     DimensionMismatch,
     EmptySetError,
@@ -119,9 +133,11 @@ def point_in_hull(point: Sequence[Real], vertices: Sequence[Point]) -> bool:
     return lp.solve().status == OPTIMAL
 
 
-def _lex_argmax(points: Sequence[Point], form: Sequence[int]) -> Point:
-    """The lexicographically largest maximizer of form . x — always extreme."""
-    return max(points, key=lambda p: (_dot(form, p), p))
+def _lex_argmax(points: Sequence[tuple[int, ...]], form: Sequence[int]) -> int:
+    """Index of the lexicographically largest maximizer of form . x — always
+    extreme.  The points are integer coordinates: a positive common scale
+    keeps both the values' order and the lexicographic order."""
+    return max(range(len(points)), key=lambda i: (_dot(form, points[i]), points[i]))
 
 
 def _probe_forms(dim: int) -> list[tuple[int, ...]]:
@@ -172,8 +188,9 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
 
     seeds: list[Point] = []
     seed_set = set()
+    scaled = _integer_points(unique)[0]
     for form in _probe_forms(dim):
-        p = _lex_argmax(unique, form)
+        p = unique[_lex_argmax(scaled, form)]
         if p not in seed_set:
             seed_set.add(p)
             seeds.append(p)
@@ -331,7 +348,9 @@ class RealPolytope:
 
     The stored representations always describe the closed set; openness is
     a property of the containing DConvexSet (plus per-face strict flags on
-    H-rep input).
+    H-rep input).  Never mutated after construction, so the memoized facts
+    listed in the module docstring stay valid; `has_vrep` and `has_hrep`
+    report which representations are held so far.
     """
 
     def __init__(self, dim: int, vertices: Optional[Sequence[Point]] = None,
@@ -353,6 +372,9 @@ class RealPolytope:
         self.dim = dim
         self._vertices = tuple(tuple(v) for v in vertices) if vertices is not None else None
         self._halfspaces = tuple(halfspaces) if halfspaces is not None else None
+        self._origin_interior: Optional[bool] = None
+        self._gauge_columns: Optional[list[list[Fraction]]] = None
+        self._gauge_faces: Optional[tuple[bool, list[tuple[list[int], int]]]] = None
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Point]) -> RealPolytope:
@@ -415,7 +437,13 @@ class RealPolytope:
         return all(rlt(_dot(h.a, point), h.b) for h in self.halfspaces())
 
     def origin_interior(self) -> bool:
-        """Is 0 an interior point?  Uses H-rep when available, else a V-rep LP."""
+        """Is 0 an interior point?  Decided once, from the H-rep when available,
+        else by a V-rep LP."""
+        if self._origin_interior is None:
+            self._origin_interior = self._decide_origin_interior()
+        return self._origin_interior
+
+    def _decide_origin_interior(self) -> bool:
         if self._halfspaces is not None:
             return all(rlt(0, h.b) for h in self._halfspaces)
         verts = [_frac_point(v) for v in self._vertices]
@@ -469,25 +497,56 @@ class RealPolytope:
 
     # -- gauges -----------------------------------------------------------
 
+    def _hrep_gauge_faces(self) -> tuple[bool, list[tuple[list[int], int]]]:
+        """Whether every b_i > 0, and each face scaled to integers (a, b),
+        computed once; the integer faces are empty unless all a_i, b_i are exact."""
+        if self._gauge_faces is None:
+            faces = self.halfspaces()
+            exact = all(is_exact(h.b) and all(map(is_exact, h.a)) for h in faces)
+            rows = [elim.integer_row([*h.a, h.b]) for h in faces] if exact else []
+            self._gauge_faces = (all(rlt(0, h.b) for h in faces),
+                                 [(row[:-1], row[-1]) for row in rows])
+        return self._gauge_faces
+
     def gauge_hrep(self, point: Sequence[Real]) -> Real:
-        """Closed-form gauge max(0, max_i (a_i·x)/b_i); needs all b_i > 0."""
+        """Closed-form gauge max(0, max_i (a_i·x)/b_i); needs all b_i > 0.
+
+        For exact faces and an exact point x = X/L (X integer, L > 0) each face
+        value is (a·X)/(b·L) with integer a, b > 0: the largest is found by
+        cross-multiplying and divided out once.  Returns the plain int 0 when
+        no face value is positive.
+        """
+        absorbing, faces = self._hrep_gauge_faces()
+        if not absorbing:
+            raise NotAbsorbingError("gauge formula requires 0 in the interior")
+        if faces and all(map(is_exact, point)):
+            (X,), L = _integer_points([point])
+            num, den = 0, 1
+            for a, b in faces:
+                n = sum(map(mul, a, X))
+                if n * den > num * b:
+                    num, den = n, b
+            return Fraction(num, den * L) if num else 0
         best: Real = 0
         for h in self.halfspaces():
-            if not rlt(0, h.b):
-                raise NotAbsorbingError("gauge formula requires 0 in the interior")
             val = rdiv(_dot(h.a, point), h.b)
             if val > best:
                 best = val
         return best
 
     def gauge_vrep(self, point: Sequence[Real]) -> Real:
-        """Gauge by LP: min sum(mu) with sum(mu_i v_i) = x, mu >= 0."""
-        verts = [_frac_point(v) for v in self.vertices()]
-        p = _frac_point(point)
-        lp = LinearProgram(len(verts), nonneg=True)
+        """Gauge by LP: min sum(mu) with sum(mu_i v_i) = x, mu >= 0.
+
+        The exact vertex columns are built once; each query adds only x.
+        """
+        if self._gauge_columns is None:
+            verts = [_frac_point(v) for v in self.vertices()]
+            self._gauge_columns = [[v[c] for v in verts] for c in range(self.dim)]
+        n = len(self._gauge_columns[0])
+        lp = LinearProgram(n, nonneg=True)
         for c in range(self.dim):
-            lp.add_eq([v[c] for v in verts], p[c])
-        lp.set_minimize([1] * len(verts))
+            lp.add_eq(self._gauge_columns[c], point[c])
+        lp.set_minimize([1] * n)
         res = lp.solve()
         if res.status != OPTIMAL:
             return inf

@@ -6,17 +6,26 @@ simplex, `solve_square`, `matrix_rank` and the 3-D branch of
 `facet_enumeration`, copied unchanged except that the simplex also reports
 its final basis.  The integer kernel must reproduce them exactly: same
 statuses, solutions, bases and facet lists in the same order.
+
+The gauges and the probe seeds of `extreme_points` are the per-query
+`Fraction` code that ran before each polytope cached its gauge data and the
+probes moved to integer coordinates: `gauge_hrep` is the closed form copied
+verbatim as a function of the halfspaces, `gauge_vrep` the same LP on the
+`Fraction` simplex, `probe_seeds` the lexicographic argmax over `Fraction`
+points.  Values and their types must come out the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Optional, Sequence
 
+from bicomplex.backend import Real, rdiv, rlt
+from bicomplex.errors import NotAbsorbingError
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPResult
-from bicomplex.polytope import Halfspace, _dot, _frac_point, _primitive
+from bicomplex.polytope import Halfspace, _dot, _frac_point, _primitive, _probe_forms
 
 
 class FractionLinearProgram(LinearProgram):
@@ -257,3 +266,44 @@ def facet_enumeration_3d(vertices) -> list[Halfspace]:
             key = (a, Fraction(_dot(a, p)))
             faces.setdefault(key, Halfspace(tuple(Fraction(v) for v in a), key[1]))
     return list(faces.values())
+
+
+def gauge_hrep(halfspaces: Sequence[Halfspace], point: Sequence[Real]) -> Real:
+    """Closed-form gauge max(0, max_i (a_i·x)/b_i); needs all b_i > 0."""
+    best: Real = 0
+    for h in halfspaces:
+        if not rlt(0, h.b):
+            raise NotAbsorbingError("gauge formula requires 0 in the interior")
+        val = rdiv(_dot(h.a, point), h.b)
+        if val > best:
+            best = val
+    return best
+
+
+def gauge_vrep(vertices, point: Sequence[Real]) -> Real:
+    """Gauge by LP: min sum(mu) with sum(mu_i v_i) = x, mu >= 0."""
+    verts = [_frac_point(v) for v in vertices]
+    p = _frac_point(point)
+    lp = FractionLinearProgram(len(verts), nonneg=True)
+    for c in range(len(p)):
+        lp.add_eq([v[c] for v in verts], p[c])
+    lp.set_minimize([1] * len(verts))
+    res = lp.solve()
+    if res.status != OPTIMAL:
+        return inf
+    return res.value
+
+
+def probe_seeds(points) -> list[tuple[Fraction, ...]]:
+    """The hull seeds of `extreme_points` (dim >= 3): each probe form's
+    lexicographically largest maximizer over the unique `Fraction` points."""
+    unique: list[tuple[Fraction, ...]] = []
+    for p in map(_frac_point, points):
+        if p not in unique:
+            unique.append(p)
+    seeds: list[tuple[Fraction, ...]] = []
+    for form in _probe_forms(len(unique[0])):
+        p = max(unique, key=lambda q: (_dot(form, q), q))
+        if p not in seeds:
+            seeds.append(p)
+    return seeds

@@ -4,24 +4,34 @@ The digests were recorded with the `Fraction` Gauss-Jordan simplex, before
 the fraction-free integer kernel replaced it.  Bland's rule picks the same
 pivots on both, so every separation certificate, every witness record, every
 halfspace list written by facet enumeration and every verify report (apart
-from ``wall_time_s``) must come out byte for byte the same.  A failing digest
-means an output changed; find which with ``_separate_stream`` or
-``_verify_stream`` and compare against the parent commit.
+from ``wall_time_s``) must come out byte for byte the same.
+
+The gauge digests were recorded with per-query gauges, before each polytope
+cached its absorbency, vertex columns and integer faces: every `cmd_gauge`
+output and every gauge value, with its type, must stay the same under both
+backends.
+
+A failing digest means an output changed; find which with
+``_separate_stream``, ``_gauge_stream`` or ``_verify_stream`` and compare
+against the parent commit.
 """
 
 import hashlib
 import io
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from bicomplex import generators as gen
-from bicomplex.backend import EXACT
-from bicomplex.cli import cmd_separate, cmd_verify
-from bicomplex.convex import DConvexSet
-from bicomplex.polytope import RealPolytope
-from bicomplex.serialize import encode_dconvex
+from bicomplex.backend import EXACT, FLOAT
+from bicomplex.cli import cmd_gauge, cmd_separate, cmd_verify
+from bicomplex.convex import DConvexSet, minkowski_gauge
+from bicomplex.errors import NotAbsorbingError
+from bicomplex.polytope import Halfspace, RealPolytope
+from bicomplex.serialize import decode_dconvex, decode_dvector, encode_dconvex, encode_dvector
+from bicomplex.vectors import DVector
 
 PAIRS_PER_GROUP = 6
 
@@ -40,6 +50,20 @@ VERIFY_DIGESTS = {
     "convex": "418d6e52771f01530b7a56bdd0bdb431ab1650ab2b6af4e0fe1f87f3052276ae",
     "separation": "0efdf5256e5a3938f34c3002e18d06859cb7c829ce2db6c582d3b76fa7a81d3e",
     "theorems": "22b83016b7f5aa6f1e287e9f782ee6c786993a59ee61c8548648e85c65a4c4d2",
+}
+
+
+GAUGE_SETS_PER_GROUP = 4
+
+GAUGE_DIGESTS = {
+    "hrep-2d-exact": "870814936f88dca2ee7a9caff0654ff6a7bed961e2050338b4338c647e20c510",
+    "hrep-2d-float": "6a75f4e0daa85d371f159e768be01170867f7d3c7addde8959f19247ace82147",
+    "hrep-3d-exact": "03535473dcfebe9cd13ed069e3aa6fd5647874c4fbeaf7d52e035b50f3bb7960",
+    "hrep-3d-float": "8c6835402bf6b357f7f96aeb39ef00506f67c1a192b0b4b2fa6910656f646d0e",
+    "vrep-2d-exact": "30f08a5821b979f15457999ab51700d60e125e92f79933bceb80d977fe88a161",
+    "vrep-2d-float": "1b03269187162311e41a506e5d6fc9ee7ca17e6748933704187baf02e3f4719f",
+    "vrep-3d-exact": "f4efadd9423a47205f30dac0c91b5f932c3b6beba3870b7f6bb659337ca18597",
+    "vrep-3d-float": "88f972811f746b7433b1c74f5bec3aa38e6883ba57347ee18adf30c2c72e5d87",
 }
 
 
@@ -83,10 +107,85 @@ def _verify_stream(suite: str) -> bytes:
     return "".join(chunks).encode()
 
 
+def _gauge_set(kind: str, dim: int, rng: Random) -> DConvexSet:
+    """An absorbing pair, as vertex lists or as halfspaces with rational normals."""
+    S = gen.rand_absorbing_pair(rng, dim)
+    if kind == "vrep":
+        return S
+    comps = []
+    for P in (S.p1, S.p2):
+        faces = []
+        for h in P.halfspaces():  # each face times a random positive rational
+            k = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            faces.append(Halfspace(tuple(k * x for x in h.a), k * h.b))
+        comps.append(RealPolytope.from_halfspaces(faces, dim))
+    return DConvexSet(*comps)
+
+
+def _gauge_points(S: DConvexSet, rng: Random) -> list[DVector]:
+    """Random points, the origin, a zero component, vertices and face midpoints."""
+    v1, v2 = S.p1.vertices(), S.p2.vertices()
+    zero = (Fraction(0),) * S.dim
+    mid1 = tuple((x + y) / 2 for x, y in zip(v1[0], v1[1]))
+    mid2 = tuple((x + y) / 2 for x, y in zip(v2[-1], v2[-2]))
+    return [gen.rand_dvector(rng, S.dim) for _ in range(4)] + [
+        DVector.from_parts(zero, zero),
+        DVector.from_parts(zero, v2[0]),
+        DVector.from_parts(v1[0], v2[1]),
+        DVector.from_parts(mid1, mid2),
+        DVector.from_parts(tuple(3 * x for x in v1[-1]), zero),
+    ]
+
+
+def _gauge_stream(group: str, tmp_path) -> bytes:
+    """`cmd_gauge` exit codes and outputs, then the values on one shared set.
+
+    Each group also holds its first set with one component translated by a
+    vertex, which puts the origin on its boundary: every query on it must be
+    refused, every time.  Sets are encoded before any conversion runs, so
+    halfspace sets stay halfspace sets.
+    """
+    kind, dim, backend = group.split("-")
+    dim = int(dim[0])
+    rng = Random(f"gauge-identity:{kind}-{dim}")
+    texts = [json.dumps(encode_dconvex(_gauge_set(kind, dim, rng)))
+             for _ in range(GAUGE_SETS_PER_GROUP)]
+    first = decode_dconvex(json.loads(texts[0]))
+    edge = decode_dconvex(json.loads(texts[0])).p1.vertices()[0]
+    moved = DConvexSet(first.p1.translate(tuple(-x for x in edge)), first.p2)
+    texts.append(json.dumps(encode_dconvex(moved)))
+    chunks = []
+    for i, set_text in enumerate(texts):
+        set_path = tmp_path / f"set-{i}.json"
+        set_path.write_text(set_text)
+        point_texts = [json.dumps(encode_dvector(x)) for x in
+                       _gauge_points(decode_dconvex(json.loads(set_text)), rng)]
+        for j, point_text in enumerate(point_texts):
+            point_path = tmp_path / f"point-{i}-{j}.json"
+            point_path.write_text(point_text)
+            out, err = io.StringIO(), io.StringIO()
+            rc = cmd_gauge(str(set_path), str(point_path), backend, out=out, err=err)
+            chunks.append(f"{set_text}\n{point_text}\n{rc}\n{out.getvalue()}{err.getvalue()}")
+        shared = decode_dconvex(json.loads(set_text), backend)
+        for point_text in point_texts:  # repr keeps the type: 0 and Fraction(0, 1) differ
+            try:
+                value = minkowski_gauge(shared, decode_dvector(json.loads(point_text), backend))
+                chunks.append(f"{value.q1!r} {value.q2!r}\n")
+            except NotAbsorbingError as exc:
+                chunks.append(f"refused: {exc}\n")
+    return "".join(chunks).encode()
+
+
 @pytest.mark.parametrize("group", sorted(SEPARATE_DIGESTS))
 def test_separate_outputs_unchanged(group, tmp_path):
     digest = hashlib.sha256(_separate_stream(group, tmp_path)).hexdigest()
     assert digest == SEPARATE_DIGESTS[group]
+
+
+@pytest.mark.parametrize("group", sorted(GAUGE_DIGESTS))
+def test_gauge_outputs_unchanged(group, tmp_path):
+    digest = hashlib.sha256(_gauge_stream(group, tmp_path)).hexdigest()
+    assert digest == GAUGE_DIGESTS[group]
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))

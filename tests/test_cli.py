@@ -232,6 +232,32 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
 
+    def test_separate_and_gauge_do_not_run_the_suites(self, tmp_path):
+        pair = write_pair(tmp_path, box_pair(dim=2, open_flag=True), point_pair((3, 0), (0, 3)))
+        sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))
+        xp = write_json(tmp_path, "point.json", encode_dvector(DVector.of(h(2, 3))))
+        # the suites module is registered lazily: it stays an unexecuted
+        # placeholder, and the generators only it imports stay unloaded
+        script = (
+            "import io, sys, types\n"
+            "import bicomplex.cli as cli\n"
+            f"assert cli.cmd_separate({pair!r}, out=io.StringIO()) == 0\n"
+            f"assert cli.cmd_gauge({sp!r}, {xp!r}, out=io.StringIO()) == 0\n"
+            "print(type(sys.modules['bicomplex.suites']) is types.ModuleType,\n"
+            "      'bicomplex.generators' in sys.modules)\n"
+            "assert cli.cmd_verify('order', 0, 2, 'exact', out=io.StringIO()) == 0\n"
+            "print(type(sys.modules['bicomplex.suites']) is types.ModuleType)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False", "True"]
+
+    def test_suite_choices_match_the_suites(self):
+        from bicomplex import cli, suites
+
+        assert cli.SUITE_NAMES == suites.SUITE_NAMES
+
     def test_main_dispatches_gauge(self, tmp_path, capsys):
         sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))
         xp = write_json(tmp_path, "point.json", encode_dvector(DVector.of(h(2, 3))))
