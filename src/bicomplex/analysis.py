@@ -6,6 +6,13 @@ problem so the origin becomes interior (G = A - B + x0), take the hyperbolic
 Minkowski gauge of G, seed a functional on the ray through x0, and extend it
 one real dimension at a time under the gauge bound.  Every numeric step is an
 exact rational LP, so certificates re-check by plain evaluation.
+
+The extension LPs read the gauge from its V-rep epigraph: q(z) <= t iff
+z = sum_k mu_k v_k with sum(mu) = t and mu >= 0 over the body's vertices
+(`RealPolytope.gauge_lp`).  G is built as a vertex list, so separation never
+enumerates its facets, and each LP has one equality row per coordinate.  The
+global bound f <=' q of an extension is checked by evaluating f at the
+vertices, where a linear form attains its maximum over a polytope.
 """
 
 from __future__ import annotations
@@ -145,32 +152,31 @@ def _faces(P: RealPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
 
 
 def _max_over_body(
-    faces: Sequence[tuple[tuple[Fraction, ...], Fraction]],
-    span: Sequence[Sequence[Real]],
-    objective: Sequence[Real],
-) -> Optional[Fraction]:
-    """max sum_i s_i*objective_i over {sum s_i u_i in the gauge body}.
+    P: RealPolytope,
+    span: Sequence[Sequence[Fraction]],
+    objective: Sequence[Fraction],
+) -> Fraction:
+    """max sum_j s_j*objective_j over {sum_j s_j u_j in P}.
 
-    None signals an unbounded value (a recession direction with positive
-    objective), which can only happen for unbounded bodies.
+    The V-rep epigraph at height at most one: sum_j s_j u_j = sum_k mu_k v_k
+    with mu >= 0 and sum(mu) <= 1.  Bounded, since P is and the span
+    vectors are independent.
     """
     p = len(span)
     if p == 0:
         return Fraction(0)
-    lp = LinearProgram(p)
-    for a, b in faces:
-        lp.add_le([sum(Fraction(c) * Fraction(u) for c, u in zip(a, vec)) for vec in span], b)
-    lp.set_maximize(objective)
+    lp = P.gauge_lp(span, [0] * P.dim)
+    k = lp.n - p
+    lp.add_le([0] * p + [1] * k, 1)
+    lp.set_maximize(list(objective) + [0] * k)
     res = lp.solve()
-    if res.status == UNBOUNDED:
-        return None
     if not res:
-        raise BicomplexError("gauge body LP unexpectedly infeasible")
+        raise BicomplexError("gauge body LP failed")
     return res.value
 
 
 def _extension_interval(
-    faces: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+    P: RealPolytope,
     span: Sequence[Sequence[Fraction]],
     vals: Sequence[Fraction],
     xhat: Sequence[Fraction],
@@ -178,29 +184,17 @@ def _extension_interval(
     """The admissible value interval [lo, hi] for the next extension step.
 
     lo = sup_y g(y) - q(y - xhat),  hi = inf_y q(y + xhat) - g(y)
-    over the current subspace; both are exact LPs with the epigraph variable t
-    standing for the H-rep gauge max(0, max_i a_i.y / b_i).
+    over the current subspace; both are exact LPs on the V-rep epigraph of
+    the gauge of P, where sum(mu) stands for q at y -+ xhat (one equality
+    row per coordinate, whatever the number of facets).
     """
     p = len(span)
-
-    def face_row(sign: int) -> LinearProgram:
-        lp = LinearProgram(p + 1)
-        for a, b in faces:
-            row = [
-                sum(c * u for c, u in zip(a, vec))
-                for vec in span
-            ]
-            shift = sum(c * v for c, v in zip(a, xhat))
-            # a.(y + sign*xhat) <= t*b
-            lp.add_le(row + [-b], -sign * shift)
-        lp.add_ge([0] * p + [1], 0)
-        return lp
-
-    lo_lp = face_row(-1)
-    lo_lp.set_maximize(list(vals) + [-1])
+    lo_lp = P.gauge_lp(span, [-x for x in xhat])
+    k = lo_lp.n - p
+    lo_lp.set_maximize(list(vals) + [-1] * k)
     lo_res = lo_lp.solve()
-    hi_lp = face_row(+1)
-    hi_lp.set_minimize([-v for v in vals] + [1])
+    hi_lp = P.gauge_lp(span, xhat)
+    hi_lp.set_minimize([-v for v in vals] + [1] * k)
     hi_res = hi_lp.solve()
     if not lo_res or not hi_res:
         raise BicomplexError("extension interval LP failed")
@@ -225,7 +219,7 @@ def _complete_basis(span: list[list[Fraction]], n: int) -> list[int]:
 
 
 def _extend_component(
-    faces: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+    P: RealPolytope,
     basis: list[list[Fraction]],
     vals: list[Fraction],
     n: int,
@@ -240,7 +234,7 @@ def _extend_component(
     for m in _complete_basis(span, n):
         xhat = [Fraction(0)] * n
         xhat[m] = Fraction(1)
-        lo, hi = _extension_interval(faces, span, values, xhat)
+        lo, hi = _extension_interval(P, span, values, xhat)
         if lo > hi:
             raise BicomplexError("empty extension interval; domination was violated")
         span.append(xhat)
@@ -262,9 +256,14 @@ def extend_dominated(
     The result f agrees with g on the subspace and satisfies f <=' q_B
     everywhere; the new value at each adjoined direction is chosen at the
     ``interp`` point of the admissible interval (midpoint by default).  The
-    domination hypothesis g <=' q_B on the subspace is checked first by LP,
-    and the global bound of the result is certified the same way before
-    returning.
+    gauge enters every LP through its V-rep epigraph, q(z) <= t iff
+    z = sum_k mu_k v_k with sum(mu) = t and mu >= 0 over B's vertices, so an
+    H-rep B is converted once to vertices (dim <= 3; an unbounded one
+    raises) and a V-rep B is never converted to facets.  The domination
+    hypothesis g <=' q_B on the subspace is checked first by LP.  The global
+    bound of the result is certified by plain evaluation before returning:
+    a linear form is largest over B at a vertex, so f <=' q_B everywhere iff
+    f(v) <= 1 at every vertex v of each component.
     """
     n = B.dim
     if g.dim != n or any(u.dim != n for u in basisY):
@@ -280,14 +279,11 @@ def extend_dominated(
             raise DegenerateBasisError(f"dependent basis in component {l}")
         coeffs = [Fraction(c) for c in g.component(l)]
         vals = [sum(c * u for c, u in zip(coeffs, vec)) for vec in span]
-        faces = _faces(B.component(l))
-        bound = _max_over_body(faces, span, vals)
-        if bound is None or bound > 1:
+        P = B.component(l)
+        if _max_over_body(P, span, vals) > 1:
             raise DominationError(f"g exceeds the gauge on Y in component {l}")
-        full = _extend_component(faces, span, vals, n, interp)
-        check = _max_over_body(faces, [[Fraction(1) if i == m else Fraction(0) for i in range(n)] for m in range(n)],
-                               full)
-        if check is None or check > 1:
+        full = _extend_component(P, span, vals, n, interp)
+        if any(sum(c * Fraction(x) for c, x in zip(full, v)) > 1 for v in P.vertices()):
             raise BicomplexError("extension failed its global gauge certificate")
         out.append(full)
     return DLinearFunctional.from_parts(out[0], out[1])

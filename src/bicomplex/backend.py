@@ -27,15 +27,33 @@ def is_exact(x: Real) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, with the canonical ``"-p/q"`` form read by ``int``.
+
+    Only an optional single ``-``, ASCII digits and optionally ``/`` plus
+    ASCII digits take the fast path (``int`` alone would also accept
+    spaces, ``+``, ``_`` and non-ASCII digits); every other string goes to
+    ``Fraction``'s own parser, so values and raised errors are unchanged.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith("-") else num
+    if digits.isdigit() and digits.isascii():
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit() and den.isascii():
+            return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
 def as_real(value, backend: str = EXACT) -> Real:
     """Coerce ``value`` (number or ``"p/q"`` string) into the given backend."""
     if backend == EXACT:
         if isinstance(value, str):
-            return Fraction(value)
+            return _parse_fraction(value)
         return Fraction(value)
     if backend == FLOAT:
         if isinstance(value, str):
-            return float(Fraction(value))
+            return float(_parse_fraction(value))
         return float(value)
     raise ValueError(f"unknown backend {backend!r}")
 

@@ -9,9 +9,10 @@ Elimination runs on integers: `solve_square` and `matrix_rank` scale each
 row to integers and pivot with the fraction-free kernel of `bicomplex.elim`
 (integer rows T over one denominator d > 0, true matrix T/d), the same
 kernel under the simplex of `bicomplex.lp`.  Rank and affine-rank tests,
-the 3-D facet scan and the probe forms of `extreme_points` work on the
-points times the lcm of their denominators, in plain `int`s; only returned
-values are built as `Fraction`s.
+the 3-D facet scan, hull membership (`point_in_hull`) and the probe forms
+and membership LPs of `extreme_points` work on the points times the lcm of
+their denominators, in plain `int`s; only returned values are built as
+`Fraction`s.
 
 A `RealPolytope` is immutable after construction: nothing writes its
 representations except its own lazy conversions, which derive the missing
@@ -20,8 +21,9 @@ fact once and memoizes it:
 
 - the vertices (from an H-rep) and the halfspaces (from a V-rep);
 - whether 0 is interior (`origin_interior`, one V-rep LP at most);
-- the exact vertex columns of the V-rep gauge LP (`gauge_vrep`), so each
-  query only supplies its right-hand side;
+- the exact vertex columns of the V-rep gauge epigraph (`gauge_lp`), which
+  `gauge_vrep` and the extension LPs of `bicomplex.analysis` build on, so
+  each LP only supplies its span and right-hand side;
 - for the closed-form gauge (`gauge_hrep`), whether every b_i > 0 and, for
   exact faces, each face scaled to integers (a, b).
 """
@@ -123,13 +125,17 @@ def point_in_hull(point: Sequence[Real], vertices: Sequence[Point]) -> bool:
     """Exact membership of a point in the convex hull of finitely many points."""
     if not vertices:
         return False
-    p = _frac_point(point)
-    verts = [_frac_point(v) for v in vertices]
-    dim = len(p)
-    lp = LinearProgram(len(verts), nonneg=True)
-    for c in range(dim):
-        lp.add_eq([v[c] for v in verts], p[c])
-    lp.add_eq([1] * len(verts), 1)
+    (p, *verts), _ = _integer_points([point, *vertices])
+    return _integer_in_hull(p, verts)
+
+
+def _integer_in_hull(point: tuple[int, ...], vertices: Sequence[tuple[int, ...]]) -> bool:
+    """Hull membership on integer coordinates: one feasibility LP (scaling
+    every point by the same positive factor keeps the answer)."""
+    lp = LinearProgram(len(vertices), nonneg=True)
+    for c, x in enumerate(point):
+        lp.add_eq([v[c] for v in vertices], x)
+    lp.add_eq([1] * len(vertices), 1)
     return lp.solve().status == OPTIMAL
 
 
@@ -186,26 +192,25 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
     if dim == 2:
         return _convex_hull_2d(unique)
 
-    seeds: list[Point] = []
-    seed_set = set()
+    # Everything below works on the integer points, by index into unique.
     scaled = _integer_points(unique)[0]
+    seeds: list[int] = []
     for form in _probe_forms(dim):
-        p = unique[_lex_argmax(scaled, form)]
-        if p not in seed_set:
-            seed_set.add(p)
-            seeds.append(p)
+        i = _lex_argmax(scaled, form)
+        if i not in seeds:
+            seeds.append(i)
 
+    seed_points = [scaled[i] for i in seeds]
     survivors = [
-        p for p in unique
-        if p not in seed_set and not point_in_hull(p, seeds)
+        i for i in range(len(unique))
+        if i not in seeds and not _integer_in_hull(scaled[i], seed_points)
     ]
     pool = seeds + survivors
     keep = list(seeds)
-    for p in survivors:
-        others = [q for q in pool if q != p]
-        if not point_in_hull(p, others):
-            keep.append(p)
-    return keep
+    for i in survivors:
+        if not _integer_in_hull(scaled[i], [scaled[j] for j in pool if j != i]):
+            keep.append(i)
+    return [unique[i] for i in keep]
 
 
 def _convex_hull_2d(points: Sequence[Point]) -> list[Point]:
@@ -350,7 +355,8 @@ class RealPolytope:
     a property of the containing DConvexSet (plus per-face strict flags on
     H-rep input).  Never mutated after construction, so the memoized facts
     listed in the module docstring stay valid; `has_vrep` and `has_hrep`
-    report which representations are held so far.
+    report which representations are held so far, `built_from_vertices`
+    which one it was constructed with (a V-rep when given both).
     """
 
     def __init__(self, dim: int, vertices: Optional[Sequence[Point]] = None,
@@ -372,6 +378,7 @@ class RealPolytope:
         self.dim = dim
         self._vertices = tuple(tuple(v) for v in vertices) if vertices is not None else None
         self._halfspaces = tuple(halfspaces) if halfspaces is not None else None
+        self._built_from_vertices = vertices is not None
         self._origin_interior: Optional[bool] = None
         self._gauge_columns: Optional[list[list[Fraction]]] = None
         self._gauge_faces: Optional[tuple[bool, list[tuple[list[int], int]]]] = None
@@ -409,6 +416,9 @@ class RealPolytope:
 
     def has_hrep(self) -> bool:
         return self._halfspaces is not None
+
+    def built_from_vertices(self) -> bool:
+        return self._built_from_vertices
 
     def vertices(self) -> tuple[Point, ...]:
         if self._vertices is None:
@@ -534,19 +544,28 @@ class RealPolytope:
                 best = val
         return best
 
-    def gauge_vrep(self, point: Sequence[Real]) -> Real:
-        """Gauge by LP: min sum(mu) with sum(mu_i v_i) = x, mu >= 0.
+    def gauge_lp(self, span: Sequence[Sequence[Real]], shift: Sequence[Real]) -> LinearProgram:
+        """The V-rep gauge epigraph over an affine subspace, objective unset.
 
-        The exact vertex columns are built once; each query adds only x.
+        Variables are s (free, one per span vector u_j), then mu >= 0 (one
+        per vertex v_k); the rows say sum_k mu_k v_k - sum_j s_j u_j = shift.
+        So q(sum_j s_j u_j + shift) <= sum(mu) holds exactly when some such
+        mu exists, and the least sum(mu) is the gauge.  The exact vertex
+        columns are built once; each LP adds only the span and the shift.
         """
         if self._gauge_columns is None:
             verts = [_frac_point(v) for v in self.vertices()]
             self._gauge_columns = [[v[c] for v in verts] for c in range(self.dim)]
-        n = len(self._gauge_columns[0])
-        lp = LinearProgram(n, nonneg=True)
-        for c in range(self.dim):
-            lp.add_eq(self._gauge_columns[c], point[c])
-        lp.set_minimize([1] * n)
+        p, k = len(span), len(self._gauge_columns[0])
+        lp = LinearProgram(p + k, nonneg=[False] * p + [True] * k)
+        for c, column in enumerate(self._gauge_columns):
+            lp.add_eq([-u[c] for u in span] + column, shift[c])
+        return lp
+
+    def gauge_vrep(self, point: Sequence[Real]) -> Real:
+        """Gauge by LP: min sum(mu) with sum(mu_i v_i) = x, mu >= 0."""
+        lp = self.gauge_lp((), point)
+        lp.set_minimize([1] * lp.n)
         res = lp.solve()
         if res.status != OPTIMAL:
             return inf

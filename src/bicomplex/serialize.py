@@ -161,7 +161,8 @@ def decode_map(obj, backend: str = EXACT, where: str = "map") -> BCLinearMap:
 
 
 def encode_polytope(P: RealPolytope) -> dict:
-    if P.has_vrep():
+    """The representation P was built with, whatever it has derived since."""
+    if P.built_from_vertices():
         return {"vertices": [[encode_real(c) for c in v] for v in P.vertices()]}
     return {
         "halfspaces": [

@@ -12,7 +12,18 @@ The gauges and the probe seeds of `extreme_points` are the per-query
 probes moved to integer coordinates: `gauge_hrep` is the closed form copied
 verbatim as a function of the halfspaces, `gauge_vrep` the same LP on the
 `Fraction` simplex, `probe_seeds` the lexicographic argmax over `Fraction`
-points.  Values and their types must come out the same.
+points.  Values and their types must come out the same.  `extreme_points`
+is the hull test of dimension >= 3 as it ran before its membership LPs
+moved to integer coordinates (`point_in_hull` on `Fraction` points, on the
+`Fraction` simplex): same points in the same order.
+
+The gauge epigraph is the H-rep formulation the extension LPs of
+`bicomplex.analysis` used before they moved to the V-rep epigraph: `_faces`,
+`_max_over_body` and `_extension_interval` copied verbatim, and
+`extend_dominated` with its `_extend_component` copied unchanged except that
+the shared helpers are imported from the library.  LP optimum values are
+fixed by the gauge, so lo, hi, body maxima and extended functionals must be
+exactly equal.
 """
 
 from __future__ import annotations
@@ -22,10 +33,29 @@ from itertools import combinations
 from math import inf, lcm
 from typing import Iterable, Optional, Sequence
 
+from bicomplex.analysis import _complete_basis
 from bicomplex.backend import Real, rdiv, rlt
-from bicomplex.errors import NotAbsorbingError
+from bicomplex.convex import DConvexSet, is_dabsorbing
+from bicomplex.errors import (
+    BicomplexError,
+    DegenerateBasisError,
+    DimensionMismatch,
+    DominationError,
+    NotAbsorbingError,
+)
+from bicomplex.linear import DLinearFunctional
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPResult
-from bicomplex.polytope import Halfspace, _dot, _frac_point, _primitive, _probe_forms
+from bicomplex.polytope import (
+    Halfspace,
+    RealPolytope,
+    _dot,
+    _frac_point,
+    _primitive,
+    _probe_forms,
+    matrix_rank,
+    solve_square,
+)
+from bicomplex.vectors import DVector
 
 
 class FractionLinearProgram(LinearProgram):
@@ -307,3 +337,174 @@ def probe_seeds(points) -> list[tuple[Fraction, ...]]:
         if p not in seeds:
             seeds.append(p)
     return seeds
+
+
+def point_in_hull(point, vertices) -> bool:
+    """Exact membership of a point in the convex hull of finitely many points."""
+    if not vertices:
+        return False
+    p = _frac_point(point)
+    verts = [_frac_point(v) for v in vertices]
+    dim = len(p)
+    lp = FractionLinearProgram(len(verts), nonneg=True)
+    for c in range(dim):
+        lp.add_eq([v[c] for v in verts], p[c])
+    lp.add_eq([1] * len(verts), 1)
+    return lp.solve().status == OPTIMAL
+
+
+def extreme_points(points) -> list[tuple[Fraction, ...]]:
+    """The dimension >= 3 branch of `extreme_points`: probe seeds, then
+    membership LPs against the seeds and against the reduced pool."""
+    seeds = probe_seeds(points)
+    seed_set = set(seeds)
+    unique: list[tuple[Fraction, ...]] = []
+    for p in map(_frac_point, points):
+        if p not in unique:
+            unique.append(p)
+    survivors = [
+        p for p in unique
+        if p not in seed_set and not point_in_hull(p, seeds)
+    ]
+    pool = seeds + survivors
+    keep = list(seeds)
+    for p in survivors:
+        others = [q for q in pool if q != p]
+        if not point_in_hull(p, others):
+            keep.append(p)
+    return keep
+
+
+# -- the H-rep gauge epigraph --------------------------------------------------
+
+
+def _faces(P: RealPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """H-rep faces as exact (a, b) pairs (strictness is irrelevant to gauges)."""
+    return [
+        (tuple(Fraction(c) for c in hs.a), Fraction(hs.b))
+        for hs in P.halfspaces()
+    ]
+
+
+def _max_over_body(
+    faces: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+    span: Sequence[Sequence[Real]],
+    objective: Sequence[Real],
+) -> Optional[Fraction]:
+    """max sum_i s_i*objective_i over {sum s_i u_i in the gauge body}.
+
+    None signals an unbounded value (a recession direction with positive
+    objective), which can only happen for unbounded bodies.
+    """
+    p = len(span)
+    if p == 0:
+        return Fraction(0)
+    lp = LinearProgram(p)
+    for a, b in faces:
+        lp.add_le([sum(Fraction(c) * Fraction(u) for c, u in zip(a, vec)) for vec in span], b)
+    lp.set_maximize(objective)
+    res = lp.solve()
+    if res.status == UNBOUNDED:
+        return None
+    if not res:
+        raise BicomplexError("gauge body LP unexpectedly infeasible")
+    return res.value
+
+
+def _extension_interval(
+    faces: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+    span: Sequence[Sequence[Fraction]],
+    vals: Sequence[Fraction],
+    xhat: Sequence[Fraction],
+) -> tuple[Fraction, Fraction]:
+    """The admissible value interval [lo, hi] for the next extension step.
+
+    lo = sup_y g(y) - q(y - xhat),  hi = inf_y q(y + xhat) - g(y)
+    over the current subspace; both are exact LPs with the epigraph variable t
+    standing for the H-rep gauge max(0, max_i a_i.y / b_i).
+    """
+    p = len(span)
+
+    def face_row(sign: int) -> LinearProgram:
+        lp = LinearProgram(p + 1)
+        for a, b in faces:
+            row = [
+                sum(c * u for c, u in zip(a, vec))
+                for vec in span
+            ]
+            shift = sum(c * v for c, v in zip(a, xhat))
+            # a.(y + sign*xhat) <= t*b
+            lp.add_le(row + [-b], -sign * shift)
+        lp.add_ge([0] * p + [1], 0)
+        return lp
+
+    lo_lp = face_row(-1)
+    lo_lp.set_maximize(list(vals) + [-1])
+    lo_res = lo_lp.solve()
+    hi_lp = face_row(+1)
+    hi_lp.set_minimize([-v for v in vals] + [1])
+    hi_res = hi_lp.solve()
+    if not lo_res or not hi_res:
+        raise BicomplexError("extension interval LP failed")
+    return lo_res.value, hi_res.value
+
+
+def _extend_component(
+    faces: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+    basis: list[list[Fraction]],
+    vals: list[Fraction],
+    n: int,
+    interp: Fraction,
+) -> list[Fraction]:
+    """One-dimension-at-a-time extension for a single component.
+
+    Returns the coefficient vector of the extended functional on R^n.
+    """
+    span = [list(v) for v in basis]
+    values = list(vals)
+    for m in _complete_basis(span, n):
+        xhat = [Fraction(0)] * n
+        xhat[m] = Fraction(1)
+        lo, hi = _extension_interval(faces, span, values, xhat)
+        if lo > hi:
+            raise BicomplexError("empty extension interval; domination was violated")
+        span.append(xhat)
+        values.append(lo + interp * (hi - lo))
+    coeff = solve_square(span, values)
+    if coeff is None:
+        raise BicomplexError("extension basis became singular")
+    return coeff
+
+
+def extend_dominated(
+    g: DLinearFunctional,
+    basisY: Sequence[DVector],
+    B: DConvexSet,
+    interp: Fraction = Fraction(1, 2),
+) -> DLinearFunctional:
+    """Extend g from span(basisY) to the whole space under the gauge of B."""
+    n = B.dim
+    if g.dim != n or any(u.dim != n for u in basisY):
+        raise DimensionMismatch("ambient dimensions disagree")
+    if not is_dabsorbing(B):
+        raise NotAbsorbingError("extension gauge needs an absorbing set")
+    if not Fraction(0) <= interp <= Fraction(1):
+        raise ValueError("interp must lie in [0, 1]")
+    out: list[list[Fraction]] = []
+    for l in (1, 2):
+        span = [[Fraction(c) for c in u.part(l)] for u in basisY]
+        if span and matrix_rank(span) < len(span):
+            raise DegenerateBasisError(f"dependent basis in component {l}")
+        coeffs = [Fraction(c) for c in g.component(l)]
+        vals = [sum(c * u for c, u in zip(coeffs, vec)) for vec in span]
+        faces = _faces(B.component(l))
+        bound = _max_over_body(faces, span, vals)
+        if bound is None or bound > 1:
+            raise DominationError(f"g exceeds the gauge on Y in component {l}")
+        full = _extend_component(faces, span, vals, n, interp)
+        check = _max_over_body(faces, [[Fraction(1) if i == m else Fraction(0) for i in range(n)] for m in range(n)],
+                               full)
+        if check is None or check > 1:
+            raise BicomplexError("extension failed its global gauge certificate")
+        out.append(full)
+    return DLinearFunctional.from_parts(out[0], out[1])

@@ -158,3 +158,16 @@ def test_extreme_point_seeds_match_the_fraction_probes():
         pts += pts[:2]  # duplicates are dropped before probing
         seeds = ref.probe_seeds(pts)
         assert extreme_points(pts)[:len(seeds)] == seeds
+
+
+def test_extreme_points_match_the_fraction_hull_tests_in_order():
+    # integer membership LPs keep the same points in the same order,
+    # midpoints and interior points included
+    rng = Random("gauge-cache:hull")
+    for trial in range(40):
+        dim = 3 + trial % 2
+        pts = [tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(dim))
+               for _ in range(5 + trial % 8)]
+        pts += [tuple((x + y) / 2 for x, y in zip(pts[i], pts[i + 1])) for i in range(3)]
+        pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+        assert extreme_points(pts) == ref.extreme_points(pts)

@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from bicomplex.analysis import separate_hyperbolic
-from bicomplex.backend import EXACT, FLOAT
+from bicomplex.analysis import extend_dominated, separate_hyperbolic
+from bicomplex.backend import EXACT, FLOAT, as_real
 from bicomplex.convex import DConvexSet
 from bicomplex.errors import SchemaError
 from bicomplex.generators import (
@@ -96,6 +96,21 @@ class TestScalarCodecs:
         with pytest.raises(SchemaError):
             decode_hyperbolic({"e1": "1/0", "e2": 1})
 
+    @pytest.mark.parametrize("text", [
+        "3/4", "-17/12", "5", "1/0", " 1/2", "1/ 2", "-3/-4", "--3", "+2",
+        "3_0", "1.5", "1e3", "\u0661/\u0662", "", "-", "1/", "-0", "007/010",
+    ])
+    def test_as_real_parses_strings_like_fraction(self, text):
+        def outcome(parse):
+            try:
+                value = parse(text)
+            except Exception as exc:
+                return type(exc)
+            return value, type(value)
+
+        assert outcome(as_real) == outcome(Fraction)
+        assert outcome(lambda t: as_real(t, FLOAT)) == outcome(lambda t: float(Fraction(t)))
+
 
 class TestVectorAndMapCodecs:
     def test_roundtrips(self):
@@ -147,6 +162,22 @@ class TestGeometryCodecs:
             ((F(1),), F(1), True),
             ((F(-1),), F(1), False),
         ]
+
+    def test_encoding_keeps_the_built_representation(self):
+        # deriving the other representation, directly or inside an
+        # extension, leaves the written form as it was built
+        B = DConvexSet(RealPolytope.box(2, F(-1), F(1)), RealPolytope.box(2, F(-2), F(1, 2)))
+        hrep = json.dumps(encode_dconvex(B))
+        assert "halfspaces" in json.loads(hrep)["p1"]
+        B.component(1).vertices()
+        assert json.dumps(encode_dconvex(B)) == hrep
+        extend_dominated(DLinearFunctional.from_parts([F(0), F(0)], [F(0), F(0)]), [], B)
+        assert B.component(2).has_vrep()
+        assert json.dumps(encode_dconvex(B)) == hrep
+        V = RealPolytope.from_vertices([(F(0), F(1)), (F(1), F(-1)), (F(-1), F(-1))])
+        vrep = json.dumps(encode_polytope(V))
+        V.halfspaces()
+        assert json.dumps(encode_polytope(V)) == vrep and "vertices" in vrep
 
     def test_polytope_schema_errors(self):
         with pytest.raises(SchemaError):
