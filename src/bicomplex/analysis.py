@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
+from . import elim
 from .backend import Real
 from .convex import DConvexSet, is_dabsorbing, minkowski_diff_translate, minkowski_gauge
 from .errors import (
@@ -61,61 +62,39 @@ SIGMA_TOL = 1e-12
 
 
 # -- exact linear algebra over the complex rationals -------------------------
+#
+# A complex system M Z = B with M = X + iY, B = R + iS, Z = P + iQ is the
+# real system [[X, -Y], [Y, X]] [P; Q] = [R; S].  The embedding is a ring
+# map, so its rank is twice the complex rank and the real system is
+# consistent exactly when the complex one is.  Its rows are scaled to
+# integers and eliminated once by `elim.eliminate`; float entries enter as
+# their exact binary values, so every answer is exact.
 
 
-def _rref(mat: list[list[ComplexScalar]], width: int) -> list[int]:
-    """In-place reduced row echelon form on the first ``width`` columns.
+def _embed(M: Sequence[Sequence[ComplexScalar]],
+           B: Optional[Sequence[Sequence[ComplexScalar]]] = None) -> list[list[int]]:
+    """Integer rows of [[X, -Y | R], [Y, X | S]] for M = X + iY and B = R + iS."""
+    top, bottom = [], []
+    for i, row in enumerate(M):
+        x, y = _re_im(row)
+        r, s = _re_im(B[i] if B is not None else ())
+        top.append(elim.integer_row([*x, *(-v for v in y), *r]))
+        bottom.append(elim.integer_row([*y, *x, *s]))
+    return top + bottom
 
-    Returns the pivot column indices; entries beyond ``width`` ride along
-    (augmented columns).
-    """
-    pivots: list[int] = []
-    row = 0
-    for col in range(width):
-        piv = next((r for r in range(row, len(mat)) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = ComplexScalar(1) / mat[row][col]
-        mat[row] = [e * inv for e in mat[row]]
-        for r in range(len(mat)):
-            if r != row and not mat[r][col].is_zero():
-                factor = mat[r][col]
-                mat[r] = [e - factor * p for e, p in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return pivots
+
+def _re_im(zs: Sequence[ComplexScalar]) -> tuple[list[Fraction], list[Fraction]]:
+    return [Fraction(z.re) for z in zs], [Fraction(z.im) for z in zs]
+
+
+def _complex_solution(T: list[list[int]], d: int, n: int) -> list[list[ComplexScalar]]:
+    """Z = P + iQ from an elimination of the embedding with all 2n pivots."""
+    return [[ComplexScalar(Fraction(p, d), Fraction(q, d))
+             for p, q in zip(T[i][2 * n:], T[n + i][2 * n:])] for i in range(n)]
 
 
 def complex_rank(rows: Sequence[Sequence[ComplexScalar]]) -> int:
-    if not rows:
-        return 0
-    mat = [list(r) for r in rows]
-    return len(_rref(mat, len(mat[0])))
-
-
-def complex_solve(
-    rows: Sequence[Sequence[ComplexScalar]],
-    rhs: Sequence[ComplexScalar],
-) -> Optional[list[ComplexScalar]]:
-    """Any exact solution of a rectangular system, or None when inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return []
-    width = len(rows[0])
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = _rref(mat, width)
-    for r in range(len(pivots), len(mat)):
-        if not mat[r][width].is_zero():
-            return None
-    x = [ComplexScalar(0)] * width
-    for r, col in enumerate(pivots):
-        x[col] = mat[r][width]
-    return x
+    return elim.rank(_embed(rows)) // 2
 
 
 def complex_invert(
@@ -123,21 +102,11 @@ def complex_invert(
 ) -> Optional[list[list[ComplexScalar]]]:
     n = len(rows)
     one, zero = ComplexScalar(1), ComplexScalar(0)
-    mat = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    pivots = _rref(mat, n)
-    if len(pivots) < n:
+    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    T, d, pivots = elim.eliminate(_embed(rows, identity), 2 * n)
+    if len(pivots) < 2 * n:
         return None
-    return [row[n:] for row in mat]
-
-
-def _real_solve(rows: Sequence[Sequence[Real]], rhs: Sequence[Real]) -> Optional[list[Real]]:
-    sol = complex_solve(
-        [[ComplexScalar(v) for v in row] for row in rows],
-        [ComplexScalar(v) for v in rhs],
-    )
-    if sol is None:
-        return None
-    return [z.re for z in sol]
+    return _complex_solution(T, d, n)
 
 
 # -- gauge-bounded extension --------------------------------------------------
@@ -315,29 +284,34 @@ class SeparationCertificate:
     checks: tuple[VertexCheck, ...]
 
 
-def _overlap_witness(Pa: RealPolytope, Pb: RealPolytope, dim: int) -> Optional[tuple]:
-    """A point interior to Pa and inside Pb, or None when none exists.
+def _slack_point(
+    P: RealPolytope,
+    strict: bool,
+    y_count: int = 0,
+    y_nonneg: bool = False,
+    le: Sequence[tuple[Sequence[Real], Real]] = (),
+    eq: Sequence[tuple[Sequence[Real], Real]] = (),
+) -> Optional[tuple]:
+    """A point x of P that satisfies the caller's rows, or None when none does.
 
-    Interiority on the Pa side implements openness: the LP maximizes a common
-    slack t on Pa's faces, and only t > 0 counts as an intersection.  Pb may
-    be lower-dimensional; its membership is encoded as a convex combination
-    of vertices when a V-rep is available, avoiding any H-rep conversion.
+    One LP decides every disjointness question.  Its variables are x (free,
+    one per coordinate of P), a common slack t (free), then y_count more
+    variables y (nonnegative when ``y_nonneg``).  Its rows, in this order,
+    are P's faces a.x + sigma*t <= b, with sigma = 1 when ``strict`` and 0
+    otherwise; the caller's ``le`` rows; the caller's ``eq`` rows; t <= 1.
+    Caller rows are written over (x, y).  It maximizes t.  When ``strict``,
+    only t > 0 counts, which puts x in the interior of P; otherwise every
+    feasible point counts.
     """
-    vb = Pb.vertices() if Pb.has_vrep() else None
-    k = len(vb) if vb is not None else 0
-    # Variables: x (free), t (free), lambda (nonneg, V-rep route only).
-    lp = LinearProgram(dim + 1 + k, nonneg=[False] * (dim + 1) + [True] * k)
-    pad = [0] * k
-    for a, b in _faces(Pa):
-        lp.add_le(list(a) + [1] + pad, b)
-    if vb is not None:
-        for c in range(dim):
-            row = [Fraction(1) if i == c else Fraction(0) for i in range(dim)]
-            lp.add_eq(row + [0] + [-Fraction(v[c]) for v in vb], 0)
-        lp.add_eq([0] * (dim + 1) + [1] * k, 1)
-    else:
-        for a, b in _faces(Pb):
-            lp.add_le(list(a) + [0] + pad, b)
+    dim = P.dim
+    lp = LinearProgram(dim + 1 + y_count, nonneg=[False] * (dim + 1) + [y_nonneg] * y_count)
+    pad = [0] * y_count
+    for a, b in _faces(P):
+        lp.add_le([*a, 1 if strict else 0, *pad], b)
+    for row, b in le:
+        lp.add_le([*row[:dim], 0, *row[dim:]], b)
+    for row, b in eq:
+        lp.add_eq([*row[:dim], 0, *row[dim:]], b)
     lp.add_le([0] * dim + [1] + pad, 1)
     lp.set_maximize([0] * dim + [1] + pad)
     res = lp.solve()
@@ -345,14 +319,30 @@ def _overlap_witness(Pa: RealPolytope, Pb: RealPolytope, dim: int) -> Optional[t
         return None
     if res.status == UNBOUNDED:
         raise BicomplexError("capped slack LP cannot be unbounded")
-    if res.value > 0:
-        return tuple(res.x[:dim])
-    return None
+    return tuple(res.x[:dim]) if res.value > 0 or not strict else None
+
+
+def _overlap_witness(Pa: RealPolytope, Pb: RealPolytope) -> Optional[tuple]:
+    """A point interior to Pa and inside Pb, or None when none exists.
+
+    Pb may be lower-dimensional; its membership is encoded as a convex
+    combination of vertices when a V-rep is available, avoiding any H-rep
+    conversion.
+    """
+    if not Pb.has_vrep():
+        return _slack_point(Pa, True, le=_faces(Pb))
+    vb = Pb.vertices()
+    dim, k = Pa.dim, len(vb)
+    # x = sum_k lambda_k v_k with lambda >= 0 and sum(lambda) = 1
+    eq = [([int(i == c) for i in range(dim)] + [-Fraction(v[c]) for v in vb], 0)
+          for c in range(dim)]
+    eq.append(([0] * dim + [1] * k, 1))
+    return _slack_point(Pa, True, k, True, eq=eq)
 
 
 def _component_disjoint_or_raise(A: DConvexSet, B: DConvexSet) -> None:
     for l in (1, 2):
-        witness = _overlap_witness(A.component(l), B.component(l), A.dim)
+        witness = _overlap_witness(A.component(l), B.component(l))
         if witness is not None:
             raise NotDisjointError(
                 f"components {l} of A and B intersect",
@@ -538,25 +528,14 @@ def _recip(v: Real) -> Real:
 
 
 def _hyperplane_disjoint_or_raise(B: DConvexSet, L: DHyperplane) -> None:
-    n = B.dim
     for l in (1, 2):
         coeffs, level = L.component_level(l)
-        lp = LinearProgram(n + 1)
-        for a, b in _faces(B.component(l)):
-            lp.add_le(list(a) + [1 if B.open else 0], b)
-        lp.add_eq([Fraction(c) for c in coeffs] + [0], level)
-        lp.add_le([0] * n + [1], 1)
-        lp.set_maximize([0] * n + [1])
-        res = lp.solve()
-        if res.status == INFEASIBLE:
-            continue
-        if not res:
-            raise BicomplexError("hyperplane intersection LP failed")
-        if (B.open and res.value > 0) or (not B.open and res.value >= 0):
+        witness = _slack_point(B.component(l), B.open, eq=[(coeffs, level)])
+        if witness is not None:
             raise NotDisjointError(
                 f"hyperplane meets component {l} of the set",
                 component=l,
-                witness=tuple(res.x[:n]),
+                witness=witness,
             )
 
 
@@ -622,34 +601,21 @@ def variety_extend_hyperplane(
         point = [Fraction(c) for c in x0.part(l)]
         if matrix_rank(rows + [point]) == matrix_rank(rows):
             raise DegenerateVarietyError(f"x0 lies in the span of M in component {l}")
-        # Disjointness of the affine variety from the component set.
-        lp = LinearProgram(len(rows) + n + 1)
-        width = len(rows) + n + 1
-        for a, b in _faces(B.component(l)):
-            row = [Fraction(0)] * len(rows) + list(a) + [1 if B.open else 0]
-            lp.add_le(row, b)
-        for i in range(n):
-            row = [vec[i] for vec in rows] + [
-                Fraction(-1) if j == i else Fraction(0) for j in range(n)
-            ] + [0]
-            lp.add_eq(row, -point[i])
-        lp.add_le([0] * (width - 1) + [1], 1)
-        lp.set_maximize([0] * (width - 1) + [1])
-        res = lp.solve()
-        if res.status != INFEASIBLE:
-            if not res:
-                raise BicomplexError("variety intersection LP failed")
-            if (B.open and res.value > 0) or (not B.open and res.value >= 0):
-                witness = tuple(res.x[len(rows):len(rows) + n])
-                raise NotDisjointError(
-                    f"variety meets component {l} of the set",
-                    component=l,
-                    witness=witness,
-                )
-        sol = _real_solve(rows + [point], [Fraction(0)] * len(rows) + [Fraction(1)])
+        # Disjointness of the affine variety x - sum_j s_j u_j = x0 from the set.
+        eq = [([int(j == i) for j in range(n)] + [-u[i] for u in rows], point[i])
+              for i in range(n)]
+        witness = _slack_point(B.component(l), B.open, len(rows), eq=eq)
+        if witness is not None:
+            raise NotDisjointError(
+                f"variety meets component {l} of the set",
+                component=l,
+                witness=witness,
+            )
+        sol = elim.solve([elim.integer_row([*u, 0]) for u in rows]
+                         + [elim.integer_row([*point, 1])], n)
         if sol is None:
             raise BicomplexError("variety seed system was inconsistent")
-        rep.append(sol)
+        rep.append([x for x, in sol])
     g = DLinearFunctional.from_parts(rep[0], rep[1])
     f = extend_dominated(g, list(basisM) + [x0], B)
     return DHyperplane(f, HyperbolicScalar.one())
@@ -698,10 +664,6 @@ def ubp_bound(F: MapFamily, eps: HyperbolicScalar) -> tuple[HyperbolicScalar, Hy
     return HyperbolicScalar(m1, m2), HyperbolicScalar(d1, d2)
 
 
-def _component_scalar_rows(T: BCLinearMap, l: int) -> list[list[ComplexScalar]]:
-    return T.component(l)
-
-
 def omt_delta(T: BCLinearMap) -> OpenMapBound:
     """The open-mapping radius: delta_l is the smallest singular value of T_l.
 
@@ -711,7 +673,7 @@ def omt_delta(T: BCLinearMap) -> OpenMapBound:
     import numpy as np
 
     for l in (1, 2):
-        if complex_rank(_component_scalar_rows(T, l)) < T.rows:
+        if complex_rank(T.component(l)) < T.rows:
             raise NotSurjectiveError(f"component {l} has deficient row rank", component=l)
     sigmas = []
     for l in (1, 2):
@@ -735,7 +697,7 @@ def inverse_map(T: BCLinearMap) -> tuple[BCLinearMap, HyperbolicScalar]:
         raise NotBijectiveError("map is not square", component=None)
     inverses = []
     for l in (1, 2):
-        inv = complex_invert(_component_scalar_rows(T, l))
+        inv = complex_invert(T.component(l))
         if inv is None:
             raise NotBijectiveError(f"component {l} is singular", component=l)
         inverses.append(inv)
@@ -753,7 +715,8 @@ def map_from_graph(basisG: Sequence, n: int) -> BCLinearMap:
 
     The span is a graph over BC^n iff, per component, the first-block rows
     have full rank n and adjoining the second block adds no rank (no vertical
-    directions).  T is then solved exactly column by column.
+    directions).  Both are read off one elimination of the embedded [U | V],
+    whose unique solution is then T^T.
     """
     if not basisG:
         raise NotAGraphError("empty spanning set")
@@ -766,28 +729,13 @@ def map_from_graph(basisG: Sequence, n: int) -> BCLinearMap:
         pick = (lambda Z: Z.z1) if l == 1 else (lambda Z: Z.z2)
         U = [[pick(v.coords[i]) for i in range(n)] for v in basisG]
         V = [[pick(v.coords[n + i]) for i in range(m)] for v in basisG]
-        rank_u = complex_rank(U)
-        if rank_u < n:
+        # U T^T = V: row b says T u_b = v_b; its solution X = T^T is n x m.
+        T, d, pivots = elim.eliminate(_embed(U, V), 2 * n)
+        if len(pivots) < 2 * n:
             raise NotAGraphError(f"projection to BC^n is not surjective in component {l}")
-        joint = [u + v for u, v in zip(U, V)]
-        if complex_rank(joint) > rank_u:
+        if any(any(row[2 * n:]) for row in T[2 * n:]):
             raise NotAGraphError(f"vertical vector present in component {l}")
-        # Solve sum_b c_b u_b = e_i and read off the image column sum_b c_b v_b.
-        A = [[U[b][i] for b in range(len(basisG))] for i in range(n)]
-        cols = []
-        for i in range(n):
-            rhs = [ComplexScalar(1) if r == i else ComplexScalar(0) for r in range(n)]
-            c = complex_solve(A, rhs)
-            if c is None:
-                raise NotAGraphError("column solve failed despite full rank")
-            col = []
-            for j in range(m):
-                acc = ComplexScalar(0)
-                for b, cb in enumerate(c):
-                    acc = acc + cb * V[b][j]
-                col.append(acc)
-            cols.append(col)
-        columns.append(cols)
+        columns.append(_complex_solution(T, d, n))
     matrix = tuple(
         tuple(BicomplexScalar(columns[0][i][j], columns[1][i][j]) for i in range(n))
         for j in range(m)

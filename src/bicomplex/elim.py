@@ -12,8 +12,11 @@ entry of T is d times an entry of B^-1 A for the current basis B of the
 starting integer matrix A, and d = |det B|, so it is an integer minor of A.
 Pivots take no gcd, and entries stay the size of those minors.
 
-The simplex tableau (`lp`), `polytope.solve_square` and
-`polytope.matrix_rank` all pivot through `pivot`.
+The simplex tableau (`lp`) pivots through `pivot`.  Every other exact
+solve runs through `eliminate`, the library's one Gauss-Jordan loop:
+`rank` and `solve` here, `polytope.solve_square` and `polytope.matrix_rank`,
+and the complex ranks, inverses and graph solves of `bicomplex.analysis`,
+which eliminate the real embedding X + iY -> [[X, -Y], [Y, X]].
 """
 
 from __future__ import annotations
@@ -61,33 +64,43 @@ def pivot(rows: list[list[int]], d: int, r: int, c: int,
     return p
 
 
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix."""
+def eliminate(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], int, list[int]]:
+    """Gauss-Jordan on the first ``width`` columns of an integer matrix.
+
+    Returns (T, d, pivots): T/d is the reduced row echelon form, row r
+    holding d in column pivots[r] and zero in every other pivot column.
+    Columns past ``width`` (augmented right-hand sides) ride along, and rows
+    past len(pivots) are zero in the first ``width`` columns.
+    """
     work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    d, done, col = 1, 0, 0
-    while done < len(work) and col < ncols:
+    d, pivots = 1, []
+    for col in range(width):
+        if len(pivots) == len(work):
+            break
+        done = len(pivots)
         piv = next((i for i in range(done, len(work)) if work[i][col]), None)
         if piv is not None:
             work[done], work[piv] = work[piv], work[done]
             d = pivot(work, d, done, col)
-            done += 1
-        col += 1
-    return done
+            pivots.append(col)
+    return work, d, pivots
 
 
-def solve(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
-    """Solve the square system of an integer augmented matrix [A | b].
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    return len(eliminate(rows, len(rows[0]) if rows else 0)[2])
 
-    Returns the exact solution, or None when A is singular.
+
+def solve(rows: Sequence[Sequence[int]], width: int) -> Optional[list[list[Fraction]]]:
+    """A solution X of A X = B for the integer augmented matrix [A | B].
+
+    A is the first ``width`` columns.  Free variables are set to zero; None
+    when the system is inconsistent.
     """
-    work = [list(r) for r in rows]
-    n = len(work)
-    d = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col]), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        d = pivot(work, d, col, col)
-    return [Fraction(work[i][n], d) for i in range(n)]
+    T, d, pivots = eliminate(rows, width)
+    if any(any(row[width:]) for row in T[len(pivots):]):
+        return None
+    X = [[Fraction(0)] * (len(T[0]) - width) for _ in range(width)]
+    for row, col in zip(T, pivots):
+        X[col] = [Fraction(v, d) for v in row[width:]]
+    return X

@@ -76,8 +76,12 @@ def _frac_point(p: Sequence[Real]) -> tuple[Fraction, ...]:
 
 def solve_square(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """Solve A x = b exactly; None when A is singular."""
-    return elim.solve([elim.integer_row([*map(Fraction, row), Fraction(rhs)])
-                       for row, rhs in zip(A, b)])
+    n = len(b)
+    T, d, pivots = elim.eliminate([elim.integer_row([*map(Fraction, row), Fraction(rhs)])
+                                   for row, rhs in zip(A, b)], n)
+    if len(pivots) < n:
+        return None
+    return [Fraction(row[n], d) for row in T]
 
 
 def matrix_rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -497,11 +501,12 @@ class RealPolytope:
         return res.value, tuple(res.x)
 
     def translate(self, shift: Sequence[Real]) -> RealPolytope:
-        if self._vertices is not None:
+        """The polytope moved by ``shift``, in the representation it was built with."""
+        if self._built_from_vertices:
             verts = [tuple(x + s for x, s in zip(v, shift)) for v in self._vertices]
             return RealPolytope(self.dim, vertices=verts)
         faces = [
-            Halfspace(h.a, h.b + _dot(h.a, shift), h.strict) for h in self.halfspaces()
+            Halfspace(h.a, h.b + _dot(h.a, shift), h.strict) for h in self._halfspaces
         ]
         return RealPolytope(self.dim, halfspaces=faces)
 

@@ -24,6 +24,16 @@ The gauge epigraph is the H-rep formulation the extension LPs of
 the shared helpers are imported from the library.  LP optimum values are
 fixed by the gauge, so lo, hi, body maxima and extended functionals must be
 exactly equal.
+
+The complex path is the `Fraction`-over-`ComplexScalar` Gauss-Jordan code
+that ran before complex ranks, inverses and graph solves moved to the
+integer kernel through the real embedding: `_rref`, `complex_rank`,
+`complex_solve`, `complex_invert` and `map_from_graph` copied verbatim.
+`_overlap_witness`, `_hyperplane_disjoint_or_raise` and the LP of
+`variety_extend_hyperplane` (as `variety_disjoint_or_raise`) are the three
+hand-built disjointness LPs that the one slack-LP helper replaced, copied
+verbatim.  Ranks, inverses, graph maps, error messages, overlap and
+hyperplane witnesses and every raise-or-not decision must come out the same.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from itertools import combinations
 from math import inf, lcm
 from typing import Iterable, Optional, Sequence
 
-from bicomplex.analysis import _complete_basis
+from bicomplex.analysis import DHyperplane, _complete_basis
 from bicomplex.backend import Real, rdiv, rlt
 from bicomplex.convex import DConvexSet, is_dabsorbing
 from bicomplex.errors import (
@@ -42,8 +52,10 @@ from bicomplex.errors import (
     DimensionMismatch,
     DominationError,
     NotAbsorbingError,
+    NotAGraphError,
+    NotDisjointError,
 )
-from bicomplex.linear import DLinearFunctional
+from bicomplex.linear import BCLinearMap, DLinearFunctional
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPResult
 from bicomplex.polytope import (
     Halfspace,
@@ -55,6 +67,7 @@ from bicomplex.polytope import (
     matrix_rank,
     solve_square,
 )
+from bicomplex.scalars import BicomplexScalar, ComplexScalar
 from bicomplex.vectors import DVector
 
 
@@ -508,3 +521,210 @@ def extend_dominated(
             raise BicomplexError("extension failed its global gauge certificate")
         out.append(full)
     return DLinearFunctional.from_parts(out[0], out[1])
+
+
+# -- the complex Gauss-Jordan path and the disjointness LPs ---------------------
+
+
+def _rref(mat: list[list[ComplexScalar]], width: int) -> list[int]:
+    """In-place reduced row echelon form on the first ``width`` columns.
+
+    Returns the pivot column indices; entries beyond ``width`` ride along
+    (augmented columns).
+    """
+    pivots: list[int] = []
+    row = 0
+    for col in range(width):
+        piv = next((r for r in range(row, len(mat)) if not mat[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        inv = ComplexScalar(1) / mat[row][col]
+        mat[row] = [e * inv for e in mat[row]]
+        for r in range(len(mat)):
+            if r != row and not mat[r][col].is_zero():
+                factor = mat[r][col]
+                mat[r] = [e - factor * p for e, p in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    return pivots
+
+
+def complex_rank(rows: Sequence[Sequence[ComplexScalar]]) -> int:
+    if not rows:
+        return 0
+    mat = [list(r) for r in rows]
+    return len(_rref(mat, len(mat[0])))
+
+
+def complex_solve(
+    rows: Sequence[Sequence[ComplexScalar]],
+    rhs: Sequence[ComplexScalar],
+) -> Optional[list[ComplexScalar]]:
+    """Any exact solution of a rectangular system, or None when inconsistent.
+
+    Free variables are set to zero.
+    """
+    if not rows:
+        return []
+    width = len(rows[0])
+    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = _rref(mat, width)
+    for r in range(len(pivots), len(mat)):
+        if not mat[r][width].is_zero():
+            return None
+    x = [ComplexScalar(0)] * width
+    for r, col in enumerate(pivots):
+        x[col] = mat[r][width]
+    return x
+
+
+def complex_invert(
+    rows: Sequence[Sequence[ComplexScalar]],
+) -> Optional[list[list[ComplexScalar]]]:
+    n = len(rows)
+    one, zero = ComplexScalar(1), ComplexScalar(0)
+    mat = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    pivots = _rref(mat, n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in mat]
+
+
+def _overlap_witness(Pa: RealPolytope, Pb: RealPolytope, dim: int) -> Optional[tuple]:
+    """A point interior to Pa and inside Pb, or None when none exists.
+
+    Interiority on the Pa side implements openness: the LP maximizes a common
+    slack t on Pa's faces, and only t > 0 counts as an intersection.  Pb may
+    be lower-dimensional; its membership is encoded as a convex combination
+    of vertices when a V-rep is available, avoiding any H-rep conversion.
+    """
+    vb = Pb.vertices() if Pb.has_vrep() else None
+    k = len(vb) if vb is not None else 0
+    # Variables: x (free), t (free), lambda (nonneg, V-rep route only).
+    lp = LinearProgram(dim + 1 + k, nonneg=[False] * (dim + 1) + [True] * k)
+    pad = [0] * k
+    for a, b in _faces(Pa):
+        lp.add_le(list(a) + [1] + pad, b)
+    if vb is not None:
+        for c in range(dim):
+            row = [Fraction(1) if i == c else Fraction(0) for i in range(dim)]
+            lp.add_eq(row + [0] + [-Fraction(v[c]) for v in vb], 0)
+        lp.add_eq([0] * (dim + 1) + [1] * k, 1)
+    else:
+        for a, b in _faces(Pb):
+            lp.add_le(list(a) + [0] + pad, b)
+    lp.add_le([0] * dim + [1] + pad, 1)
+    lp.set_maximize([0] * dim + [1] + pad)
+    res = lp.solve()
+    if res.status == INFEASIBLE:
+        return None
+    if res.status == UNBOUNDED:
+        raise BicomplexError("capped slack LP cannot be unbounded")
+    if res.value > 0:
+        return tuple(res.x[:dim])
+    return None
+
+
+def _hyperplane_disjoint_or_raise(B: DConvexSet, L: DHyperplane) -> None:
+    n = B.dim
+    for l in (1, 2):
+        coeffs, level = L.component_level(l)
+        lp = LinearProgram(n + 1)
+        for a, b in _faces(B.component(l)):
+            lp.add_le(list(a) + [1 if B.open else 0], b)
+        lp.add_eq([Fraction(c) for c in coeffs] + [0], level)
+        lp.add_le([0] * n + [1], 1)
+        lp.set_maximize([0] * n + [1])
+        res = lp.solve()
+        if res.status == INFEASIBLE:
+            continue
+        if not res:
+            raise BicomplexError("hyperplane intersection LP failed")
+        if (B.open and res.value > 0) or (not B.open and res.value >= 0):
+            raise NotDisjointError(
+                f"hyperplane meets component {l} of the set",
+                component=l,
+                witness=tuple(res.x[:n]),
+            )
+
+
+def variety_disjoint_or_raise(x0: DVector, basisM: Sequence[DVector], B: DConvexSet) -> None:
+    """The disjointness LP of `variety_extend_hyperplane`, without the extension."""
+    n = B.dim
+    for l in (1, 2):
+        rows = [[Fraction(c) for c in u.part(l)] for u in basisM]
+        point = [Fraction(c) for c in x0.part(l)]
+        # Disjointness of the affine variety from the component set.
+        lp = LinearProgram(len(rows) + n + 1)
+        width = len(rows) + n + 1
+        for a, b in _faces(B.component(l)):
+            row = [Fraction(0)] * len(rows) + list(a) + [1 if B.open else 0]
+            lp.add_le(row, b)
+        for i in range(n):
+            row = [vec[i] for vec in rows] + [
+                Fraction(-1) if j == i else Fraction(0) for j in range(n)
+            ] + [0]
+            lp.add_eq(row, -point[i])
+        lp.add_le([0] * (width - 1) + [1], 1)
+        lp.set_maximize([0] * (width - 1) + [1])
+        res = lp.solve()
+        if res.status != INFEASIBLE:
+            if not res:
+                raise BicomplexError("variety intersection LP failed")
+            if (B.open and res.value > 0) or (not B.open and res.value >= 0):
+                witness = tuple(res.x[len(rows):len(rows) + n])
+                raise NotDisjointError(
+                    f"variety meets component {l} of the set",
+                    component=l,
+                    witness=witness,
+                )
+
+
+def map_from_graph(basisG: Sequence, n: int) -> BCLinearMap:
+    """Recover T from a spanning set of its graph in BC^n x BC^m.
+
+    The span is a graph over BC^n iff, per component, the first-block rows
+    have full rank n and adjoining the second block adds no rank (no vertical
+    directions).  T is then solved exactly column by column.
+    """
+    if not basisG:
+        raise NotAGraphError("empty spanning set")
+    total = basisG[0].dim
+    if total <= n:
+        raise DimensionMismatch("graph vectors must have dim n + m with m >= 1")
+    m = total - n
+    columns: list[list[list[ComplexScalar]]] = []
+    for l in (1, 2):
+        pick = (lambda Z: Z.z1) if l == 1 else (lambda Z: Z.z2)
+        U = [[pick(v.coords[i]) for i in range(n)] for v in basisG]
+        V = [[pick(v.coords[n + i]) for i in range(m)] for v in basisG]
+        rank_u = complex_rank(U)
+        if rank_u < n:
+            raise NotAGraphError(f"projection to BC^n is not surjective in component {l}")
+        joint = [u + v for u, v in zip(U, V)]
+        if complex_rank(joint) > rank_u:
+            raise NotAGraphError(f"vertical vector present in component {l}")
+        # Solve sum_b c_b u_b = e_i and read off the image column sum_b c_b v_b.
+        A = [[U[b][i] for b in range(len(basisG))] for i in range(n)]
+        cols = []
+        for i in range(n):
+            rhs = [ComplexScalar(1) if r == i else ComplexScalar(0) for r in range(n)]
+            c = complex_solve(A, rhs)
+            if c is None:
+                raise NotAGraphError("column solve failed despite full rank")
+            col = []
+            for j in range(m):
+                acc = ComplexScalar(0)
+                for b, cb in enumerate(c):
+                    acc = acc + cb * V[b][j]
+                col.append(acc)
+            cols.append(col)
+        columns.append(cols)
+    matrix = tuple(
+        tuple(BicomplexScalar(columns[0][i][j], columns[1][i][j]) for i in range(n))
+        for j in range(m)
+    )
+    return BCLinearMap(matrix)

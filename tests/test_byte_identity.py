@@ -11,9 +11,12 @@ cached its absorbency, vertex columns and integer faces: every `cmd_gauge`
 output and every gauge value, with its type, must stay the same under both
 backends.
 
+The theorem digests were recorded with the `Fraction` Gauss-Jordan complex
+path and the three hand-built disjointness LPs (see the section below).
+
 A failing digest means an output changed; find which with
-``_separate_stream``, ``_gauge_stream`` or ``_verify_stream`` and compare
-against the parent commit.
+``_separate_stream``, ``_gauge_stream``, ``_verify_stream`` or
+``_theorem_stream`` and compare against the parent commit.
 """
 
 import hashlib
@@ -26,10 +29,28 @@ import pytest
 
 from bicomplex import generators as gen
 from bicomplex.backend import EXACT, FLOAT
+from bicomplex.analysis import (
+    hyperplane_gauge_bound,
+    hyperplane_normalize,
+    inverse_map,
+    map_from_graph,
+    omt_delta,
+    separate_hyperbolic,
+    variety_extend_hyperplane,
+)
 from bicomplex.cli import cmd_gauge, cmd_separate, cmd_verify
 from bicomplex.convex import DConvexSet, minkowski_gauge
-from bicomplex.errors import NotAbsorbingError
-from bicomplex.polytope import Halfspace, RealPolytope
+from bicomplex.errors import (
+    BicomplexError,
+    NotAbsorbingError,
+    NotAGraphError,
+    NotBijectiveError,
+    NotDisjointError,
+    NotSurjectiveError,
+)
+from bicomplex.linear import BCLinearMap, DLinearFunctional
+from bicomplex.polytope import Halfspace, RealPolytope, affine_rank
+from bicomplex.scalars import HyperbolicScalar
 from bicomplex.serialize import decode_dconvex, decode_dvector, encode_dconvex, encode_dvector
 from bicomplex.vectors import DVector
 
@@ -192,3 +213,178 @@ def test_gauge_outputs_unchanged(group, tmp_path):
 def test_verify_reports_unchanged(suite):
     digest = hashlib.sha256(_verify_stream(suite)).hexdigest()
     assert digest == VERIFY_DIGESTS[suite]
+
+
+# -- theorem engines -------------------------------------------------------------
+#
+# Recorded with the `Fraction` Gauss-Jordan `_rref` and the three hand-built
+# disjointness LPs, before the complex path moved to the integer kernel and
+# the LPs to one helper.  Every record is a repr, so types count: an entry
+# that was Fraction(1, 1) must not come back as 1.
+
+THEOREM_CASES = 24
+
+THEOREM_DIGESTS = {
+    "graph": "18b52786a0e290c48919af4e24abdeca5efbd7392e784d08a91d3abcab113722",
+    "hyperplane": "d7b3129be466789aae36041677e5fe7e2f8a5d743eab4121f1c941eaac21314a",
+    "inverse": "58f0c2b607611ec04395e7b145ec9274affcb852860ac4e2dccdb13374512d08",
+    "overlap": "f4b86dd70cb757249d744449bade7979f2b42402d6f92eaa849481258f8b958d",
+    "variety": "802477991012b44e1ffa39889ee51a1286f91e38e31cc75f69d2e5a0a464c5bb",
+    "variety-crossing": "ec5884588191cc7154c8c881c8b7a05a523ad3928b10b376ed377ef81d06d88a",
+}
+
+
+def _singular_map(rng: Random, n: int) -> BCLinearMap:
+    """A square map with a dependent row in component 1, component 2 or both."""
+    rows = [[gen.rand_bicomplex(rng) for _ in range(n)] for _ in range(n)]
+    kind = rng.choice(("e1", "e2", "both"))
+    if kind == "both" and n > 1:
+        a, b = gen.rand_bicomplex(rng), gen.rand_bicomplex(rng)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[n - 2])]
+    else:  # an idempotent factor zeroes one row in the other component
+        unit = HyperbolicScalar.e1() if kind == "e1" else HyperbolicScalar.e2()
+        i = rng.randrange(n)
+        rows[i] = [unit.to_bicomplex() * x for x in rows[i]]
+    return BCLinearMap(tuple(tuple(r) for r in rows))
+
+
+def _inverse_records(rng: Random) -> list[str]:
+    out = []
+    for i in range(THEOREM_CASES):
+        n = 1 + i % 3
+        out.append(repr(inverse_map(gen.rand_component_invertible_map(rng, n))[0].matrix))
+        for T in (_singular_map(rng, n), gen.rand_bcmap(rng, n, n + 1)):
+            try:
+                inverse_map(T)
+                out.append("inverted")
+            except NotBijectiveError as exc:
+                out.append(f"NotBijectiveError {exc.component!r}")
+        for T in (_singular_map(rng, n), gen.rand_bcmap(rng, n + 1, n)):
+            try:
+                omt_delta(T)
+                out.append("surjective")
+            except NotSurjectiveError as exc:
+                out.append(f"NotSurjectiveError {exc.component!r}")
+    return out
+
+
+def _redundant(rng: Random, vectors: list) -> list:
+    """The spanning set with combinations of its own vectors mixed in."""
+    vectors = list(vectors)
+    for _ in range(rng.randint(1, 2)):
+        a, b = rng.sample(range(len(vectors)), 2) if len(vectors) > 1 else (0, 0)
+        extra = vectors[a].scale(gen.rand_bicomplex(rng)) + vectors[b].scale(gen.rand_bicomplex(rng))
+        vectors.insert(rng.randrange(len(vectors) + 1), extra)
+    return vectors
+
+
+def _graph_records(rng: Random) -> list[str]:
+    out = []
+    for i in range(THEOREM_CASES):
+        n, m = 1 + i % 3, 1 + (i // 3) % 3
+        vectors, _ = gen.rand_graph_basis(rng, n, m)
+        for span in (vectors, _redundant(rng, vectors), _redundant(rng, gen.rand_non_graph(rng, n, m))):
+            try:
+                out.append(repr(map_from_graph(span, n).matrix))
+            except NotAGraphError as exc:
+                out.append(f"NotAGraphError {exc}")
+    return out
+
+
+def _crossing_functional(rng: Random, dim: int) -> DLinearFunctional:
+    return DLinearFunctional(DVector.from_parts(
+        [gen.rand_nonzero_fraction(rng) for _ in range(dim)],
+        [gen.rand_nonzero_fraction(rng) for _ in range(dim)],
+    ))
+
+
+def _hyperplane_records(rng: Random) -> list[str]:
+    """Levels inside, at the edge of and beyond each component's range of g."""
+    out = []
+    for i in range(THEOREM_CASES):
+        dim = 1 + i % 3
+        B = gen.rand_absorbing_pair(rng, dim, open_flag=bool(i % 2))
+        g = _crossing_functional(rng, dim)
+        levels = []
+        for l in (1, 2):
+            peak = max(g.eval_component(l, v) for v in B.component(l).vertices())
+            levels.append(rng.choice((peak / 2, peak, peak + 1)))
+        try:
+            f = hyperplane_gauge_bound(B, hyperplane_normalize(g, HyperbolicScalar(*levels)))
+            out.append(repr(f))
+        except NotDisjointError as exc:
+            out.append(f"NotDisjointError {exc.component!r} {exc.witness!r}")
+        except BicomplexError as exc:
+            out.append(f"{type(exc).__name__} {exc}")
+    return out
+
+
+def _overlap_records(rng: Random) -> list[str]:
+    out = []
+    for i in range(THEOREM_CASES):
+        dim = 1 + i % 3
+        A, B, _ = gen.rand_overlap_instance(rng, dim)
+        if i % 2:  # full-dimensional components of B as halfspaces: the LP reads faces
+            B = DConvexSet(*(RealPolytope.from_halfspaces(P.halfspaces(), dim)
+                             if affine_rank(P.vertices()) == dim else P for P in (B.p1, B.p2)))
+        with pytest.raises(NotDisjointError) as info:
+            separate_hyperbolic(A, B)
+        out.append(f"{info.value.component!r} {info.value.witness!r}")
+    return out
+
+
+def _variety(rng: Random, B: DConvexSet, level) -> tuple[DVector, list[DVector]]:
+    """x0 + span(M) inside {w.x = level(peak)} per component, M of rank < dim.
+
+    ``peak`` is the largest w.v over the component's vertices, so a level
+    above it keeps the variety off the set and one below may cross it.
+    """
+    dim, k = B.dim, rng.randrange(B.dim)
+    x_parts, m_parts = [], []
+    for l in (1, 2):
+        w = [gen.rand_nonzero_fraction(rng) for _ in range(dim)]
+        peak = max(sum(a * Fraction(c) for a, c in zip(w, v)) for v in B.component(l).vertices())
+        norm = sum(a * a for a in w)
+        x_parts.append([level(peak) * a / norm for a in w])
+        # w-orthogonal directions e_j - (w_j / w_0) e_0
+        m_parts.append([[-w[j] / w[0] if c == 0 else Fraction(c == j) for c in range(dim)]
+                        for j in range(1, k + 1)])
+    basis = [DVector.from_parts(m_parts[0][j], m_parts[1][j]) for j in range(k)]
+    return DVector.from_parts(*x_parts), basis
+
+
+def _variety_records(rng: Random, crossing: bool) -> list[str]:
+    out = []
+    for i in range(THEOREM_CASES):
+        B = gen.rand_absorbing_pair(rng, 1 + i % 3, open_flag=bool(i % 2))
+        if crossing:
+            level = rng.choice((lambda p: p / 2, lambda p: p, lambda p: -p))
+        else:
+            level = rng.choice((lambda p: p + 1, lambda p: 2 * p))
+        x0, basis = _variety(rng, B, level)
+        try:
+            f = variety_extend_hyperplane(x0, basis, B).f
+            out.append("disjoint" if crossing else repr(f))
+        except NotDisjointError as exc:
+            assert crossing, exc
+            out.append(f"NotDisjointError {exc.component!r}")  # the witness may differ
+    return out
+
+
+def _theorem_stream(group: str) -> bytes:
+    rng = Random(f"theorem-identity:{group}")
+    records = {
+        "graph": _graph_records,
+        "hyperplane": _hyperplane_records,
+        "inverse": _inverse_records,
+        "overlap": _overlap_records,
+        "variety": lambda r: _variety_records(r, crossing=False),
+        "variety-crossing": lambda r: _variety_records(r, crossing=True),
+    }[group](rng)
+    return "".join(f"{line}\n" for line in records).encode()
+
+
+@pytest.mark.parametrize("group", sorted(THEOREM_DIGESTS))
+def test_theorem_outputs_unchanged(group):
+    digest = hashlib.sha256(_theorem_stream(group)).hexdigest()
+    assert digest == THEOREM_DIGESTS[group]

@@ -1,5 +1,6 @@
 """Exact polytope geometry: hulls, representations, gauges, linear algebra."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -16,6 +17,7 @@ from bicomplex.polytope import (
     point_in_hull,
     solve_square,
 )
+from bicomplex.serialize import encode_polytope
 
 
 def fr(*vals):
@@ -101,6 +103,22 @@ class TestRepresentations:
     def test_empty_vrep_rejected(self):
         with pytest.raises(EmptySetError):
             RealPolytope.from_vertices([])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_translate_keeps_the_built_representation(self, dim):
+        faces = [Halfspace(tuple(Fraction(s if i == c else 0) for i in range(dim)), Fraction(c + 1, 2),
+                           strict=c == 0)
+                 for c in range(dim) for s in (1, -1)]
+        shift = [Fraction(c + 1, 3) for c in range(dim)]
+        before = RealPolytope.from_halfspaces(faces, dim).translate(shift)
+        used = RealPolytope.from_halfspaces(faces, dim)
+        used.vertices()
+        after = used.translate(shift)
+        assert not after.built_from_vertices()
+        assert json.dumps(encode_polytope(after)) == json.dumps(encode_polytope(before))
+        verts = RealPolytope.from_vertices(used.vertices())
+        verts.halfspaces()
+        assert verts.translate(shift).built_from_vertices()
 
 
 class TestMembership:
