@@ -326,10 +326,11 @@ def _overlap_witness(Pa: RealPolytope, Pb: RealPolytope) -> Optional[tuple]:
     """A point interior to Pa and inside Pb, or None when none exists.
 
     Pb may be lower-dimensional; its membership is encoded as a convex
-    combination of vertices when a V-rep is available, avoiding any H-rep
-    conversion.
+    combination of vertices when it was built from vertices, avoiding any
+    H-rep conversion, and by its faces otherwise, so the witness does not
+    depend on which representations earlier queries derived.
     """
-    if not Pb.has_vrep():
+    if not Pb.built_from_vertices():
         return _slack_point(Pa, True, le=_faces(Pb))
     vb = Pb.vertices()
     dim, k = Pa.dim, len(vb)

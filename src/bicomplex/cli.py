@@ -57,7 +57,7 @@ def _lazy_import(name: str) -> ModuleType:
     return module
 
 
-# Only ``verify`` runs the property suites (about 1200 lines, plus the
+# Only ``verify`` runs the property suites (about 1150 lines, plus the
 # instance generators).  The module is registered lazily, so ``separate`` and
 # ``gauge`` never execute it, while code that looks it up in sys.modules (a
 # profiler wrapping its functions, say) still finds it.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
-from typing import Sequence
 
 from .convex import DConvexSet
 from .linear import BCLinearFunctional, BCLinearMap, DLinearFunctional

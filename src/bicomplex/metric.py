@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .backend import Real, rdiv, rle, rlt, rsqrt
+from .backend import Real, rdiv, rle, rsqrt
 from .errors import DimensionMismatch, EmptyInputError, NotACoverError
 from .order import lt_strict
 from .scalars import HyperbolicScalar

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .backend import req, rle, rlt
+from .backend import rle, rlt
 from .errors import EmptySetError, NonPositiveBoundError
 from .scalars import HyperbolicScalar
 

@@ -424,6 +424,12 @@ class RealPolytope:
     def built_from_vertices(self) -> bool:
         return self._built_from_vertices
 
+    def __repr__(self) -> str:
+        """The representation it was built with, whatever has been derived since."""
+        if self._built_from_vertices:
+            return f"RealPolytope({self.dim}, vertices={self._vertices!r})"
+        return f"RealPolytope({self.dim}, halfspaces={self._halfspaces!r})"
+
     def vertices(self) -> tuple[Point, ...]:
         if self._vertices is None:
             self._vertices = tuple(vertex_enumeration(self._halfspaces, self.dim))
@@ -478,27 +484,6 @@ class RealPolytope:
         lp.set_minimize(total)  # minimize sum of w·v over vertices
         res = lp.solve()
         return res.status == OPTIMAL and res.value == 0
-
-    def support(self, direction: Sequence[Real]) -> tuple[Real, Point]:
-        """max a·x over the closed polytope, with a maximizing point."""
-        if self._vertices is not None:
-            best = None
-            arg = None
-            for v in self._vertices:
-                val = _dot(direction, v)
-                if best is None or val > best:
-                    best, arg = val, v
-            return best, arg
-        lp = LinearProgram(self.dim)
-        for h in self.halfspaces():
-            lp.add_le(h.a, h.b)
-        lp.set_maximize(direction)
-        res = lp.solve()
-        if res.status == UNBOUNDED:
-            raise LPUnboundedError("support is unbounded")
-        if res.status != OPTIMAL:
-            raise EmptySetError("empty polytope")
-        return res.value, tuple(res.x)
 
     def translate(self, shift: Sequence[Real]) -> RealPolytope:
         """The polytope moved by ``shift``, in the representation it was built with."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .backend import Real, as_real, rdiv, req, rle, rsqrt
+from .backend import Real, rdiv, req, rle, rsqrt
 from .errors import NullConeError, ZeroError
 
 
@@ -33,14 +33,6 @@ class ComplexScalar:
 
     re: Real
     im: Real = 0
-
-    @classmethod
-    def from_value(cls, value, backend: str = "exact") -> ComplexScalar:
-        if isinstance(value, ComplexScalar):
-            return value
-        if isinstance(value, complex):
-            return cls(as_real(value.real, backend), as_real(value.imag, backend))
-        return cls(as_real(value, backend))
 
     def __add__(self, other) -> ComplexScalar:
         other = _as_complex(other)
@@ -130,10 +122,6 @@ class HyperbolicScalar:
     @classmethod
     def e2(cls) -> HyperbolicScalar:
         return cls(0, 1)
-
-    @classmethod
-    def from_real(cls, r: Real) -> HyperbolicScalar:
-        return cls(r, r)
 
     @classmethod
     def from_standard(cls, beta1: Real, beta2: Real) -> HyperbolicScalar:

@@ -8,9 +8,6 @@ they never partially construct objects.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Any
-
 from .analysis import DHyperplane, SeparationCertificate, VertexCheck
 from .backend import EXACT, decode_real, encode_real
 from .convex import DConvexSet

@@ -1,9 +1,15 @@
 """Deterministic property-test suites with machine-readable reports.
 
-Each suite draws its instances from a :class:`random.Random` seeded with the
-suite name and the user seed, runs ``cases`` independent cases, and collects
-failure records (inputs, the expected relation, the observed values).  A
-report with an empty failure list is a pass.
+A suite is one per-case function ``case(rec, rng)``: it draws one instance
+from ``rng`` and records every failed check on the :class:`Recorder` ``rec``
+(inputs, the expected relation, the observed values), reading the case
+index, the seed and the backend from ``rec``.  `run_cases` is the one loop:
+it runs a case function ``cases`` times on one rng and returns a
+:class:`SuiteReport`; a report with an empty failure list is a pass.
+`run_suite` looks the name up and seeds the rng with the suite name and the
+user seed.  The theorem harnesses (`ubp_case` ... `hyperplane_case`, in the
+order of `THEOREM_CASES`) are case functions too, which the ``theorems``
+suite rotates through and callers may run on their own.
 
 Scalar- and vector-level suites honor the float backend by converting the
 drawn instances to floats (comparisons then go through the epsilon-tolerant
@@ -16,14 +22,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from random import Random
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from . import scalars
-from .backend import EPSILON, EXACT, FLOAT, Real, req
+from .backend import EPSILON, EXACT, FLOAT, req
 from .convex import (
     DConvexSet,
     dconvex_hull,
@@ -37,6 +44,7 @@ from .errors import (
     ConstantComponentError,
     DegenerateFunctionalError,
     DominationError,
+    EmptyFamilyError,
     NonPositiveBoundError,
     NotACoverError,
     NotAbsorbingError,
@@ -87,7 +95,7 @@ from .metric import (
     dnorm_bc,
 )
 from .order import OrderResult, compare, inf_d, is_d_bounded, le, lt_strict, sup_d
-from .polytope import RealPolytope
+from .polytope import RealPolytope, matrix_rank
 from .scalars import (
     BicomplexScalar,
     ComplexScalar,
@@ -104,16 +112,6 @@ from .vectors import BCVector, DVector
 
 if TYPE_CHECKING:
     import numpy as np
-
-SUITE_NAMES = (
-    "algebra",
-    "order",
-    "metric",
-    "linear",
-    "convex",
-    "separation",
-    "theorems",
-)
 
 
 @dataclass
@@ -132,14 +130,7 @@ class SuiteReport:
         return not self.failures
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "cases": self.cases,
-            "backend": self.backend,
-            "failures": self.failures,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
     def text(self) -> str:
         status = "PASS" if self.ok else f"FAIL ({len(self.failures)} failures)"
@@ -157,12 +148,19 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-class _Recorder:
-    """Collects failures; check() guards a predicate, expect_raises an error."""
+class Recorder:
+    """Collects one run's failures; check() guards a predicate, expect_raises
+    an error, guard() an unexpected exception.
 
-    def __init__(self):
-        self.failures: list = []
+    ``seed`` and ``backend`` are the run's; ``case`` is the index of the case
+    running, which every failure record carries.
+    """
+
+    def __init__(self, seed: int, backend: str):
+        self.seed = seed
+        self.backend = backend
         self.case = 0
+        self.failures: list = []
 
     def check(self, ok: bool, prop: str, inputs, expected, observed) -> bool:
         if not ok:
@@ -242,272 +240,267 @@ def _bc_eq(a: BicomplexScalar, b: BicomplexScalar) -> bool:
     )
 
 
-def _rng(name: str, seed: int) -> Random:
-    return Random(f"{name}:{seed}")
+Case = Callable[[Recorder, Random], None]
+
+
+def run_cases(name: str, case: Case, rng: Random, seed: int, cases: int,
+              backend: str = EXACT) -> SuiteReport:
+    """Run ``case(rec, rng)`` for indices 0 .. cases-1 on one rng.
+
+    A case that raises is recorded as a failure of that case, and the run
+    goes on with the next one.
+    """
+    start = time.perf_counter()
+    rec = Recorder(seed, backend)
+    run = partial(case, rec, rng)
+    for idx in range(cases):
+        rec.case = idx
+        rec.guard(f"{name}-case", {"seed": seed, "case": idx, "backend": backend}, run)
+    return SuiteReport(name, seed, cases, backend, rec.failures, time.perf_counter() - start)
 
 
 # -- algebra ---------------------------------------------------------------------
 
 
-def suite_algebra(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
+def algebra_case(rec: Recorder, rng: Random) -> None:
     """Ring laws, the conjugation table, moduli, units, and inverses."""
-    start = time.perf_counter()
-    rng = _rng("algebra", seed)
-    rec = _Recorder()
+    backend = rec.backend
     one = BicomplexScalar.one()
     zero = BicomplexScalar.zero()
-    k = BicomplexScalar.unit_k()
-    e1 = HyperbolicScalar.e1().to_bicomplex()
-    e2 = HyperbolicScalar.e2().to_bicomplex()
-
-    # unit table: constant inputs, so once per run (still through the module
-    # attribute, so a patched product is what gets tested)
+    # the product is read through the module attribute, so a patched one is
+    # what gets tested
     mul = scalars.bc_mul
-    kk = mul(k, k)
-    rec.check(_bc_eq(kk, one), "k-squared", k, "one", kk)
-    rec.check(_bc_eq(k, e1 - e2), "k-idempotent-form", k, "e1 - e2", e1 - e2)
-    e1e2 = mul(e1, e2)
-    rec.check(_bc_eq(e1e2, zero), "idempotent-orthogonal", (e1, e2), "zero", e1e2)
-    e1e1 = mul(e1, e1)
-    rec.check(_bc_eq(e1e1, e1), "idempotent-e1", e1, "e1", e1e1)
 
-    for idx in range(cases):
-        rec.case = idx
-        Z = _bc_cast(gen.rand_bicomplex(rng), backend)
-        W = _bc_cast(gen.rand_bicomplex(rng), backend)
-        V = _bc_cast(gen.rand_bicomplex(rng), backend)
-        ins = (Z, W, V)
+    if rec.case == 0:  # unit table: constant inputs, so once per run
+        k = BicomplexScalar.unit_k()
+        e1 = HyperbolicScalar.e1().to_bicomplex()
+        e2 = HyperbolicScalar.e2().to_bicomplex()
+        kk = mul(k, k)
+        rec.check(_bc_eq(kk, one), "k-squared", k, "one", kk)
+        rec.check(_bc_eq(k, e1 - e2), "k-idempotent-form", k, "e1 - e2", e1 - e2)
+        e1e2 = mul(e1, e2)
+        rec.check(_bc_eq(e1e2, zero), "idempotent-orthogonal", (e1, e2), "zero", e1e2)
+        e1e1 = mul(e1, e1)
+        rec.check(_bc_eq(e1e1, e1), "idempotent-e1", e1, "e1", e1e1)
 
-        # additive group
-        sum_zw = Z + W
-        assoc_l, assoc_r = sum_zw + V, Z + (W + V)
-        rec.check(_bc_eq(assoc_l, assoc_r), "add-associative", ins, "equal", (assoc_l, assoc_r))
-        sum_wz = W + Z
-        rec.check(_bc_eq(sum_zw, sum_wz), "add-commutative", ins, "equal", (sum_zw, sum_wz))
-        plus_zero = Z + zero
-        rec.check(_bc_eq(plus_zero, Z), "add-identity", Z, "equal", plus_zero)
-        minus_self = Z - Z
-        rec.check(minus_self.is_zero() if backend == EXACT else _bc_eq(minus_self, zero),
-                  "add-inverse", Z, "zero", minus_self)
+    Z = _bc_cast(gen.rand_bicomplex(rng), backend)
+    W = _bc_cast(gen.rand_bicomplex(rng), backend)
+    V = _bc_cast(gen.rand_bicomplex(rng), backend)
+    ins = (Z, W, V)
 
-        # multiplicative monoid
-        mul = scalars.bc_mul
-        zw, wz = mul(Z, W), mul(W, Z)
-        rec.check(_bc_eq(zw, wz), "mul-commutative", ins, "equal", (zw, wz))
-        massoc_l, massoc_r = mul(zw, V), mul(Z, mul(W, V))
-        rec.check(_bc_eq(massoc_l, massoc_r), "mul-associative", ins, "equal", (massoc_l, massoc_r))
-        one_z = mul(one, Z)
-        rec.check(_bc_eq(one_z, Z), "mul-identity", Z, "equal", one_z)
-        dist_l, dist_r = mul(Z, W + V), zw + mul(Z, V)
-        rec.check(_bc_eq(dist_l, dist_r), "distributive", ins, "equal", (dist_l, dist_r))
+    # additive group
+    sum_zw = Z + W
+    assoc_l, assoc_r = sum_zw + V, Z + (W + V)
+    rec.check(_bc_eq(assoc_l, assoc_r), "add-associative", ins, "equal", (assoc_l, assoc_r))
+    sum_wz = W + Z
+    rec.check(_bc_eq(sum_zw, sum_wz), "add-commutative", ins, "equal", (sum_zw, sum_wz))
+    plus_zero = Z + zero
+    rec.check(_bc_eq(plus_zero, Z), "add-identity", Z, "equal", plus_zero)
+    minus_self = Z - Z
+    rec.check(minus_self.is_zero() if backend == EXACT else _bc_eq(minus_self, zero),
+              "add-inverse", Z, "zero", minus_self)
 
-        # conjugation table: involutions, products, composition
-        for kind in ConjugationKind:
-            twice = conjugate(conjugate(Z, kind), kind)
-            rec.check(_bc_eq(twice, Z), f"involution-{kind.value}", Z, "identity", twice)
-            conj_of_prod = conjugate(zw, kind)
-            prod_of_conj = mul(conjugate(Z, kind), conjugate(W, kind))
-            rec.check(
-                _bc_eq(conj_of_prod, prod_of_conj),
-                f"conjugation-multiplicative-{kind.value}", (Z, W), "equal", conj_of_prod,
-            )
-        composed = conjugate(conjugate(Z, ConjugationKind.DAGGER1), ConjugationKind.DAGGER2)
-        d3 = conjugate(Z, ConjugationKind.DAGGER3)
+    # multiplicative monoid
+    zw, wz = mul(Z, W), mul(W, Z)
+    rec.check(_bc_eq(zw, wz), "mul-commutative", ins, "equal", (zw, wz))
+    massoc_l, massoc_r = mul(zw, V), mul(Z, mul(W, V))
+    rec.check(_bc_eq(massoc_l, massoc_r), "mul-associative", ins, "equal", (massoc_l, massoc_r))
+    one_z = mul(one, Z)
+    rec.check(_bc_eq(one_z, Z), "mul-identity", Z, "equal", one_z)
+    dist_l, dist_r = mul(Z, W + V), zw + mul(Z, V)
+    rec.check(_bc_eq(dist_l, dist_r), "distributive", ins, "equal", (dist_l, dist_r))
+
+    # conjugation table: involutions, products, composition
+    for kind in ConjugationKind:
+        twice = conjugate(conjugate(Z, kind), kind)
+        rec.check(_bc_eq(twice, Z), f"involution-{kind.value}", Z, "identity", twice)
+        conj_of_prod = conjugate(zw, kind)
+        prod_of_conj = mul(conjugate(Z, kind), conjugate(W, kind))
         rec.check(
-            _bc_eq(composed, d3),
-            "dagger1-then-dagger2-is-dagger3", Z, "equal", (composed, d3),
+            _bc_eq(conj_of_prod, prod_of_conj),
+            f"conjugation-multiplicative-{kind.value}", (Z, W), "equal", conj_of_prod,
         )
+    composed = conjugate(conjugate(Z, ConjugationKind.DAGGER1), ConjugationKind.DAGGER2)
+    d3 = conjugate(Z, ConjugationKind.DAGGER3)
+    rec.check(
+        _bc_eq(composed, d3),
+        "dagger1-then-dagger2-is-dagger3", Z, "equal", (composed, d3),
+    )
 
-        # moduli: Z * Z^dagger3 = |Z|^2_k and multiplicativity of |.|_k^2
-        mk = modulus(Z, "k")
-        z_d3 = mul(Z, d3)
-        rec.check(_bc_eq(mk, z_d3), "modulus-k-definition", Z, "equal", mk)
-        prod_sq = dnorm_k_sq(zw)
-        split_sq = dnorm_k_sq(Z) * dnorm_k_sq(W)
-        rec.check(_h_eq(prod_sq, split_sq), "norm-k-multiplicative", (Z, W), "equal", (prod_sq, split_sq))
-        mk_hyp = mk.hyp_part()
-        rec.check(le(HyperbolicScalar.zero(), mk_hyp), "modulus-k-nonnegative", Z, ">=' 0", mk_hyp)
+    # moduli: Z * Z^dagger3 = |Z|^2_k and multiplicativity of |.|_k^2
+    mk = modulus(Z, "k")
+    z_d3 = mul(Z, d3)
+    rec.check(_bc_eq(mk, z_d3), "modulus-k-definition", Z, "equal", mk)
+    prod_sq = dnorm_k_sq(zw)
+    split_sq = dnorm_k_sq(Z) * dnorm_k_sq(W)
+    rec.check(_h_eq(prod_sq, split_sq), "norm-k-multiplicative", (Z, W), "equal", (prod_sq, split_sq))
+    mk_hyp = mk.hyp_part()
+    rec.check(le(HyperbolicScalar.zero(), mk_hyp), "modulus-k-nonnegative", Z, ">=' 0", mk_hyp)
 
-        # inverses off the null cone; zero divisors on it
-        if Z.is_invertible():
-            z_zinv = mul(Z, bc_inverse(Z))
-            rec.check(_bc_eq(z_zinv, one), "inverse-law", Z, "one", z_zinv)
-        D = _bc_cast(gen.rand_zero_divisor(rng), backend)
-        rec.check(is_zero_divisor(D), "null-cone-detected", D, "True", is_zero_divisor(D))
-        rec.expect_raises(NullConeError, "null-cone-inverse-rejected", D, lambda: bc_inverse(D))
-        opposite = BicomplexScalar(ComplexScalar(0), D.z1) if D.z2.is_zero() else BicomplexScalar(D.z2, ComplexScalar(0))
-        annihilated = mul(D, opposite)
-        rec.check(annihilated.is_zero(), "complementary-divisors-annihilate", (D, opposite), "zero", annihilated)
+    # inverses off the null cone; zero divisors on it
+    if Z.is_invertible():
+        z_zinv = mul(Z, bc_inverse(Z))
+        rec.check(_bc_eq(z_zinv, one), "inverse-law", Z, "one", z_zinv)
+    D = _bc_cast(gen.rand_zero_divisor(rng), backend)
+    rec.check(is_zero_divisor(D), "null-cone-detected", D, "True", is_zero_divisor(D))
+    rec.expect_raises(NullConeError, "null-cone-inverse-rejected", D, lambda: bc_inverse(D))
+    opposite = BicomplexScalar(ComplexScalar(0), D.z1) if D.z2.is_zero() else BicomplexScalar(D.z2, ComplexScalar(0))
+    annihilated = mul(D, opposite)
+    rec.check(annihilated.is_zero(), "complementary-divisors-annihilate", (D, opposite), "zero", annihilated)
 
-        # w-coordinates round trip
-        w_back = bc_from_w(Z.w1, Z.w2)
-        rec.check(_bc_eq(w_back, Z), "w-roundtrip", Z, "equal", w_back)
+    # w-coordinates round trip
+    w_back = bc_from_w(Z.w1, Z.w2)
+    rec.check(_bc_eq(w_back, Z), "w-roundtrip", Z, "equal", w_back)
 
-        # hyperbolic subring
-        a = _h_cast(gen.rand_hyperbolic(rng), backend)
-        b = _h_cast(gen.rand_hyperbolic(rng), backend)
-        ab, ba = a * b, b * a
-        rec.check(_h_eq(ab, ba), "hyperbolic-commutative", (a, b), "equal", (ab, ba))
-        absk_prod = ab.abs_k()
-        absk_split = a.abs_k() * b.abs_k()
-        rec.check(_h_eq(absk_prod, absk_split), "hyperbolic-absk-multiplicative",
-                  (a, b), "equal", (absk_prod, absk_split))
-        emb = mul(a.to_bicomplex(), b.to_bicomplex())
-        rec.check(_bc_eq(ab.to_bicomplex(), emb), "hyperbolic-embedding", (a, b), "equal", emb)
-
-    return SuiteReport("algebra", seed, cases, backend, rec.failures, time.perf_counter() - start)
+    # hyperbolic subring
+    a = _h_cast(gen.rand_hyperbolic(rng), backend)
+    b = _h_cast(gen.rand_hyperbolic(rng), backend)
+    ab, ba = a * b, b * a
+    rec.check(_h_eq(ab, ba), "hyperbolic-commutative", (a, b), "equal", (ab, ba))
+    absk_prod = ab.abs_k()
+    absk_split = a.abs_k() * b.abs_k()
+    rec.check(_h_eq(absk_prod, absk_split), "hyperbolic-absk-multiplicative",
+              (a, b), "equal", (absk_prod, absk_split))
+    emb = mul(a.to_bicomplex(), b.to_bicomplex())
+    rec.check(_bc_eq(ab.to_bicomplex(), emb), "hyperbolic-embedding", (a, b), "equal", emb)
 
 
 # -- order -----------------------------------------------------------------------
 
 
-def suite_order(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
+def order_case(rec: Recorder, rng: Random) -> None:
     """Partial-order axioms, four-way comparison, sup/inf, boundedness."""
-    start = time.perf_counter()
-    rng = _rng("order", seed)
-    rec = _Recorder()
+    idx, backend = rec.case, rec.backend
     zero = HyperbolicScalar.zero()
+    a = _h_cast(gen.rand_hyperbolic(rng), backend)
+    step1 = _h_cast(HyperbolicScalar(gen.rand_fraction(rng, 0, 2), gen.rand_fraction(rng, 0, 2)), backend)
+    step2 = _h_cast(HyperbolicScalar(gen.rand_fraction(rng, 0, 2), gen.rand_fraction(rng, 0, 2)), backend)
+    b = a + step1
+    c = b + step2
+    x = _h_cast(gen.rand_hyperbolic(rng), backend)
 
-    for idx in range(cases):
-        rec.case = idx
-        a = _h_cast(gen.rand_hyperbolic(rng), backend)
-        step1 = _h_cast(HyperbolicScalar(gen.rand_fraction(rng, 0, 2), gen.rand_fraction(rng, 0, 2)), backend)
-        step2 = _h_cast(HyperbolicScalar(gen.rand_fraction(rng, 0, 2), gen.rand_fraction(rng, 0, 2)), backend)
-        b = a + step1
-        c = b + step2
-        x = _h_cast(gen.rand_hyperbolic(rng), backend)
+    rec.check(le(a, a), "reflexive", a, "a <=' a", le(a, a))
+    rec.check(le(a, b), "chain-le-1", (a, b), "a <=' a+p", le(a, b))
+    rec.check(le(a, c), "transitive", (a, b, c), "a <=' c", le(a, c))
+    if le(a, x) and le(x, a):
+        rec.check(_h_eq(a, x), "antisymmetric", (a, x), "equal", (a, x))
 
-        rec.check(le(a, a), "reflexive", a, "a <=' a", le(a, a))
-        rec.check(le(a, b), "chain-le-1", (a, b), "a <=' a+p", le(a, b))
-        rec.check(le(a, c), "transitive", (a, b, c), "a <=' c", le(a, c))
-        if le(a, x) and le(x, a):
-            rec.check(_h_eq(a, x), "antisymmetric", (a, x), "equal", (a, x))
-
-        # compare() agrees with le / lt_strict
-        cmp_ab = compare(a, b)
+    # compare() agrees with le / lt_strict
+    cmp_ab = compare(a, b)
+    rec.check(
+        cmp_ab in (OrderResult.LESS, OrderResult.EQUAL),
+        "compare-chain", (a, b), "LESS or EQUAL", cmp_ab,
+    )
+    cmp_ax = compare(a, x)
+    if cmp_ax is OrderResult.INCOMPARABLE:
         rec.check(
-            cmp_ab in (OrderResult.LESS, OrderResult.EQUAL),
-            "compare-chain", (a, b), "LESS or EQUAL", cmp_ab,
+            not le(a, x) and not le(x, a),
+            "incomparable-consistent", (a, x), "neither <='", (le(a, x), le(x, a)),
         )
-        cmp_ax = compare(a, x)
-        if cmp_ax is OrderResult.INCOMPARABLE:
-            rec.check(
-                not le(a, x) and not le(x, a),
-                "incomparable-consistent", (a, x), "neither <='", (le(a, x), le(x, a)),
-            )
-        if lt_strict(a, x):
-            rec.check(le(a, x) and not _h_eq(a, x), "strict-implies-weak", (a, x), "<=' and !=", cmp_ax)
+    if lt_strict(a, x):
+        rec.check(le(a, x) and not _h_eq(a, x), "strict-implies-weak", (a, x), "<=' and !=", cmp_ax)
 
-        # translation and positive-scaling invariance
-        rec.check(le(a + x, b + x) == le(a, b), "translation-invariant", (a, b, x), "same truth", le(a + x, b + x))
-        lam = _h_cast(gen.rand_positive_hyperbolic(rng), backend)
-        rec.check(le(lam * a, lam * b) == le(a, b), "positive-scaling", (a, b, lam), "same truth", le(lam * a, lam * b))
+    # translation and positive-scaling invariance
+    rec.check(le(a + x, b + x) == le(a, b), "translation-invariant", (a, b, x), "same truth", le(a + x, b + x))
+    lam = _h_cast(gen.rand_positive_hyperbolic(rng), backend)
+    rec.check(le(lam * a, lam * b) == le(a, b), "positive-scaling", (a, b, lam), "same truth", le(lam * a, lam * b))
 
-        # sup / inf on a finite set
-        S = [_h_cast(gen.rand_hyperbolic(rng), backend) for _ in range(2 + idx % 4)]
-        s, i = sup_d(S), inf_d(S)
-        rec.check(all(le(v, s) for v in S), "sup-upper-bound", S, "all <=' sup", s)
-        rec.check(all(le(i, v) for v in S), "inf-lower-bound", S, "inf <=' all", i)
-        rec.check(
-            req(s.a1, max(v.a1 for v in S)) and req(s.a2, max(v.a2 for v in S)),
-            "sup-least", S, "componentwise max", s,
-        )
-        rec.check(
-            req(i.a1, min(v.a1 for v in S)) and req(i.a2, min(v.a2 for v in S)),
-            "inf-greatest", S, "componentwise min", i,
-        )
+    # sup / inf on a finite set
+    S = [_h_cast(gen.rand_hyperbolic(rng), backend) for _ in range(2 + idx % 4)]
+    s, i = sup_d(S), inf_d(S)
+    rec.check(all(le(v, s) for v in S), "sup-upper-bound", S, "all <=' sup", s)
+    rec.check(all(le(i, v) for v in S), "inf-lower-bound", S, "inf <=' all", i)
+    rec.check(
+        req(s.a1, max(v.a1 for v in S)) and req(s.a2, max(v.a2 for v in S)),
+        "sup-least", S, "componentwise max", s,
+    )
+    rec.check(
+        req(i.a1, min(v.a1 for v in S)) and req(i.a2, min(v.a2 for v in S)),
+        "inf-greatest", S, "componentwise min", i,
+    )
 
-        # boundedness against the componentwise absolute values
-        m = sup_d([v.abs_k() for v in S])
-        bound = m + HyperbolicScalar.one()
-        rec.check(is_d_bounded(S, bound), "bounded-above-sup", (S, bound), "True", is_d_bounded(S, bound))
-        if lt_strict(zero, m):  # only a >' 0 value is a legal bound
-            rec.check(not is_d_bounded(S, m) or all(lt_strict(v.abs_k(), m) for v in S),
-                      "bound-strictness", (S, m), "strict below only", is_d_bounded(S, m))
-        rec.expect_raises(
-            NonPositiveBoundError, "nonpositive-bound-rejected", S,
-            lambda: is_d_bounded(S, zero),
-        )
-
-    return SuiteReport("order", seed, cases, backend, rec.failures, time.perf_counter() - start)
+    # boundedness against the componentwise absolute values
+    m = sup_d([v.abs_k() for v in S])
+    bound = m + HyperbolicScalar.one()
+    rec.check(is_d_bounded(S, bound), "bounded-above-sup", (S, bound), "True", is_d_bounded(S, bound))
+    if lt_strict(zero, m):  # only a >' 0 value is a legal bound
+        rec.check(not is_d_bounded(S, m) or all(lt_strict(v.abs_k(), m) for v in S),
+                  "bound-strictness", (S, m), "strict below only", is_d_bounded(S, m))
+    rec.expect_raises(
+        NonPositiveBoundError, "nonpositive-bound-rejected", S,
+        lambda: is_d_bounded(S, zero),
+    )
 
 
 # -- metric ----------------------------------------------------------------------
 
 
-def suite_metric(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
+def metric_case(rec: Recorder, rng: Random) -> None:
     """D-metric axioms, ball strictness, and the nested-ball cover harness.
 
     Every tenth case runs the rectangle-cover pipeline: an exact partition is
     verified and a witness ball produced; a punctured copy must be rejected
     with a witness point.
     """
-    start = time.perf_counter()
-    rng = _rng("metric", seed)
-    rec = _Recorder()
+    seed, idx, backend = rec.seed, rec.case, rec.backend
+    dim = 1 + idx % 4
+    x = _dv_cast(gen.rand_dvector(rng, dim), backend)
+    y = _dv_cast(gen.rand_dvector(rng, dim), backend)
+    z = _dv_cast(gen.rand_dvector(rng, dim), backend)
 
-    for idx in range(cases):
-        rec.case = idx
-        dim = 1 + idx % 4
-        x = _dv_cast(gen.rand_dvector(rng, dim), backend)
-        y = _dv_cast(gen.rand_dvector(rng, dim), backend)
-        z = _dv_cast(gen.rand_dvector(rng, dim), backend)
+    zero_v = DVector.zero(dim)
+    rec.check(_h_eq(dnorm(zero_v), HyperbolicScalar.zero()), "norm-of-zero", dim, "0", dnorm(zero_v))
+    rec.check(
+        le(HyperbolicScalar.zero(), dmetric(x, y)), "metric-nonnegative", (x, y), ">=' 0", dmetric(x, y)
+    )
+    rec.check(_h_eq(dmetric(x, y), dmetric(y, x)), "metric-symmetric", (x, y), "equal", dmetric(y, x))
+    rec.check(_h_eq(dmetric(x, x), HyperbolicScalar.zero()), "metric-identity", x, "0", dmetric(x, x))
+    triangle = dmetric(x, y) + dmetric(y, z)
+    rec.check(le(dmetric(x, z), triangle), "triangle", (x, y, z), "<='", (dmetric(x, z), triangle))
+    rec.check(
+        _h_eq(dmetric(x + z, y + z), dmetric(x, y)),
+        "translation-invariant", (x, y, z), "equal", dmetric(x + z, y + z),
+    )
+    lam = _h_cast(gen.rand_positive_hyperbolic(rng), backend)
+    rec.check(
+        _h_eq(dnorm(x.scale(lam)), lam * dnorm(x)),
+        "positive-homogeneous", (x, lam), "equal", (dnorm(x.scale(lam)), lam * dnorm(x)),
+    )
 
-        zero_v = DVector.zero(dim)
-        rec.check(_h_eq(dnorm(zero_v), HyperbolicScalar.zero()), "norm-of-zero", dim, "0", dnorm(zero_v))
-        rec.check(
-            le(HyperbolicScalar.zero(), dmetric(x, y)), "metric-nonnegative", (x, y), ">=' 0", dmetric(x, y)
-        )
-        rec.check(_h_eq(dmetric(x, y), dmetric(y, x)), "metric-symmetric", (x, y), "equal", dmetric(y, x))
-        rec.check(_h_eq(dmetric(x, x), HyperbolicScalar.zero()), "metric-identity", x, "0", dmetric(x, x))
-        triangle = dmetric(x, y) + dmetric(y, z)
-        rec.check(le(dmetric(x, z), triangle), "triangle", (x, y, z), "<='", (dmetric(x, z), triangle))
-        rec.check(
-            _h_eq(dmetric(x + z, y + z), dmetric(x, y)),
-            "translation-invariant", (x, y, z), "equal", dmetric(x + z, y + z),
-        )
-        lam = _h_cast(gen.rand_positive_hyperbolic(rng), backend)
-        rec.check(
-            _h_eq(dnorm(x.scale(lam)), lam * dnorm(x)),
-            "positive-homogeneous", (x, lam), "equal", (dnorm(x.scale(lam)), lam * dnorm(x)),
-        )
+    u = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
+    v = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
+    w = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
+    tri_bc = dmetric_bc(u, v) + dmetric_bc(v, w)
+    rec.check(le(dmetric_bc(u, w), tri_bc), "bc-triangle", (u, v, w), "<='", (dmetric_bc(u, w), tri_bc))
+    rec.check(_h_eq(dnorm_bc(u.scale(-1)), dnorm_bc(u)), "bc-norm-even", u, "equal", dnorm_bc(u.scale(-1)))
 
-        u = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
-        v = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
-        w = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
-        tri_bc = dmetric_bc(u, v) + dmetric_bc(v, w)
-        rec.check(le(dmetric_bc(u, w), tri_bc), "bc-triangle", (u, v, w), "<='", (dmetric_bc(u, w), tri_bc))
-        rec.check(_h_eq(dnorm_bc(u.scale(-1)), dnorm_bc(u)), "bc-norm-even", u, "equal", dnorm_bc(u.scale(-1)))
+    # ball strictness: boundary points are outside, interior points inside
+    r = HyperbolicScalar(Fraction(3, 2), Fraction(1, 2))
+    ball = DBall(x if backend == EXACT else _dv_cast(x, backend), _h_cast(r, backend))
+    inner = x + DVector.of(*([HyperbolicScalar.zero()] * (dim - 1) + [HyperbolicScalar(Fraction(1, 2), Fraction(1, 4))]))
+    rec.check(ball_contains(ball, _dv_cast(inner, backend)), "ball-interior", (ball, inner), "True", True)
+    edge = x + DVector.of(*([HyperbolicScalar.zero()] * (dim - 1) + [r]))
+    if backend == EXACT:
+        rec.check(not ball_contains(ball, edge), "ball-boundary-strict", (ball, edge), "False", ball_contains(ball, edge))
 
-        # ball strictness: boundary points are outside, interior points inside
-        r = HyperbolicScalar(Fraction(3, 2), Fraction(1, 2))
-        ball = DBall(x if backend == EXACT else _dv_cast(x, backend), _h_cast(r, backend))
-        inner = x + DVector.of(*([HyperbolicScalar.zero()] * (dim - 1) + [HyperbolicScalar(Fraction(1, 2), Fraction(1, 4))]))
-        rec.check(ball_contains(ball, _dv_cast(inner, backend)), "ball-interior", (ball, inner), "True", True)
-        edge = x + DVector.of(*([HyperbolicScalar.zero()] * (dim - 1) + [r]))
-        if backend == EXACT:
-            rec.check(not ball_contains(ball, edge), "ball-boundary-strict", (ball, edge), "False", ball_contains(ball, edge))
-
-        if idx % 10 == 0:
-            cover, bounding = gen.rand_cover(Random(f"cover:{seed}:{idx}"), 5)
-            inputs = (cover, bounding)
-            rec.guard("cover-verifies", inputs, lambda: check_exact_cover(cover, bounding))
-            got = rec.guard("baire-witness", inputs, lambda: baire_witness(cover, bounding))
-            if got is not None:
-                n, ball = got
-                rec.check(0 <= n < len(cover), "witness-index", inputs, "valid index", n)
-                rec.check(ball_in_rect(ball, cover[n]), "witness-ball-inside", (n, ball), "contained", ball)
-            pcov, pbound = gen.punctured_cover(Random(f"puncture:{seed}:{idx}"), 4)
-            try:
-                check_exact_cover(pcov, pbound)
-                rec.check(False, "puncture-rejected", (pcov, pbound), "NotACoverError", "verified")
-            except NotACoverError as exc:
-                rec.check(
-                    pbound.contains(exc.witness) and not any(r.contains(exc.witness) for r in pcov),
-                    "puncture-witness-uncovered", exc.witness, "in box, outside all rects", exc.witness,
-                )
-
-    return SuiteReport("metric", seed, cases, backend, rec.failures, time.perf_counter() - start)
+    if idx % 10 == 0:
+        cover, bounding = gen.rand_cover(Random(f"cover:{seed}:{idx}"), 5)
+        inputs = (cover, bounding)
+        rec.guard("cover-verifies", inputs, lambda: check_exact_cover(cover, bounding))
+        got = rec.guard("baire-witness", inputs, lambda: baire_witness(cover, bounding))
+        if got is not None:
+            n, ball = got
+            rec.check(0 <= n < len(cover), "witness-index", inputs, "valid index", n)
+            rec.check(ball_in_rect(ball, cover[n]), "witness-ball-inside", (n, ball), "contained", ball)
+        pcov, pbound = gen.punctured_cover(Random(f"puncture:{seed}:{idx}"), 4)
+        try:
+            check_exact_cover(pcov, pbound)
+            rec.check(False, "puncture-rejected", (pcov, pbound), "NotACoverError", "verified")
+        except NotACoverError as exc:
+            rec.check(
+                pbound.contains(exc.witness) and not any(r.contains(exc.witness) for r in pcov),
+                "puncture-witness-uncovered", exc.witness, "in box, outside all rects", exc.witness,
+            )
 
 
 # -- linear ----------------------------------------------------------------------
@@ -516,96 +509,89 @@ def suite_metric(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
 _ALL_FORMS = tuple(FunctionalForm)
 
 
-def suite_linear(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
+def linear_case(rec: Recorder, rng: Random) -> None:
     """BC/D-linearity, the six hyperbolic-part forms, reconstruction, bounds."""
-    start = time.perf_counter()
-    rng = _rng("linear", seed)
-    rec = _Recorder()
+    seed, idx, backend = rec.seed, rec.case, rec.backend
+    dim = 1 + idx % 4
+    h = gen.rand_bcfunctional(rng, dim)
+    if backend == FLOAT:
+        h = BCLinearFunctional(_bcv_cast(h.coeffs, backend))
+    x = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
+    y = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
+    Z0 = _bc_cast(gen.rand_bicomplex(rng), backend)
 
-    for idx in range(cases):
-        rec.case = idx
-        dim = 1 + idx % 4
-        h = gen.rand_bcfunctional(rng, dim)
-        if backend == FLOAT:
-            h = BCLinearFunctional(_bcv_cast(h.coeffs, backend))
-        x = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
-        y = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
-        Z0 = _bc_cast(gen.rand_bicomplex(rng), backend)
+    rec.check(_bc_eq(h(x + y), h(x) + h(y)), "functional-additive", (h, x, y), "equal", (h(x + y), h(x) + h(y)))
+    rec.check(
+        _bc_eq(h(x.scale(Z0)), scalars.bc_mul(Z0, h(x))),
+        "functional-homogeneous", (h, x, Z0), "equal", (h(x.scale(Z0)), scalars.bc_mul(Z0, h(x))),
+    )
 
-        rec.check(_bc_eq(h(x + y), h(x) + h(y)), "functional-additive", (h, x, y), "equal", (h(x + y), h(x) + h(y)))
+    # six equal derivations of the hyperbolic part, at the value level
+    hp = hyperbolic_part(h)
+    ref = hp(x)
+    value = h(x)
+    for form in _ALL_FORMS:
+        derived = hyperbolic_part_of_value(value, form)
+        rec.check(_h_eq(derived, ref), f"hyperbolic-part-{form.name}", (h, x), "equal", (derived, ref))
+
+    # reconstruction along both imaginary axes is exact
+    for axis in ("i", "j"):
+        back = reconstruct(hp, axis)
         rec.check(
-            _bc_eq(h(x.scale(Z0)), scalars.bc_mul(Z0, h(x))),
-            "functional-homogeneous", (h, x, Z0), "equal", (h(x.scale(Z0)), scalars.bc_mul(Z0, h(x))),
+            all(_bc_eq(p, q) for p, q in zip(back.coeffs.coords, h.coeffs.coords)),
+            f"reconstruct-{axis}", h, "same coefficients", back.coeffs,
         )
 
-        # six equal derivations of the hyperbolic part, at the value level
-        hp = hyperbolic_part(h)
-        ref = hp(x)
-        value = h(x)
-        for form in _ALL_FORMS:
-            derived = hyperbolic_part_of_value(value, form)
-            rec.check(_h_eq(derived, ref), f"hyperbolic-part-{form.name}", (h, x), "equal", (derived, ref))
+    # D-linearity of a functional built from real-pair values
+    f2n = gen.rand_dfunctional(rng, 2 * dim)
+    F = hyperbolic_functional_from_pairs(f2n)
+    alpha = _h_cast(gen.rand_hyperbolic(rng), backend)
+    rec.check(_h_eq(F(x + y), F(x) + F(y)), "pairs-additive", (f2n, x, y), "equal", (F(x + y), F(x) + F(y)))
+    rec.check(
+        _h_eq(F(x.scale(alpha)), alpha * F(x)),
+        "pairs-d-homogeneous", (f2n, x, alpha), "equal", (F(x.scale(alpha)), alpha * F(x)),
+    )
 
-        # reconstruction along both imaginary axes is exact
-        for axis in ("i", "j"):
-            back = reconstruct(hp, axis)
-            rec.check(
-                all(_bc_eq(p, q) for p, q in zip(back.coeffs.coords, h.coeffs.coords)),
-                f"reconstruct-{axis}", h, "same coefficients", back.coeffs,
-            )
+    # norm bounds: |f(x)|_k <=' bound * |x|_D, |T x|_D <=' |T|_D |x|_D
+    fD = gen.rand_dfunctional(rng, dim)
+    if backend == FLOAT:
+        fD = DLinearFunctional(_dv_cast(fD.coeffs, backend))
+    xD = _dv_cast(gen.rand_dvector(rng, dim), backend)
+    bnd = functional_dbound(fD)
+    rec.check(
+        le(fD(xD).abs_k(), bnd * dnorm(xD)),
+        "functional-bound", (fD, xD), "<='", (fD(xD).abs_k(), bnd * dnorm(xD)),
+    )
+    T = gen.rand_bcmap(rng, 1 + (idx // 2) % 3, dim)
+    norm_T = operator_dnorm(T)
+    rec.check(
+        le(dnorm_bc(T(x)), norm_T * dnorm_bc(x) + HyperbolicScalar(EPSILON, EPSILON)),
+        "operator-bound", (T, x), "<='", (dnorm_bc(T(x)), norm_T * dnorm_bc(x)),
+    )
 
-        # D-linearity of a functional built from real-pair values
-        f2n = gen.rand_dfunctional(rng, 2 * dim)
-        F = hyperbolic_functional_from_pairs(f2n)
-        alpha = _h_cast(gen.rand_hyperbolic(rng), backend)
-        rec.check(_h_eq(F(x + y), F(x) + F(y)), "pairs-additive", (f2n, x, y), "equal", (F(x + y), F(x) + F(y)))
-        rec.check(
-            _h_eq(F(x.scale(alpha)), alpha * F(x)),
-            "pairs-d-homogeneous", (f2n, x, alpha), "equal", (F(x.scale(alpha)), alpha * F(x)),
+    # image of a convex pair under a D-functional is the interval pair
+    if idx % 5 == 0:
+        sdim = 1 + idx % 2
+        A = gen.rand_absorbing_pair(Random(f"img:{seed}:{idx}"), sdim)
+        fI = DLinearFunctional(DVector.from_parts(
+            [gen.rand_nonzero_fraction(rng) for _ in range(sdim)],
+            [gen.rand_nonzero_fraction(rng) for _ in range(sdim)],
+        ))
+        img = image_convex(fI, A)
+        for v1 in A.p1.vertices():
+            for v2 in A.p2.vertices():
+                val = HyperbolicScalar(fI.eval_component(1, v1), fI.eval_component(2, v2))
+                rec.check(img.contains(val), "image-contains-vertices", (fI, v1, v2), "inside", val)
+        mid = HyperbolicScalar(
+            fI.eval_component(1, A.p1.vertices()[0]),
+            fI.eval_component(2, A.p2.vertices()[0]),
+        ) * HyperbolicScalar(Fraction(1, 2), Fraction(1, 2))
+        rec.check(img.contains(mid), "image-contains-midpoint", fI, "inside", mid)
+        zero_f = DLinearFunctional(DVector.from_parts([0] * sdim, [1] * sdim))
+        rec.expect_raises(
+            ConstantComponentError, "zero-component-rejected", zero_f,
+            lambda: image_convex(zero_f, A),
         )
-
-        # norm bounds: |f(x)|_k <=' bound * |x|_D, |T x|_D <=' |T|_D |x|_D
-        fD = gen.rand_dfunctional(rng, dim)
-        if backend == FLOAT:
-            fD = DLinearFunctional(_dv_cast(fD.coeffs, backend))
-        xD = _dv_cast(gen.rand_dvector(rng, dim), backend)
-        bnd = functional_dbound(fD)
-        rec.check(
-            le(fD(xD).abs_k(), bnd * dnorm(xD)),
-            "functional-bound", (fD, xD), "<='", (fD(xD).abs_k(), bnd * dnorm(xD)),
-        )
-        T = gen.rand_bcmap(rng, 1 + (idx // 2) % 3, dim)
-        norm_T = operator_dnorm(T)
-        rec.check(
-            le(dnorm_bc(T(x)), norm_T * dnorm_bc(x) + HyperbolicScalar(EPSILON, EPSILON)),
-            "operator-bound", (T, x), "<='", (dnorm_bc(T(x)), norm_T * dnorm_bc(x)),
-        )
-
-        # image of a convex pair under a D-functional is the interval pair
-        if idx % 5 == 0:
-            sdim = 1 + idx % 2
-            A = gen.rand_absorbing_pair(Random(f"img:{seed}:{idx}"), sdim)
-            fI = DLinearFunctional(DVector.from_parts(
-                [gen.rand_nonzero_fraction(rng) for _ in range(sdim)],
-                [gen.rand_nonzero_fraction(rng) for _ in range(sdim)],
-            ))
-            img = image_convex(fI, A)
-            for v1 in A.p1.vertices():
-                for v2 in A.p2.vertices():
-                    val = HyperbolicScalar(fI.eval_component(1, v1), fI.eval_component(2, v2))
-                    rec.check(img.contains(val), "image-contains-vertices", (fI, v1, v2), "inside", val)
-            mid = HyperbolicScalar(
-                fI.eval_component(1, A.p1.vertices()[0]),
-                fI.eval_component(2, A.p2.vertices()[0]),
-            ) * HyperbolicScalar(Fraction(1, 2), Fraction(1, 2))
-            rec.check(img.contains(mid), "image-contains-midpoint", fI, "inside", mid)
-            zero_f = DLinearFunctional(DVector.from_parts([0] * sdim, [1] * sdim))
-            rec.expect_raises(
-                ConstantComponentError, "zero-component-rejected", zero_f,
-                lambda: image_convex(zero_f, A),
-            )
-
-    return SuiteReport("linear", seed, cases, backend, rec.failures, time.perf_counter() - start)
 
 
 # -- convex ----------------------------------------------------------------------
@@ -640,163 +626,149 @@ def _bisection_gauge(P: RealPolytope, point) -> float:
     return hi
 
 
-def suite_convex(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
+def convex_case(rec: Recorder, rng: Random) -> None:
     """Gauges (three ways), hulls, absorbency, and membership criteria."""
-    start = time.perf_counter()
-    rng = _rng("convex", seed)
-    rec = _Recorder()
+    idx = rec.case
     one = HyperbolicScalar.one()
+    dim = 1 + idx % 3
+    A = gen.rand_absorbing_pair(rng, dim)
+    x = gen.rand_dvector(rng, dim)
+    y = gen.rand_dvector(rng, dim)
 
-    for idx in range(cases):
-        rec.case = idx
-        dim = 1 + idx % 3
-        A = gen.rand_absorbing_pair(rng, dim)
-        x = gen.rand_dvector(rng, dim)
-        y = gen.rand_dvector(rng, dim)
+    qx = minkowski_gauge(A, x).hyper()
+    qy = minkowski_gauge(A, y).hyper()
+    qsum = minkowski_gauge(A, x + y).hyper()
+    rec.check(le(qsum, qx + qy), "gauge-sublinear", (A, x, y), "<='", (qsum, qx + qy))
+    lam = gen.rand_positive_hyperbolic(rng)
+    qlam = minkowski_gauge(A, x.scale(lam)).hyper()
+    rec.check(_h_eq(qlam, lam * qx), "gauge-homogeneous", (A, x, lam), "equal", (qlam, lam * qx))
 
-        qx = minkowski_gauge(A, x).hyper()
-        qy = minkowski_gauge(A, y).hyper()
-        qsum = minkowski_gauge(A, x + y).hyper()
-        rec.check(le(qsum, qx + qy), "gauge-sublinear", (A, x, y), "<='", (qsum, qx + qy))
-        lam = gen.rand_positive_hyperbolic(rng)
-        qlam = minkowski_gauge(A, x.scale(lam)).hyper()
-        rec.check(_h_eq(qlam, lam * qx), "gauge-homogeneous", (A, x, lam), "equal", (qlam, lam * qx))
+    # membership: q(x) <=' 1 iff x in the closed set
+    inside = A.contains(x)
+    rec.check(le(qx, one) == inside, "gauge-membership", (A, x), "agree", (qx, inside))
 
-        # membership: q(x) <=' 1 iff x in the closed set
-        inside = A.contains(x)
-        rec.check(le(qx, one) == inside, "gauge-membership", (A, x), "agree", (qx, inside))
-
-        # the hull touches the unit level: max vertex gauge is exactly 1
-        for l in (1, 2):
-            P = A.component(l)
-            vals = [P.gauge_hrep(v) for v in P.vertices()]
-            rec.check(
-                all(val <= 1 for val in vals) and max(vals) == 1,
-                "vertex-gauge-one", (A, l), "max == 1", vals,
-            )
-
-        # three gauge computations agree: V-rep LP, H-rep closed form, bisection
-        for l in (1, 2):
-            P = A.component(l)
-            pt = x.part(l)
-            q_v = P.gauge_vrep(pt)
-            q_h = P.gauge_hrep(pt)
-            rec.check(q_v == q_h, "gauge-vrep-equals-hrep", (P, pt), "exact equal", (q_v, q_h))
-            q_b = _bisection_gauge(P, pt)
-            rec.check(abs(q_b - float(q_h)) <= 1e-9, "gauge-bisection", (P, pt), "within 1e-9", (q_b, float(q_h)))
-
-        # hull idempotence and D-convexity criteria
-        pts = [gen.rand_dvector(rng, dim) for _ in range(dim + 2)]
-        hull = dconvex_hull(pts)
-        rec.check(is_dconvex(hull.vertex_points()), "hull-is-dconvex", pts, "True", True)
-        hull2 = dconvex_hull(hull.vertex_points())
+    # the hull touches the unit level: max vertex gauge is exactly 1
+    for l in (1, 2):
+        P = A.component(l)
+        vals = [P.gauge_hrep(v) for v in P.vertices()]
         rec.check(
-            sorted(hull2.p1.vertices()) == sorted(hull.p1.vertices())
-            and sorted(hull2.p2.vertices()) == sorted(hull.p2.vertices()),
-            "hull-idempotent", pts, "same vertices", (hull.p1.vertices(), hull2.p1.vertices()),
+            all(val <= 1 for val in vals) and max(vals) == 1,
+            "vertex-gauge-one", (A, l), "max == 1", vals,
         )
-        a_pt = HyperbolicScalar(Fraction(0), Fraction(0))
-        b_pt = HyperbolicScalar(Fraction(1), Fraction(1))
-        mixed = [DVector.of(*([a_pt] * dim)), DVector.of(*([b_pt] * dim))]
-        rec.check(not is_dconvex(mixed), "two-points-not-dconvex", mixed, "False", is_dconvex(mixed))
 
-        # absorbency
-        rec.check(is_dabsorbing(A), "absorbing-positive", A, "True", True)
-        shift = tuple(Fraction(10) for _ in range(dim))
-        moved = DConvexSet(
-            RealPolytope.from_vertices([tuple(c + s for c, s in zip(v, shift)) for v in A.p1.vertices()]),
-            A.p2,
+    # three gauge computations agree: V-rep LP, H-rep closed form, bisection
+    for l in (1, 2):
+        P = A.component(l)
+        pt = x.part(l)
+        q_v = P.gauge_vrep(pt)
+        q_h = P.gauge_hrep(pt)
+        rec.check(q_v == q_h, "gauge-vrep-equals-hrep", (P, pt), "exact equal", (q_v, q_h))
+        q_b = _bisection_gauge(P, pt)
+        rec.check(abs(q_b - float(q_h)) <= 1e-9, "gauge-bisection", (P, pt), "within 1e-9", (q_b, float(q_h)))
+
+    # hull idempotence and D-convexity criteria
+    pts = [gen.rand_dvector(rng, dim) for _ in range(dim + 2)]
+    hull = dconvex_hull(pts)
+    rec.check(is_dconvex(hull.vertex_points()), "hull-is-dconvex", pts, "True", True)
+    hull2 = dconvex_hull(hull.vertex_points())
+    rec.check(
+        sorted(hull2.p1.vertices()) == sorted(hull.p1.vertices())
+        and sorted(hull2.p2.vertices()) == sorted(hull.p2.vertices()),
+        "hull-idempotent", pts, "same vertices", (hull.p1.vertices(), hull2.p1.vertices()),
+    )
+    a_pt = HyperbolicScalar(Fraction(0), Fraction(0))
+    b_pt = HyperbolicScalar(Fraction(1), Fraction(1))
+    mixed = [DVector.of(*([a_pt] * dim)), DVector.of(*([b_pt] * dim))]
+    rec.check(not is_dconvex(mixed), "two-points-not-dconvex", mixed, "False", is_dconvex(mixed))
+
+    # absorbency
+    rec.check(is_dabsorbing(A), "absorbing-positive", A, "True", True)
+    shift = tuple(Fraction(10) for _ in range(dim))
+    moved = DConvexSet(
+        RealPolytope.from_vertices([tuple(c + s for c, s in zip(v, shift)) for v in A.p1.vertices()]),
+        A.p2,
+    )
+    rec.check(not is_dabsorbing(moved), "shifted-not-absorbing", moved, "False", is_dabsorbing(moved))
+    if idx % 10 == 0:
+        away = DVector.zero(dim) - DVector.from_parts(shift, [0] * dim)
+        rec.expect_raises(
+            NotAbsorbingError, "shifted-gauge-rejected", (moved, away),
+            lambda: minkowski_gauge(moved, away),
         )
-        rec.check(not is_dabsorbing(moved), "shifted-not-absorbing", moved, "False", is_dabsorbing(moved))
-        if idx % 10 == 0:
-            away = DVector.zero(dim) - DVector.from_parts(shift, [0] * dim)
-            rec.expect_raises(
-                NotAbsorbingError, "shifted-gauge-rejected", (moved, away),
-                lambda: minkowski_gauge(moved, away),
-            )
 
-        # difference body: contains 0 (dims 1-2; the separation suite works
-        # the three-dimensional difference bodies hard already)
-        if dim <= 2:
-            B = gen.rand_absorbing_pair(rng, dim)
-            G = minkowski_diff_translate(A, B, DVector.zero(dim), DVector.zero(dim))
-            rec.check(G.contains(DVector.zero(dim)), "difference-contains-zero", (A, B), "True", True)
-
-    return SuiteReport("convex", seed, cases, backend, rec.failures, time.perf_counter() - start)
+    # difference body: contains 0 (dims 1-2; the separation suite works
+    # the three-dimensional difference bodies hard already)
+    if dim <= 2:
+        B = gen.rand_absorbing_pair(rng, dim)
+        G = minkowski_diff_translate(A, B, DVector.zero(dim), DVector.zero(dim))
+        rec.check(G.contains(DVector.zero(dim)), "difference-contains-zero", (A, B), "True", True)
 
 
 # -- separation ------------------------------------------------------------------
 
 
-def suite_separation(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
+def separation_case(rec: Recorder, rng: Random) -> None:
     """Certificates on gapped instances, rejections with witnesses, LP oracle.
 
     Every case builds a component-disjoint pair and fully re-verifies the
     returned certificate; every fourth case additionally runs an overlapping
     pair through both the separator (expecting a witness) and the oracle.
     """
-    start = time.perf_counter()
-    rng = _rng("separation", seed)
-    rec = _Recorder()
+    idx = rec.case
+    dim = 1 + idx % 3
+    A, B = gen.rand_separation_instance(rng, dim)
+    cert = rec.guard("separate", (A, B), lambda: separate_hyperbolic(A, B))
+    if cert is not None:
+        f, gamma = cert.f, cert.gamma
+        ok_a = all(
+            lt_strict(HyperbolicScalar(f.eval_component(1, v1), f.eval_component(2, v2)), gamma)
+            for v1 in A.p1.vertices()
+            for v2 in A.p2.vertices()
+        )
+        rec.check(ok_a, "certificate-strict-on-A", (A, B), "f <' gamma", gamma)
+        ok_b = all(
+            le(gamma, HyperbolicScalar(f.eval_component(1, v1), f.eval_component(2, v2)))
+            for v1 in B.p1.vertices()
+            for v2 in B.p2.vertices()
+        )
+        rec.check(ok_b, "certificate-weak-on-B", (A, B), "gamma <=' f", gamma)
+        sides = {c.side for c in cert.checks}
+        rec.check(sides == {"A", "B"}, "certificate-check-log", (A, B), "both sides logged", sides)
+    rec.check(lp_separation_oracle(A, B) is True, "oracle-agrees-disjoint", (A, B), "True", True)
 
-    for idx in range(cases):
-        rec.case = idx
-        dim = 1 + idx % 3
-        A, B = gen.rand_separation_instance(rng, dim)
-        cert = rec.guard("separate", (A, B), lambda: separate_hyperbolic(A, B))
-        if cert is not None:
-            f, gamma = cert.f, cert.gamma
+    if idx % 4 == 0:
+        Ao, Bo, w_comp = gen.rand_overlap_instance(rng, dim)
+        try:
+            separate_hyperbolic(Ao, Bo)
+            rec.check(False, "overlap-rejected", (Ao, Bo), "NotDisjointError", "certificate produced")
+        except NotDisjointError as exc:
+            comp = exc.component
+            witness = exc.witness
+            Pa, Pb = Ao.component(comp), Bo.component(comp)
+            rec.check(
+                Pa.contains(witness) and Pb.contains(witness),
+                "overlap-witness-in-both", (Ao, Bo), "common point", witness,
+            )
+        rec.check(lp_separation_oracle(Ao, Bo) is False, "oracle-agrees-overlap", (Ao, Bo), "False", True)
+
+    if idx % 5 == 0:
+        # the bicomplex lift on a plane pair (BC^1 encoded in R^2 pairs)
+        A2, B2 = gen.rand_separation_instance(rng, 2)
+        got = rec.guard("separate-bicomplex", (A2, B2), lambda: separate_bicomplex(A2, B2))
+        if got is not None:
+            h, gamma2 = got
+            hp = hyperbolic_part(h)
             ok_a = all(
-                lt_strict(HyperbolicScalar(f.eval_component(1, v1), f.eval_component(2, v2)), gamma)
-                for v1 in A.p1.vertices()
-                for v2 in A.p2.vertices()
+                lt_strict(hp(BCVector.from_real_parts(v1, v2)), gamma2)
+                for v1 in A2.p1.vertices()
+                for v2 in A2.p2.vertices()
             )
-            rec.check(ok_a, "certificate-strict-on-A", (A, B), "f <' gamma", gamma)
             ok_b = all(
-                le(gamma, HyperbolicScalar(f.eval_component(1, v1), f.eval_component(2, v2)))
-                for v1 in B.p1.vertices()
-                for v2 in B.p2.vertices()
+                le(gamma2, hp(BCVector.from_real_parts(v1, v2)))
+                for v1 in B2.p1.vertices()
+                for v2 in B2.p2.vertices()
             )
-            rec.check(ok_b, "certificate-weak-on-B", (A, B), "gamma <=' f", gamma)
-            sides = {c.side for c in cert.checks}
-            rec.check(sides == {"A", "B"}, "certificate-check-log", (A, B), "both sides logged", sides)
-        rec.check(lp_separation_oracle(A, B) is True, "oracle-agrees-disjoint", (A, B), "True", True)
-
-        if idx % 4 == 0:
-            Ao, Bo, w_comp = gen.rand_overlap_instance(rng, dim)
-            try:
-                separate_hyperbolic(Ao, Bo)
-                rec.check(False, "overlap-rejected", (Ao, Bo), "NotDisjointError", "certificate produced")
-            except NotDisjointError as exc:
-                comp = exc.component
-                witness = exc.witness
-                Pa, Pb = Ao.component(comp), Bo.component(comp)
-                rec.check(
-                    Pa.contains(witness) and Pb.contains(witness),
-                    "overlap-witness-in-both", (Ao, Bo), "common point", witness,
-                )
-            rec.check(lp_separation_oracle(Ao, Bo) is False, "oracle-agrees-overlap", (Ao, Bo), "False", True)
-
-        if idx % 5 == 0:
-            # the bicomplex lift on a plane pair (BC^1 encoded in R^2 pairs)
-            A2, B2 = gen.rand_separation_instance(rng, 2)
-            got = rec.guard("separate-bicomplex", (A2, B2), lambda: separate_bicomplex(A2, B2))
-            if got is not None:
-                h, gamma2 = got
-                hp = hyperbolic_part(h)
-                ok_a = all(
-                    lt_strict(hp(BCVector.from_real_parts(v1, v2)), gamma2)
-                    for v1 in A2.p1.vertices()
-                    for v2 in A2.p2.vertices()
-                )
-                ok_b = all(
-                    le(gamma2, hp(BCVector.from_real_parts(v1, v2)))
-                    for v1 in B2.p1.vertices()
-                    for v2 in B2.p2.vertices()
-                )
-                rec.check(ok_a and ok_b, "bicomplex-lift-verifies", (A2, B2), "h_D separates", gamma2)
-
-    return SuiteReport("separation", seed, cases, backend, rec.failures, time.perf_counter() - start)
+            rec.check(ok_a and ok_b, "bicomplex-lift-verifies", (A2, B2), "h_D separates", gamma2)
 
 
 # -- theorem harnesses -------------------------------------------------------------
@@ -863,37 +835,9 @@ def check_omt_guarantee(
     return True
 
 
-def suite_theorems(seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
-    """Rotates through the six theorem harnesses, one sub-check per case.
-
-    Case index mod 6 selects: uniform boundedness, open mapping, inverse
-    mapping, closed graph, dominated extension, hyperplanes/varieties.
-    """
-    start = time.perf_counter()
-    rng = _rng("theorems", seed)
-    rec = _Recorder()
-    one = HyperbolicScalar.one()
-
-    for idx in range(cases):
-        rec.case = idx
-        kind = idx % 6
-        if kind == 0:
-            _ubp_case(rec, rng, seed, idx)
-        elif kind == 1:
-            _omt_case(rec, rng, seed, idx)
-        elif kind == 2:
-            _imt_case(rec, rng)
-        elif kind == 3:
-            _cgt_case(rec, rng)
-        elif kind == 4:
-            _extension_case(rec, rng)
-        else:
-            _hyperplane_case(rec, rng, seed, idx)
-
-    return SuiteReport("theorems", seed, cases, backend, rec.failures, time.perf_counter() - start)
-
-
-def _ubp_case(rec: _Recorder, rng: Random, seed: int, idx: int, samples: int = 64) -> None:
+def ubp_case(rec: Recorder, rng: Random, samples: int = 64) -> None:
+    """Uniform boundedness: the bound (M, delta) of a finite family, sampled."""
+    seed, idx = rec.seed, rec.case
     n = 1 + idx % 3
     m = 1 + (idx // 2) % 3
     F = MapFamily(tuple(gen.rand_bcmap(rng, m, n) for _ in range(1 + idx % 4)))
@@ -916,7 +860,7 @@ def _ubp_case(rec: _Recorder, rng: Random, seed: int, idx: int, samples: int = 6
     # doubling a family member doubles M and halves delta (power-of-two exact)
     T0 = F.maps[0]
     M0, d0 = ubp_bound(MapFamily((T0,)), eps)
-    M1, d1 = ubp_bound(MapFamily((_scale_map(T0, 2),)), eps)
+    M1, d1 = ubp_bound(MapFamily((scale_map(T0, 2),)), eps)
     if M0.a1 > 0 and M0.a2 > 0:
         rec.check(
             abs(M1.a1 / M0.a1 - 2) < 1e-9 and abs(M1.a2 / M0.a2 - 2) < 1e-9,
@@ -926,19 +870,20 @@ def _ubp_case(rec: _Recorder, rng: Random, seed: int, idx: int, samples: int = 6
             abs(d1.a1 / d0.a1 - 0.5) < 1e-9 and abs(d1.a2 / d0.a2 - 0.5) < 1e-9,
             "ubp-scaling-halves-delta", T0, "ratio 1/2", (d0, d1),
         )
-    from .errors import EmptyFamilyError
-
     rec.expect_raises(EmptyFamilyError, "ubp-empty-family", (), lambda: ubp_bound(MapFamily(()), eps))
 
 
-def _scale_map(T: BCLinearMap, c: int) -> BCLinearMap:
+def scale_map(T: BCLinearMap, c: int) -> BCLinearMap:
+    """T with every entry multiplied by the integer c."""
     s = BicomplexScalar(ComplexScalar(c), ComplexScalar(c))
     return BCLinearMap(tuple(tuple(scalars.bc_mul(s, entry) for entry in row) for row in T.matrix))
 
 
-def _omt_case(rec: _Recorder, rng: Random, seed: int, idx: int, samples: int = 64) -> None:
+def omt_case(rec: Recorder, rng: Random, samples: int = 64) -> None:
+    """Open mapping: the radius delta of a component-invertible map, sampled."""
     import numpy as np
 
+    seed, idx = rec.seed, rec.case
     n = 1 + idx % 3
     T = gen.rand_component_invertible_map(rng, n)
     got = rec.guard("omt-delta", T, lambda: omt_delta(T))
@@ -968,7 +913,8 @@ def _null_row_map(rng: Random, n: int) -> BCLinearMap:
     return BCLinearMap(tuple(tuple(r) for r in rows))
 
 
-def _imt_case(rec: _Recorder, rng: Random) -> None:
+def imt_case(rec: Recorder, rng: Random) -> None:
+    """Inverse mapping: T * T^-1 = I exactly, and the continuity bound."""
     import numpy as np
 
     n = 1 + rng.randrange(3)
@@ -1007,7 +953,8 @@ def _imt_case(rec: _Recorder, rng: Random) -> None:
     rec.expect_raises(NotBijectiveError, "imt-rejects-singular", singular, lambda: inverse_map(singular))
 
 
-def _cgt_case(rec: _Recorder, rng: Random) -> None:
+def cgt_case(rec: Recorder, rng: Random) -> None:
+    """Closed graph: a map recovered from its graph, a non-graph rejected."""
     n = 1 + rng.randrange(3)
     m = 1 + rng.randrange(3)
     vecs, T = gen.rand_graph_basis(rng, n, m)
@@ -1025,15 +972,14 @@ def _cgt_case(rec: _Recorder, rng: Random) -> None:
     rec.expect_raises(NotAGraphError, "cgt-rejects-non-graph", (bad, n), lambda: map_from_graph(bad, n))
 
 
-def _extension_case(rec: _Recorder, rng: Random) -> None:
+def extension_case(rec: Recorder, rng: Random) -> None:
+    """Dominated extension from a subspace, under the gauge of a body."""
     dim = 2 + rng.randrange(2)
     B = gen.rand_absorbing_pair(rng, dim)
     # a random subspace basis of rank < dim
     k = 1 + rng.randrange(dim - 1)
     while True:
         basis = [gen.rand_dvector(rng, dim) for _ in range(k)]
-        from .polytope import matrix_rank
-
         r1 = matrix_rank([list(map(Fraction, v.part1())) for v in basis])
         r2 = matrix_rank([list(map(Fraction, v.part2())) for v in basis])
         if r1 == k and r2 == k:
@@ -1067,7 +1013,9 @@ def _extension_case(rec: _Recorder, rng: Random) -> None:
         )
 
 
-def _hyperplane_case(rec: _Recorder, rng: Random, seed: int, idx: int) -> None:
+def hyperplane_case(rec: Recorder, rng: Random) -> None:
+    """Hyperplane normalization and gauge bounds, and variety extension."""
+    idx = rec.case
     dim = 1 + idx % 3
     B = gen.rand_absorbing_pair(rng, dim, open_flag=bool(rng.getrandbits(1)))
     g = DLinearFunctional(DVector.from_parts(
@@ -1164,26 +1112,43 @@ def _grid_gauge_sweep(B: DConvexSet, f: DLinearFunctional, total: int) -> bool:
     return True
 
 
+THEOREM_CASES: tuple[Case, ...] = (
+    ubp_case, omt_case, imt_case, cgt_case, extension_case, hyperplane_case,
+)
+
+
+def theorems_case(rec: Recorder, rng: Random) -> None:
+    """Rotates through the six theorem harnesses, one sub-check per case.
+
+    Case index mod 6 selects: uniform boundedness, open mapping, inverse
+    mapping, closed graph, dominated extension, hyperplanes/varieties.
+    """
+    THEOREM_CASES[rec.case % 6](rec, rng)
+
+
 # -- dispatch --------------------------------------------------------------------
 
 
-_SUITES: dict[str, Callable[[int, int, str], SuiteReport]] = {
-    "algebra": suite_algebra,
-    "order": suite_order,
-    "metric": suite_metric,
-    "linear": suite_linear,
-    "convex": suite_convex,
-    "separation": suite_separation,
-    "theorems": suite_theorems,
+_SUITES: dict[str, Case] = {
+    "algebra": algebra_case,
+    "order": order_case,
+    "metric": metric_case,
+    "linear": linear_case,
+    "convex": convex_case,
+    "separation": separation_case,
+    "theorems": theorems_case,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int, cases: int, backend: str = EXACT) -> SuiteReport:
+    """The named suite, its instances drawn from Random(f"{name}:{seed}")."""
     try:
-        fn = _SUITES[name]
+        case = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
-    return fn(seed, cases, backend)
+    return run_cases(name, case, Random(f"{name}:{seed}"), seed, cases, backend)
 
 
 def run_all(seed: int, cases: int, backend: str = EXACT) -> list[SuiteReport]:

@@ -118,14 +118,6 @@ class BCVector:
     def part2(self) -> tuple[ComplexScalar, ...]:
         return tuple(c.z2 for c in self.coords)
 
-    def real_part(self, component: int) -> tuple[Real, ...]:
-        """Interleaved real coordinates (re, im per entry) of one component."""
-        zs = self.part1() if component == 1 else self.part2()
-        out: list[Real] = []
-        for z in zs:
-            out.extend((z.re, z.im))
-        return tuple(out)
-
     def __add__(self, other: BCVector) -> BCVector:
         _check_dims(self, other)
         return BCVector(tuple(a + b for a, b in zip(self.coords, other.coords)))

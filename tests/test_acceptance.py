@@ -1,12 +1,14 @@
 """Full-scale acceptance runs: one test (one pass/fail line under -v) per
 guarantee the package makes.
 
-Each test either runs a property suite at its contracted case count or drives
-the relevant theorem harness directly at the contracted sample density.  All
-runs are seeded and deterministic; together they target well under a minute
-of wall time.
+Each test either runs a property suite at its contracted case count or runs
+the relevant public theorem harness (``omt_case``, ``ubp_case``, ...) through
+the same driver, ``run_cases``, at the contracted sample density.  All runs
+are seeded and deterministic; together they target well under a minute of
+wall time.
 """
 
+from functools import partial
 from random import Random
 
 from bicomplex.backend import EXACT
@@ -14,14 +16,14 @@ from bicomplex.generators import rand_component_invertible_map
 from bicomplex.linear import operator_dnorm
 from bicomplex.scalars import HyperbolicScalar
 from bicomplex.suites import (
-    _Recorder,
-    _cgt_case,
-    _hyperplane_case,
-    _imt_case,
-    _omt_case,
-    _scale_map,
-    _ubp_case,
+    cgt_case,
+    hyperplane_case,
+    imt_case,
+    omt_case,
+    run_cases,
     run_suite,
+    scale_map,
+    ubp_case,
 )
 from bicomplex.analysis import MapFamily, ubp_bound
 
@@ -30,13 +32,6 @@ SEED = 2026
 
 def _green(report):
     assert report.ok, report.text()
-
-
-def _empty(rec: _Recorder):
-    assert not rec.failures, "\n".join(
-        f"case {r['case']}: {r['property']}: expected {r['expected']}; observed {r['observed']}"
-        for r in rec.failures[:10]
-    )
 
 
 def test_criterion_1_scalar_algebra_laws_ten_thousand_cases():
@@ -78,52 +73,38 @@ def test_criterion_6_open_and_inverse_mapping_bounds():
     # map confirming the delta-ball lands inside the image of the unit ball;
     # the reported radii and continuity bounds match direct singular-value
     # computation within 1e-6, and T * T^-1 is the identity exactly.
-    rec = _Recorder()
     rng = Random(f"omt-acceptance:{SEED}")
-    for idx in range(100):
-        rec.case = idx
-        _omt_case(rec, rng, SEED, idx, samples=1_000)
-    for idx in range(100):
-        rec.case = 100 + idx
-        _imt_case(rec, rng)
-    _empty(rec)
+    _green(run_cases("omt", partial(omt_case, samples=1_000), rng, SEED, 100))
+    _green(run_cases("imt", imt_case, rng, SEED, 100))
 
 
 def test_criterion_7_graph_reconstruction_and_rejection_hundred_each():
     # Exact recovery of the map from a spanning set of its graph on 100
     # instances, and rejection of 100 spanning sets that are not graphs.
-    rec = _Recorder()
     rng = Random(f"cgt-acceptance:{SEED}")
-    for idx in range(100):
-        rec.case = idx
-        _cgt_case(rec, rng)
-    _empty(rec)
+    _green(run_cases("cgt", cgt_case, rng, SEED, 100))
 
 
 def test_criterion_8_uniform_boundedness_guarantee_and_negative_control():
     # 100 random finite families, 1000 samples each: whenever |x|_D <' delta
     # every member keeps |Tx|_D <' eps.  Negative control: scaling a family
     # by 2^s scales M by 2^s and delta by 2^-s.
-    rec = _Recorder()
     rng = Random(f"ubp-acceptance:{SEED}")
-    for idx in range(100):
-        rec.case = idx
-        _ubp_case(rec, rng, SEED, idx, samples=1_000)
-    _empty(rec)
+    _green(run_cases("ubp", partial(ubp_case, samples=1_000), rng, SEED, 100))
 
     T0 = rand_component_invertible_map(rng, 2)
     eps = HyperbolicScalar(1.0, 1.0)
     M0, d0 = ubp_bound(MapFamily((T0,)), eps)
     assert M0.a1 > 0 and M0.a2 > 0
     for s in range(1, 7):
-        Ms, ds = ubp_bound(MapFamily((_scale_map(T0, 2**s),)), eps)
+        Ms, ds = ubp_bound(MapFamily((scale_map(T0, 2**s),)), eps)
         factor = float(2**s)
         assert abs(Ms.a1 / M0.a1 - factor) <= 1e-9 * factor
         assert abs(Ms.a2 / M0.a2 - factor) <= 1e-9 * factor
         assert abs(ds.a1 / d0.a1 - 1.0 / factor) <= 1e-9
         assert abs(ds.a2 / d0.a2 - 1.0 / factor) <= 1e-9
     # sanity: the scaled map's norm itself grew as claimed
-    grown = operator_dnorm(_scale_map(T0, 2))
+    grown = operator_dnorm(scale_map(T0, 2))
     base = operator_dnorm(T0)
     assert abs(grown.a1 - 2 * base.a1) <= 1e-9 * max(1.0, grown.a1)
 
@@ -133,9 +114,5 @@ def test_criterion_9_hyperplane_normalization_and_gauge_bounds_two_hundred():
     # normalized functional obeys -q(-x) <=' f(x) <=' q(x) at every vertex
     # and across a thousand-point grid; zero-divisor levels are always
     # rejected, as are crossing levels and degenerate normals.
-    rec = _Recorder()
     rng = Random(f"hyperplane-acceptance:{SEED}")
-    for idx in range(200):
-        rec.case = idx
-        _hyperplane_case(rec, rng, SEED, idx)
-    _empty(rec)
+    _green(run_cases("hyperplane", hyperplane_case, rng, SEED, 200))

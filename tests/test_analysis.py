@@ -41,7 +41,7 @@ from bicomplex.errors import (
     NotSurjectiveError,
     ZeroDivisorLevelError,
 )
-from bicomplex.generators import rand_separation_instance
+from bicomplex.generators import rand_overlap_instance, rand_separation_instance
 from bicomplex.linear import (
     BCLinearFunctional,
     BCLinearMap,
@@ -49,7 +49,7 @@ from bicomplex.linear import (
     hyperbolic_part,
 )
 from bicomplex.order import le, lt_strict
-from bicomplex.polytope import RealPolytope
+from bicomplex.polytope import RealPolytope, affine_rank
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from bicomplex.vectors import BCVector, DVector
 
@@ -170,6 +170,24 @@ class TestSeparation:
         assert err.component in (1, 2)
         assert tuple(err.witness) == (0, 0)
         assert not lp_separation_oracle(A, B)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overlap_witness_ignores_derived_vertices(self, dim):
+        # an H-rep B is read by its faces even once its vertices are known
+        rng = Random(f"overlap-route:{dim}")
+        for _ in range(6):
+            A, B0, _ = rand_overlap_instance(rng, dim)
+            witnesses = []
+            for derive in (False, True):
+                B = DConvexSet(*(RealPolytope.from_halfspaces(P.halfspaces(), dim)
+                                 if affine_rank(P.vertices()) == dim else P
+                                 for P in (B0.p1, B0.p2)))
+                if derive:
+                    B.p1.vertices(), B.p2.vertices()
+                with pytest.raises(NotDisjointError) as exc:
+                    separate_hyperbolic(A, B)
+                witnesses.append((exc.value.component, exc.value.witness))
+            assert witnesses[0] == witnesses[1]
 
     def test_closed_first_set_rejected(self):
         with pytest.raises(NotOpenError):

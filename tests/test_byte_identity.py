@@ -14,9 +14,13 @@ backends.
 The theorem digests were recorded with the `Fraction` Gauss-Jordan complex
 path and the three hand-built disjointness LPs (see the section below).
 
+The fault digests hash the seven suites' reports, failure records included,
+plain and under three injected faults (see the last section).
+
 A failing digest means an output changed; find which with
-``_separate_stream``, ``_gauge_stream``, ``_verify_stream`` or
-``_theorem_stream`` and compare against the parent commit.
+``_separate_stream``, ``_gauge_stream``, ``_verify_stream``,
+``_theorem_stream`` or ``_fault_stream`` and compare against the parent
+commit.
 """
 
 import hashlib
@@ -28,6 +32,7 @@ from random import Random
 import pytest
 
 from bicomplex import generators as gen
+from bicomplex import scalars, suites
 from bicomplex.backend import EXACT, FLOAT
 from bicomplex.analysis import (
     hyperplane_gauge_bound,
@@ -50,7 +55,7 @@ from bicomplex.errors import (
 )
 from bicomplex.linear import BCLinearMap, DLinearFunctional
 from bicomplex.polytope import Halfspace, RealPolytope, affine_rank
-from bicomplex.scalars import HyperbolicScalar
+from bicomplex.scalars import BicomplexScalar, HyperbolicScalar
 from bicomplex.serialize import decode_dconvex, decode_dvector, encode_dconvex, encode_dvector
 from bicomplex.vectors import DVector
 
@@ -388,3 +393,90 @@ def _theorem_stream(group: str) -> bytes:
 def test_theorem_outputs_unchanged(group):
     digest = hashlib.sha256(_theorem_stream(group)).hexdigest()
     assert digest == THEOREM_DIGESTS[group]
+
+
+# -- suite reports under injected faults -------------------------------------------
+#
+# Recorded after `RealPolytope` got a deterministic repr and before the seven
+# suite loops became per-case functions under one driver.  A failure record
+# carries its case's drawn inputs, so these digests pin the draw order, the
+# order of the checks, the case numbering and every property name, which the
+# passing reports above (empty failure lists) cannot.
+
+FAULT_CASES = 6
+
+FAULT_DIGESTS = {
+    "plain": {
+        "algebra": "a25ebac6e3ba81fc152b532e5c0192d72c4256b05b8545b8058e232acda973c1",
+        "order": "61faed2d2cca2b29f49dc261e9fbbfe372675602e13d8c9af624e0459e75350e",
+        "metric": "076d01945f48c6ed7567d82d057221a620b398337beda813c0ed7d5b2dcae64b",
+        "linear": "933280f5daa1ee458038d2506cf5c1005b069a220aa11c12cd6b4b6493119429",
+        "convex": "56370baea32d1c04979d6abb6324533e6b570fe85628b5e6db22a42a96724901",
+        "separation": "71fd22bc2175e0ecad1092216534fce3954a7be241e45f26b092fa4e90c9c329",
+        "theorems": "46c2caf6be3fde7dbe23139c471285a8ab6475d60e0faf9f5b4934e8d692b0a8",
+    },
+    "swapped-product": {
+        "algebra": "5e21ebd757b54530f9791ae82039b4349b9336fd1d01c6b0f4144f8292fefd6e",
+        "order": "61faed2d2cca2b29f49dc261e9fbbfe372675602e13d8c9af624e0459e75350e",
+        "metric": "076d01945f48c6ed7567d82d057221a620b398337beda813c0ed7d5b2dcae64b",
+        "linear": "5a09e87b0135938ffa001df726d24c95aa1e4ff5004026949662fc1ef986f1c0",
+        "convex": "56370baea32d1c04979d6abb6324533e6b570fe85628b5e6db22a42a96724901",
+        "separation": "71fd22bc2175e0ecad1092216534fce3954a7be241e45f26b092fa4e90c9c329",
+        "theorems": "0a1eac3f42bca0088a98efdb5e9bfd4f419f22edc7a873df6ba7258d119b4ef0",
+    },
+    "le-false": {
+        "algebra": "d105d18b82c6b790fd6d48130ab325a333b7c5ee003358c66a22f2fc74d95579",
+        "order": "ffc2548215c7a1a3a435455be59094a045803500fbedb5f5d7250938bfe0d576",
+        "metric": "9f72609562be9d5acdc1360a3e6e948ff9be1b429fb20dd7d825d497a793ff81",
+        "linear": "b211f67e9c778800e0abfbc575037b43c70d00f3b09e90d391b8043686f674a5",
+        "convex": "fb86c4788f3ca1d51debdfbd4c3f1dbd90f6439155785f56c9ffaeae2d333fed",
+        "separation": "c50ac69e26430a75351124c3625a1ce8ffc62bd3f2b56cf0edd41be64fa9c3e5",
+        "theorems": "67db3699ee99631dd8c6988de111d82e7cce83da00cf194b276363f68618f8d1",
+    },
+    "lt-strict-false": {
+        "algebra": "a25ebac6e3ba81fc152b532e5c0192d72c4256b05b8545b8058e232acda973c1",
+        "order": "61faed2d2cca2b29f49dc261e9fbbfe372675602e13d8c9af624e0459e75350e",
+        "metric": "076d01945f48c6ed7567d82d057221a620b398337beda813c0ed7d5b2dcae64b",
+        "linear": "933280f5daa1ee458038d2506cf5c1005b069a220aa11c12cd6b4b6493119429",
+        "convex": "56370baea32d1c04979d6abb6324533e6b570fe85628b5e6db22a42a96724901",
+        "separation": "ccdafd9b8ece64bdcd5070103a31a386df4de47bcfbacb54bc59c5b85c9439a7",
+        "theorems": "78ee9329f2f78324815ca76c22d616f728563b4f1b8a9345adedbcd47f462b89",
+    },
+}
+
+
+def _swapped_product(monkeypatch) -> None:
+    orig = scalars.bc_mul
+
+    def swapped(Z, W):
+        R = orig(Z, W)
+        return BicomplexScalar(R.z2, R.z1)
+
+    monkeypatch.setattr(scalars, "bc_mul", swapped)
+
+
+FAULTS = {
+    "plain": lambda monkeypatch: None,
+    "swapped-product": _swapped_product,
+    "le-false": lambda monkeypatch: monkeypatch.setattr(suites, "le", lambda a, b: False),
+    "lt-strict-false": lambda monkeypatch: monkeypatch.setattr(suites, "lt_strict", lambda a, b: False),
+}
+
+
+def _fault_stream(suite: str) -> bytes:
+    """`run_suite` reports under both backends for seeds 0 and 1, wall times removed."""
+    chunks = []
+    for backend in (EXACT, FLOAT):
+        for seed in (0, 1):
+            doc = suites.run_suite(suite, seed, FAULT_CASES, backend).as_dict()
+            doc.pop("wall_time_s")
+            chunks.append(json.dumps(doc, indent=2) + "\n")
+    return "".join(chunks).encode()
+
+
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+@pytest.mark.parametrize("fault", sorted(FAULT_DIGESTS))
+def test_suite_reports_under_faults_unchanged(fault, suite, monkeypatch):
+    FAULTS[fault](monkeypatch)
+    digest = hashlib.sha256(_fault_stream(suite)).hexdigest()
+    assert digest == FAULT_DIGESTS[fault][suite]

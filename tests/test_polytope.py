@@ -120,6 +120,23 @@ class TestRepresentations:
         verts.halfspaces()
         assert verts.translate(shift).built_from_vertices()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_repr_is_the_built_representation(self, dim):
+        # failure records print polytopes: the text must not hold an address
+        # or depend on which representation has been derived since
+        faces = [Halfspace(tuple(Fraction(s if i == c else 0) for i in range(dim)), Fraction(c + 1, 2))
+                 for c in range(dim) for s in (1, -1)]
+        H1, H2 = (RealPolytope.from_halfspaces(faces, dim) for _ in range(2))
+        V1, V2 = (RealPolytope.from_vertices(H1.vertices()) for _ in range(2))
+        texts = {P: repr(P) for P in (H1, H2, V1, V2)}
+        assert texts[H1] == texts[H2] and texts[V1] == texts[V2] != texts[H1]
+        assert not any("0x" in t for t in texts.values())
+        assert texts[H1].startswith("RealPolytope(") and "halfspaces=" in texts[H1]
+        assert "vertices=" in texts[V1]
+        H2.vertices()
+        V2.halfspaces()
+        assert repr(H2) == texts[H1] and repr(V2) == texts[V1]
+
 
 class TestMembership:
     def test_contains(self):

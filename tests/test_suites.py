@@ -1,11 +1,15 @@
 """Property-suite harness: green runs, determinism, and fault sensitivity."""
 
+import io
+from random import Random
+
 import pytest
 
-from bicomplex import scalars
+from bicomplex import scalars, suites
 from bicomplex.backend import EXACT, FLOAT
+from bicomplex.cli import cmd_verify
 from bicomplex.scalars import BicomplexScalar
-from bicomplex.suites import SUITE_NAMES, run_all, run_suite
+from bicomplex.suites import SUITE_NAMES, run_all, run_cases, run_suite
 
 
 class TestGreenRuns:
@@ -22,6 +26,34 @@ class TestGreenRuns:
         reports = run_all(seed=1, cases=6)
         assert [r.suite for r in reports] == list(SUITE_NAMES)
         assert all(r.ok for r in reports)
+
+
+class TestDriver:
+    def test_run_cases_passes_the_run_and_numbers_the_cases(self):
+        seen = []
+
+        def probe(rec, rng):
+            seen.append((rec.seed, rec.case, rec.backend, rng.random()))
+
+        report = run_cases("probe", probe, Random("probe"), 3, 4, FLOAT)
+        draws = Random("probe")
+        assert seen == [(3, i, FLOAT, draws.random()) for i in range(4)]
+        assert (report.suite, report.seed, report.cases, report.backend) == ("probe", 3, 4, FLOAT)
+        assert report.ok
+
+    def test_a_case_that_raises_is_a_failure_and_the_run_goes_on(self, monkeypatch):
+        def broken(Z):
+            raise ZeroDivisionError("patched inverse")
+
+        monkeypatch.setattr(suites, "bc_inverse", broken)
+        report = run_suite("algebra", seed=5, cases=4)
+        assert not report.ok
+        raised = [r for r in report.failures if r["observed"] == "'ZeroDivisionError: patched inverse'"]
+        assert [r["case"] for r in raised] == [0, 1, 2, 3]
+        assert {r["property"] for r in raised} == {"algebra-case"}
+        out = io.StringIO()
+        assert cmd_verify("algebra", 5, 4, EXACT, out=out) == 1
+        assert "ZeroDivisionError" in out.getvalue()
 
 
 class TestReports:
