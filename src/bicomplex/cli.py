@@ -10,12 +10,14 @@ Three subcommands:
 ``separate``
     Reads a JSON file with a pair of D-convex sets, writes a separation
     certificate.  Exit 0 with a certificate, 1 with a witness record when the
-    sets are not component-disjoint (or the first set is not open), 2 on
-    malformed input.
+    sets are not component-disjoint, a not-open record when the first set is
+    closed, or a refused record naming the error for any other input the
+    construction cannot handle; 2 on malformed input.
 
 ``gauge``
     Reads a D-convex set and a point, prints the two gauge components.
-    Exit 0 on success, 1 when the set is not absorbing, 2 on malformed input.
+    Exit 0 on success, 1 when the set is not absorbing or the gauge cannot
+    be evaluated on it, 2 on malformed input.
 
 Reports are byte-identical across runs with the same flags, except for the
 ``wall_time_s`` fields.
@@ -35,8 +37,8 @@ from .analysis import separate_hyperbolic
 from .backend import BACKENDS, EXACT, encode_real
 from .convex import minkowski_gauge
 from .errors import (
+    BicomplexError,
     DimensionMismatch,
-    NotAbsorbingError,
     NotDisjointError,
     NotOpenError,
     SchemaError,
@@ -188,6 +190,10 @@ def cmd_separate(input_path: str, output: Optional[str] = None,
     except NotOpenError as exc:
         _emit({"status": "not-open", "message": str(exc)}, output, out)
         return 1
+    except BicomplexError as exc:
+        record = {"status": "refused", "error": type(exc).__name__, "message": str(exc)}
+        _emit(record, output, out)
+        return 1
     document = serialize.encode_certificate(cert)
     document["status"] = "separated"
     _emit(document, output, out)
@@ -219,7 +225,7 @@ def cmd_gauge(polytope_path: str, point_path: str, backend: str = EXACT,
     except DimensionMismatch as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except NotAbsorbingError as exc:
+    except BicomplexError as exc:  # not absorbing, or a set the gauge cannot read
         err.write(f"error: {exc}\n")
         return 1
     out.write(f"{_format_component(q.a1, backend)} {_format_component(q.a2, backend)}\n")

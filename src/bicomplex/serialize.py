@@ -8,7 +8,7 @@ they never partially construct objects.
 
 from __future__ import annotations
 
-from .analysis import DHyperplane, SeparationCertificate, VertexCheck
+from .analysis import DHyperplane, SeparationCertificate
 from .backend import EXACT, decode_real, encode_real
 from .convex import DConvexSet
 from .errors import BicomplexError, SchemaError
@@ -39,6 +39,15 @@ def _expect_list(obj, where: str) -> list:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected an array")
     return obj
+
+
+def _decode_entries(obj, key: str, noun: str, decode, backend: str, where: str) -> tuple:
+    """Decode every entry of the non-empty list obj[key]."""
+    d = _expect_dict(obj, (key,), where)
+    entries = _expect_list(d[key], f"{where}.{key}")
+    if not entries:
+        raise SchemaError(f"{where}: empty {noun} list")
+    return tuple(decode(c, backend, f"{where}.{key}[{i}]") for i, c in enumerate(entries))
 
 
 # -- scalars ------------------------------------------------------------------
@@ -82,13 +91,7 @@ def encode_dvector(x: DVector) -> dict:
 
 
 def decode_dvector(obj, backend: str = EXACT, where: str = "dvector") -> DVector:
-    d = _expect_dict(obj, ("coords",), where)
-    coords = _expect_list(d["coords"], f"{where}.coords")
-    if not coords:
-        raise SchemaError(f"{where}: empty coordinate list")
-    return DVector(tuple(
-        decode_hyperbolic(c, backend, f"{where}.coords[{i}]") for i, c in enumerate(coords)
-    ))
+    return DVector(_decode_entries(obj, "coords", "coordinate", decode_hyperbolic, backend, where))
 
 
 def encode_bcvector(x: BCVector) -> dict:
@@ -96,13 +99,7 @@ def encode_bcvector(x: BCVector) -> dict:
 
 
 def decode_bcvector(obj, backend: str = EXACT, where: str = "bcvector") -> BCVector:
-    d = _expect_dict(obj, ("coords",), where)
-    coords = _expect_list(d["coords"], f"{where}.coords")
-    if not coords:
-        raise SchemaError(f"{where}: empty coordinate list")
-    return BCVector(tuple(
-        decode_bicomplex(c, backend, f"{where}.coords[{i}]") for i, c in enumerate(coords)
-    ))
+    return BCVector(_decode_entries(obj, "coords", "coordinate", decode_bicomplex, backend, where))
 
 
 def encode_dfunctional(f: DLinearFunctional) -> dict:
@@ -110,13 +107,8 @@ def encode_dfunctional(f: DLinearFunctional) -> dict:
 
 
 def decode_dfunctional(obj, backend: str = EXACT, where: str = "functional") -> DLinearFunctional:
-    d = _expect_dict(obj, ("coeffs",), where)
-    coeffs = _expect_list(d["coeffs"], f"{where}.coeffs")
-    if not coeffs:
-        raise SchemaError(f"{where}: empty coefficient list")
-    return DLinearFunctional(DVector(tuple(
-        decode_hyperbolic(c, backend, f"{where}.coeffs[{i}]") for i, c in enumerate(coeffs)
-    )))
+    return DLinearFunctional(DVector(
+        _decode_entries(obj, "coeffs", "coefficient", decode_hyperbolic, backend, where)))
 
 
 def encode_bcfunctional(h: BCLinearFunctional) -> dict:
@@ -124,13 +116,8 @@ def encode_bcfunctional(h: BCLinearFunctional) -> dict:
 
 
 def decode_bcfunctional(obj, backend: str = EXACT, where: str = "functional") -> BCLinearFunctional:
-    d = _expect_dict(obj, ("coeffs",), where)
-    coeffs = _expect_list(d["coeffs"], f"{where}.coeffs")
-    if not coeffs:
-        raise SchemaError(f"{where}: empty coefficient list")
-    return BCLinearFunctional(BCVector(tuple(
-        decode_bicomplex(c, backend, f"{where}.coeffs[{i}]") for i, c in enumerate(coeffs)
-    )))
+    return BCLinearFunctional(BCVector(
+        _decode_entries(obj, "coeffs", "coefficient", decode_bicomplex, backend, where)))
 
 
 def encode_map(T: BCLinearMap) -> dict:
@@ -267,62 +254,44 @@ def decode_cover(obj, backend: str = EXACT) -> tuple[list[RectSet], RectSet]:
 # -- certificates and hyperplanes ----------------------------------------------
 
 
+CERTIFICATE_SCHEMA = 2
+
+
 def encode_certificate(cert: SeparationCertificate) -> dict:
     trace = cert.trace
     return {
+        "schema": CERTIFICATE_SCHEMA,
         "f": encode_dfunctional(cert.f),
         "gamma": encode_hyperbolic(cert.gamma),
+        "sup_A": encode_hyperbolic(cert.sup_A),
         "trace": {
             "x0": encode_dvector(trace["x0"]),
-            "G": encode_dconvex(trace["G"]),
             "qg_x0": encode_hyperbolic(trace["qg_x0"]),
             "a0": encode_dvector(trace["a0"]),
             "b0": encode_dvector(trace["b0"]),
             "interp": encode_real(trace["interp"]),
         },
-        "checks": [
-            {
-                "vertex": [
-                    [encode_real(c) for c in ch.vertex[0]],
-                    [encode_real(c) for c in ch.vertex[1]],
-                ],
-                "side": ch.side,
-                "value": encode_hyperbolic(ch.value),
-            }
-            for ch in cert.checks
-        ],
     }
 
 
 def decode_certificate(obj, backend: str = EXACT) -> SeparationCertificate:
-    d = _expect_dict(obj, ("f", "gamma", "trace", "checks"), "certificate")
-    t = _expect_dict(d["trace"], ("x0", "G", "qg_x0", "a0", "b0", "interp"), "certificate.trace")
+    """A schema-2 certificate; any other document is a schema error."""
+    d = _expect_dict(obj, ("schema", "f", "gamma", "sup_A", "trace"), "certificate")
+    if d["schema"] != CERTIFICATE_SCHEMA:
+        raise SchemaError(f"certificate: unsupported schema {d['schema']!r}")
+    t = _expect_dict(d["trace"], ("x0", "qg_x0", "a0", "b0", "interp"), "certificate.trace")
     trace = {
         "x0": decode_dvector(t["x0"], backend, "trace.x0"),
-        "G": decode_dconvex(t["G"], backend, "trace.G"),
         "qg_x0": decode_hyperbolic(t["qg_x0"], backend, "trace.qg_x0"),
         "a0": decode_dvector(t["a0"], backend, "trace.a0"),
         "b0": decode_dvector(t["b0"], backend, "trace.b0"),
         "interp": _real(t["interp"], "trace.interp", backend),
     }
-    checks = []
-    for i, ch in enumerate(_expect_list(d["checks"], "certificate.checks")):
-        c = _expect_dict(ch, ("vertex", "side", "value"), f"checks[{i}]")
-        pair = _expect_list(c["vertex"], f"checks[{i}].vertex")
-        if len(pair) != 2:
-            raise SchemaError(f"checks[{i}].vertex: expected a component pair")
-        if c["side"] not in ("A", "B"):
-            raise SchemaError(f"checks[{i}].side: expected 'A' or 'B'")
-        v1 = tuple(_real(x, f"checks[{i}].vertex[0]", backend) for x in _expect_list(pair[0], f"checks[{i}].vertex[0]"))
-        v2 = tuple(_real(x, f"checks[{i}].vertex[1]", backend) for x in _expect_list(pair[1], f"checks[{i}].vertex[1]"))
-        checks.append(VertexCheck(
-            c["side"], (v1, v2), decode_hyperbolic(c["value"], backend, f"checks[{i}].value")
-        ))
     return SeparationCertificate(
         decode_dfunctional(d["f"], backend, "certificate.f"),
         decode_hyperbolic(d["gamma"], backend, "certificate.gamma"),
+        decode_hyperbolic(d["sup_A"], backend, "certificate.sup_A"),
         trace,
-        tuple(checks),
     )
 
 

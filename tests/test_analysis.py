@@ -144,13 +144,12 @@ class TestSeparation:
         A = box_pair(open_flag=True)
         B = point_pair((3,), (5,))
         cert = separate_hyperbolic(A, B)
-        for check in cert.checks:
-            if check.side == "A":
-                assert lt_strict(check.value, cert.gamma)
-            else:
-                assert le(cert.gamma, check.value)
-        sides = {c.side for c in cert.checks}
-        assert sides == {"A", "B"}
+        # f = (x/3, x/5) peaks on A's closure at x = 1 and equals gamma at B
+        assert cert.sup_A == h(F(1, 3), F(1, 5))
+        assert lt_strict(cert.sup_A, cert.gamma)
+        for l in (1, 2):
+            values = [cert.f.eval_component(l, v) for v in A.component(l).vertices()]
+            assert max(values) == (cert.sup_A.a1, cert.sup_A.a2)[l - 1]
 
     def test_agrees_with_lp_oracle(self):
         rng = Random("sep-oracle")

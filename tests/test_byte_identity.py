@@ -4,7 +4,9 @@ The digests were recorded with the `Fraction` Gauss-Jordan simplex, before
 the fraction-free integer kernel replaced it.  Bland's rule picks the same
 pivots on both, so every separation certificate, every witness record, every
 halfspace list written by facet enumeration and every verify report (apart
-from ``wall_time_s``) must come out byte for byte the same.
+from ``wall_time_s``) must come out byte for byte the same.  The separation
+core digests pin f, gamma and the trace apart from G across certificate
+schemas 1 and 2.
 
 The gauge digests were recorded with per-query gauges, before each polytope
 cached its absorbency, vertex columns and integer faces: every `cmd_gauge`
@@ -18,9 +20,9 @@ The fault digests hash the seven suites' reports, failure records included,
 plain and under three injected faults (see the last section).
 
 A failing digest means an output changed; find which with
-``_separate_stream``, ``_gauge_stream``, ``_verify_stream``,
-``_theorem_stream`` or ``_fault_stream`` and compare against the parent
-commit.
+``_separate_stream``, ``_separate_core_stream``, ``_gauge_stream``,
+``_verify_stream``, ``_theorem_stream`` or ``_fault_stream`` and compare
+against the parent commit.
 """
 
 import hashlib
@@ -61,12 +63,30 @@ from bicomplex.vectors import DVector
 
 PAIRS_PER_GROUP = 6
 
+# The sep-* and hsep-* entries were re-recorded for certificate schema 2,
+# which writes f, gamma, sup_A and a trace without G in place of the
+# per-product-vertex checks; the overlap-* entries (witness records) are the
+# originals.
 SEPARATE_DIGESTS = {
-    "sep-1d": "04d9a9c443ffc5196c580ae7fcaf8144ff08c034c32c673b8d6809763ee70489",
-    "sep-2d": "dcd77e8f88d49323c607290b9ed07081471d85cd1c768e0571661231dd5781dd",
-    "sep-3d": "cdca2264d0539bd7a7d389a1a260a3fec691ae1b9ccf7f8d214e5529d8b0485e",
-    "hsep-2d": "fc0a48b4c9bc6dea5dad6288066eb4e364cac159b3c8eeb215a9b4aced4def21",
-    "hsep-3d": "29ffbbe27ab9617a13ffdb40fbfc9692af4838717f76ad5f255bed16fef31cc3",
+    "sep-1d": "69cd43ad7c8a4ffd5c2f84a6781398d14ee412a219eca66a6d3920ea2f3c204b",
+    "sep-2d": "72116d2ddc0036f0a7a923ec4a2e492cb55cd3e7ffdba5abc3c021aed5202b68",
+    "sep-3d": "8dac35c97956e6a8c29ba57f936365099f0ffee9303ad6276342bb978099756f",
+    "hsep-2d": "058edc4601fa3e7a27f92873257b2c2fb161f4783e405c1e839aefd43f05f121",
+    "hsep-3d": "9d730438ce444d611c357207ae794f3ffe87ea0f176c6bc2995a9f18955f0a9f",
+    "overlap-1d": "f47b9abe47e71035764eafe48935fdde8de27849156ce9eb551483bee4b24938",
+    "overlap-2d": "bfaf8f3ce535a08ee7b48bd651ed27ac08dc52ebd57e372df9f84fa1df9505ee",
+    "overlap-3d": "80ae0bbd7762429f9ddb538db5d3048a867e655929313ac10f0ab60a8bdfb116",
+}
+
+# The same runs with each certificate cut to status, f, gamma and the trace
+# without G, recorded on schema 1 before the certificate dropped its vertex
+# checks and G: the separation itself must not move with the wire format.
+SEPARATE_CORE_DIGESTS = {
+    "sep-1d": "d471d69d32ae7fecab1171bc9fa1aeddb1497f4274b76dd854d909f7b967496f",
+    "sep-2d": "dd99c7bcde0f798d4f2fe94e9a5070bc9c437d533c7fae73c8cbaf027f6584fe",
+    "sep-3d": "1295cb39ce5382794b6dd1b49a881a796595c1020bfd7a19550879a16fc97b1d",
+    "hsep-2d": "c74420f5dc7e2f3153e32c8de99a2aa3629b85e06a459db5c3b057f763df3623",
+    "hsep-3d": "af3554e66b3608f89b6d392b8f8cb96f0192fc874cc51c9b7caea3c9bba82cb9",
     "overlap-1d": "f47b9abe47e71035764eafe48935fdde8de27849156ce9eb551483bee4b24938",
     "overlap-2d": "bfaf8f3ce535a08ee7b48bd651ed27ac08dc52ebd57e372df9f84fa1df9505ee",
     "overlap-3d": "80ae0bbd7762429f9ddb538db5d3048a867e655929313ac10f0ab60a8bdfb116",
@@ -106,18 +126,38 @@ def _pair(group: str, rng: Random) -> dict:
     return {"A": encode_dconvex(A), "B": encode_dconvex(B)}
 
 
-def _separate_stream(group: str, tmp_path) -> bytes:
-    """Input files, exit codes and outputs of `cmd_separate` on one group."""
+def _separate_runs(group: str, tmp_path):
+    """(input text, exit code, stdout, stderr) of `cmd_separate` on one group."""
     rng = Random(f"byte-identity:{group}")
-    chunks = []
     for i in range(PAIRS_PER_GROUP):
         text = json.dumps(_pair(group, rng))
         path = tmp_path / f"{group}-{i}.json"
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         rc = cmd_separate(str(path), out=out, err=err)
-        chunks.append(f"{text}\n{rc}\n{out.getvalue()}{err.getvalue()}")
-    return "".join(chunks).encode()
+        yield text, rc, out.getvalue(), err.getvalue()
+
+
+def _separate_stream(group: str, tmp_path) -> bytes:
+    """Input files, exit codes and outputs of `cmd_separate` on one group."""
+    return "".join(f"{text}\n{rc}\n{out}{err}"
+                   for text, rc, out, err in _separate_runs(group, tmp_path)).encode()
+
+
+def _core_record(out: str) -> str:
+    """A separated record's status, f, gamma and trace without G; others whole."""
+    doc = json.loads(out) if out else None
+    if not doc or doc.get("status") != "separated":
+        return out
+    trace = {k: v for k, v in doc["trace"].items() if k != "G"}
+    core = {"status": doc["status"], "f": doc["f"], "gamma": doc["gamma"], "trace": trace}
+    return json.dumps(core, indent=2) + "\n"
+
+
+def _separate_core_stream(group: str, tmp_path) -> bytes:
+    """`_separate_stream` with each certificate cut to what every schema writes."""
+    return "".join(f"{text}\n{rc}\n{_core_record(out)}{err}"
+                   for text, rc, out, err in _separate_runs(group, tmp_path)).encode()
 
 
 def _verify_stream(suite: str) -> bytes:
@@ -206,6 +246,12 @@ def _gauge_stream(group: str, tmp_path) -> bytes:
 def test_separate_outputs_unchanged(group, tmp_path):
     digest = hashlib.sha256(_separate_stream(group, tmp_path)).hexdigest()
     assert digest == SEPARATE_DIGESTS[group]
+
+
+@pytest.mark.parametrize("group", sorted(SEPARATE_CORE_DIGESTS))
+def test_separate_certificate_core_unchanged(group, tmp_path):
+    digest = hashlib.sha256(_separate_core_stream(group, tmp_path)).hexdigest()
+    assert digest == SEPARATE_CORE_DIGESTS[group]
 
 
 @pytest.mark.parametrize("group", sorted(GAUGE_DIGESTS))

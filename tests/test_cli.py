@@ -5,13 +5,16 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from bicomplex import scalars
+from bicomplex import cli, scalars
 from bicomplex.backend import EXACT, FLOAT
 from bicomplex.cli import cmd_gauge, cmd_separate, cmd_verify, main
 from bicomplex.convex import DConvexSet
+from bicomplex.errors import LPUnboundedError
+from bicomplex.generators import rand_absorbing_polytope
 from bicomplex.polytope import RealPolytope
 from bicomplex.scalars import BicomplexScalar, HyperbolicScalar
 from bicomplex.serialize import decode_certificate, encode_dconvex, encode_dvector
@@ -44,6 +47,50 @@ def write_json(tmp_path, name, obj) -> str:
 
 def write_pair(tmp_path, A, B) -> str:
     return write_json(tmp_path, "pair.json", {"A": encode_dconvex(A), "B": encode_dconvex(B)})
+
+
+def _vrep(points) -> dict:
+    return {"vertices": [[str(c) for c in p] for p in points]}
+
+
+def _touching_component(rng: Random, dim: int):
+    """(A_l, B_l) vertex lists: B_l meets the closure of A_l only at its vertex v.
+
+    v is the unique maximizer of a direction w over A_l's vertices, and B_l
+    is v with one or two more points p, each with w.p > w.v.
+    """
+    A = [tuple(F(c) for c in p) for p in rand_absorbing_polytope(rng, dim).vertices()]
+    while True:
+        w = [rng.randint(-3, 3) for _ in range(dim)]
+        values = [sum(a * c for a, c in zip(w, p)) for p in A]
+        if any(w) and values.count(max(values)) == 1:
+            break
+    v = A[values.index(max(values))]
+    B = [v]
+    while len(B) < 1 + rng.randint(1, min(dim, 2)):
+        p = tuple(c + F(rng.randint(-4, 4), 4) for c in v)
+        if sum(a * (x - c) for a, x, c in zip(w, p, v)) > 0 and p not in B:
+            B.append(p)
+    return A, B
+
+
+def _certificate_fault(pair: dict, text: str):
+    """Plain-Fraction check on the input vertices: f <= gamma on A, gamma <= f
+    on B, and f nonzero in each component; None when the certificate holds."""
+    doc = json.loads(text)
+    coeffs = [[F(c[e]) for c in doc["f"]["coeffs"]] for e in ("e1", "e2")]
+    gamma = [F(doc["gamma"][e]) for e in ("e1", "e2")]
+    for l, key in enumerate(("p1", "p2")):
+        f = coeffs[l]
+        if not any(f):
+            return f"f is zero in component {l + 1}"
+        value = [sum(a * F(c) for a, c in zip(f, p)) for p in pair["A"][key]["vertices"]]
+        if max(value) > gamma[l]:
+            return f"f exceeds gamma on A.{key}"
+        value = [sum(a * F(c) for a, c in zip(f, p)) for p in pair["B"][key]["vertices"]]
+        if min(value) < gamma[l]:
+            return f"f drops below gamma on B.{key}"
+    return None
 
 
 class TestVerify:
@@ -139,6 +186,52 @@ class TestSeparate:
         assert rc == 1
         assert json.loads(buf.getvalue())["status"] == "not-open"
 
+    def test_touching_pair_is_separated(self, tmp_path):
+        # A = (-1, 1) open and B = [1, 2] share only A's boundary point 1
+        path = write_pair(tmp_path, box_pair(open_flag=True), box_pair(lo=1, hi=2))
+        buf = io.StringIO()
+        assert cmd_separate(path, out=buf) == 0
+        doc = json.loads(buf.getvalue())
+        third = {"e1": "2/3", "e2": "2/3"}
+        assert doc["status"] == "separated"
+        assert doc["f"] == {"coeffs": [third]}
+        assert doc["gamma"] == doc["sup_A"] == third
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_seeded_touching_pairs_are_separated(self, dim, tmp_path):
+        rng = Random(f"cli-touching:{dim}")
+        for i in range(4):
+            parts = [_touching_component(rng, dim) for _ in (1, 2)]
+            pair = {
+                "A": {"p1": _vrep(parts[0][0]), "p2": _vrep(parts[1][0]), "open": True},
+                "B": {"p1": _vrep(parts[0][1]), "p2": _vrep(parts[1][1])},
+            }
+            path = write_json(tmp_path, f"touch-{i}.json", pair)
+            buf = io.StringIO()
+            assert cmd_separate(path, out=buf) == 0
+            assert _certificate_fault(pair, buf.getvalue()) is None
+            doc = json.loads(buf.getvalue())
+            assert doc["sup_A"] == doc["gamma"]  # the closures do touch
+
+    @pytest.mark.parametrize("A, B, error", [
+        # an empty H-rep component of B: x <= 0 and -x <= -1
+        ({"halfspaces": [{"a": [1], "b": 1}, {"a": [-1], "b": 1}]},
+         {"halfspaces": [{"a": [1], "b": 0}, {"a": [-1], "b": -1}]}, "EmptySetError"),
+        # an unbounded H-rep component of A: x <= 1
+        ({"halfspaces": [{"a": [1], "b": 1}]}, {"vertices": [[3]]}, "LPUnboundedError"),
+    ])
+    def test_unusable_component_is_refused(self, A, B, error, tmp_path):
+        box = {"vertices": [[-1], [1]]}
+        path = write_json(tmp_path, "pair.json", {
+            "A": {"p1": box, "p2": A, "open": True},
+            "B": {"p1": {"vertices": [[3]]}, "p2": B},
+        })
+        buf, err = io.StringIO(), io.StringIO()
+        assert cmd_separate(path, out=buf, err=err) == 1
+        doc = json.loads(buf.getvalue())
+        assert doc["status"] == "refused" and doc["error"] == error
+        assert doc["message"] and err.getvalue() == ""
+
     def test_missing_keys_exit_two(self, tmp_path):
         path = write_json(tmp_path, "bad.json", {"A": encode_dconvex(box_pair())})
         err = io.StringIO()
@@ -194,6 +287,16 @@ class TestGauge:
         err = io.StringIO()
         assert cmd_gauge(sp, xp, out=io.StringIO(), err=err) == 1
         assert "error:" in err.getvalue()
+
+    def test_other_library_error_exits_one(self, tmp_path, monkeypatch):
+        def unbounded(S, x):
+            raise LPUnboundedError("polytope is unbounded")
+
+        monkeypatch.setattr(cli, "minkowski_gauge", unbounded)
+        sp, xp = self.write_instance(tmp_path, box_pair(), DVector.of(h(1, 1)))
+        out, err = io.StringIO(), io.StringIO()
+        assert cmd_gauge(sp, xp, out=out, err=err) == 1
+        assert out.getvalue() == "" and err.getvalue() == "error: polytope is unbounded\n"
 
     def test_bad_input_exits_two(self, tmp_path):
         assert cmd_gauge("missing.json", "also-missing.json",

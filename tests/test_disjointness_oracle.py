@@ -9,6 +9,10 @@ mu_i > 0, so the oracle maximizes s <= min_i mu_i.  Every instance is built
 with a margin of at least 1/8: a meeting set reaches 1/8 into the other, a
 missing one stays 1/8 away (in the functional's value for hyperplanes and
 varieties), so no float tolerance can flip a decision.
+
+Strict separability of the separation suite's pairs is decided the same
+way, one component at a time, against both `lp_separation_oracle` (which
+runs on the construction's own simplex) and `separate_hyperbolic`.
 """
 
 from collections import Counter
@@ -25,6 +29,8 @@ from bicomplex.analysis import (  # noqa: E402
     _hyperplane_disjoint_or_raise,
     _overlap_witness,
     hyperplane_normalize,
+    lp_separation_oracle,
+    separate_hyperbolic,
     variety_extend_hyperplane,
 )
 from bicomplex.errors import NotDisjointError  # noqa: E402
@@ -173,3 +179,42 @@ def test_variety_decisions_agree_with_highs():
         assert _first_meeting(variety_extend_hyperplane, x0, basis, B) == want
         seen[B.open, want is None] += 1
     assert min(seen.values()) > 5
+
+
+def _separable(Va, Vb) -> bool:
+    """Is there a w with max w.a < min w.b over the two vertex lists?
+
+    Maximizes the gap s in w.a + s <= c <= w.b over w in [-1, 1]^n.  The
+    separation suite's gapped components sit at least 1 beyond A's radius
+    along an axis, so s >= 1 there, and its overlapping components both hold
+    the origin inside, so s = 0: the threshold 1/2 is far from both.
+    """
+    n = len(Va[0])
+    a_ub = [[float(x) for x in a] + [-1.0, 1.0] for a in Va]
+    a_ub += [[-float(x) for x in b] + [1.0, 0.0] for b in Vb]
+    res = linprog([0.0] * (n + 1) + [-1.0], A_ub=a_ub, b_ub=[0.0] * len(a_ub),
+                  bounds=[(-1, 1)] * n + [(None, None), (None, 1)], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun > 0.5
+
+
+def test_separation_decisions_agree_with_highs():
+    rng = Random("oracle:separation")
+    seen = Counter()
+    for i in range(90):
+        dim = 1 + i % 3
+        if i % 2:
+            A, B, _ = gen.rand_overlap_instance(rng, dim)
+        else:
+            A, B = gen.rand_separation_instance(rng, dim)
+        apart = [_separable(A.component(l).vertices(), B.component(l).vertices())
+                 for l in (1, 2)]
+        assert lp_separation_oracle(A, B) == all(apart)
+        try:
+            separate_hyperbolic(A, B)
+            got = None
+        except NotDisjointError as exc:
+            got = exc.component
+        assert got == (None if all(apart) else apart.index(False) + 1)
+        seen[tuple(apart)] += 1
+    assert seen[True, True] == 45 and min(seen.values()) > 5

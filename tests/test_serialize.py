@@ -136,6 +136,27 @@ class TestVectorAndMapCodecs:
         with pytest.raises(SchemaError):
             decode_map({"rows": []})
 
+    @pytest.mark.parametrize("decode, key, noun, inner, where", [
+        (decode_dvector, "coords", "coordinate", "hyperbolic", "dvector"),
+        (decode_bcvector, "coords", "coordinate", "bicomplex", "bcvector"),
+        (decode_dfunctional, "coeffs", "coefficient", "hyperbolic", "functional"),
+        (decode_bcfunctional, "coeffs", "coefficient", "bicomplex", "functional"),
+    ])
+    def test_list_decoders_error_messages(self, decode, key, noun, inner, where):
+        keys = "['e1', 'e2']" if inner == "hyperbolic" else "['z1', 'z2']"
+        cases = [
+            ([], f"{where}: expected an object"),
+            ({}, f"{where}: missing keys ['{key}']"),
+            ({key: {}}, f"{where}.{key}: expected an array"),
+            ({key: []}, f"{where}: empty {noun} list"),
+            ({key: [7]}, f"{where}.{key}[0]: expected an object"),
+            ({key: [{}]}, f"{where}.{key}[0]: missing keys {keys}"),
+        ]
+        for obj, message in cases:
+            with pytest.raises(SchemaError) as info:
+                decode(obj)
+            assert str(info.value) == message
+
     def test_ragged_matrix_rejected(self):
         z = encode_bicomplex(rand_bicomplex(Random("ragged")))
         with pytest.raises(SchemaError):
@@ -233,24 +254,26 @@ class TestCertificateCodecs:
     def test_certificate_roundtrip(self):
         cert = self.build_cert()
         doc = through_json(encode_certificate(cert))
+        assert doc["schema"] == 2
+        assert set(doc) == {"schema", "f", "gamma", "sup_A", "trace"}
+        assert set(doc["trace"]) == {"x0", "qg_x0", "a0", "b0", "interp"}
         got = decode_certificate(doc)
-        assert got.f == cert.f
-        assert got.gamma == cert.gamma
-        assert got.checks == cert.checks
-        assert got.trace["x0"] == cert.trace["x0"]
-        assert got.trace["a0"] == cert.trace["a0"]
-        assert got.trace["b0"] == cert.trace["b0"]
-        assert got.trace["qg_x0"] == cert.trace["qg_x0"]
-        assert got.trace["interp"] == cert.trace["interp"]
-        assert sorted(got.trace["G"].p1.vertices()) == sorted(cert.trace["G"].p1.vertices())
+        assert got == cert
 
     def test_certificate_schema_errors(self):
         cert = self.build_cert()
         doc = through_json(encode_certificate(cert))
-        bad = json.loads(json.dumps(doc))
-        bad["checks"][0]["side"] = "C"
+        for schema in (1, 3, "2", None):
+            with pytest.raises(SchemaError, match="unsupported schema"):
+                decode_certificate({**doc, "schema": schema})
+        # a schema-1 document: no schema or sup_A, a G in its trace and checks
+        old = {k: v for k, v in doc.items() if k not in ("schema", "sup_A")}
+        old["trace"] = {**doc["trace"], "G": {}}
+        old["checks"] = []
+        with pytest.raises(SchemaError, match="missing keys"):
+            decode_certificate(old)
         with pytest.raises(SchemaError):
-            decode_certificate(bad)
+            decode_certificate({**doc, "trace": {"x0": doc["trace"]["x0"]}})
         with pytest.raises(SchemaError):
             decode_certificate({"f": doc["f"], "gamma": doc["gamma"]})
 
