@@ -10,12 +10,16 @@ sets are products, so a certificate states its inequalities once per
 component: gamma (the minimum of f over B's vertices) and sup_A (the maximum
 over the vertices of A's closure) are all a checker needs besides f.
 
-The extension LPs read the gauge from its V-rep epigraph: q(z) <= t iff
-z = sum_k mu_k v_k with sum(mu) = t and mu >= 0 over the body's vertices
-(`RealPolytope.gauge_lp`).  G is built as a vertex list, so separation never
-enumerates its facets, and each LP has one equality row per coordinate.  The
-global bound f <=' q of an extension is checked by evaluating f at the
-vertices, where a linear form attains its maximum over a polytope.
+The extension LPs read the gauge from an epigraph on columns: q(z) <= t iff
+z = sum_k mu_k v_k with mu >= 0 and the t-weighted sum of mu equal to t
+(`gauge_lp` and `gauge_weights` of the body).  For a V-rep polytope the
+columns are its vertices and every weight is 1.  G is never built:
+separation gauges it as a `convex.DifferenceBody` per component, whose
+|A| + |B| columns are A's vertices shifted by x0 (weight 1) and B's negated
+(weight 0), tied by one balance row, so no Minkowski sum, hull or facet of
+G is ever formed.  The global bound f <=' q of an extension is checked by
+plain evaluation: a linear form is largest over a polytope at a vertex, and
+over G at max over A minus min over B plus its value at x0.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Optional, Sequence
 
 from . import elim
 from .backend import Real
-from .convex import DConvexSet, is_dabsorbing, minkowski_diff_translate, minkowski_gauge
+from .convex import DConvexSet, difference_body, is_dabsorbing, minkowski_gauge
 from .errors import (
     BicomplexError,
     DegenerateBasisError,
@@ -36,6 +40,7 @@ from .errors import (
     DimensionMismatch,
     DominationError,
     EmptyFamilyError,
+    EmptyInteriorError,
     NotAbsorbingError,
     NotAGraphError,
     NotBijectiveError,
@@ -54,7 +59,7 @@ from .linear import (
 )
 from .lp import INFEASIBLE, UNBOUNDED, LinearProgram
 from .order import le
-from .polytope import RealPolytope, matrix_rank, solve_square
+from .polytope import RealPolytope, affine_rank, matrix_rank, solve_square
 from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from .vectors import DVector
 
@@ -130,16 +135,18 @@ def _max_over_body(
 ) -> Fraction:
     """max sum_j s_j*objective_j over {sum_j s_j u_j in P}.
 
-    The V-rep epigraph at height at most one: sum_j s_j u_j = sum_k mu_k v_k
-    with mu >= 0 and sum(mu) <= 1.  Bounded, since P is and the span
-    vectors are independent.
+    The epigraph at height at most one: sum_j s_j u_j = sum_k mu_k v_k with
+    mu >= 0 and the t-weighted sum of mu at most 1.  Bounded, since P is and
+    the span vectors are independent.  P is a V-rep polytope or a
+    `DifferenceBody`.
     """
     p = len(span)
     if p == 0:
         return Fraction(0)
     lp = P.gauge_lp(span, [0] * P.dim)
-    k = lp.n - p
-    lp.add_le([0] * p + [1] * k, 1)
+    weights = P.gauge_weights()
+    k = len(weights)
+    lp.add_le([0] * p + weights, 1)
     lp.set_maximize(list(objective) + [0] * k)
     res = lp.solve()
     if not res:
@@ -156,17 +163,16 @@ def _extension_interval(
     """The admissible value interval [lo, hi] for the next extension step.
 
     lo = sup_y g(y) - q(y - xhat),  hi = inf_y q(y + xhat) - g(y)
-    over the current subspace; both are exact LPs on the V-rep epigraph of
-    the gauge of P, where sum(mu) stands for q at y -+ xhat (one equality
-    row per coordinate, whatever the number of facets).
+    over the current subspace; both are exact LPs on the epigraph of the
+    gauge of P, where the t-weighted sum of mu stands for q at y -+ xhat
+    (one equality row per coordinate, whatever the number of facets).
     """
-    p = len(span)
+    weights = P.gauge_weights()
     lo_lp = P.gauge_lp(span, [-x for x in xhat])
-    k = lo_lp.n - p
-    lo_lp.set_maximize(list(vals) + [-1] * k)
+    lo_lp.set_maximize(list(vals) + [-w for w in weights])
     lo_res = lo_lp.solve()
     hi_lp = P.gauge_lp(span, xhat)
-    hi_lp.set_minimize([-v for v in vals] + [1] * k)
+    hi_lp.set_minimize([-v for v in vals] + weights)
     hi_res = hi_lp.solve()
     if not lo_res or not hi_res:
         raise BicomplexError("extension interval LP failed")
@@ -228,14 +234,15 @@ def extend_dominated(
     The result f agrees with g on the subspace and satisfies f <=' q_B
     everywhere; the new value at each adjoined direction is chosen at the
     ``interp`` point of the admissible interval (midpoint by default).  The
-    gauge enters every LP through its V-rep epigraph, q(z) <= t iff
-    z = sum_k mu_k v_k with sum(mu) = t and mu >= 0 over B's vertices, so an
-    H-rep B is converted once to vertices (dim <= 3; an unbounded one
-    raises) and a V-rep B is never converted to facets.  The domination
-    hypothesis g <=' q_B on the subspace is checked first by LP.  The global
-    bound of the result is certified by plain evaluation before returning:
-    a linear form is largest over B at a vertex, so f <=' q_B everywhere iff
-    f(v) <= 1 at every vertex v of each component.
+    gauge enters every LP through its epigraph on columns, q(z) <= t iff
+    z = sum_k mu_k v_k with mu >= 0 and t-weighted sum t: over B's vertices
+    with weight 1, so an H-rep B is converted once to vertices (dim <= 3; an
+    unbounded one raises) and a V-rep B is never converted to facets; or
+    over the columns of a `DifferenceBody` pair from `difference_body`.  The
+    domination hypothesis g <=' q_B on the subspace is checked first by LP.
+    The global bound of the result is certified by plain evaluation before
+    returning: f <=' q_B everywhere iff the maximum of f over each
+    component (`form_max`) is at most 1.
     """
     n = B.dim
     if g.dim != n or any(u.dim != n for u in basisY):
@@ -255,7 +262,7 @@ def extend_dominated(
         if _max_over_body(P, span, vals) > 1:
             raise DominationError(f"g exceeds the gauge on Y in component {l}")
         full = _extend_component(P, span, vals, n, interp)
-        if any(sum(c * Fraction(x) for c, x in zip(full, v)) > 1 for v in P.vertices()):
+        if P.form_max(full) > 1:
             raise BicomplexError("extension failed its global gauge certificate")
         out.append(full)
     return DLinearFunctional.from_parts(out[0], out[1])
@@ -365,11 +372,13 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     """A hyperbolic separation certificate for an open A and a disjoint B.
 
     Runs the gauge construction: G = A - B + x0 with x0 = b0 - a0 for interior
-    base points, q_G its Minkowski gauge, g(lambda*x0) = lambda on the ray,
-    extended once, at the midpoint of each admissible interval, to
-    f <=' q_G on the whole space.  gamma is the componentwise minimum of f
-    over B's vertices and sup_A the componentwise maximum over the vertices
-    of A's closure.  Since f <=' q_G and f(x0) = 1, f(a) <=' f(b) for every
+    base points, q_G its Minkowski gauge read from A's and B's vertices
+    (`difference_body`; G itself is never formed), g(lambda*x0) = lambda on
+    the ray, extended once, at the midpoint of each admissible interval, to
+    f <=' q_G on the whole space.  A component of A with an empty interior
+    is refused first (`EmptyInteriorError`).  gamma is the componentwise
+    minimum of f over B's vertices and sup_A the componentwise maximum over
+    the vertices of A's closure.  Since f <=' q_G and f(x0) = 1, f(a) <=' f(b) for every
     a in A's closure and b in B, and f is nonconstant in each component; both
     are checked exactly.  A nonconstant linear form has no maximum on an
     open set, so sup_A <=' gamma gives f <' gamma on A, including when A and
@@ -379,10 +388,16 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
         raise NotOpenError("strict separation needs an open first set")
     if A.dim != B.dim:
         raise DimensionMismatch("sets live in different dimensions")
+    for l in (1, 2):
+        if affine_rank(A.component(l).vertices()) < A.dim:
+            raise EmptyInteriorError(
+                f"component {l} of the open set is lower-dimensional: its interior is empty",
+                component=l,
+            )
     _component_disjoint_or_raise(A, B)
     a0 = DVector.from_parts(_centroid(A.component(1)), _centroid(A.component(2)))
     b0 = DVector.from_parts(_centroid(B.component(1)), _centroid(B.component(2)))
-    G = minkowski_diff_translate(A, B, a0, b0)
+    G = difference_body(A, B, a0, b0)
     x0 = b0 - a0
     qg_x0 = minkowski_gauge(G, x0).hyper()
     # Seed functional: any ambient representative with g(x0) = 1 per component.
@@ -418,21 +433,20 @@ def lp_separation_oracle(A: DConvexSet, B: DConvexSet) -> bool:
         raise DimensionMismatch("sets live in different dimensions")
     n = A.dim
     for l in (1, 2):
-        va = A.component(l).vertices()
-        vb = B.component(l).vertices()
-        # Variables: w (n, free), s.  Maximize s subject to
-        # w.b - w.a >= s for all vertex pairs, |w_c| <= 1.
-        lp = LinearProgram(n + 1)
-        for a in va:
-            for b in vb:
-                row = [Fraction(bc) - Fraction(ac) for ac, bc in zip(a, b)]
-                lp.add_ge(row + [-1], 0)
-        for c in range(n):
-            unit = [Fraction(0)] * (n + 1)
-            unit[c] = Fraction(1)
+        # Variables: w (n, free), a level c and the gap s.  Maximize s
+        # subject to w.a + s <= c <= w.b at every vertex a of A and b of B,
+        # |w_i| <= 1: one row per vertex, not per vertex pair.
+        lp = LinearProgram(n + 2)
+        for a in A.component(l).vertices():
+            lp.add_le([*map(Fraction, a), -1, 1], 0)
+        for b in B.component(l).vertices():
+            lp.add_ge([*map(Fraction, b), -1, 0], 0)
+        for i in range(n):
+            unit = [0] * (n + 2)
+            unit[i] = 1
             lp.add_le(unit, 1)
             lp.add_ge(unit, -1)
-        lp.set_maximize([0] * n + [1])
+        lp.set_maximize([0] * (n + 1) + [1])
         res = lp.solve()
         if not res or res.value <= 0:
             return False

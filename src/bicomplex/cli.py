@@ -11,8 +11,9 @@ Three subcommands:
     Reads a JSON file with a pair of D-convex sets, writes a separation
     certificate.  Exit 0 with a certificate, 1 with a witness record when the
     sets are not component-disjoint, a not-open record when the first set is
-    closed, or a refused record naming the error for any other input the
-    construction cannot handle; 2 on malformed input.
+    closed, an empty-interior record when a component of the open set is
+    lower-dimensional, or a refused record naming the error for any other
+    input the construction cannot handle; 2 on malformed input.
 
 ``gauge``
     Reads a D-convex set and a point, prints the two gauge components.
@@ -39,6 +40,7 @@ from .convex import minkowski_gauge
 from .errors import (
     BicomplexError,
     DimensionMismatch,
+    EmptyInteriorError,
     NotDisjointError,
     NotOpenError,
     SchemaError,
@@ -189,6 +191,10 @@ def cmd_separate(input_path: str, output: Optional[str] = None,
         return 1
     except NotOpenError as exc:
         _emit({"status": "not-open", "message": str(exc)}, output, out)
+        return 1
+    except EmptyInteriorError as exc:
+        record = {"status": "empty-interior", "component": exc.component, "message": str(exc)}
+        _emit(record, output, out)
         return 1
     except BicomplexError as exc:
         record = {"status": "refused", "error": type(exc).__name__, "message": str(exc)}

@@ -80,6 +80,17 @@ class NotOpenError(BicomplexError):
     """The first set of a strict separation problem is not open."""
 
 
+class EmptyInteriorError(BicomplexError):
+    """An open set has a lower-dimensional component, whose interior is empty.
+
+    ``component`` is 1 or 2.
+    """
+
+    def __init__(self, message, component=None):
+        super().__init__(message)
+        self.component = component
+
+
 class ZeroDivisorLevelError(BicomplexError):
     """A hyperplane level with a zero idempotent component."""
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Optional, Sequence
 
@@ -187,7 +188,9 @@ class LinearProgram:
             if neg is not None:
                 v -= values[neg]
             x.append(v)
-        objective = sum(c * v for c, v in zip(c_user, x))
+        # z[-1] = -d * c_int . x_std, with c_int = s * c_std = s * sense * c_user
+        scale = lcm(*(c.denominator for c in c_std))
+        objective = Fraction(-self._sense * z[-1], scale * d)
         return LPResult(OPTIMAL, x, objective, tuple(basis))
 
     @staticmethod

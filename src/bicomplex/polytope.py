@@ -22,8 +22,8 @@ fact once and memoizes it:
 - the vertices (from an H-rep) and the halfspaces (from a V-rep);
 - whether 0 is interior (`origin_interior`, one V-rep LP at most);
 - the exact vertex columns of the V-rep gauge epigraph (`gauge_lp`), which
-  `gauge_vrep` and the extension LPs of `bicomplex.analysis` build on, so
-  each LP only supplies its span and right-hand side;
+  `gauge_vrep`, `form_max` and the extension LPs of `bicomplex.analysis`
+  build on, so each LP only supplies its span and right-hand side;
 - for the closed-form gauge (`gauge_hrep`), whether every b_i > 0 and, for
   exact faces, each face scaled to integers (a, b).
 """
@@ -534,23 +534,37 @@ class RealPolytope:
                 best = val
         return best
 
+    def _vertex_columns(self) -> list[list[Fraction]]:
+        if self._gauge_columns is None:
+            verts = [_frac_point(v) for v in self.vertices()]
+            self._gauge_columns = [[v[c] for v in verts] for c in range(self.dim)]
+        return self._gauge_columns
+
     def gauge_lp(self, span: Sequence[Sequence[Real]], shift: Sequence[Real]) -> LinearProgram:
         """The V-rep gauge epigraph over an affine subspace, objective unset.
 
         Variables are s (free, one per span vector u_j), then mu >= 0 (one
         per vertex v_k); the rows say sum_k mu_k v_k - sum_j s_j u_j = shift.
-        So q(sum_j s_j u_j + shift) <= sum(mu) holds exactly when some such
-        mu exists, and the least sum(mu) is the gauge.  The exact vertex
-        columns are built once; each LP adds only the span and the shift.
+        So q(sum_j s_j u_j + shift) <= t holds exactly when some such mu
+        has gauge_weights . mu = sum(mu) = t, and the least one is the gauge.
+        The exact vertex columns are built once; each LP adds only the span
+        and the shift.
         """
-        if self._gauge_columns is None:
-            verts = [_frac_point(v) for v in self.vertices()]
-            self._gauge_columns = [[v[c] for v in verts] for c in range(self.dim)]
-        p, k = len(span), len(self._gauge_columns[0])
+        columns = self._vertex_columns()
+        p, k = len(span), len(columns[0])
         lp = LinearProgram(p + k, nonneg=[False] * p + [True] * k)
-        for c, column in enumerate(self._gauge_columns):
+        for c, column in enumerate(columns):
             lp.add_eq([-u[c] for u in span] + column, shift[c])
         return lp
+
+    def gauge_weights(self) -> list[int]:
+        """The t-weight of each column of `gauge_lp`: 1 on every vertex."""
+        return [1] * len(self._vertex_columns()[0])
+
+    def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
+        """The maximum of an exact linear form over the polytope: its largest
+        value at a vertex."""
+        return max(sum(map(mul, coeffs, v)) for v in zip(*self._vertex_columns()))
 
     def gauge_vrep(self, point: Sequence[Real]) -> Real:
         """Gauge by LP: min sum(mu) with sum(mu_i v_i) = x, mu >= 0."""

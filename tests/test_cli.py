@@ -8,13 +8,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicomplex import cli, scalars
 from bicomplex.backend import EXACT, FLOAT
 from bicomplex.cli import cmd_gauge, cmd_separate, cmd_verify, main
 from bicomplex.convex import DConvexSet
-from bicomplex.errors import LPUnboundedError
-from bicomplex.generators import rand_absorbing_polytope
+from bicomplex.errors import BicomplexError, LPUnboundedError
+from bicomplex.generators import rand_absorbing_polytope, rand_separation_instance
 from bicomplex.polytope import RealPolytope
 from bicomplex.scalars import BicomplexScalar, HyperbolicScalar
 from bicomplex.serialize import decode_certificate, encode_dconvex, encode_dvector
@@ -232,6 +234,35 @@ class TestSeparate:
         assert doc["status"] == "refused" and doc["error"] == error
         assert doc["message"] and err.getvalue() == ""
 
+    @pytest.mark.parametrize("flat, component", [
+        # V-rep: the segment [(0, 0), (1, 0)]
+        ({"vertices": [["0", "0"], ["1", "0"]]}, 1),
+        # H-rep: the same segment, 0 <= x <= 1 and y = 0
+        ({"halfspaces": [{"a": [1, 0], "b": 1}, {"a": [-1, 0], "b": 0},
+                         {"a": [0, 1], "b": 0}, {"a": [0, -1], "b": 0}]}, 2),
+    ])
+    def test_flat_open_component_has_empty_interior(self, flat, component, tmp_path):
+        triangle = {"vertices": [["-1", "-1"], ["1", "-1"], ["0", "1"]]}
+        A = {"p1": triangle, "p2": triangle, "open": True}
+        A[f"p{component}"] = flat
+        far = {"vertices": [["5", "5"]]}
+        path = write_json(tmp_path, "pair.json", {"A": A, "B": {"p1": far, "p2": far}})
+        buf, err = io.StringIO(), io.StringIO()
+        assert cmd_separate(path, out=buf, err=err) == 1
+        doc = json.loads(buf.getvalue())
+        assert doc["status"] == "empty-interior" and doc["component"] == component
+        assert doc["message"] and err.getvalue() == ""
+
+    def test_flat_one_dimensional_hrep_component(self, tmp_path):
+        point = {"halfspaces": [{"a": [1], "b": 0}, {"a": [-1], "b": 0}]}
+        path = write_json(tmp_path, "pair.json", {
+            "A": {"p1": {"vertices": [["-1"], ["1"]]}, "p2": point, "open": True},
+            "B": {"p1": {"vertices": [["3"]]}, "p2": {"vertices": [["3"]]}},
+        })
+        buf = io.StringIO()
+        assert cmd_separate(path, out=buf, err=io.StringIO()) == 1
+        assert json.loads(buf.getvalue())["status"] == "empty-interior"
+
     def test_missing_keys_exit_two(self, tmp_path):
         path = write_json(tmp_path, "bad.json", {"A": encode_dconvex(box_pair())})
         err = io.StringIO()
@@ -367,3 +398,76 @@ class TestEntryPoint:
         rc = main(["gauge", sp, xp])
         assert rc == 0
         assert capsys.readouterr().out == "2 3\n"
+
+
+# -- fuzzing separate ------------------------------------------------------------
+
+
+def _fuzz_bases() -> list[dict]:
+    rng = Random("cli-fuzz")
+    pairs = [rand_separation_instance(rng, dim) for dim in (1, 2, 2, 3)]
+    return [{"A": encode_dconvex(A), "B": encode_dconvex(B)} for A, B in pairs]
+
+
+FUZZ_BASES = _fuzz_bases()
+MUTATIONS = ("flat", "empty", "4d", "mismatch", "hrep")
+
+
+def _mutate(kind: str, doc: dict, side: str, key: str) -> None:
+    """Edit the pair's vertex lists in place (halfspaces come last, by "hrep")."""
+    comp = doc[side][key]
+    if "vertices" not in comp:
+        return
+    if kind == "flat":  # every vertex moved onto x_last = 0
+        comp["vertices"] = [v[:-1] + ["0"] for v in comp["vertices"]]
+    elif kind == "empty":
+        comp["vertices"] = []
+    elif kind == "4d":  # every component lifted one dimension up, A as a prism
+        for s in ("A", "B"):
+            for k in ("p1", "p2"):
+                c = doc[s][k]
+                if "vertices" in c:
+                    ends = ("-1", "1") if s == "A" else ("0",)
+                    c["vertices"] = [v + [e] for v in c["vertices"] for e in ends]
+    elif kind == "mismatch":
+        comp["vertices"] = [v + ["0"] for v in comp["vertices"]]
+
+
+def _as_halfspaces(comp: dict) -> dict:
+    """The component as halfspaces, or unchanged when it is no 1-3 D body."""
+    try:
+        P = RealPolytope.from_vertices([tuple(map(F, v)) for v in comp["vertices"]])
+        return {"halfspaces": [{"a": [str(c) for c in h.a], "b": str(h.b)}
+                               for h in P.halfspaces()]}
+    except BicomplexError:
+        return comp
+
+
+class TestSeparateFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(base=st.sampled_from(range(len(FUZZ_BASES))),
+           edits=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.sampled_from("AB"),
+                                    st.sampled_from(("p1", "p2"))), max_size=2))
+    def test_mutated_pairs_exit_cleanly(self, tmp_path_factory, base, edits):
+        ref = json.loads(json.dumps(FUZZ_BASES[base]))
+        for kind, side, key in edits:
+            if kind != "hrep":
+                _mutate(kind, ref, side, key)
+        sent = json.loads(json.dumps(ref))
+        for kind, side, key in edits:
+            if kind == "hrep" and "vertices" in sent[side][key]:
+                sent[side][key] = _as_halfspaces(sent[side][key])
+        path = tmp_path_factory.mktemp("fuzz") / "pair.json"
+        path.write_text(json.dumps(sent))
+        buf, err = io.StringIO(), io.StringIO()
+        rc = cmd_separate(str(path), out=buf, err=err)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("error:") and buf.getvalue() == ""
+        else:
+            assert err.getvalue() == ""
+            doc = json.loads(buf.getvalue())
+            assert (doc["status"] == "separated") == (rc == 0)
+        if rc == 0:  # ref holds the same sets as vertex lists
+            assert _certificate_fault(ref, buf.getvalue()) is None

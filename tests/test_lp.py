@@ -1,6 +1,7 @@
 """Exact-rational simplex core."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -103,6 +104,31 @@ class TestDegenerate:
         lp.set_minimize([1, 0])
         res = lp.solve()
         assert res.status == OPTIMAL and res.value == 0
+
+
+    def test_value_is_the_objective_at_the_solution(self):
+        # the value is read off the final tableau; it must be c . x exactly
+        rng = Random("lp:value")
+        optimal = 0
+        for trial in range(200):
+            n = rng.randint(1, 4)
+            lp = LinearProgram(n, nonneg=[rng.random() < 0.5 for _ in range(n)])
+            for _ in range(rng.randint(1, 4)):
+                row = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                rhs = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                rng.choice((lp.add_le, lp.add_ge, lp.add_eq))(row, rhs)
+            for i in range(n):  # keep it bounded
+                unit = [int(i == j) for j in range(n)]
+                lp.add_le(unit, 5)
+                lp.add_ge(unit, -5)
+            c = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+            (lp.set_maximize if trial % 2 else lp.set_minimize)(c)
+            res = lp.solve()
+            if res:
+                optimal += 1
+                assert type(res.value) is Fraction
+                assert res.value == sum(a * x for a, x in zip(c, res.x))
+        assert optimal > 50
 
 
 class TestValidation:
