@@ -10,23 +10,22 @@ sets are products, so a certificate states its inequalities once per
 component: gamma (the minimum of f over B's vertices) and sup_A (the maximum
 over the vertices of A's closure) are all a checker needs besides f.
 
-The extension LPs read the gauge from an epigraph on columns: q(z) <= t iff
-z = sum_k mu_k v_k with mu >= 0 and the t-weighted sum of mu equal to t
-(`gauge_lp` and `gauge_weights` of the body).  For a V-rep polytope the
-columns are its vertices and every weight is 1.  G is never built:
-separation gauges it as a `convex.DifferenceBody` per component, whose
+The extension LPs read the gauge from one epigraph on columns,
+`polytope.GaugeBody`: q(z) <= t iff z = sum_k mu_k v_k with mu >= 0 and the
+t-weighted sum of mu equal to t.  For a polytope the columns are its
+vertices and every weight is 1.  G is never built: separation gauges it as
+a `convex.DifferenceBody` per component, the two-group body whose
 |A| + |B| columns are A's vertices shifted by x0 (weight 1) and B's negated
 (weight 0), tied by one balance row, so no Minkowski sum, hull or facet of
-G is ever formed.  The global bound f <=' q of an extension is checked by
-plain evaluation: a linear form is largest over a polytope at a vertex, and
-over G at max over A minus min over B plus its value at x0.
+G is ever formed.  A bound f <=' q is certified by plain evaluation
+(`form_max`): a linear form is largest over a body at a column point of
+each group, and f <= 1 on an absorbing body is f <=' q everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
 from . import elim
@@ -137,14 +136,15 @@ def _max_over_body(
 
     The epigraph at height at most one: sum_j s_j u_j = sum_k mu_k v_k with
     mu >= 0 and the t-weighted sum of mu at most 1.  Bounded, since P is and
-    the span vectors are independent.  P is a V-rep polytope or a
-    `DifferenceBody`.
+    the span vectors are independent.  P is a `RealPolytope` or a
+    `GaugeBody`; either hands over its `gauge_body`.
     """
     p = len(span)
     if p == 0:
         return Fraction(0)
-    lp = P.gauge_lp(span, [0] * P.dim)
-    weights = P.gauge_weights()
+    body = P.gauge_body()
+    lp = body.gauge_lp(span, [0] * P.dim)
+    weights = body.gauge_weights()
     k = len(weights)
     lp.add_le([0] * p + weights, 1)
     lp.set_maximize(list(objective) + [0] * k)
@@ -167,11 +167,12 @@ def _extension_interval(
     gauge of P, where the t-weighted sum of mu stands for q at y -+ xhat
     (one equality row per coordinate, whatever the number of facets).
     """
-    weights = P.gauge_weights()
-    lo_lp = P.gauge_lp(span, [-x for x in xhat])
+    body = P.gauge_body()
+    weights = body.gauge_weights()
+    lo_lp = body.gauge_lp(span, [-x for x in xhat])
     lo_lp.set_maximize(list(vals) + [-w for w in weights])
     lo_res = lo_lp.solve()
-    hi_lp = P.gauge_lp(span, xhat)
+    hi_lp = body.gauge_lp(span, xhat)
     hi_lp.set_minimize([-v for v in vals] + weights)
     hi_res = hi_lp.solve()
     if not lo_res or not hi_res:
@@ -234,15 +235,15 @@ def extend_dominated(
     The result f agrees with g on the subspace and satisfies f <=' q_B
     everywhere; the new value at each adjoined direction is chosen at the
     ``interp`` point of the admissible interval (midpoint by default).  The
-    gauge enters every LP through its epigraph on columns, q(z) <= t iff
-    z = sum_k mu_k v_k with mu >= 0 and t-weighted sum t: over B's vertices
-    with weight 1, so an H-rep B is converted once to vertices (dim <= 3; an
-    unbounded one raises) and a V-rep B is never converted to facets; or
-    over the columns of a `DifferenceBody` pair from `difference_body`.  The
-    domination hypothesis g <=' q_B on the subspace is checked first by LP.
-    The global bound of the result is certified by plain evaluation before
-    returning: f <=' q_B everywhere iff the maximum of f over each
-    component (`form_max`) is at most 1.
+    gauge enters every LP through the `GaugeBody` of each component, q(z) <= t
+    iff z = sum_k mu_k v_k with mu >= 0 and t-weighted sum t: over B's
+    vertices with weight 1, so an H-rep B is converted once to vertices
+    (dim <= 3; an unbounded one raises) and a V-rep B is never converted to
+    facets; or over the columns of a `DifferenceBody` pair from
+    `difference_body`.  The domination hypothesis g <=' q_B on the subspace
+    is checked first by LP.  The global bound of the result is certified by
+    plain evaluation before returning: f <=' q_B everywhere iff the maximum
+    of f over each component (`form_max`) is at most 1.
     """
     n = B.dim
     if g.dim != n or any(u.dim != n for u in basisY):
@@ -258,7 +259,7 @@ def extend_dominated(
             raise DegenerateBasisError(f"dependent basis in component {l}")
         coeffs = [Fraction(c) for c in g.component(l)]
         vals = [sum(c * u for c, u in zip(coeffs, vec)) for vec in span]
-        P = B.component(l)
+        P = B.component(l).gauge_body()
         if _max_over_body(P, span, vals) > 1:
             raise DominationError(f"g exceeds the gauge on Y in component {l}")
         full = _extend_component(P, span, vals, n, interp)
@@ -524,43 +525,28 @@ def _hyperplane_disjoint_or_raise(B: DConvexSet, L: DHyperplane) -> None:
             )
 
 
-def _grid_points(dim: int) -> list[tuple[Fraction, ...]]:
-    levels = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
-    if dim >= 3:
-        levels = [Fraction(-1), Fraction(0), Fraction(1)]
-    return [tuple(p) for p in product(levels, repeat=dim)]
-
-
 def hyperplane_gauge_bound(B: DConvexSet, L: DHyperplane) -> DLinearFunctional:
     """The normalized functional of L, certified against the gauge of B.
 
     Requires B absorbing and componentwise disjoint from L.  The returned f
-    has {f = 1} = L and satisfies -q_B(-x) <=' f(x) <=' q_B(x); the bound is
-    verified exactly at B's vertices and on a deterministic grid, along with
-    B ⊆ {f <' 1} (weak at closure vertices when B is open).
+    has {f = 1} = L and satisfies -q_B(-x) <=' f(x) <=' q_B(x).  For an
+    absorbing B, f <= 1 on B_l is f_l <= q_l everywhere, and
+    -q(-x) <= f(x) is the same bound at -x; so one exact test per component
+    certifies the bound and B ⊆ {f <' 1}: the maximum of f over B_l
+    (`form_max`) is below 1, or at most 1 when B is open.
     """
     if not is_dabsorbing(B):
         raise NotAbsorbingError("gauge bound needs an absorbing set")
     normalized = hyperplane_normalize(L.f, L.c)
     _hyperplane_disjoint_or_raise(B, normalized)
     f = normalized.f
-    n = B.dim
     for l in (1, 2):
-        P = B.component(l)
-        samples = list(P.vertices()) + _grid_points(n)
-        for v in samples:
-            fv = f.eval_component(l, v)
-            q_plus = P.gauge_hrep(v)
-            q_minus = P.gauge_hrep([-c for c in v])
-            if not (-q_minus <= fv <= q_plus):
-                raise BicomplexError("gauge bound check failed; construction is wrong")
-        for v in P.vertices():
-            fv = f.eval_component(l, v)
-            if B.open:
-                if fv > 1:
-                    raise BicomplexError("open set escapes the unit level")
-            elif fv >= 1:
-                raise BicomplexError("closed set touches its separating hyperplane")
+        top = B.component(l).gauge_body().form_max([Fraction(c) for c in f.component(l)])
+        if B.open:
+            if top > 1:
+                raise BicomplexError("open set escapes the unit level")
+        elif top >= 1:
+            raise BicomplexError("closed set touches its separating hyperplane")
     return f
 
 

@@ -6,9 +6,11 @@ hulls, membership and Minkowski arithmetic all act componentwise.
 
 The translated difference G = A - B + x0 of separation has two forms:
 `minkowski_diff_translate` lists its vertices (up to |A|*|B| sums, then a
-hull), and `difference_body` pairs two `DifferenceBody` gauges that read G
-from A's and B's vertices alone.  The gauge and the extension LPs accept
-either.
+hull), and `difference_body` pairs two `DifferenceBody` gauges, each the
+two-group `polytope.GaugeBody` on A_l + x0_l and -B_l, so G is read from
+A's and B's vertices alone.  The gauge and the extension LPs read either
+through the same `GaugeBody` epigraph: a vertex list through the one-group
+body its `RealPolytope` memoizes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from operator import mul
 from typing import Sequence
 
 from .backend import Real
@@ -26,8 +27,7 @@ from .errors import (
     MembershipError,
     NotAbsorbingError,
 )
-from .lp import OPTIMAL, LinearProgram
-from .polytope import RealPolytope, extreme_points
+from .polytope import GaugeBody, RealPolytope, extreme_points
 from .scalars import HyperbolicScalar
 from .vectors import DVector
 
@@ -134,8 +134,11 @@ def is_dabsorbing(B: DConvexSet) -> bool:
 def minkowski_gauge(B: DConvexSet, x: DVector) -> GaugeValue:
     """The hyperbolic Minkowski gauge e1*q1(x1) + e2*q2(x2).
 
-    H-rep components use the closed form max(0, max_i a_i·x / b_i); V-rep
-    components solve the exact LP min sum(mu) with sum(mu_i v_i) = x.
+    Components built from halfspaces use the closed form
+    max(0, max_i a_i·x / b_i); components built from vertices, and difference
+    bodies, solve the LP of their `GaugeBody`.  The route follows the
+    representation a component was built with, never what earlier queries
+    derived, so the value does not depend on query history.
     """
     if not is_dabsorbing(B):
         raise NotAbsorbingError("gauge needs 0 interior to both components")
@@ -148,9 +151,9 @@ def minkowski_gauge(B: DConvexSet, x: DVector) -> GaugeValue:
 
 
 def _component_gauge(P: RealPolytope, v: Sequence[Real]) -> Real:
-    if P.has_hrep():
-        return P.gauge_hrep(v)
-    return P.gauge_vrep(v)
+    if P.built_from_vertices():
+        return P.gauge_body().gauge(v)
+    return P.gauge_hrep(v)
 
 
 def minkowski_diff_translate(A: DConvexSet, B: DConvexSet, a0: DVector, b0: DVector) -> DConvexSet:
@@ -181,71 +184,30 @@ def minkowski_diff_translate(A: DConvexSet, B: DConvexSet, a0: DVector, b0: DVec
     return DConvexSet(comps[0], comps[1], open=A.open)
 
 
-class DifferenceBody:
+class DifferenceBody(GaugeBody):
     """One component of G = A_l - B_l + x0_l, gauged without forming G.
 
-    A point of G is a - b + x0, so its gauge epigraph is
-    y - t*x0 = sum_i lambda_i a_i - sum_j nu_j b_j with lambda, nu >= 0 and
-    sum(lambda) = sum(nu) = t (the Minkowski-sum epigraph of Fukuda 2004):
-    |A| + |B| columns where G's vertex list needs up to |A|*|B| sums and a
-    hull.  With t = sum(lambda), the columns are a_i + x0 for lambda and
-    -b_j for nu, one balance row says sum(lambda) - sum(nu) = 0, and the
-    t-weights are 1 on lambda and 0 on nu.  The exact columns are built
-    once, with the body.
-
-    It offers what the gauge and the extension LPs read from a V-rep
-    polytope: `gauge_lp`, `gauge_weights`, `gauge_vrep`, `form_max` and
-    `origin_interior`.  The last is true by construction, not decided:
-    `difference_body` builds bodies only for x0 = b0 - a0 with a0 interior
-    to A and b0 in B, so 0 = a0 - b0 + x0 is interior to G.
+    G is the sum of the hulls of A_l + x0_l and -B_l, so its gauge epigraph
+    is the two-group `GaugeBody` on those points: |A| + |B| columns where
+    G's vertex list needs up to |A|*|B| sums and a hull.  0 is interior by
+    construction, not decided: `difference_body` builds bodies only for
+    x0 = b0 - a0 with a0 interior to A and b0 in B, so 0 = a0 - b0 + x0 is
+    interior to G.
     """
 
     def __init__(self, A_l: RealPolytope, B_l: RealPolytope, x0_l: Sequence[Real]):
         if A_l.dim != B_l.dim or len(x0_l) != A_l.dim:
             raise DimensionMismatch("difference body parts differ in dimension")
-        self.dim = A_l.dim
         shift = [Fraction(x) for x in x0_l]
-        self._x0 = shift
-        self._a = [[Fraction(x) for x in v] for v in A_l.vertices()]
-        self._b = [[Fraction(x) for x in v] for v in B_l.vertices()]
-        self._columns = [[a[c] + shift[c] for a in self._a] + [-b[c] for b in self._b]
-                         for c in range(self.dim)]
-        self._weights = [1] * len(self._a) + [0] * len(self._b)
-        self._balance = [1] * len(self._a) + [-1] * len(self._b)
+        super().__init__([[Fraction(x) + s for x, s in zip(a, shift)] for a in A_l.vertices()],
+                         [[-Fraction(x) for x in b] for b in B_l.vertices()])
 
-    def has_hrep(self) -> bool:
-        return False
+    def built_from_vertices(self) -> bool:
+        """True: G is known only through its columns, so its gauge is the LP."""
+        return True
 
     def origin_interior(self) -> bool:
         return True
-
-    def gauge_lp(self, span: Sequence[Sequence[Real]], shift: Sequence[Real]) -> LinearProgram:
-        """The epigraph over an affine subspace, objective unset: variables
-        s (free, one per span vector), then lambda and nu (nonnegative), with
-        the rows of `RealPolytope.gauge_lp` and the balance row."""
-        p, k = len(span), len(self._weights)
-        lp = LinearProgram(p + k, nonneg=[False] * p + [True] * k)
-        for c, column in enumerate(self._columns):
-            lp.add_eq([-u[c] for u in span] + column, shift[c])
-        lp.add_eq([0] * p + self._balance, 0)
-        return lp
-
-    def gauge_weights(self) -> list[int]:
-        """The t-weight of each column of `gauge_lp`: 1 on lambda, 0 on nu."""
-        return self._weights
-
-    def gauge_vrep(self, point: Sequence[Real]) -> Real:
-        """q_G(point): the least t over the epigraph, inf when nothing absorbs it."""
-        lp = self.gauge_lp((), point)
-        lp.set_minimize(self._weights)
-        res = lp.solve()
-        return res.value if res.status == OPTIMAL else inf
-
-    def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
-        """max over G of an exact linear form f: max_A f - min_B f + f(x0)."""
-        return (max(sum(map(mul, coeffs, a)) for a in self._a)
-                - min(sum(map(mul, coeffs, b)) for b in self._b)
-                + sum(map(mul, coeffs, self._x0)))
 
 
 def difference_body(A: DConvexSet, B: DConvexSet, a0: DVector, b0: DVector) -> DConvexSet:

@@ -21,11 +21,16 @@ fact once and memoizes it:
 
 - the vertices (from an H-rep) and the halfspaces (from a V-rep);
 - whether 0 is interior (`origin_interior`, one V-rep LP at most);
-- the exact vertex columns of the V-rep gauge epigraph (`gauge_lp`), which
-  `gauge_vrep`, `form_max` and the extension LPs of `bicomplex.analysis`
-  build on, so each LP only supplies its span and right-hand side;
+- its `GaugeBody` (`gauge_body`): the gauge epigraph on the exact vertex
+  columns, which `gauge_vrep`, the extension LPs and the `form_max`
+  certificates of `bicomplex.analysis` build on, so each LP only supplies
+  its span and right-hand side;
 - for the closed-form gauge (`gauge_hrep`), whether every b_i > 0 and, for
   exact faces, each face scaled to integers (a, b).
+
+Membership (`contains`) answers in the representation the polytope was
+built with, never in one an earlier query derived, so an answer does not
+depend on query history.
 """
 
 from __future__ import annotations
@@ -327,26 +332,79 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[Point]
         return all(_dot(a, p) <= b for a, b in faces)
 
     candidates: set[tuple[Fraction, ...]] = set()
-    if dim == 1:
-        los = [b / a[0] for a, b in faces if a[0] < 0]
-        his = [b / a[0] for a, b in faces if a[0] > 0]
-        lo = max(los) if los else None
-        hi = min(his) if his else None
-        if lo is None or hi is None or lo > hi:
-            if lo is not None and hi is not None and lo > hi:
-                raise EmptySetError("empty polytope")
-            raise LPUnboundedError("polytope is unbounded")
-        candidates.update({(lo,), (hi,)})
-    else:
-        for combo in combinations(faces, dim):
-            A = [list(a) for a, _ in combo]
-            b = [b for _, b in combo]
-            x = solve_square(A, b)
-            if x is not None and feasible(x):
-                candidates.add(tuple(x))
+    for combo in combinations(faces, dim):
+        A = [list(a) for a, _ in combo]
+        b = [b for _, b in combo]
+        x = solve_square(A, b)
+        if x is not None and feasible(x):
+            candidates.add(tuple(x))
     if not candidates:
         raise EmptySetError("empty polytope")
     return extreme_points(sorted(candidates))
+
+
+# -- the gauge epigraph on columns --------------------------------------------
+
+
+class GaugeBody:
+    """The sum of the hulls of one or two exact point groups, read through
+    the epigraph of its gauge.
+
+    A point of t*(conv(P) + conv(Q)) is sum_i lambda_i p_i + sum_j nu_j q_j
+    with lambda, nu >= 0 and sum(lambda) = sum(nu) = t (the Minkowski-sum
+    epigraph of Fukuda 2004), so q(z) <= t iff z is such a combination.  The
+    columns are the points of both groups in order; the t-weight is 1 on
+    each point of the first group and 0 on the second, and one balance row
+    says sum(lambda) - sum(nu) = 0.  One group is a V-rep polytope: every
+    weight 1, no balance row.  The points must be exact; the columns are
+    built once, and each LP adds only its span and right-hand side.
+    """
+
+    def __init__(self, first: Sequence[Sequence[Fraction]],
+                 second: Sequence[Sequence[Fraction]] = ()):
+        self.dim = len(first[0])
+        self._groups = (first, second) if second else (first,)
+        self._columns = [[p[c] for group in self._groups for p in group]
+                         for c in range(self.dim)]
+        self._weights = [1] * len(first) + [0] * len(second)
+        self._balance = [1] * len(first) + [-1] * len(second) if second else None
+
+    def gauge_body(self) -> GaugeBody:
+        """Itself, so a body and a `RealPolytope` hand over their epigraph alike."""
+        return self
+
+    def gauge_lp(self, span: Sequence[Sequence[Real]], shift: Sequence[Real]) -> LinearProgram:
+        """The epigraph over an affine subspace, objective unset.
+
+        Variables are s (free, one per span vector u_j), then the column
+        weights (nonnegative); the rows say sum_k mu_k w_k - sum_j s_j u_j =
+        shift for the columns w_k, then the balance row when there is one.
+        So q(sum_j s_j u_j + shift) <= t holds exactly when some such mu has
+        gauge_weights . mu = t, and the least one is the gauge.
+        """
+        p, k = len(span), len(self._weights)
+        lp = LinearProgram(p + k, nonneg=[False] * p + [True] * k)
+        for c, column in enumerate(self._columns):
+            lp.add_eq([-u[c] for u in span] + column, shift[c])
+        if self._balance:
+            lp.add_eq([0] * p + self._balance, 0)
+        return lp
+
+    def gauge_weights(self) -> list[int]:
+        """The t-weight of each column of `gauge_lp` (shared: do not mutate)."""
+        return self._weights
+
+    def gauge(self, point: Sequence[Real]) -> Real:
+        """The least t over the epigraph at the point, inf when nothing absorbs it."""
+        lp = self.gauge_lp((), point)
+        lp.set_minimize(self._weights)
+        res = lp.solve()
+        return res.value if res.status == OPTIMAL else inf
+
+    def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
+        """The maximum of an exact linear form over the body: the sum over the
+        groups of its largest value at a point of the group."""
+        return sum(max(sum(map(mul, coeffs, p)) for p in group) for group in self._groups)
 
 
 # -- the polytope type ------------------------------------------------------
@@ -384,7 +442,7 @@ class RealPolytope:
         self._halfspaces = tuple(halfspaces) if halfspaces is not None else None
         self._built_from_vertices = vertices is not None
         self._origin_interior: Optional[bool] = None
-        self._gauge_columns: Optional[list[list[Fraction]]] = None
+        self._gauge_body: Optional[GaugeBody] = None
         self._gauge_faces: Optional[tuple[bool, list[tuple[list[int], int]]]] = None
 
     @classmethod
@@ -443,12 +501,13 @@ class RealPolytope:
     # -- queries --------------------------------------------------------
 
     def contains(self, point: Sequence[Real]) -> bool:
-        """Closed membership, except that strict H-rep faces stay strict."""
+        """Closed membership, except that strict H-rep faces stay strict;
+        decided in the representation it was built with."""
         if len(point) != self.dim:
             raise DimensionMismatch("point length != dim")
-        if self._halfspaces is not None:
-            return all(h.holds(point) for h in self._halfspaces)
-        return point_in_hull(point, self._vertices)
+        if self._built_from_vertices:
+            return point_in_hull(point, self._vertices)
+        return all(h.holds(point) for h in self._halfspaces)
 
     def interior_contains(self, point: Sequence[Real]) -> bool:
         """Membership in the interior of the closure."""
@@ -534,43 +593,13 @@ class RealPolytope:
                 best = val
         return best
 
-    def _vertex_columns(self) -> list[list[Fraction]]:
-        if self._gauge_columns is None:
-            verts = [_frac_point(v) for v in self.vertices()]
-            self._gauge_columns = [[v[c] for v in verts] for c in range(self.dim)]
-        return self._gauge_columns
-
-    def gauge_lp(self, span: Sequence[Sequence[Real]], shift: Sequence[Real]) -> LinearProgram:
-        """The V-rep gauge epigraph over an affine subspace, objective unset.
-
-        Variables are s (free, one per span vector u_j), then mu >= 0 (one
-        per vertex v_k); the rows say sum_k mu_k v_k - sum_j s_j u_j = shift.
-        So q(sum_j s_j u_j + shift) <= t holds exactly when some such mu
-        has gauge_weights . mu = sum(mu) = t, and the least one is the gauge.
-        The exact vertex columns are built once; each LP adds only the span
-        and the shift.
-        """
-        columns = self._vertex_columns()
-        p, k = len(span), len(columns[0])
-        lp = LinearProgram(p + k, nonneg=[False] * p + [True] * k)
-        for c, column in enumerate(columns):
-            lp.add_eq([-u[c] for u in span] + column, shift[c])
-        return lp
-
-    def gauge_weights(self) -> list[int]:
-        """The t-weight of each column of `gauge_lp`: 1 on every vertex."""
-        return [1] * len(self._vertex_columns()[0])
-
-    def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
-        """The maximum of an exact linear form over the polytope: its largest
-        value at a vertex."""
-        return max(sum(map(mul, coeffs, v)) for v in zip(*self._vertex_columns()))
+    def gauge_body(self) -> GaugeBody:
+        """The V-rep gauge epigraph on the exact vertices, built once (an
+        H-rep polytope converts to vertices first)."""
+        if self._gauge_body is None:
+            self._gauge_body = GaugeBody([_frac_point(v) for v in self.vertices()])
+        return self._gauge_body
 
     def gauge_vrep(self, point: Sequence[Real]) -> Real:
         """Gauge by LP: min sum(mu) with sum(mu_i v_i) = x, mu >= 0."""
-        lp = self.gauge_lp((), point)
-        lp.set_minimize([1] * lp.n)
-        res = lp.solve()
-        if res.status != OPTIMAL:
-            return inf
-        return res.value
+        return self.gauge_body().gauge(point)

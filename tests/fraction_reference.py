@@ -34,12 +34,21 @@ integer kernel through the real embedding: `_rref`, `complex_rank`,
 hand-built disjointness LPs that the one slack-LP helper replaced, copied
 verbatim.  Ranks, inverses, graph maps, error messages, overlap and
 hyperplane witnesses and every raise-or-not decision must come out the same.
+
+`VertexEpigraph` and `DifferenceEpigraph` are the two column epigraphs that
+`polytope.GaugeBody` replaced, `RealPolytope.gauge_lp` and
+`convex.DifferenceBody.gauge_lp` with the columns they read, copied
+verbatim: the body's LPs must have the same rows and solve to the same
+`LPResult`.  `sampled_gauge_bound` is the check `hyperplane_gauge_bound` ran
+before it certified by `form_max` (B's vertices and a grid, against the
+closed-form gauge), copied verbatim: both must accept or reject the same
+(B, f) pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import inf, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -521,6 +530,91 @@ def extend_dominated(
             raise BicomplexError("extension failed its global gauge certificate")
         out.append(full)
     return DLinearFunctional.from_parts(out[0], out[1])
+
+
+# -- the two column epigraphs and the sampled hyperplane bound -------------------
+
+
+class VertexEpigraph:
+    """`RealPolytope`'s V-rep gauge epigraph: `_vertex_columns` and
+    `gauge_lp` copied verbatim, on the vertices of P."""
+
+    def __init__(self, P: RealPolytope):
+        self.dim = P.dim
+        self._P = P
+        self._gauge_columns: Optional[list[list[Fraction]]] = None
+
+    def vertices(self):
+        return self._P.vertices()
+
+    def _vertex_columns(self) -> list[list[Fraction]]:
+        if self._gauge_columns is None:
+            verts = [_frac_point(v) for v in self.vertices()]
+            self._gauge_columns = [[v[c] for v in verts] for c in range(self.dim)]
+        return self._gauge_columns
+
+    def gauge_lp(self, span: Sequence[Sequence[Real]], shift: Sequence[Real]) -> LinearProgram:
+        columns = self._vertex_columns()
+        p, k = len(span), len(columns[0])
+        lp = LinearProgram(p + k, nonneg=[False] * p + [True] * k)
+        for c, column in enumerate(columns):
+            lp.add_eq([-u[c] for u in span] + column, shift[c])
+        return lp
+
+
+class DifferenceEpigraph:
+    """`convex.DifferenceBody`'s epigraph of G = A_l - B_l + x0_l: its
+    constructor (without the dimension check) and `gauge_lp` copied verbatim."""
+
+    def __init__(self, A_l: RealPolytope, B_l: RealPolytope, x0_l: Sequence[Real]):
+        self.dim = A_l.dim
+        shift = [Fraction(x) for x in x0_l]
+        self._x0 = shift
+        self._a = [[Fraction(x) for x in v] for v in A_l.vertices()]
+        self._b = [[Fraction(x) for x in v] for v in B_l.vertices()]
+        self._columns = [[a[c] + shift[c] for a in self._a] + [-b[c] for b in self._b]
+                         for c in range(self.dim)]
+        self._weights = [1] * len(self._a) + [0] * len(self._b)
+        self._balance = [1] * len(self._a) + [-1] * len(self._b)
+
+    def gauge_lp(self, span: Sequence[Sequence[Real]], shift: Sequence[Real]) -> LinearProgram:
+        p, k = len(span), len(self._weights)
+        lp = LinearProgram(p + k, nonneg=[False] * p + [True] * k)
+        for c, column in enumerate(self._columns):
+            lp.add_eq([-u[c] for u in span] + column, shift[c])
+        lp.add_eq([0] * p + self._balance, 0)
+        return lp
+
+
+def _grid_points(dim: int) -> list[tuple[Fraction, ...]]:
+    levels = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
+    if dim >= 3:
+        levels = [Fraction(-1), Fraction(0), Fraction(1)]
+    return [tuple(p) for p in product(levels, repeat=dim)]
+
+
+def sampled_gauge_bound(B: DConvexSet, f: DLinearFunctional) -> DLinearFunctional:
+    """The check `hyperplane_gauge_bound` ran after its disjointness LP, copied
+    verbatim: -q_B(-x) <=' f(x) <=' q_B(x) at B's vertices and on a grid, then
+    B inside {f <' 1} (weak at the closure vertices when B is open)."""
+    n = B.dim
+    for l in (1, 2):
+        P = B.component(l)
+        samples = list(P.vertices()) + _grid_points(n)
+        for v in samples:
+            fv = f.eval_component(l, v)
+            q_plus = P.gauge_hrep(v)
+            q_minus = P.gauge_hrep([-c for c in v])
+            if not (-q_minus <= fv <= q_plus):
+                raise BicomplexError("gauge bound check failed; construction is wrong")
+        for v in P.vertices():
+            fv = f.eval_component(l, v)
+            if B.open:
+                if fv > 1:
+                    raise BicomplexError("open set escapes the unit level")
+            elif fv >= 1:
+                raise BicomplexError("closed set touches its separating hyperplane")
+    return f
 
 
 # -- the complex Gauss-Jordan path and the disjointness LPs ---------------------

@@ -1,0 +1,160 @@
+"""The one column epigraph, `polytope.GaugeBody`, against the two it replaced.
+
+`RealPolytope.gauge_lp` read a V-rep polytope and `convex.DifferenceBody.gauge_lp`
+read G = A - B + x0; ``fraction_reference.py`` keeps both verbatim.  On
+seeded bodies and spans in dimensions 1-3 the body's LPs must have the same
+variables and rows, so the simplex takes the same pivots: every `LPResult`
+(status, x, value, basis) must be equal under the objectives the gauge and
+the extension LPs set.
+
+`hyperplane_gauge_bound` certifies -q_B(-x) <=' f(x) <=' q_B(x) by one
+`form_max` test per component; the reference samples B's vertices and a
+grid against the closed-form gauge.  With the disjointness LP taken out,
+both must accept or reject the same (B, f), with f's maximum over B below,
+at and above 1, for open and closed B given by vertices or by halfspaces.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+import fraction_reference as ref
+from bicomplex import analysis
+from bicomplex import generators as gen
+from bicomplex.analysis import (
+    DHyperplane,
+    _centroid,
+    hyperplane_gauge_bound,
+    hyperplane_normalize,
+)
+from bicomplex.convex import DConvexSet, DifferenceBody
+from bicomplex.errors import BicomplexError
+from bicomplex.linear import DLinearFunctional
+from bicomplex.polytope import RealPolytope, matrix_rank
+from bicomplex.scalars import HyperbolicScalar
+from bicomplex.vectors import DVector
+
+F = Fraction
+ONE = HyperbolicScalar.one()
+
+
+def _span(rng: Random, dim: int, rank: int) -> list[list[Fraction]]:
+    while True:
+        span = [[gen.rand_fraction(rng) for _ in range(dim)] for _ in range(rank)]
+        if matrix_rank(span) == rank:
+            return span
+
+
+def _hrep_twin(P: RealPolytope) -> RealPolytope:
+    """The same set built from its faces (found on a copy, so P stays V-rep)."""
+    return RealPolytope.from_halfspaces(RealPolytope.from_vertices(P.vertices()).halfspaces(), P.dim)
+
+
+def _epigraph_pairs(rng: Random, dim: int):
+    """(new body, reference epigraph): a polytope, its H-rep twin, a copy moved
+    off the origin (so gauges can be infeasible), and two difference bodies."""
+    P = gen.rand_absorbing_polytope(rng, dim)
+    away = RealPolytope.from_vertices([tuple(x + 9 for x in v) for v in P.vertices()])
+    for Q in (P, _hrep_twin(P), away):
+        yield Q.gauge_body(), ref.VertexEpigraph(Q)
+    A, B = gen.rand_separation_instance(rng, dim)
+    x0 = (DVector.from_parts(_centroid(B.p1), _centroid(B.p2))
+          - DVector.from_parts(_centroid(A.p1), _centroid(A.p2)))
+    for l in (1, 2):
+        args = (A.component(l), B.component(l), x0.part(l))
+        yield DifferenceBody(*args), ref.DifferenceEpigraph(*args)
+
+
+def _programs(epigraph, weights, span, vals, xhat):
+    """The LPs that the gauge, `_max_over_body` and `_extension_interval` set up."""
+    k = len(weights)
+    gauge = epigraph.gauge_lp((), xhat)
+    gauge.set_minimize(weights)
+    top = epigraph.gauge_lp(span, [0] * len(xhat))
+    top.add_le([0] * len(span) + weights, 1)
+    top.set_maximize(list(vals) + [0] * k)
+    lo = epigraph.gauge_lp(span, [-x for x in xhat])
+    lo.set_maximize(list(vals) + [-w for w in weights])
+    hi = epigraph.gauge_lp(span, xhat)
+    hi.set_minimize([-v for v in vals] + weights)
+    return [gauge, top, lo, hi]
+
+
+def test_lp_rows_and_results_match_both_epigraphs():
+    rng = Random("gauge-body:lp")
+    solved = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for trial in range(18):
+        dim = 1 + trial % 3
+        for body, old in _epigraph_pairs(rng, dim):
+            weights = body.gauge_weights()
+            for rank in range(dim):
+                span = _span(rng, dim, rank)
+                vals = [gen.rand_fraction(rng) for _ in span]
+                for xhat in ([gen.rand_fraction(rng) for _ in range(dim)],
+                             [F(int(i == rank)) for i in range(dim)]):
+                    new_lps = _programs(body, weights, span, vals, xhat)
+                    old_lps = _programs(old, weights, span, vals, xhat)
+                    for new, want in zip(new_lps, old_lps):
+                        assert (new.n, new.nonneg, new._rows) == (want.n, want.nonneg, want._rows)
+                        got = new.solve()
+                        assert got == want.solve(), (dim, span, xhat)
+                        solved[got.status] += 1
+    assert min(solved.values()) > 0 and solved["optimal"] > 500
+
+
+def _hyperplane_cases():
+    """(B, f) with max f over B_l equal to s_l, for s_l below, at and above 1."""
+    rng = Random("gauge-body:hyperplane")
+    cases = []
+    for trial in range(12):
+        dim = 1 + trial % 3
+        V = gen.rand_absorbing_pair(rng, dim)
+        g = gen.rand_dfunctional(rng, dim)
+        while not all(any(g.component(l)) for l in (1, 2)):
+            g = gen.rand_dfunctional(rng, dim)
+        peaks = [max(g.eval_component(l, v) for v in V.component(l).vertices()) for l in (1, 2)]
+        for parts in ((V.p1, V.p2), (_hrep_twin(V.p1), _hrep_twin(V.p2))):
+            for open_flag in (False, True):
+                B = DConvexSet(*parts, open=open_flag)
+                for s1 in (F(1, 2), F(1), F(2)):
+                    for s2 in (F(3, 4), F(1), F(3, 2)):
+                        f = DLinearFunctional.from_parts(
+                            [c * s1 / peaks[0] for c in g.component(1)],
+                            [c * s2 / peaks[1] for c in g.component(2)])
+                        cases.append((B, f, (s1, s2)))
+    return cases
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except BicomplexError:
+        return False
+    return True
+
+
+def test_form_max_certificate_accepts_what_the_sampled_check_accepts(monkeypatch):
+    monkeypatch.setattr(analysis, "_hyperplane_disjoint_or_raise", lambda B, L: None)
+    accepted = rejected = 0
+    for B, f, scales in _hyperplane_cases():
+        want = _accepts(ref.sampled_gauge_bound, B, hyperplane_normalize(f, ONE).f)
+        got = _accepts(hyperplane_gauge_bound, B, DHyperplane(f, ONE))
+        assert got == want, (B, f, scales)
+        assert got == all(s < 1 or (B.open and s == 1) for s in scales)
+        accepted += got
+        rejected += not got
+    assert accepted > 50 and rejected > 300
+
+
+@pytest.mark.parametrize("open_flag, scale, message", [
+    (True, F(2), "open set escapes the unit level"),
+    (False, F(1), "closed set touches its separating hyperplane"),
+])
+def test_raise_branches_behind_the_disjointness_lp(monkeypatch, open_flag, scale, message):
+    monkeypatch.setattr(analysis, "_hyperplane_disjoint_or_raise", lambda B, L: None)
+    box = RealPolytope.box(2, F(-1), F(1))
+    B = DConvexSet(box, box, open=open_flag)
+    f = DLinearFunctional.from_parts([scale, F(0)], [F(1, 2), F(0)])
+    with pytest.raises(BicomplexError, match=message):
+        hyperplane_gauge_bound(B, DHyperplane(f, ONE))
