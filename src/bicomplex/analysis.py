@@ -17,9 +17,12 @@ vertices and every weight is 1.  G is never built: separation gauges it as
 a `convex.DifferenceBody` per component, the two-group body whose
 |A| + |B| columns are A's vertices shifted by x0 (weight 1) and B's negated
 (weight 0), tied by one balance row, so no Minkowski sum, hull or facet of
-G is ever formed.  A bound f <=' q is certified by plain evaluation
-(`form_max`): a linear form is largest over a body at a column point of
-each group, and f <= 1 on an absorbing body is f <=' q everywhere.
+G is ever formed.  The same gauge decides disjointness: G is open, so A
+meets B in a component exactly when q_G(x0) < 1, and the weights of that
+LP give a common point, so no V-rep set is converted to facets.  A bound
+f <=' q is certified by plain evaluation (`form_max`): a linear form is
+largest over a body at a column point of each group, and f <= 1 on an
+absorbing body is f <=' q everywhere.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import (
     DimensionMismatch,
     DominationError,
     EmptyFamilyError,
-    EmptyInteriorError,
     NotAbsorbingError,
     NotAGraphError,
     NotBijectiveError,
@@ -58,7 +60,7 @@ from .linear import (
 )
 from .lp import INFEASIBLE, UNBOUNDED, LinearProgram
 from .order import le
-from .polytope import RealPolytope, affine_rank, matrix_rank, solve_square
+from .polytope import RealPolytope, matrix_rank, solve_square
 from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from .vectors import DVector
 
@@ -117,14 +119,6 @@ def complex_invert(
 
 
 # -- gauge-bounded extension --------------------------------------------------
-
-
-def _faces(P: RealPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """H-rep faces as exact (a, b) pairs (strictness is irrelevant to gauges)."""
-    return [
-        (tuple(Fraction(c) for c in hs.a), Fraction(hs.b))
-        for hs in P.halfspaces()
-    ]
 
 
 def _max_over_body(
@@ -292,28 +286,24 @@ def _slack_point(
     P: RealPolytope,
     strict: bool,
     y_count: int = 0,
-    y_nonneg: bool = False,
-    le: Sequence[tuple[Sequence[Real], Real]] = (),
     eq: Sequence[tuple[Sequence[Real], Real]] = (),
 ) -> Optional[tuple]:
     """A point x of P that satisfies the caller's rows, or None when none does.
 
-    One LP decides every disjointness question.  Its variables are x (free,
-    one per coordinate of P), a common slack t (free), then y_count more
-    variables y (nonnegative when ``y_nonneg``).  Its rows, in this order,
+    One LP decides whether P meets a hyperplane or an affine variety (P meets
+    another set when the gauge of their difference body says so).  Its
+    variables are x (free, one per coordinate of P), a common slack t
+    (free), then y_count more free variables y.  Its rows, in this order,
     are P's faces a.x + sigma*t <= b, with sigma = 1 when ``strict`` and 0
-    otherwise; the caller's ``le`` rows; the caller's ``eq`` rows; t <= 1.
-    Caller rows are written over (x, y).  It maximizes t.  When ``strict``,
-    only t > 0 counts, which puts x in the interior of P; otherwise every
-    feasible point counts.
+    otherwise; the caller's ``eq`` rows, written over (x, y); t <= 1.  It
+    maximizes t.  When ``strict``, only t > 0 counts, which puts x in the
+    interior of P; otherwise every feasible point counts.
     """
     dim = P.dim
-    lp = LinearProgram(dim + 1 + y_count, nonneg=[False] * (dim + 1) + [y_nonneg] * y_count)
+    lp = LinearProgram(dim + 1 + y_count)
     pad = [0] * y_count
-    for a, b in _faces(P):
-        lp.add_le([*a, 1 if strict else 0, *pad], b)
-    for row, b in le:
-        lp.add_le([*row[:dim], 0, *row[dim:]], b)
+    for hs in P.halfspaces():  # closed faces; ``strict`` asks t > 0 instead
+        lp.add_le([*map(Fraction, hs.a), 1 if strict else 0, *pad], Fraction(hs.b))
     for row, b in eq:
         lp.add_eq([*row[:dim], 0, *row[dim:]], b)
     lp.add_le([0] * dim + [1] + pad, 1)
@@ -326,42 +316,6 @@ def _slack_point(
     return tuple(res.x[:dim]) if res.value > 0 or not strict else None
 
 
-def _overlap_witness(Pa: RealPolytope, Pb: RealPolytope) -> Optional[tuple]:
-    """A point interior to Pa and inside Pb, or None when none exists.
-
-    Pb may be lower-dimensional; its membership is encoded as a convex
-    combination of vertices when it was built from vertices, avoiding any
-    H-rep conversion, and by its faces otherwise, so the witness does not
-    depend on which representations earlier queries derived.
-    """
-    if not Pb.built_from_vertices():
-        return _slack_point(Pa, True, le=_faces(Pb))
-    vb = Pb.vertices()
-    dim, k = Pa.dim, len(vb)
-    # x = sum_k lambda_k v_k with lambda >= 0 and sum(lambda) = 1
-    eq = [([int(i == c) for i in range(dim)] + [-Fraction(v[c]) for v in vb], 0)
-          for c in range(dim)]
-    eq.append(([0] * dim + [1] * k, 1))
-    return _slack_point(Pa, True, k, True, eq=eq)
-
-
-def _component_disjoint_or_raise(A: DConvexSet, B: DConvexSet) -> None:
-    for l in (1, 2):
-        witness = _overlap_witness(A.component(l), B.component(l))
-        if witness is not None:
-            raise NotDisjointError(
-                f"components {l} of A and B intersect",
-                component=l,
-                witness=witness,
-            )
-
-
-def _centroid(P: RealPolytope) -> tuple[Fraction, ...]:
-    verts = P.vertices()
-    k = Fraction(len(verts))
-    return tuple(sum(Fraction(v[i]) for v in verts) / k for i in range(len(verts[0])))
-
-
 def _extremum(pick, f: DLinearFunctional, S: DConvexSet) -> HyperbolicScalar:
     """pick (min or max) of f over S's vertices, one component at a time."""
     return HyperbolicScalar(*(
@@ -372,42 +326,44 @@ def _extremum(pick, f: DLinearFunctional, S: DConvexSet) -> HyperbolicScalar:
 def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     """A hyperbolic separation certificate for an open A and a disjoint B.
 
-    Runs the gauge construction: G = A - B + x0 with x0 = b0 - a0 for interior
-    base points, q_G its Minkowski gauge read from A's and B's vertices
-    (`difference_body`; G itself is never formed), g(lambda*x0) = lambda on
-    the ray, extended once, at the midpoint of each admissible interval, to
-    f <=' q_G on the whole space.  A component of A with an empty interior
-    is refused first (`EmptyInteriorError`).  gamma is the componentwise
-    minimum of f over B's vertices and sup_A the componentwise maximum over
-    the vertices of A's closure.  Since f <=' q_G and f(x0) = 1, f(a) <=' f(b) for every
-    a in A's closure and b in B, and f is nonconstant in each component; both
-    are checked exactly.  A nonconstant linear form has no maximum on an
-    open set, so sup_A <=' gamma gives f <' gamma on A, including when A and
-    B touch on A's boundary (sup_A <' gamma when they do not).
+    Runs the gauge construction: G = A - B + x0 with x0 = b0 - a0 for the
+    centroids a0, b0 of A and B (`difference_body`, which refuses a component
+    of A with an empty interior; G itself is never formed), q_G its gauge.
+    G is open, so A meets B in component l exactly when q_l(x0) < 1 (l = 1
+    first); the witness, interior to A and in B, is read from that gauge
+    LP's weights.  Otherwise g(lambda*x0) = lambda on the ray is extended
+    once, at the midpoint of each admissible interval, to f <=' q_G on the
+    whole space.  gamma is the componentwise minimum of f over B's vertices
+    and sup_A the componentwise maximum over the vertices of A's closure.
+    Since f <=' q_G and f(x0) = 1, f(a) <=' f(b) for every a in A's closure
+    and b in B, and f is nonconstant in each component; both are checked
+    exactly.  A nonconstant linear form has no maximum on an open set, so
+    sup_A <=' gamma gives f <' gamma on A, including when A and B touch on
+    A's boundary (sup_A <' gamma when they do not).
     """
     if not A.open:
         raise NotOpenError("strict separation needs an open first set")
     if A.dim != B.dim:
         raise DimensionMismatch("sets live in different dimensions")
-    for l in (1, 2):
-        if affine_rank(A.component(l).vertices()) < A.dim:
-            raise EmptyInteriorError(
-                f"component {l} of the open set is lower-dimensional: its interior is empty",
-                component=l,
-            )
-    _component_disjoint_or_raise(A, B)
-    a0 = DVector.from_parts(_centroid(A.component(1)), _centroid(A.component(2)))
-    b0 = DVector.from_parts(_centroid(B.component(1)), _centroid(B.component(2)))
-    G = difference_body(A, B, a0, b0)
+    G, a0, b0 = difference_body(A, B)
     x0 = b0 - a0
-    qg_x0 = minkowski_gauge(G, x0).hyper()
-    # Seed functional: any ambient representative with g(x0) = 1 per component.
+    qg_x0 = minkowski_gauge(G, x0)
+    for l, q in ((1, qg_x0.q1), (2, qg_x0.q2)):
+        if q < 1:
+            a_star, b_star = G.component(l).meeting_points(a0.part(l), b0.part(l))
+            if a_star != b_star:
+                raise BicomplexError(f"gauge weights gave no common point in component {l}")
+            raise NotDisjointError(
+                f"components {l} of A and B intersect",
+                component=l,
+                witness=a_star,
+            )
+    # Seed functional: any ambient representative with g(x0) = 1 per component
+    # (x0_l is not 0 here, since q_G(0) = 0 < 1).
     rep = []
     for l in (1, 2):
         part = [Fraction(c) for c in x0.part(l)]
         norm_sq = sum(c * c for c in part)
-        if norm_sq == 0:
-            raise BicomplexError("x0 vanished in a component despite disjointness")
         rep.append([c / norm_sq for c in part])
     g = DLinearFunctional.from_parts(rep[0], rep[1])
     interp = Fraction(1, 2)
@@ -418,7 +374,7 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
         raise BicomplexError(f"f exceeds gamma={gamma} on A's closure (sup {sup_A})")
     if not all(any(f.component(l)) for l in (1, 2)):
         raise BicomplexError("separating functional is constant in a component")
-    trace = {"x0": x0, "qg_x0": qg_x0, "a0": a0, "b0": b0, "interp": interp}
+    trace = {"x0": x0, "qg_x0": qg_x0.hyper(), "a0": a0, "b0": b0, "interp": interp}
     return SeparationCertificate(f, gamma, sup_A, trace)
 
 

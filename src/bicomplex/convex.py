@@ -8,9 +8,11 @@ The translated difference G = A - B + x0 of separation has two forms:
 `minkowski_diff_translate` lists its vertices (up to |A|*|B| sums, then a
 hull), and `difference_body` pairs two `DifferenceBody` gauges, each the
 two-group `polytope.GaugeBody` on A_l + x0_l and -B_l, so G is read from
-A's and B's vertices alone.  The gauge and the extension LPs read either
-through the same `GaugeBody` epigraph: a vertex list through the one-group
-body its `RealPolytope` memoizes.
+A's and B's vertices alone.  `difference_body` picks the base points itself
+(the centroids of the vertex lists), so 0 is interior to G by construction
+and no facet of A or B is read.  The gauge and the extension LPs read
+either form through the same `GaugeBody` epigraph: a vertex list through
+the one-group body its `RealPolytope` memoizes.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from .backend import Real
 from .errors import (
     DimensionMismatch,
     EmptyInputError,
+    EmptyInteriorError,
     MembershipError,
     NotAbsorbingError,
 )
-from .polytope import GaugeBody, RealPolytope, extreme_points
+from .polytope import GaugeBody, RealPolytope, affine_rank, extreme_points
 from .scalars import HyperbolicScalar
 from .vectors import DVector
 
@@ -191,14 +194,15 @@ class DifferenceBody(GaugeBody):
     is the two-group `GaugeBody` on those points: |A| + |B| columns where
     G's vertex list needs up to |A|*|B| sums and a hull.  0 is interior by
     construction, not decided: `difference_body` builds bodies only for
-    x0 = b0 - a0 with a0 interior to A and b0 in B, so 0 = a0 - b0 + x0 is
-    interior to G.
+    x0 = b0 - a0 with a0 the centroid of a full-dimensional A_l (so
+    interior) and b0 the centroid of B_l, so 0 = a0 - b0 + x0 is interior
+    to G.
     """
 
     def __init__(self, A_l: RealPolytope, B_l: RealPolytope, x0_l: Sequence[Real]):
         if A_l.dim != B_l.dim or len(x0_l) != A_l.dim:
             raise DimensionMismatch("difference body parts differ in dimension")
-        shift = [Fraction(x) for x in x0_l]
+        shift = self._shift = [Fraction(x) for x in x0_l]
         super().__init__([[Fraction(x) + s for x, s in zip(a, shift)] for a in A_l.vertices()],
                          [[-Fraction(x) for x in b] for b in B_l.vertices()])
 
@@ -209,23 +213,54 @@ class DifferenceBody(GaugeBody):
     def origin_interior(self) -> bool:
         return True
 
+    def meeting_points(self, a0_l: Sequence[Fraction], b0_l: Sequence[Fraction]):
+        """(a*, b*) from the gauge LP at x0_l = b0_l - a0_l: t = q(x0_l) and
+        weights lambda on A_l + x0_l, nu on -B_l with sum lambda (a + x0) -
+        sum nu b = x0, so a* = sum lambda a + (1 - t) a0 = sum nu b + (1 - t) b0
+        = b*.  For t < 1, a0 keeps weight 1 - t > 0: a* is interior to A_l."""
+        lp = self.gauge_lp((), self._shift)
+        lp.set_minimize(self._weights)
+        res = lp.solve()
+        k = len(self._groups[0])
+        lam, nu, t = res.x[:k], res.x[k:], res.value
+        a_star = tuple(sum(w * (p[c] - s) for w, p in zip(lam, self._groups[0])) + (1 - t) * a
+                       for c, (s, a) in enumerate(zip(self._shift, a0_l)))
+        b_star = tuple(sum(-w * p[c] for w, p in zip(nu, self._groups[1])) + (1 - t) * b
+                       for c, b in enumerate(b0_l))
+        return a_star, b_star
 
-def difference_body(A: DConvexSet, B: DConvexSet, a0: DVector, b0: DVector) -> DConvexSet:
-    """G = A - B + x0 with x0 = b0 - a0, as a pair of `DifferenceBody` gauges.
+
+def _centroid(P: RealPolytope) -> tuple[Fraction, ...]:
+    verts = P.vertices()
+    k = Fraction(len(verts))
+    return tuple(sum(Fraction(v[i]) for v in verts) / k for i in range(len(verts[0])))
+
+
+def difference_body(A: DConvexSet, B: DConvexSet) -> tuple[DConvexSet, DVector, DVector]:
+    """(G, a0, b0): G = A - B + x0 with x0 = b0 - a0, as a pair of `DifferenceBody` gauges.
 
     The same set as `minkowski_diff_translate`, but G is never formed, so
     the pair serves `minkowski_gauge` and `extend_dominated`, not membership
-    or vertex queries.  a0 must be interior to A (which is membership when A
-    is open) and b0 in B; then 0 is interior to G with no LP.
+    or vertex queries.  a0 and b0 are the centroids of A's and B's vertex
+    lists.  Every convex weight of a centroid is positive, so a0 is interior
+    to A once each component of A is full-dimensional (Rockafellar, "Convex
+    Analysis", Thm 6.9), and b0 lies in B; then 0 is interior to G with no
+    LP and no facet.  A lower-dimensional component of A raises
+    `EmptyInteriorError`.
     """
     if A.dim != B.dim:
         raise DimensionMismatch("set dims differ")
-    if not all(A.component(l).interior_contains(a0.part(l)) for l in (1, 2)):
-        raise MembershipError("a0 is not in A")
-    if not B.contains(b0):
-        raise MembershipError("b0 is not in B")
+    for l in (1, 2):
+        if affine_rank(A.component(l).vertices()) < A.dim:
+            raise EmptyInteriorError(
+                f"component {l} of the open set is lower-dimensional: its interior is empty",
+                component=l,
+            )
+    a0 = DVector.from_parts(_centroid(A.p1), _centroid(A.p2))
+    b0 = DVector.from_parts(_centroid(B.p1), _centroid(B.p2))
     x0 = b0 - a0
-    return DConvexSet(
+    G = DConvexSet(
         *(DifferenceBody(A.component(l), B.component(l), x0.part(l)) for l in (1, 2)),
         open=A.open,
     )
+    return G, a0, b0

@@ -32,8 +32,10 @@ integer kernel through the real embedding: `_rref`, `complex_rank`,
 `_overlap_witness`, `_hyperplane_disjoint_or_raise` and the LP of
 `variety_extend_hyperplane` (as `variety_disjoint_or_raise`) are the three
 hand-built disjointness LPs that the one slack-LP helper replaced, copied
-verbatim.  Ranks, inverses, graph maps, error messages, overlap and
-hyperplane witnesses and every raise-or-not decision must come out the same.
+verbatim.  Ranks, inverses, graph maps, error messages, hyperplane
+witnesses and every raise-or-not decision must come out the same.
+Separation no longer runs an overlap LP (the gauge of G decides), so
+`_overlap_witness` is the oracle for its meet-or-miss decision only.
 
 `VertexEpigraph` and `DifferenceEpigraph` are the two column epigraphs that
 `polytope.GaugeBody` replaced, `RealPolytope.gauge_lp` and

@@ -65,31 +65,34 @@ PAIRS_PER_GROUP = 6
 
 # The sep-* and hsep-* entries were re-recorded for certificate schema 2,
 # which writes f, gamma, sup_A and a trace without G in place of the
-# per-product-vertex checks; the overlap-* entries (witness records) are the
-# originals.
+# per-product-vertex checks.  The overlap-* entries (witness records) were
+# re-recorded when separation began to read its witness from the gauge LP of
+# G = A - B + x0 instead of a separate overlap LP, after every witness in
+# them was checked exactly: strictly inside A's faces and in B's hull.
 SEPARATE_DIGESTS = {
     "sep-1d": "69cd43ad7c8a4ffd5c2f84a6781398d14ee412a219eca66a6d3920ea2f3c204b",
     "sep-2d": "72116d2ddc0036f0a7a923ec4a2e492cb55cd3e7ffdba5abc3c021aed5202b68",
     "sep-3d": "8dac35c97956e6a8c29ba57f936365099f0ffee9303ad6276342bb978099756f",
     "hsep-2d": "058edc4601fa3e7a27f92873257b2c2fb161f4783e405c1e839aefd43f05f121",
     "hsep-3d": "9d730438ce444d611c357207ae794f3ffe87ea0f176c6bc2995a9f18955f0a9f",
-    "overlap-1d": "f47b9abe47e71035764eafe48935fdde8de27849156ce9eb551483bee4b24938",
-    "overlap-2d": "bfaf8f3ce535a08ee7b48bd651ed27ac08dc52ebd57e372df9f84fa1df9505ee",
-    "overlap-3d": "80ae0bbd7762429f9ddb538db5d3048a867e655929313ac10f0ab60a8bdfb116",
+    "overlap-1d": "e5b059641d681bd13dd5da5b0e48fad945c39ac08e5f474638123feb320fc204",
+    "overlap-2d": "d782dd172049a227d55edca81a032c43184b0c6c740419aa59cd67607d51f438",
+    "overlap-3d": "ec7fd7c464f9f4a451b7c247a331cf6cfa217ad4001262edbad2e0d674f547f3",
 }
 
 # The same runs with each certificate cut to status, f, gamma and the trace
 # without G, recorded on schema 1 before the certificate dropped its vertex
 # checks and G: the separation itself must not move with the wire format.
+# The overlap-* entries equal SEPARATE_DIGESTS' (no certificate to cut).
 SEPARATE_CORE_DIGESTS = {
     "sep-1d": "d471d69d32ae7fecab1171bc9fa1aeddb1497f4274b76dd854d909f7b967496f",
     "sep-2d": "dd99c7bcde0f798d4f2fe94e9a5070bc9c437d533c7fae73c8cbaf027f6584fe",
     "sep-3d": "1295cb39ce5382794b6dd1b49a881a796595c1020bfd7a19550879a16fc97b1d",
     "hsep-2d": "c74420f5dc7e2f3153e32c8de99a2aa3629b85e06a459db5c3b057f763df3623",
     "hsep-3d": "af3554e66b3608f89b6d392b8f8cb96f0192fc874cc51c9b7caea3c9bba82cb9",
-    "overlap-1d": "f47b9abe47e71035764eafe48935fdde8de27849156ce9eb551483bee4b24938",
-    "overlap-2d": "bfaf8f3ce535a08ee7b48bd651ed27ac08dc52ebd57e372df9f84fa1df9505ee",
-    "overlap-3d": "80ae0bbd7762429f9ddb538db5d3048a867e655929313ac10f0ab60a8bdfb116",
+    "overlap-1d": "e5b059641d681bd13dd5da5b0e48fad945c39ac08e5f474638123feb320fc204",
+    "overlap-2d": "d782dd172049a227d55edca81a032c43184b0c6c740419aa59cd67607d51f438",
+    "overlap-3d": "ec7fd7c464f9f4a451b7c247a331cf6cfa217ad4001262edbad2e0d674f547f3",
 }
 
 VERIFY_DIGESTS = {
@@ -271,7 +274,9 @@ def test_verify_reports_unchanged(suite):
 # Recorded with the `Fraction` Gauss-Jordan `_rref` and the three hand-built
 # disjointness LPs, before the complex path moved to the integer kernel and
 # the LPs to one helper.  Every record is a repr, so types count: an entry
-# that was Fraction(1, 1) must not come back as 1.
+# that was Fraction(1, 1) must not come back as 1.  "overlap" was re-recorded
+# when separation began to read its witness from the gauge LP of G, after
+# every witness in it was checked exactly (inside A's faces, in B).
 
 THEOREM_CASES = 24
 
@@ -279,7 +284,7 @@ THEOREM_DIGESTS = {
     "graph": "18b52786a0e290c48919af4e24abdeca5efbd7392e784d08a91d3abcab113722",
     "hyperplane": "d7b3129be466789aae36041677e5fe7e2f8a5d743eab4121f1c941eaac21314a",
     "inverse": "58f0c2b607611ec04395e7b145ec9274affcb852860ac4e2dccdb13374512d08",
-    "overlap": "f4b86dd70cb757249d744449bade7979f2b42402d6f92eaa849481258f8b958d",
+    "overlap": "b8cdeba7b927cf094b1d0c9654707349ef3335cc5b7cb500c5729067a40e6eba",
     "variety": "802477991012b44e1ffa39889ee51a1286f91e38e31cc75f69d2e5a0a464c5bb",
     "variety-crossing": "ec5884588191cc7154c8c881c8b7a05a523ad3928b10b376ed377ef81d06d88a",
 }
@@ -375,7 +380,7 @@ def _overlap_records(rng: Random) -> list[str]:
     for i in range(THEOREM_CASES):
         dim = 1 + i % 3
         A, B, _ = gen.rand_overlap_instance(rng, dim)
-        if i % 2:  # full-dimensional components of B as halfspaces: the LP reads faces
+        if i % 2:  # full-dimensional components of B as halfspaces
             B = DConvexSet(*(RealPolytope.from_halfspaces(P.halfspaces(), dim)
                              if affine_rank(P.vertices()) == dim else P for P in (B.p1, B.p2)))
         with pytest.raises(NotDisjointError) as info:

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -74,6 +75,16 @@ def _touching_component(rng: Random, dim: int):
         if sum(a * (x - c) for a, x, c in zip(w, p, v)) > 0 and p not in B:
             B.append(p)
     return A, B
+
+
+def _vbox(dim: int, lo, hi) -> dict:
+    return _vrep(product((F(lo), F(hi)), repeat=dim))
+
+
+def _vcross(dim: int, center) -> dict:
+    """The cross-polytope conv(center +- e_i): the points with sum |x_i - c_i| <= 1."""
+    return _vrep(tuple(c + s * (i == j) for j, c in enumerate(center))
+                 for i in range(dim) for s in (1, -1))
 
 
 def _certificate_fault(pair: dict, text: str):
@@ -233,6 +244,54 @@ class TestSeparate:
         doc = json.loads(buf.getvalue())
         assert doc["status"] == "refused" and doc["error"] == error
         assert doc["message"] and err.getvalue() == ""
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_vertex_pairs_above_three_dimensions(self, dim, tmp_path):
+        """V-rep pairs need no facets, so dimensions past 3 separate or give a witness;
+        halfspace input still exits 2 there."""
+        origin, far = [F(0)] * dim, [F(3)] + [F(0)] * (dim - 1)
+        separated = [(_vbox(dim, -1, 1), _vbox(dim, 2, 3), _vbox(dim, 2, 3)),
+                     (_vcross(dim, origin), _vcross(dim, far), _vcross(dim, far))]
+        for i, (A, B1, B2) in enumerate(separated):
+            pair = {"A": {"p1": A, "p2": A, "open": True}, "B": {"p1": B1, "p2": B2}}
+            buf = io.StringIO()
+            assert cmd_separate(write_json(tmp_path, f"sep-{i}.json", pair), out=buf) == 0
+            assert _certificate_fault(pair, buf.getvalue()) is None
+        # component 1 apart, component 2 reaching 1/2 into the box
+        near = [F(3, 2)] + [F(0)] * (dim - 1)
+        box = _vbox(dim, -1, 1)
+        pair = {"A": {"p1": box, "p2": box, "open": True},
+                "B": {"p1": _vcross(dim, far), "p2": _vcross(dim, near)}}
+        buf = io.StringIO()
+        assert cmd_separate(write_json(tmp_path, "overlap.json", pair), out=buf) == 1
+        doc = json.loads(buf.getvalue())
+        assert doc["status"] == "not-disjoint" and doc["component"] == 2
+        w = [F(c) for c in doc["witness"]]
+        assert all(-1 < c < 1 for c in w)  # inside the open box
+        assert sum(abs(c - n) for c, n in zip(w, near)) <= 1  # inside the cross-polytope
+        # the same box as halfspaces needs H->V conversion, which stops at dim 3
+        faces = [{"a": [s * (i == j) for j in range(dim)], "b": 1}
+                 for i in range(dim) for s in (1, -1)]
+        pair["A"] = {"p1": {"halfspaces": faces}, "p2": {"halfspaces": faces}, "open": True}
+        err = io.StringIO()
+        assert cmd_separate(write_json(tmp_path, "hrep.json", pair), out=io.StringIO(), err=err) == 2
+        assert "dim <= 3" in err.getvalue()
+
+    @pytest.mark.parametrize("face", [
+        {"a": [1, 0], "b": 0},  # x <= 0 meets A
+        {"a": [-1, 0], "b": -5},  # x >= 5 misses A
+    ])
+    def test_unbounded_hrep_b_is_refused_whether_or_not_it_meets_a(self, face, tmp_path):
+        triangle = {"vertices": [["-1", "-1"], ["1", "-1"], ["0", "1"]]}
+        path = write_json(tmp_path, "pair.json", {
+            "A": {"p1": triangle, "p2": triangle, "open": True},
+            "B": {"p1": {"vertices": [["5", "5"]]}, "p2": {"halfspaces": [face]}},
+        })
+        buf, err = io.StringIO(), io.StringIO()
+        assert cmd_separate(path, out=buf, err=err) == 1
+        doc = json.loads(buf.getvalue())
+        assert doc["status"] == "refused" and doc["error"] == "LPUnboundedError"
+        assert err.getvalue() == ""
 
     @pytest.mark.parametrize("flat, component", [
         # V-rep: the segment [(0, 0), (1, 0)]

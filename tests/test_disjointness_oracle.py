@@ -1,7 +1,8 @@
 """The disjointness decisions against an independent float LP (HiGHS).
 
-The overlap, hyperplane and variety checks of `bicomplex.analysis` decide
-by one exact slack LP.  Here `scipy.optimize.linprog` decides the same
+The hyperplane and variety checks of `bicomplex.analysis` decide by one
+exact slack LP, and the overlap of an open A with B by the gauge of
+G = A - B + x0 in `separate_hyperbolic` (they meet when q_G(x0) < 1).  Here `scipy.optimize.linprog` decides the same
 questions from the vertex lists alone and shares no code with
 `bicomplex.lp`: a point meets conv(V) when it is sum_i mu_i v_i with
 mu >= 0 and sum(mu) = 1, and meets its interior when some such mu has every
@@ -27,12 +28,12 @@ from scipy.optimize import linprog  # noqa: E402
 from bicomplex import generators as gen  # noqa: E402
 from bicomplex.analysis import (  # noqa: E402
     _hyperplane_disjoint_or_raise,
-    _overlap_witness,
     hyperplane_normalize,
     lp_separation_oracle,
     separate_hyperbolic,
     variety_extend_hyperplane,
 )
+from bicomplex.convex import DConvexSet  # noqa: E402
 from bicomplex.errors import NotDisjointError  # noqa: E402
 from bicomplex.linear import DLinearFunctional  # noqa: E402
 from bicomplex.polytope import RealPolytope, affine_rank  # noqa: E402
@@ -100,7 +101,8 @@ def test_overlap_decisions_agree_with_highs():
         want = _meets(Pa.vertices(), True, rows, [(0, None)] * len(Vb))
         if affine_rank(Vb) == dim and rng.getrandbits(1):
             Pb = RealPolytope.from_halfspaces(Pb.halfspaces(), dim)
-        assert (_overlap_witness(Pa, Pb) is not None) == want
+        A, B = DConvexSet(Pa, Pa, open=True), DConvexSet(Pb, Pb)
+        assert _first_meeting(separate_hyperbolic, A, B) == (1 if want else None)
         seen[want, Pb.built_from_vertices()] += 1
     assert min(seen.values()) > 10
 

@@ -24,11 +24,10 @@ from bicomplex import analysis
 from bicomplex import generators as gen
 from bicomplex.analysis import (
     DHyperplane,
-    _centroid,
     hyperplane_gauge_bound,
     hyperplane_normalize,
 )
-from bicomplex.convex import DConvexSet, DifferenceBody
+from bicomplex.convex import DConvexSet, DifferenceBody, _centroid
 from bicomplex.errors import BicomplexError
 from bicomplex.linear import DLinearFunctional
 from bicomplex.polytope import RealPolytope, matrix_rank

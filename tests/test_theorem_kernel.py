@@ -5,10 +5,13 @@ the real embedding X + iY -> [[X, -Y], [Y, X]], and the overlap, hyperplane
 and variety checks build their LPs through one slack-LP helper.  Seeded
 instances go through both the library and the verbatim copies of the code
 they replaced (``fraction_reference.py``): ranks, inverses, graph maps,
-error messages, overlap and hyperplane witnesses and every raise-or-not
-decision must agree exactly, touching sets included.  The variety LP's
-columns moved, so its witness may differ: each one is checked by exact
-evaluation instead.
+error messages, hyperplane witnesses and every raise-or-not decision must
+agree exactly, touching sets included.  The variety LP's columns moved, so
+its witness may differ: each one is checked by exact evaluation instead.
+Separation decides overlap by the gauge of G = A - B + x0, not by the
+reference's overlap LP: the two must agree on every meet-or-miss, and each
+witness is checked exactly, strictly inside every face of the open set and
+inside the other.
 """
 
 from collections import Counter
@@ -22,12 +25,12 @@ from bicomplex import elim
 from bicomplex import generators as gen
 from bicomplex.analysis import (
     _hyperplane_disjoint_or_raise,
-    _overlap_witness,
     complex_invert,
     complex_rank,
     hyperplane_normalize,
     inverse_map,
     map_from_graph,
+    separate_hyperbolic,
     variety_extend_hyperplane,
 )
 from bicomplex.convex import DConvexSet
@@ -152,6 +155,7 @@ def _beyond(P: RealPolytope, rng: Random, dim: int) -> RealPolytope:
 
 
 def test_overlap_witnesses_match_reference_lp():
+    """Separation meets or misses where the reference overlap LP does; its witnesses are exact."""
     rng = Random("theorem-kernel:overlap")
     seen = Counter()
     for i in range(240):
@@ -167,10 +171,20 @@ def test_overlap_witnesses_match_reference_lp():
         if rng.random() < 0.5 and affine_rank(Pb.vertices()) == dim:
             Pb = RealPolytope.from_halfspaces(Pb.halfspaces(), dim)
             kind += "-hrep"
-        got = _overlap_witness(Pa, Pb)
-        assert got == ref._overlap_witness(Pa, Pb, dim), (kind, Pa.vertices(), Pb)
+        meets = ref._overlap_witness(Pa, Pb, dim) is not None
+        got = _disjoint_outcome(separate_hyperbolic, DConvexSet(Pa, Pa, open=True),
+                                DConvexSet(Pb, Pb))
+        assert (got is not None) == meets, (kind, Pa.vertices(), Pb)
         if kind.startswith("touching"):
             assert got is None  # the open first set misses its closure points
+        if got is not None:
+            component, w = got
+            assert component == 1
+            assert all(sum(F(c) * x for c, x in zip(h.a, w)) < F(h.b) for h in Pa.halfspaces())
+            if Pb.built_from_vertices():
+                assert ref.point_in_hull(w, Pb.vertices()), (kind, w, Pb)
+            else:
+                assert all(sum(F(c) * x for c, x in zip(h.a, w)) <= F(h.b) for h in Pb.halfspaces())
         seen[kind, got is None] += 1
     assert seen["overlap", False] > 30 and seen["overlap-hrep", False] > 30
     assert seen["touching", True] > 30 and seen["beyond-hrep", True] > 10
