@@ -232,7 +232,7 @@ def extend_dominated(
     gauge enters every LP through the `GaugeBody` of each component, q(z) <= t
     iff z = sum_k mu_k v_k with mu >= 0 and t-weighted sum t: over B's
     vertices with weight 1, so an H-rep B is converted once to vertices
-    (dim <= 3; an unbounded one raises) and a V-rep B is never converted to
+    (an unbounded one raises) and a V-rep B is never converted to
     facets; or over the columns of a `DifferenceBody` pair from
     `difference_body`.  The domination hypothesis g <=' q_B on the subspace
     is checked first by LP.  The global bound of the result is certified by

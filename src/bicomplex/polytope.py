@@ -2,17 +2,19 @@
 
 Everything here works over exact rationals (float inputs are converted to
 their exact binary values), so hulls, conversions, memberships and gauges
-are certificate-grade.  V↔H conversion is deliberately limited to full
-dimension <= 3 — the scale the rest of the library needs.
+are certificate-grade.  V↔H conversion works in every dimension: both
+directions run one double-description routine on integer rows, H→V on the
+cone over the halfspaces and V→H, by polarity, on the cone of valid
+inequalities.
 
 Elimination runs on integers: `solve_square` and `matrix_rank` scale each
 row to integers and pivot with the fraction-free kernel of `bicomplex.elim`
 (integer rows T over one denominator d > 0, true matrix T/d), the same
 kernel under the simplex of `bicomplex.lp`.  Rank and affine-rank tests,
-the 3-D facet scan, hull membership (`point_in_hull`) and the probe forms
-and membership LPs of `extreme_points` work on the points times the lcm of
-their denominators, in plain `int`s; only returned values are built as
-`Fraction`s.
+the double description, hull membership (`point_in_hull`) and the probe
+forms and membership LPs of `extreme_points` work on the points times the
+lcm of their denominators, in plain `int`s; only returned values are built
+as `Fraction`s.
 
 A `RealPolytope` is immutable after construction: nothing writes its
 representations except its own lazy conversions, which derive the missing
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, inf, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -50,7 +51,7 @@ from .errors import (
     LPUnboundedError,
     NotAbsorbingError,
 )
-from .lp import OPTIMAL, UNBOUNDED, LinearProgram
+from .lp import OPTIMAL, LinearProgram
 
 Point = tuple[Real, ...]
 
@@ -110,21 +111,6 @@ def affine_rank(points: Sequence[Point]) -> int:
     if len(points) <= 1:
         return 0
     return _integer_affine_rank(_integer_points(points)[0])
-
-
-def _primitive(vals: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (same direction)."""
-    denoms = [v.denominator for v in vals]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(v * scale) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 # -- hull machinery ---------------------------------------------------------
@@ -244,103 +230,112 @@ def _convex_hull_2d(points: Sequence[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-# -- V <-> H conversion (full-dimensional, dim <= 3) ------------------------
+# -- V <-> H conversion -----------------------------------------------------
+
+
+def _cone_rays(rows: Sequence[Sequence[int]], n: int) -> Optional[list[list[int]]]:
+    """The primitive integer extreme rays of the cone {y : r.y <= 0 for each
+    row r}, or None when the rows do not span R^n (the cone holds a line).
+
+    Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
+    Prodon 1996): one elimination of [R^T | I] picks the first n independent
+    rows and inverts them, and minus row k of the inverse is the ray of
+    their simplicial cone that leaves the k-th.  Each row r then cuts the
+    cone: rays with r.y > 0 go, and each adjacent pair across r.y = 0 gives
+    the ray where their edge crosses it.  Two rays are adjacent when no
+    third is tight on every row both are tight on, at least n - 2 rows.
+    """
+    m = len(rows)
+    T, _, picked = elim.eliminate(
+        [[r[k] for r in rows] + [int(j == k) for j in range(n)] for k in range(n)], m)
+    if len(picked) < n:
+        return None
+    rays = [_primitive_ray([-v for v in row[m:]]) for row in T]
+    tight = [sum(1 << j for j in picked if j != i) for i in picked]  # bit j: row j is tight
+    for i, row in enumerate(rows):
+        values = [sum(map(mul, row, y)) for y in rays]
+        keep = [k for k, v in enumerate(values) if v <= 0]
+        new_rays = [rays[k] for k in keep]
+        new_tight = [tight[k] | (1 << i if values[k] == 0 else 0) for k in keep]
+        below = [k for k in keep if values[k] < 0]
+        for p in (k for k, v in enumerate(values) if v > 0):
+            for q in below:
+                common = tight[p] & tight[q]
+                if common.bit_count() >= n - 2 and not any(
+                        k != p and k != q and z & common == common for k, z in enumerate(tight)):
+                    new_rays.append(_primitive_ray([values[p] * a - values[q] * b
+                                                    for a, b in zip(rays[q], rays[p])]))
+                    new_tight.append(common | 1 << i)
+        rays, tight = new_rays, new_tight
+    return rays
+
+
+def _primitive_ray(y: list[int]) -> list[int]:
+    """y divided by the gcd of its entries (y is nonzero)."""
+    g = gcd(*y)
+    return [v // g for v in y]
+
+
+def _angle_key(a: Sequence[int]) -> tuple[int, Fraction]:
+    """Orders nonzero normals in R^1 or R^2 by their angle in (-pi, pi]."""
+    x, y = (*a, 0)[:2]
+    if y:
+        return (2 if y > 0 else 0, Fraction(-x, y))
+    return (1 if x > 0 else 3, Fraction(0))
 
 
 def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
-    """Facets of a full-dimensional polytope from its points (dim <= 3)."""
+    """Facets of a full-dimensional polytope from its points.
+
+    By polarity, the extreme rays (a, beta) of the cone a.p <= beta over the
+    integer points p = L*v are the facets a.x <= beta/L.  They come by normal
+    angle in (-pi, pi] in dimensions 1 and 2 (counter-clockwise from the
+    lexicographically least vertex), else by the lexicographically first
+    affinely independent dim-tuple of input indices on each facet.
+    """
     if not vertices:
         raise EmptySetError("no vertices")
-    if dim > 3:
-        raise DimensionMismatch("V->H conversion supports dim <= 3 only")
     pts, scale = _integer_points(vertices)
-    if _integer_affine_rank(pts) < dim:
+    rays = _cone_rays([[*p, -1] for p in pts], dim + 1)
+    if rays is None:
         raise DimensionMismatch("V->H conversion needs a full-dimensional polytope")
 
-    if dim == 1:
-        xs = [Fraction(v[0]) for v in vertices]
-        return [Halfspace((Fraction(1),), max(xs)), Halfspace((Fraction(-1),), -min(xs))]
+    def first_basis(ray: list[int]) -> list[int]:
+        basis: list[int] = []  # greedy, so the first basis of the matroid
+        for i, p in enumerate(pts):
+            if (sum(map(mul, ray, p)) == ray[dim]
+                    and _integer_affine_rank([*(pts[j] for j in basis), p]) == len(basis)):
+                basis.append(i)
+        return basis
 
-    if dim == 2:
-        hull = _convex_hull_2d([_frac_point(v) for v in vertices])
-        faces = []
-        for t in range(len(hull)):
-            p, q = hull[t], hull[(t + 1) % len(hull)]
-            d = (q[0] - p[0], q[1] - p[1])
-            a = (d[1], -d[0])  # outward normal for a CCW hull
-            n = _primitive(a)
-            faces.append(Halfspace(tuple(Fraction(v) for v in n), _dot(n, p)))
-        return faces
-
-    # Every triple spans a candidate plane n.x = t (integer coordinates, so
-    # n and t are scale^2 and scale^3 times the true ones); it bounds a face
-    # on each side that no point lies beyond.
-    faces: dict[tuple, Halfspace] = {}
-
-    def add(n0: int, n1: int, n2: int, p: tuple[int, ...]) -> None:
-        g = gcd(n0, n1, n2)
-        a = (n0 // g, n1 // g, n2 // g)
-        key = (a, Fraction(a[0] * p[0] + a[1] * p[1] + a[2] * p[2], scale))
-        if key not in faces:
-            faces[key] = Halfspace(tuple(Fraction(v) for v in a), key[1])
-
-    for p, q, r in combinations(pts, 3):
-        u0, u1, u2 = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-        w0, w1, w2 = r[0] - p[0], r[1] - p[1], r[2] - p[2]
-        n0 = u1 * w2 - u2 * w1
-        n1 = u2 * w0 - u0 * w2
-        n2 = u0 * w1 - u1 * w0
-        if not (n0 or n1 or n2):
-            continue
-        t = n0 * p[0] + n1 * p[1] + n2 * p[2]
-        side_le = side_ge = True
-        for x, y, z in pts:
-            v = n0 * x + n1 * y + n2 * z
-            if v > t:
-                side_le = False
-                if not side_ge:
-                    break
-            elif v < t:
-                side_ge = False
-                if not side_le:
-                    break
-        if side_le:
-            add(n0, n1, n2, p)
-        if side_ge:
-            add(-n0, -n1, -n2, p)
-    return list(faces.values())
+    rays.sort(key=(lambda ray: _angle_key(ray[:dim])) if dim <= 2 else first_basis)
+    faces = []
+    for *a, beta in rays:
+        g = gcd(*a)
+        faces.append(Halfspace(tuple(Fraction(v // g) for v in a), Fraction(beta, g * scale)))
+    return faces
 
 
 def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[Point]:
-    """Vertices of a bounded H-rep polytope (dim <= 3), ignoring strict flags."""
-    if dim > 3:
-        raise DimensionMismatch("H->V conversion supports dim <= 3 only")
-    faces = [(tuple(Fraction(x) for x in h.a), Fraction(h.b)) for h in halfspaces]
+    """Vertices of a bounded H-rep polytope, ignoring strict flags.
 
-    for c in range(dim):
-        for sign in (1, -1):
-            lp = LinearProgram(dim)
-            for a, b in faces:
-                lp.add_le(a, b)
-            obj = [0] * dim
-            obj[c] = sign
-            lp.set_maximize(obj)
-            if lp.solve().status == UNBOUNDED:
-                raise LPUnboundedError("polytope is unbounded")
-
-    def feasible(p):
-        return all(_dot(a, p) <= b for a, b in faces)
-
-    candidates: set[tuple[Fraction, ...]] = set()
-    for combo in combinations(faces, dim):
-        A = [list(a) for a, _ in combo]
-        b = [b for _, b in combo]
-        x = solve_square(A, b)
-        if x is not None and feasible(x):
-            candidates.add(tuple(x))
-    if not candidates:
+    The extreme rays (x, t) of the cone a.x <= b*t, t >= 0 over the set are
+    its vertices x/t (t > 0) and its directions of recession (t = 0).
+    """
+    rows = [elim.integer_row([*map(Fraction, h.a), -Fraction(h.b)]) for h in halfspaces]
+    rays = _cone_rays([*rows, [0] * dim + [-1]], dim + 1)
+    if rays is None:  # the normals miss a direction: the set holds a line, or is empty
+        lp = LinearProgram(dim)
+        for h in halfspaces:
+            lp.add_le(h.a, h.b)
+        if lp.solve().status == OPTIMAL:
+            raise LPUnboundedError("polytope is unbounded")
         raise EmptySetError("empty polytope")
-    return extreme_points(sorted(candidates))
+    if not any(y[dim] for y in rays):
+        raise EmptySetError("empty polytope")
+    if not all(y[dim] for y in rays):
+        raise LPUnboundedError("polytope is unbounded")
+    return extreme_points(sorted(tuple(Fraction(v, y[dim]) for v in y[:dim]) for y in rays))
 
 
 # -- the gauge epigraph on columns --------------------------------------------
@@ -411,7 +406,7 @@ class GaugeBody:
 
 
 class RealPolytope:
-    """A polytope with V-rep and/or H-rep, converting lazily (dim <= 3).
+    """A polytope with V-rep and/or H-rep, converting lazily.
 
     The stored representations always describe the closed set; openness is
     a property of the containing DConvexSet (plus per-face strict flags on

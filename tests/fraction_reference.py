@@ -7,6 +7,15 @@ simplex, `solve_square`, `matrix_rank` and the 3-D branch of
 its final basis.  The integer kernel must reproduce them exactly: same
 statuses, solutions, bases and facet lists in the same order.
 
+`facet_enumeration` and `vertex_enumeration` are the V↔H conversions of
+dimensions 1-3 that one double-description routine replaced:
+`facet_enumeration` copies the refusals (with the rank test on `Fraction`
+points), the 1-D and 2-D branches and `_primitive` verbatim and ends in the
+triple scan `facet_enumeration_3d`; `vertex_enumeration` is copied
+verbatim, on this module's `solve_square`, and ends in the library's
+`extreme_points`.  Facets and vertices must come out in the same order with
+the same types, or the same exception must be raised.
+
 The gauges and the probe seeds of `extreme_points` are the per-query
 `Fraction` code that ran before each polytope cached its gauge data and the
 probes moved to integer coordinates: `gauge_hrep` is the closed form copied
@@ -51,9 +60,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import inf, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
+from bicomplex import polytope
 from bicomplex.analysis import DHyperplane, _complete_basis
 from bicomplex.backend import Real, rdiv, rlt
 from bicomplex.convex import DConvexSet, is_dabsorbing
@@ -62,6 +72,8 @@ from bicomplex.errors import (
     DegenerateBasisError,
     DimensionMismatch,
     DominationError,
+    EmptySetError,
+    LPUnboundedError,
     NotAbsorbingError,
     NotAGraphError,
     NotDisjointError,
@@ -71,9 +83,9 @@ from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPResult
 from bicomplex.polytope import (
     Halfspace,
     RealPolytope,
+    _convex_hull_2d,
     _dot,
     _frac_point,
-    _primitive,
     _probe_forms,
     matrix_rank,
     solve_square,
@@ -320,6 +332,82 @@ def facet_enumeration_3d(vertices) -> list[Halfspace]:
             key = (a, Fraction(_dot(a, p)))
             faces.setdefault(key, Halfspace(tuple(Fraction(v) for v in a), key[1]))
     return list(faces.values())
+
+
+def _primitive(vals: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale a rational vector to a primitive integer vector (same direction)."""
+    denoms = [v.denominator for v in vals]
+    scale = 1
+    for d in denoms:
+        scale = scale * d // gcd(scale, d)
+    ints = [int(v * scale) for v in vals]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def facet_enumeration(vertices, dim: int) -> list[Halfspace]:
+    """Facets of a full-dimensional polytope from its points (dim <= 3): the
+    refusals, then the 1-D and 2-D branches, then the 3-D triple scan."""
+    if not vertices:
+        raise EmptySetError("no vertices")
+    if dim > 3:
+        raise DimensionMismatch("V->H conversion supports dim <= 3 only")
+    pts = [_frac_point(v) for v in vertices]
+    if matrix_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) < dim:
+        raise DimensionMismatch("V->H conversion needs a full-dimensional polytope")
+
+    if dim == 1:
+        xs = [Fraction(v[0]) for v in vertices]
+        return [Halfspace((Fraction(1),), max(xs)), Halfspace((Fraction(-1),), -min(xs))]
+
+    if dim == 2:
+        hull = _convex_hull_2d([_frac_point(v) for v in vertices])
+        faces = []
+        for t in range(len(hull)):
+            p, q = hull[t], hull[(t + 1) % len(hull)]
+            d = (q[0] - p[0], q[1] - p[1])
+            a = (d[1], -d[0])  # outward normal for a CCW hull
+            n = _primitive(a)
+            faces.append(Halfspace(tuple(Fraction(v) for v in n), _dot(n, p)))
+        return faces
+
+    return facet_enumeration_3d(vertices)
+
+
+def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[tuple[Fraction, ...]]:
+    """Vertices of a bounded H-rep polytope (dim <= 3), ignoring strict flags."""
+    if dim > 3:
+        raise DimensionMismatch("H->V conversion supports dim <= 3 only")
+    faces = [(tuple(Fraction(x) for x in h.a), Fraction(h.b)) for h in halfspaces]
+
+    for c in range(dim):
+        for sign in (1, -1):
+            lp = LinearProgram(dim)
+            for a, b in faces:
+                lp.add_le(a, b)
+            obj = [0] * dim
+            obj[c] = sign
+            lp.set_maximize(obj)
+            if lp.solve().status == UNBOUNDED:
+                raise LPUnboundedError("polytope is unbounded")
+
+    def feasible(p):
+        return all(_dot(a, p) <= b for a, b in faces)
+
+    candidates: set[tuple[Fraction, ...]] = set()
+    for combo in combinations(faces, dim):
+        A = [list(a) for a, _ in combo]
+        b = [b for _, b in combo]
+        x = solve_square(A, b)
+        if x is not None and feasible(x):
+            candidates.add(tuple(x))
+    if not candidates:
+        raise EmptySetError("empty polytope")
+    return polytope.extreme_points(sorted(candidates))
 
 
 def gauge_hrep(halfspaces: Sequence[Halfspace], point: Sequence[Real]) -> Real:

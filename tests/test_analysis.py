@@ -6,6 +6,7 @@ boundedness, open/inverse mapping radii, and graph reconstruction.
 """
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -273,6 +274,17 @@ class TestHyperplane:
             q = minkowski_gauge(B, x).hyper()
             assert le(f(x), q)
             assert le(-q, f(x))
+
+    def test_gauge_bound_on_four_dimensional_vertex_box(self):
+        """The disjointness LP reads B's facets, so a V-rep B converts to them."""
+        box = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=4)))
+        B = DConvexSet(box, box)
+        L = DHyperplane(DLinearFunctional.from_parts([F(1), F(1), F(0), F(0)],
+                                                     [F(0), F(0), F(0), F(1)]), h(4, 2))
+        f = hyperplane_gauge_bound(B, L)
+        assert f.component(1) == (F(1, 4), F(1, 4), F(0), F(0))
+        assert f.component(2) == (F(0), F(0), F(0), F(1, 2))
+        assert len(box.halfspaces()) == 8
 
     def test_crossing_level_raises(self):
         L = DHyperplane(DLinearFunctional.from_parts([F(1)], [F(1)]), h(F(1, 2), F(1, 2)))

@@ -247,8 +247,8 @@ class TestSeparate:
 
     @pytest.mark.parametrize("dim", [4, 5])
     def test_vertex_pairs_above_three_dimensions(self, dim, tmp_path):
-        """V-rep pairs need no facets, so dimensions past 3 separate or give a witness;
-        halfspace input still exits 2 there."""
+        """Dimensions past 3 separate or give a witness, whether the sets come
+        as vertices or as halfspaces."""
         origin, far = [F(0)] * dim, [F(3)] + [F(0)] * (dim - 1)
         separated = [(_vbox(dim, -1, 1), _vbox(dim, 2, 3), _vbox(dim, 2, 3)),
                      (_vcross(dim, origin), _vcross(dim, far), _vcross(dim, far))]
@@ -257,25 +257,28 @@ class TestSeparate:
             buf = io.StringIO()
             assert cmd_separate(write_json(tmp_path, f"sep-{i}.json", pair), out=buf) == 0
             assert _certificate_fault(pair, buf.getvalue()) is None
-        # component 1 apart, component 2 reaching 1/2 into the box
+        # component 1 apart, component 2 reaching 1/2 into the box; the box
+        # as vertices, then as halfspaces
         near = [F(3, 2)] + [F(0)] * (dim - 1)
-        box = _vbox(dim, -1, 1)
-        pair = {"A": {"p1": box, "p2": box, "open": True},
-                "B": {"p1": _vcross(dim, far), "p2": _vcross(dim, near)}}
+        faces = {"halfspaces": [{"a": [s * (i == j) for j in range(dim)], "b": 1}
+                                for i in range(dim) for s in (1, -1)]}
+        for box in (_vbox(dim, -1, 1), faces):
+            pair = {"A": {"p1": box, "p2": box, "open": True},
+                    "B": {"p1": _vcross(dim, far), "p2": _vcross(dim, near)}}
+            buf = io.StringIO()
+            assert cmd_separate(write_json(tmp_path, "overlap.json", pair), out=buf) == 1
+            doc = json.loads(buf.getvalue())
+            assert doc["status"] == "not-disjoint" and doc["component"] == 2
+            w = [F(c) for c in doc["witness"]]
+            assert all(-1 < c < 1 for c in w)  # inside the open box
+            assert sum(abs(c - n) for c, n in zip(w, near)) <= 1  # inside the cross-polytope
+        # the box as halfspaces, apart from a box as vertices
+        pair = {"A": {"p1": faces, "p2": faces, "open": True},
+                "B": {"p1": _vbox(dim, 2, 3), "p2": _vbox(dim, 2, 3)}}
         buf = io.StringIO()
-        assert cmd_separate(write_json(tmp_path, "overlap.json", pair), out=buf) == 1
-        doc = json.loads(buf.getvalue())
-        assert doc["status"] == "not-disjoint" and doc["component"] == 2
-        w = [F(c) for c in doc["witness"]]
-        assert all(-1 < c < 1 for c in w)  # inside the open box
-        assert sum(abs(c - n) for c, n in zip(w, near)) <= 1  # inside the cross-polytope
-        # the same box as halfspaces needs H->V conversion, which stops at dim 3
-        faces = [{"a": [s * (i == j) for j in range(dim)], "b": 1}
-                 for i in range(dim) for s in (1, -1)]
-        pair["A"] = {"p1": {"halfspaces": faces}, "p2": {"halfspaces": faces}, "open": True}
-        err = io.StringIO()
-        assert cmd_separate(write_json(tmp_path, "hrep.json", pair), out=io.StringIO(), err=err) == 2
-        assert "dim <= 3" in err.getvalue()
+        assert cmd_separate(write_json(tmp_path, "hrep.json", pair), out=buf) == 0
+        pair["A"] = {"p1": _vbox(dim, -1, 1), "p2": _vbox(dim, -1, 1)}  # the check reads vertices
+        assert _certificate_fault(pair, buf.getvalue()) is None
 
     @pytest.mark.parametrize("face", [
         {"a": [1, 0], "b": 0},  # x <= 0 meets A
@@ -493,7 +496,7 @@ def _mutate(kind: str, doc: dict, side: str, key: str) -> None:
 
 
 def _as_halfspaces(comp: dict) -> dict:
-    """The component as halfspaces, or unchanged when it is no 1-3 D body."""
+    """The component as halfspaces, or unchanged when it is not full-dimensional."""
     try:
         P = RealPolytope.from_vertices([tuple(map(F, v)) for v in comp["vertices"]])
         return {"halfspaces": [{"a": [str(c) for c in h.a], "b": str(h.b)}

@@ -3,7 +3,8 @@
 Seeded random instances go through both the library and the reference
 routines in ``fraction_reference.py`` (the `Fraction` Gauss-Jordan code the
 kernel replaced).  Everything must agree exactly: LP statuses, solutions,
-values and final bases; ranks and square solves; 3-D facet lists in order.
+values and final bases; ranks and square solves; V<->H conversions in
+dimensions 1-3, in order and with their types, or the same refusal.
 """
 
 from collections import Counter
@@ -15,7 +16,14 @@ import pytest
 import fraction_reference as ref
 from bicomplex import elim, lp as lp_module
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
-from bicomplex.polytope import facet_enumeration, matrix_rank, solve_square
+from bicomplex.errors import BicomplexError
+from bicomplex.polytope import (
+    Halfspace,
+    facet_enumeration,
+    matrix_rank,
+    solve_square,
+    vertex_enumeration,
+)
 
 F = Fraction
 
@@ -150,23 +158,87 @@ def test_rank_of_empty_and_zero_rows():
     assert matrix_rank([[]]) == 0
 
 
-def _random_cloud(rng: Random) -> list[tuple[Fraction, ...]]:
-    base = [tuple(_rational(rng) for _ in range(3)) for _ in range(rng.randint(4, 9))]
+def _typed(x):
+    """x with the type of every scalar alongside its value."""
+    if isinstance(x, Halfspace):
+        return ("Halfspace", _typed(x.a), _typed(x.b), x.strict)
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, [_typed(v) for v in x])
+    return (type(x).__name__, x)
+
+
+def _outcome(convert, *args):
+    """The typed result of a conversion, or the class of what it raised."""
+    try:
+        return _typed(convert(*args))
+    except BicomplexError as e:
+        return type(e).__name__
+
+
+def _coordinate(rng: Random):
+    return rng.uniform(-3, 3) if rng.random() < 0.1 else _rational(rng)
+
+
+def _random_cloud(rng: Random, dim: int) -> list[tuple]:
+    base = [tuple(_coordinate(rng) for _ in range(dim)) for _ in range(rng.randint(1, 9))]
     extra = []
     for _ in range(rng.randint(0, 4)):  # points on edges, faces, or repeated
-        p, q = rng.sample(base, 2)
+        p, q = rng.choice(base), rng.choice(base)
         t = F(rng.randint(0, 4), 4)
-        extra.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
-    return base + extra
+        extra.append(tuple(F(a) + t * (F(b) - F(a)) for a, b in zip(p, q)))
+    pts = base + extra
+    rng.shuffle(pts)
+    return pts
 
 
-def test_facet_enumeration_3d_matches_fraction_scan():
+def test_facet_enumeration_matches_fraction_reference():
+    """Facets in order, with their types, or the same refusal, in dims 1-3."""
     rng = Random("elim:facets")
-    checked = 0
-    for _ in range(120):
-        pts = _random_cloud(rng)
-        if ref.matrix_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) < 3:
-            continue
-        assert facet_enumeration(pts, 3) == ref.facet_enumeration_3d(pts)
-        checked += 1
-    assert checked > 80
+    full = Counter()
+    for _ in range(360):
+        dim = rng.randint(1, 3)
+        pts = _random_cloud(rng, dim)
+        got = _outcome(facet_enumeration, pts, dim)
+        assert got == _outcome(ref.facet_enumeration, pts, dim)
+        full[dim] += got != "DimensionMismatch"
+    assert min(full.values()) > 60
+
+
+def _random_faces(rng: Random, dim: int) -> list[Halfspace]:
+    """Halfspaces mixing a box, random cuts (some through no point), zero
+    normals, repeated faces, a flattening opposite pair and strict flags."""
+    faces = []
+    if rng.random() < 0.6:
+        for c in range(dim):
+            for sign in (1, -1):
+                a = [0] * dim
+                a[c] = sign
+                faces.append(Halfspace(tuple(a), _rational(rng, 0, 3) + 1, rng.random() < 0.2))
+    for _ in range(rng.randint(0, 6)):
+        a = tuple(_coordinate(rng) if rng.random() < 0.8 else 0 for _ in range(dim))
+        faces.append(Halfspace(a, _coordinate(rng), rng.random() < 0.2))
+    if rng.random() < 0.1:
+        faces.append(Halfspace((0,) * dim, rng.choice((-1, 0, 1))))
+    if faces and rng.random() < 0.2:
+        faces += rng.sample(faces, rng.randint(1, len(faces)))
+    if faces and rng.random() < 0.15:
+        h = rng.choice(faces)
+        faces.append(Halfspace(tuple(-x for x in h.a), -h.b))
+    rng.shuffle(faces)
+    return faces
+
+
+def test_vertex_enumeration_matches_fraction_reference():
+    """Vertices in order, with their types, or the same refusal, in dims 1-3:
+    bounded, empty (0.x <= -1 too), unbounded (the whole space too), flat,
+    redundant and repeated faces, strict flags."""
+    rng = Random("elim:vertices")
+    seen = Counter()
+    cases = [(faces, dim) for dim in (1, 2, 3)
+             for faces in ([], [Halfspace((0,) * dim, -1)], [Halfspace((0,) * dim, 0)])]
+    cases += [(_random_faces(rng, dim), dim) for dim in (1, 2, 3) for _ in range(120)]
+    for faces, dim in cases:
+        got = _outcome(vertex_enumeration, faces, dim)
+        assert got == _outcome(ref.vertex_enumeration, faces, dim)
+        seen[got if isinstance(got, str) else dim] += 1
+    assert min(seen[k] for k in (1, 2, 3, "EmptySetError", "LPUnboundedError")) > 20
