@@ -116,6 +116,17 @@ def encode_real(x: Real):
 
 
 def decode_real(obj, backend: str = EXACT) -> Real:
+    """A JSON number or ``"p/q"`` string in the given backend.
+
+    Values that are not finite (JSON ``NaN``, ``Infinity`` and numbers that
+    overflow a float, such as ``1e400``), and exact values too large for the
+    float backend, raise ``ValueError``.
+    """
     if not isinstance(obj, (int, float, str)) or isinstance(obj, bool):
         raise TypeError(f"not a real-number encoding: {obj!r}")
-    return as_real(obj, backend)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"not a finite number: {obj!r}")
+    try:
+        return as_real(obj, backend)
+    except OverflowError as exc:
+        raise ValueError(f"too large for the {backend} backend: {obj!r}") from exc

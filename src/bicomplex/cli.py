@@ -5,7 +5,7 @@ Three subcommands:
 ``verify``
     Runs one or all property suites deterministically from a seed and prints
     a text or JSON report.  Exit 0 when every check passes, 1 when any check
-    fails, 2 on bad flags.
+    fails, 2 on bad flags or a report file that cannot be written.
 
 ``separate``
     Reads a JSON file with a pair of D-convex sets, writes a separation
@@ -13,12 +13,14 @@ Three subcommands:
     sets are not component-disjoint, a not-open record when the first set is
     closed, an empty-interior record when a component of the open set is
     lower-dimensional, or a refused record naming the error for any other
-    input the construction cannot handle; 2 on malformed input.
+    input the construction cannot handle; 2 on malformed input (numbers that
+    are not finite included) or an output file that cannot be written.
 
 ``gauge``
     Reads a D-convex set and a point, prints the two gauge components.
     Exit 0 on success, 1 when the set is not absorbing or the gauge cannot
-    be evaluated on it, 2 on malformed input.
+    be evaluated on it, 2 on malformed input (numbers that are not finite
+    included).
 
 Reports are byte-identical across runs with the same flags, except for the
 ``wall_time_s`` fields.
@@ -132,9 +134,11 @@ def cmd_verify(suite: str, seed: int, cases: int, backend: str,
         "suites": [r.as_dict() for r in reports],
     }
     if report is not None:
-        with open(report, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
+        try:
+            _write(report, json.dumps(document, indent=2) + "\n")
+        except OSError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     if fmt == "json":
         out.write(json.dumps(document, indent=2) + "\n")
     else:
@@ -153,13 +157,24 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _emit(document: dict, output: Optional[str], out) -> None:
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _emit(document: dict, output: Optional[str], out, err, code: int) -> int:
+    """Write the record to the output file, else to ``out``, and return
+    ``code``; 2 when the output file cannot be written."""
     text = json.dumps(document, indent=2) + "\n"
     if output is None:
         out.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return code
+    try:
+        _write(output, text)
+    except OSError as exc:
+        err.write(f"error: {exc}\n")
+        return 2
+    return code
 
 
 def cmd_separate(input_path: str, output: Optional[str] = None,
@@ -187,23 +202,18 @@ def cmd_separate(input_path: str, output: Optional[str] = None,
             "witness": [encode_real(c) for c in exc.witness],
             "message": str(exc),
         }
-        _emit(record, output, out)
-        return 1
+        return _emit(record, output, out, err, 1)
     except NotOpenError as exc:
-        _emit({"status": "not-open", "message": str(exc)}, output, out)
-        return 1
+        return _emit({"status": "not-open", "message": str(exc)}, output, out, err, 1)
     except EmptyInteriorError as exc:
         record = {"status": "empty-interior", "component": exc.component, "message": str(exc)}
-        _emit(record, output, out)
-        return 1
+        return _emit(record, output, out, err, 1)
     except BicomplexError as exc:
         record = {"status": "refused", "error": type(exc).__name__, "message": str(exc)}
-        _emit(record, output, out)
-        return 1
+        return _emit(record, output, out, err, 1)
     document = serialize.encode_certificate(cert)
     document["status"] = "separated"
-    _emit(document, output, out)
-    return 0
+    return _emit(document, output, out, err, 0)
 
 
 # -- gauge ------------------------------------------------------------------------

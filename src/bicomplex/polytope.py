@@ -2,19 +2,21 @@
 
 Everything here works over exact rationals (float inputs are converted to
 their exact binary values), so hulls, conversions, memberships and gauges
-are certificate-grade.  V↔H conversion works in every dimension: both
-directions run one double-description routine on integer rows, H→V on the
-cone over the halfspaces and V→H, by polarity, on the cone of valid
-inequalities.
+are certificate-grade.  One double-description routine on integer rows
+(`_cone_rays`) decides every hull fact in every dimension: H→V runs it on
+the cone over the halfspaces; V→H and `extreme_points`, by polarity, on the
+cone of valid inequalities (for `extreme_points`, in the coordinates of the
+affine hull); and absorbency of a vertex list on the cone of forms that are
+nonpositive at every vertex.  The only LP left on a vertex list is hull
+membership (`point_in_hull`).
 
 Elimination runs on integers: `solve_square` and `matrix_rank` scale each
 row to integers and pivot with the fraction-free kernel of `bicomplex.elim`
 (integer rows T over one denominator d > 0, true matrix T/d), the same
 kernel under the simplex of `bicomplex.lp`.  Rank and affine-rank tests,
-the double description, hull membership (`point_in_hull`) and the probe
-forms and membership LPs of `extreme_points` work on the points times the
-lcm of their denominators, in plain `int`s; only returned values are built
-as `Fraction`s.
+the double description, hull membership and the vertex order
+(`_vertex_order`) work on the points times the lcm of their denominators,
+in plain `int`s; only returned values are built as `Fraction`s.
 
 A `RealPolytope` is immutable after construction: nothing writes its
 representations except its own lazy conversions, which derive the missing
@@ -22,7 +24,7 @@ one from the one it was built with.  It therefore computes each set-level
 fact once and memoizes it:
 
 - the vertices (from an H-rep) and the halfspaces (from a V-rep);
-- whether 0 is interior (`origin_interior`, one V-rep LP at most);
+- whether 0 is interior (`origin_interior`, one double description at most);
 - its `GaugeBody` (`gauge_body`): the gauge epigraph on the exact vertex
   columns, which `gauge_vrep`, the extension LPs and the `form_max`
   certificates of `bicomplex.analysis` build on, so each LP only supplies
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, inf, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -117,20 +120,16 @@ def affine_rank(points: Sequence[Point]) -> int:
 
 
 def point_in_hull(point: Sequence[Real], vertices: Sequence[Point]) -> bool:
-    """Exact membership of a point in the convex hull of finitely many points."""
+    """Exact membership of a point in the convex hull of finitely many points:
+    one feasibility LP on integer coordinates (scaling every point by the
+    same positive factor keeps the answer)."""
     if not vertices:
         return False
     (p, *verts), _ = _integer_points([point, *vertices])
-    return _integer_in_hull(p, verts)
-
-
-def _integer_in_hull(point: tuple[int, ...], vertices: Sequence[tuple[int, ...]]) -> bool:
-    """Hull membership on integer coordinates: one feasibility LP (scaling
-    every point by the same positive factor keeps the answer)."""
-    lp = LinearProgram(len(vertices), nonneg=True)
-    for c, x in enumerate(point):
-        lp.add_eq([v[c] for v in vertices], x)
-    lp.add_eq([1] * len(vertices), 1)
+    lp = LinearProgram(len(verts), nonneg=True)
+    for c, x in enumerate(p):
+        lp.add_eq([v[c] for v in verts], x)
+    lp.add_eq([1] * len(verts), 1)
     return lp.solve().status == OPTIMAL
 
 
@@ -151,83 +150,53 @@ def _probe_forms(dim: int) -> list[tuple[int, ...]]:
         e2[c] = -1
         forms.append(tuple(e2))
     if dim <= 4:
-        from itertools import product as _product
-
-        forms.extend(t for t in _product((1, -1), repeat=dim))
+        forms.extend(t for t in product((1, -1), repeat=dim))
     return forms
 
 
 def extreme_points(points: Sequence[Point]) -> list[Point]:
-    """The extreme points of the convex hull, deterministically ordered.
+    """The extreme points of the convex hull, ordered by `_vertex_order`.
 
-    Dimensions 1 and 2 are closed-form (interval ends, monotone chain).
-    Higher dimensions seed the hull with lexicographic maximizers of a probe
-    set of linear forms (each provably extreme), discard everything inside
-    their hull with small membership LPs, and confirm the survivors against
-    the reduced pool only.
+    The pivot coordinates of one elimination of the differences map the
+    affine hull one-to-one onto R^r, r its dimension.  There the double
+    description gives the facets of the hull, and a point is extreme exactly
+    when no other point lies on every facet it lies on.
     """
-    unique: list[Point] = []
-    seen = set()
-    for p in points:
-        fp = _frac_point(p)
-        if fp not in seen:
-            seen.add(fp)
-            unique.append(fp)
-    if not unique:
-        return []
-    dim = len(unique[0])
-    if len(unique) == 1:
+    unique = list(dict.fromkeys(map(_frac_point, points)))
+    if len(unique) <= 1:
         return unique
-
-    if dim == 1:
-        lo = min(unique)
-        hi = max(unique)
-        return [lo, hi] if lo != hi else [lo]
-
-    if dim == 2:
-        return _convex_hull_2d(unique)
-
-    # Everything below works on the integer points, by index into unique.
     scaled = _integer_points(unique)[0]
-    seeds: list[int] = []
-    for form in _probe_forms(dim):
-        i = _lex_argmax(scaled, form)
-        if i not in seeds:
-            seeds.append(i)
-
-    seed_points = [scaled[i] for i in seeds]
-    survivors = [
-        i for i in range(len(unique))
-        if i not in seeds and not _integer_in_hull(scaled[i], seed_points)
-    ]
-    pool = seeds + survivors
-    keep = list(seeds)
-    for i in survivors:
-        if not _integer_in_hull(scaled[i], [scaled[j] for j in pool if j != i]):
-            keep.append(i)
-    return [unique[i] for i in keep]
+    base = scaled[0]
+    _, _, pivots = elim.eliminate([[x - y for x, y in zip(p, base)] for p in scaled[1:]],
+                                  len(base))
+    flat = [[p[c] for c in pivots] for p in scaled]
+    facets = _cone_rays([[*p, -1] for p in flat], len(pivots) + 1)
+    tight = [sum(1 << k for k, (*a, beta) in enumerate(facets) if sum(map(mul, a, p)) == beta)
+             for p in flat]
+    keep = [i for i, s in enumerate(tight)
+            if not any(t & s == s for j, t in enumerate(tight) if j != i)]
+    return _vertex_order([unique[i] for i in keep], [scaled[i] for i in keep])
 
 
-def _convex_hull_2d(points: Sequence[Point]) -> list[Point]:
-    """Monotone chain; returns hull vertices counter-clockwise."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return list(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _vertex_order(vertices: Sequence[Point], scaled: Sequence[tuple[int, ...]]) -> list[Point]:
+    """Extreme points, given with their integer coordinates, in the library's
+    order: in dimensions 1 and 2 the lexicographically least first, then the
+    others counter-clockwise around it; in higher dimensions the
+    lexicographic maximizers of the probe forms, then the others as given."""
+    dim = len(scaled[0])
+    if dim <= 2:
+        lo = min(range(len(scaled)), key=scaled.__getitem__)
+        others = [i for i in range(len(scaled)) if i != lo]
+        others.sort(key=lambda i: _angle_key([x - y for x, y in zip(scaled[i], scaled[lo])]))
+        order = [lo, *others]
+    else:
+        order = []
+        for form in _probe_forms(dim):
+            i = _lex_argmax(scaled, form)
+            if i not in order:
+                order.append(i)
+        order += [i for i in range(len(scaled)) if i not in order]
+    return [vertices[i] for i in order]
 
 
 # -- V <-> H conversion -----------------------------------------------------
@@ -335,7 +304,8 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[Point]
         raise EmptySetError("empty polytope")
     if not all(y[dim] for y in rays):
         raise LPUnboundedError("polytope is unbounded")
-    return extreme_points(sorted(tuple(Fraction(v, y[dim]) for v in y[:dim]) for y in rays))
+    vertices = sorted(tuple(Fraction(v, y[dim]) for v in y[:dim]) for y in rays)
+    return _vertex_order(vertices, _integer_points(vertices)[0])
 
 
 # -- the gauge epigraph on columns --------------------------------------------
@@ -512,7 +482,7 @@ class RealPolytope:
 
     def origin_interior(self) -> bool:
         """Is 0 an interior point?  Decided once, from the H-rep when available,
-        else by a V-rep LP."""
+        else by the double description on the vertices."""
         if self._origin_interior is None:
             self._origin_interior = self._decide_origin_interior()
         return self._origin_interior
@@ -520,24 +490,9 @@ class RealPolytope:
     def _decide_origin_interior(self) -> bool:
         if self._halfspaces is not None:
             return all(rlt(0, h.b) for h in self._halfspaces)
-        verts = [_frac_point(v) for v in self._vertices]
-        if affine_rank(verts) < self.dim:
-            return False
-        # 0 is interior iff no nonzero w satisfies w·v <= 0 for all vertices
-        lp = LinearProgram(self.dim)
-        total = [Fraction(0)] * self.dim
-        for v in verts:
-            lp.add_le(v, 0)
-            total = [t + x for t, x in zip(total, v)]
-        for c in range(self.dim):
-            e = [0] * self.dim
-            e[c] = 1
-            lp.add_le(e, 1)
-            e[c] = -1
-            lp.add_le(e, 1)
-        lp.set_minimize(total)  # minimize sum of w·v over vertices
-        res = lp.solve()
-        return res.status == OPTIMAL and res.value == 0
+        # 0 is interior iff the cone {w : w.v <= 0 for every vertex v} is {0}:
+        # the vertices span, so it is pointed, and it has no extreme ray
+        return _cone_rays(_integer_points(self._vertices)[0], self.dim) == []
 
     def translate(self, shift: Sequence[Real]) -> RealPolytope:
         """The polytope moved by ``shift``, in the representation it was built with."""

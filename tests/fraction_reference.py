@@ -12,8 +12,8 @@ dimensions 1-3 that one double-description routine replaced:
 `facet_enumeration` copies the refusals (with the rank test on `Fraction`
 points), the 1-D and 2-D branches and `_primitive` verbatim and ends in the
 triple scan `facet_enumeration_3d`; `vertex_enumeration` is copied
-verbatim, on this module's `solve_square`, and ends in the library's
-`extreme_points`.  Facets and vertices must come out in the same order with
+verbatim, on this module's `solve_square`, and ends in
+`hull_extreme_points` below, not in the library's hull.  Facets and vertices must come out in the same order with
 the same types, or the same exception must be raised.
 
 The gauges and the probe seeds of `extreme_points` are the per-query
@@ -25,6 +25,13 @@ points.  Values and their types must come out the same.  `extreme_points`
 is the hull test of dimension >= 3 as it ran before its membership LPs
 moved to integer coordinates (`point_in_hull` on `Fraction` points, on the
 `Fraction` simplex): same points in the same order.
+
+`hull_extreme_points` and `origin_interior` are the hull tests that the
+double description replaced.  `hull_extreme_points` copies the old
+deduplication, 1-D branch and 2-D monotone chain (`_convex_hull_2d`, which
+the 2-D facet reference also uses) verbatim and ends in `extreme_points`;
+`origin_interior` copies the vertex-list absorbency LP verbatim.  Points
+must come out in the same order with the same types, and the same answer.
 
 The gauge epigraph is the H-rep formulation the extension LPs of
 `bicomplex.analysis` used before they moved to the V-rep epigraph: `_faces`,
@@ -63,7 +70,6 @@ from itertools import combinations, product
 from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
-from bicomplex import polytope
 from bicomplex.analysis import DHyperplane, _complete_basis
 from bicomplex.backend import Real, rdiv, rlt
 from bicomplex.convex import DConvexSet, is_dabsorbing
@@ -82,11 +88,12 @@ from bicomplex.linear import BCLinearMap, DLinearFunctional
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPResult
 from bicomplex.polytope import (
     Halfspace,
+    Point,
     RealPolytope,
-    _convex_hull_2d,
     _dot,
     _frac_point,
     _probe_forms,
+    affine_rank,
     matrix_rank,
     solve_square,
 )
@@ -407,7 +414,7 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[tuple[
             candidates.add(tuple(x))
     if not candidates:
         raise EmptySetError("empty polytope")
-    return polytope.extreme_points(sorted(candidates))
+    return hull_extreme_points(sorted(candidates))
 
 
 def gauge_hrep(halfspaces: Sequence[Halfspace], point: Sequence[Real]) -> Real:
@@ -449,6 +456,79 @@ def probe_seeds(points) -> list[tuple[Fraction, ...]]:
         if p not in seeds:
             seeds.append(p)
     return seeds
+
+
+def _convex_hull_2d(points: Sequence[Point]) -> list[Point]:
+    """Monotone chain; returns hull vertices counter-clockwise."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return list(pts)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def hull_extreme_points(points) -> list[tuple[Fraction, ...]]:
+    """`extreme_points` in every dimension as it ran before the double
+    description: the deduplication, the 1-D branch and the 2-D monotone
+    chain, then the dimension >= 3 branch below."""
+    unique: list[Point] = []
+    seen = set()
+    for p in points:
+        fp = _frac_point(p)
+        if fp not in seen:
+            seen.add(fp)
+            unique.append(fp)
+    if not unique:
+        return []
+    dim = len(unique[0])
+    if len(unique) == 1:
+        return unique
+
+    if dim == 1:
+        lo = min(unique)
+        hi = max(unique)
+        return [lo, hi] if lo != hi else [lo]
+
+    if dim == 2:
+        return _convex_hull_2d(unique)
+
+    return extreme_points(unique)
+
+
+def origin_interior(vertices, dim: int) -> bool:
+    """Whether 0 is interior to the hull of a vertex list, by the LP the
+    library ran before the double description."""
+    verts = [_frac_point(v) for v in vertices]
+    if affine_rank(verts) < dim:
+        return False
+    # 0 is interior iff no nonzero w satisfies w·v <= 0 for all vertices
+    lp = LinearProgram(dim)
+    total = [Fraction(0)] * dim
+    for v in verts:
+        lp.add_le(v, 0)
+        total = [t + x for t, x in zip(total, v)]
+    for c in range(dim):
+        e = [0] * dim
+        e[c] = 1
+        lp.add_le(e, 1)
+        e[c] = -1
+        lp.add_le(e, 1)
+    lp.set_minimize(total)  # minimize sum of w·v over vertices
+    res = lp.solve()
+    return res.status == OPTIMAL and res.value == 0
 
 
 def point_in_hull(point, vertices) -> bool:

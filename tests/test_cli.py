@@ -30,6 +30,10 @@ def h(a, b):
     return HyperbolicScalar(F(a), F(b))
 
 
+# JSON number tokens that json.load accepts but that are not finite reals
+NONFINITE = ("Infinity", "-Infinity", "NaN", "1e400")
+
+
 def box_pair(dim=1, lo=-1, hi=1, open_flag=False) -> DConvexSet:
     B = RealPolytope.box(dim, F(lo), F(hi))
     return DConvexSet(B, B, open=open_flag)
@@ -399,6 +403,33 @@ class TestGauge:
         sp, xp = self.write_instance(tmp_path, box_pair(dim=2), DVector.of(h(1, 1)))
         assert cmd_gauge(sp, xp, out=io.StringIO(), err=io.StringIO()) == 2
 
+    @pytest.mark.parametrize("backend", (EXACT, FLOAT))
+    @pytest.mark.parametrize("number", NONFINITE)
+    def test_nonfinite_numbers_exit_two(self, tmp_path, backend, number):
+        """JSON accepts NaN, Infinity and overflowing numbers; the decoders do not."""
+        vset = {"p1": {"vertices": [["-1"], ["@"]]}, "p2": _vbox(1, -1, 1), "open": False}
+        hset = encode_dconvex(box_pair())
+        hset["p2"]["halfspaces"][0]["b"] = "@"
+        point = {"coords": [{"e1": "@", "e2": 1}]}
+        good_set, good_point = encode_dconvex(box_pair()), encode_dvector(DVector.of(h(1, 1)))
+        for S, x in ((good_set, point), (vset, good_point), (hset, good_point)):
+            sp = tmp_path / "set.json"
+            xp = tmp_path / "point.json"
+            sp.write_text(json.dumps(S).replace('"@"', number))
+            xp.write_text(json.dumps(x).replace('"@"', number))
+            out, err = io.StringIO(), io.StringIO()
+            assert cmd_gauge(str(sp), str(xp), backend=backend, out=out, err=err) == 2
+            assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+    def test_integer_beyond_float_range_exits_two_on_the_float_backend(self, tmp_path):
+        sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))
+        xp = tmp_path / "point.json"
+        xp.write_text('{"coords": [{"e1": 1%s, "e2": 1}]}' % ("0" * 400))
+        out, err = io.StringIO(), io.StringIO()
+        assert cmd_gauge(sp, str(xp), backend=FLOAT, out=out, err=err) == 2
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        assert cmd_gauge(sp, str(xp), out=io.StringIO()) == 0  # exact: a finite rational
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -454,6 +485,22 @@ class TestEntryPoint:
 
         assert cli.SUITE_NAMES == suites.SUITE_NAMES
 
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        rc = main(["verify", "--suite", "order", "--cases", "2",
+                   "--report", str(tmp_path / "missing" / "r.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("B", (point_pair((3,), (5,)), point_pair((0,), (0,))))
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, B):
+        """A certificate (exit 0) or a witness record (exit 1) that cannot be written."""
+        pair = write_pair(tmp_path, box_pair(open_flag=True), B)
+        rc = main(["separate", pair, str(tmp_path / "missing" / "cert.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_main_dispatches_gauge(self, tmp_path, capsys):
         sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))
         xp = write_json(tmp_path, "point.json", encode_dvector(DVector.of(h(2, 3))))
@@ -472,7 +519,10 @@ def _fuzz_bases() -> list[dict]:
 
 
 FUZZ_BASES = _fuzz_bases()
-MUTATIONS = ("flat", "empty", "4d", "mismatch", "hrep")
+MUTATIONS = ("flat", "empty", "4d", "mismatch", "hrep", "nonfinite")
+# what json.load reads for Infinity, -Infinity, NaN and 1e400, by edited component
+NONFINITE_VALUES = {("A", "p1"): float("inf"), ("A", "p2"): float("-inf"),
+                    ("B", "p1"): float("nan"), ("B", "p2"): float("1e400")}
 
 
 def _mutate(kind: str, doc: dict, side: str, key: str) -> None:
@@ -493,12 +543,18 @@ def _mutate(kind: str, doc: dict, side: str, key: str) -> None:
                     c["vertices"] = [v + [e] for v in c["vertices"] for e in ends]
     elif kind == "mismatch":
         comp["vertices"] = [v + ["0"] for v in comp["vertices"]]
+    elif kind == "nonfinite" and comp["vertices"]:  # one coordinate not finite
+        comp["vertices"][0][-1] = NONFINITE_VALUES[side, key]
 
 
 def _as_halfspaces(comp: dict) -> dict:
     """The component as halfspaces, or unchanged when it is not full-dimensional."""
     try:
-        P = RealPolytope.from_vertices([tuple(map(F, v)) for v in comp["vertices"]])
+        verts = [tuple(map(F, v)) for v in comp["vertices"]]
+    except (OverflowError, ValueError):  # no faces for a non-finite vertex
+        return comp
+    try:
+        P = RealPolytope.from_vertices(verts)
         return {"halfspaces": [{"a": [str(c) for c in h.a], "b": str(h.b)}
                                for h in P.halfspaces()]}
     except BicomplexError:

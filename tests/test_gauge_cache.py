@@ -161,13 +161,22 @@ def test_extreme_point_seeds_match_the_fraction_probes():
 
 
 def test_extreme_points_match_the_fraction_hull_tests_in_order():
-    # integer membership LPs keep the same points in the same order,
-    # midpoints and interior points included
+    # the double description keeps the old hull's points in the same order
+    # with the same types in dimensions 1-5: duplicates, midpoints and
+    # interior points included, on full, flat and float point sets
     rng = Random("gauge-cache:hull")
-    for trial in range(40):
-        dim = 3 + trial % 2
+    for trial in range(150):
+        dim = 1 + trial % 5
         pts = [tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(dim))
-               for _ in range(5 + trial % 8)]
-        pts += [tuple((x + y) / 2 for x, y in zip(pts[i], pts[i + 1])) for i in range(3)]
+               for _ in range(2 + trial % 11)]
+        kind = trial // 5 % 3
+        if kind == 1:  # flat: on the hyperplane x_last = 2
+            pts = [p[:-1] + (F(2),) for p in pts]
+        elif kind == 2:  # binary floats
+            pts = [tuple(float(x) for x in p) for p in pts]
+        pts += pts[:2]
+        pts += [tuple((x + y) / 2 for x, y in zip(pts[i], pts[i + 1])) for i in range(2)]
         pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
-        assert extreme_points(pts) == ref.extreme_points(pts)
+        got, want = extreme_points(pts), ref.hull_extreme_points(pts)
+        assert [[(type(x), x) for x in p] for p in got] == \
+            [[(type(x), x) for x in p] for p in want], (dim, pts)
