@@ -153,8 +153,13 @@ def cmd_verify(suite: str, seed: int, cases: int, backend: str,
 
 
 def _load_json(path: str):
+    """The document in the file; one that is not UTF-8 or nests too deeply to
+    parse raises `SchemaError`, like any other malformed input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:

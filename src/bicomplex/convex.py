@@ -10,9 +10,9 @@ hull), and `difference_body` pairs two `DifferenceBody` gauges, each the
 two-group `polytope.GaugeBody` on A_l + x0_l and -B_l, so G is read from
 A's and B's vertices alone.  `difference_body` picks the base points itself
 (the centroids of the vertex lists), so 0 is interior to G by construction
-and no facet of A or B is read.  The gauge and the extension LPs read
-either form through the same `GaugeBody` epigraph: a vertex list through
-the one-group body its `RealPolytope` memoizes.
+and no facet of A or B is read.  The extension LPs read either form through
+the same `GaugeBody` epigraph (a vertex list through the one its
+`RealPolytope` memoizes); the gauge is that LP only on a difference body.
 """
 
 from __future__ import annotations
@@ -137,26 +137,18 @@ def is_dabsorbing(B: DConvexSet) -> bool:
 def minkowski_gauge(B: DConvexSet, x: DVector) -> GaugeValue:
     """The hyperbolic Minkowski gauge e1*q1(x1) + e2*q2(x2).
 
-    Components built from halfspaces use the closed form
-    max(0, max_i a_i·x / b_i); components built from vertices, and difference
-    bodies, solve the LP of their `GaugeBody`.  The route follows the
-    representation a component was built with, never what earlier queries
-    derived, so the value does not depend on query history.
+    Each component gauges itself: a `RealPolytope` by the closed form
+    max(0, max_i a_i·x / b_i) on its integer faces (the halfspaces it was
+    built with, or its vertex list's facets), a `DifferenceBody` by its
+    `GaugeBody` LP.  The route follows the representation a component was
+    built with, never what earlier queries derived, so the value does not
+    depend on query history.
     """
     if not is_dabsorbing(B):
         raise NotAbsorbingError("gauge needs 0 interior to both components")
     if x.dim != B.dim:
         raise DimensionMismatch("point dim mismatch")
-    return GaugeValue(
-        _component_gauge(B.p1, x.part1()),
-        _component_gauge(B.p2, x.part2()),
-    )
-
-
-def _component_gauge(P: RealPolytope, v: Sequence[Real]) -> Real:
-    if P.built_from_vertices():
-        return P.gauge_body().gauge(v)
-    return P.gauge_hrep(v)
+    return GaugeValue(B.p1.gauge(x.part1()), B.p2.gauge(x.part2()))
 
 
 def minkowski_diff_translate(A: DConvexSet, B: DConvexSet, a0: DVector, b0: DVector) -> DConvexSet:

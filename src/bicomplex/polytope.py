@@ -3,12 +3,12 @@
 Everything here works over exact rationals (float inputs are converted to
 their exact binary values), so hulls, conversions, memberships and gauges
 are certificate-grade.  One double-description routine on integer rows
-(`_cone_rays`) decides every hull fact in every dimension: H→V runs it on
-the cone over the halfspaces; V→H and `extreme_points`, by polarity, on the
-cone of valid inequalities (for `extreme_points`, in the coordinates of the
-affine hull); and absorbency of a vertex list on the cone of forms that are
-nonpositive at every vertex.  The only LP left on a vertex list is hull
-membership (`point_in_hull`).
+(`_cone_rays`, which hands back each ray's incidence bitmask) decides every
+hull fact in every dimension: H→V runs it on the cone over the halfspaces;
+V→H, `extreme_points` (in the coordinates of the affine hull) and the
+facets a vertex list is gauged by, by polarity, on the cone of valid
+inequalities.  The LPs left on a vertex list are hull membership
+(`point_in_hull`) and the gauge epigraph (`GaugeBody`).
 
 Elimination runs on integers: `solve_square` and `matrix_rank` scale each
 row to integers and pivot with the fraction-free kernel of `bicomplex.elim`
@@ -24,17 +24,17 @@ one from the one it was built with.  It therefore computes each set-level
 fact once and memoizes it:
 
 - the vertices (from an H-rep) and the halfspaces (from a V-rep);
-- whether 0 is interior (`origin_interior`, one double description at most);
+- its integer faces (`_integer_faces`, the halfspaces it was built with or
+  the facets of its vertex list), which both `origin_interior` and the
+  closed-form `gauge` read, so no gauge query solves an LP;
 - its `GaugeBody` (`gauge_body`): the gauge epigraph on the exact vertex
   columns, which `gauge_vrep`, the extension LPs and the `form_max`
   certificates of `bicomplex.analysis` build on, so each LP only supplies
-  its span and right-hand side;
-- for the closed-form gauge (`gauge_hrep`), whether every b_i > 0 and, for
-  exact faces, each face scaled to integers (a, b).
+  its span and right-hand side.
 
-Membership (`contains`) answers in the representation the polytope was
-built with, never in one an earlier query derived, so an answer does not
-depend on query history.
+Membership (`contains`), absorbency and the gauge answer in the
+representation the polytope was built with, never in one an earlier query
+derived, so an answer does not depend on query history.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
 
     The pivot coordinates of one elimination of the differences map the
     affine hull one-to-one onto R^r, r its dimension.  There the double
-    description gives the facets of the hull, and a point is extreme exactly
-    when no other point lies on every facet it lies on.
+    description gives the points on each facet of the hull, and a point is
+    extreme exactly when no other point lies on every facet it lies on.
     """
     unique = list(dict.fromkeys(map(_frac_point, points)))
     if len(unique) <= 1:
@@ -170,11 +170,14 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
     _, _, pivots = elim.eliminate([[x - y for x, y in zip(p, base)] for p in scaled[1:]],
                                   len(base))
     flat = [[p[c] for c in pivots] for p in scaled]
-    facets = _cone_rays([[*p, -1] for p in flat], len(pivots) + 1)
-    tight = [sum(1 << k for k, (*a, beta) in enumerate(facets) if sum(map(mul, a, p)) == beta)
-             for p in flat]
-    keep = [i for i, s in enumerate(tight)
-            if not any(t & s == s for j, t in enumerate(tight) if j != i)]
+    _, on_facet = _cone_rays([[*p, -1] for p in flat], len(pivots) + 1)
+    common = [-1] * len(flat)  # bit j of common[i]: point j is on every facet through point i
+    for mask in on_facet:
+        rest = mask
+        while rest:
+            common[(rest & -rest).bit_length() - 1] &= mask
+            rest &= rest - 1
+    keep = [i for i, c in enumerate(common) if c == 1 << i]
     return _vertex_order([unique[i] for i in keep], [scaled[i] for i in keep])
 
 
@@ -202,9 +205,10 @@ def _vertex_order(vertices: Sequence[Point], scaled: Sequence[tuple[int, ...]]) 
 # -- V <-> H conversion -----------------------------------------------------
 
 
-def _cone_rays(rows: Sequence[Sequence[int]], n: int) -> Optional[list[list[int]]]:
+def _cone_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[Optional[list[list[int]]], list[int]]:
     """The primitive integer extreme rays of the cone {y : r.y <= 0 for each
-    row r}, or None when the rows do not span R^n (the cone holds a line).
+    row r}, each with the bitmask of the rows it is tight on (bit j for row
+    j); (None, []) when the rows do not span R^n (the cone holds a line).
 
     Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
     Prodon 1996): one elimination of [R^T | I] picks the first n independent
@@ -218,7 +222,7 @@ def _cone_rays(rows: Sequence[Sequence[int]], n: int) -> Optional[list[list[int]
     T, _, picked = elim.eliminate(
         [[r[k] for r in rows] + [int(j == k) for j in range(n)] for k in range(n)], m)
     if len(picked) < n:
-        return None
+        return None, []
     rays = [_primitive_ray([-v for v in row[m:]]) for row in T]
     tight = [sum(1 << j for j in picked if j != i) for i in picked]  # bit j: row j is tight
     for i, row in enumerate(rows):
@@ -236,7 +240,7 @@ def _cone_rays(rows: Sequence[Sequence[int]], n: int) -> Optional[list[list[int]
                                                     for a, b in zip(rays[q], rays[p])]))
                     new_tight.append(common | 1 << i)
         rays, tight = new_rays, new_tight
-    return rays
+    return rays, tight
 
 
 def _primitive_ray(y: list[int]) -> list[int]:
@@ -265,7 +269,7 @@ def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
     if not vertices:
         raise EmptySetError("no vertices")
     pts, scale = _integer_points(vertices)
-    rays = _cone_rays([[*p, -1] for p in pts], dim + 1)
+    rays, _ = _cone_rays([[*p, -1] for p in pts], dim + 1)
     if rays is None:
         raise DimensionMismatch("V->H conversion needs a full-dimensional polytope")
 
@@ -292,7 +296,7 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[Point]
     its vertices x/t (t > 0) and its directions of recession (t = 0).
     """
     rows = [elim.integer_row([*map(Fraction, h.a), -Fraction(h.b)]) for h in halfspaces]
-    rays = _cone_rays([*rows, [0] * dim + [-1]], dim + 1)
+    rays, _ = _cone_rays([*rows, [0] * dim + [-1]], dim + 1)
     if rays is None:  # the normals miss a direction: the set holds a line, or is empty
         lp = LinearProgram(dim)
         for h in halfspaces:
@@ -406,7 +410,6 @@ class RealPolytope:
         self._vertices = tuple(tuple(v) for v in vertices) if vertices is not None else None
         self._halfspaces = tuple(halfspaces) if halfspaces is not None else None
         self._built_from_vertices = vertices is not None
-        self._origin_interior: Optional[bool] = None
         self._gauge_body: Optional[GaugeBody] = None
         self._gauge_faces: Optional[tuple[bool, list[tuple[list[int], int]]]] = None
 
@@ -481,18 +484,9 @@ class RealPolytope:
         return all(rlt(_dot(h.a, point), h.b) for h in self.halfspaces())
 
     def origin_interior(self) -> bool:
-        """Is 0 an interior point?  Decided once, from the H-rep when available,
-        else by the double description on the vertices."""
-        if self._origin_interior is None:
-            self._origin_interior = self._decide_origin_interior()
-        return self._origin_interior
-
-    def _decide_origin_interior(self) -> bool:
-        if self._halfspaces is not None:
-            return all(rlt(0, h.b) for h in self._halfspaces)
-        # 0 is interior iff the cone {w : w.v <= 0 for every vertex v} is {0}:
-        # the vertices span, so it is pointed, and it has no extreme ray
-        return _cone_rays(_integer_points(self._vertices)[0], self.dim) == []
+        """Is 0 an interior point?  Read from `_integer_faces`, so decided
+        once, in the representation the polytope was built with."""
+        return self._integer_faces()[0]
 
     def translate(self, shift: Sequence[Real]) -> RealPolytope:
         """The polytope moved by ``shift``, in the representation it was built with."""
@@ -506,38 +500,51 @@ class RealPolytope:
 
     # -- gauges -----------------------------------------------------------
 
-    def _hrep_gauge_faces(self) -> tuple[bool, list[tuple[list[int], int]]]:
-        """Whether every b_i > 0, and each face scaled to integers (a, b),
-        computed once; the integer faces are empty unless all a_i, b_i are exact."""
+    def _integer_faces(self) -> tuple[bool, list[tuple[list[int], int]]]:
+        """Whether 0 is interior (every b > 0), and the faces a.x <= b scaled to
+        integers (a, b), computed once: the halfspaces it was built with (none
+        unless all are exact), or the facets (L*a).x <= beta of its vertex
+        list, from the rays (a, beta) that `facet_enumeration` reads."""
         if self._gauge_faces is None:
-            faces = self.halfspaces()
-            exact = all(is_exact(h.b) and all(map(is_exact, h.a)) for h in faces)
-            rows = [elim.integer_row([*h.a, h.b]) for h in faces] if exact else []
-            self._gauge_faces = (all(rlt(0, h.b) for h in faces),
-                                 [(row[:-1], row[-1]) for row in rows])
+            if self._built_from_vertices:
+                pts, scale = _integer_points(self._vertices)
+                rays, _ = _cone_rays([[*p, -1] for p in pts], self.dim + 1)
+                faces = [([scale * v for v in a], beta) for *a, beta in rays or ()]
+                spans = rays is not None  # else the vertices are flat: 0 is not interior
+                self._gauge_faces = (spans and all(b > 0 for _, b in faces), faces)
+            else:
+                hs = self._halfspaces
+                exact = all(is_exact(h.b) and all(map(is_exact, h.a)) for h in hs)
+                rows = [elim.integer_row([*h.a, h.b]) for h in hs] if exact else []
+                self._gauge_faces = (all(rlt(0, h.b) for h in hs),
+                                     [(row[:-1], row[-1]) for row in rows])
         return self._gauge_faces
 
-    def gauge_hrep(self, point: Sequence[Real]) -> Real:
-        """Closed-form gauge max(0, max_i (a_i·x)/b_i); needs all b_i > 0.
+    def gauge(self, point: Sequence[Real]) -> Real:
+        """Closed-form gauge max(0, max_i (a_i·x)/b_i) on `_integer_faces`; needs
+        all b_i > 0 (Rockafellar, "Convex Analysis", Sections 14-15).
 
-        For exact faces and an exact point x = X/L (X integer, L > 0) each face
-        value is (a·X)/(b·L) with integer a, b > 0: the largest is found by
-        cross-multiplying and divided out once.  Returns the plain int 0 when
+        For an exact point x = X/L (X integer, L > 0) each face value is
+        (a·X)/(b·L) with integer a, b > 0: the largest is found by
+        cross-multiplying and divided out once.  A vertex list reads any point
+        exactly and returns a `Fraction`, as `gauge_vrep` does; halfspaces take
+        float points or faces through `rdiv`, and return the plain int 0 when
         no face value is positive.
         """
-        absorbing, faces = self._hrep_gauge_faces()
+        absorbing, faces = self._integer_faces()
         if not absorbing:
             raise NotAbsorbingError("gauge formula requires 0 in the interior")
-        if faces and all(map(is_exact, point)):
+        vrep = self._built_from_vertices
+        if faces and (vrep or all(map(is_exact, point))):
             (X,), L = _integer_points([point])
             num, den = 0, 1
             for a, b in faces:
                 n = sum(map(mul, a, X))
                 if n * den > num * b:
                     num, den = n, b
-            return Fraction(num, den * L) if num else 0
+            return Fraction(num, den * L) if num or vrep else 0
         best: Real = 0
-        for h in self.halfspaces():
+        for h in self._halfspaces:
             val = rdiv(_dot(h.a, point), h.b)
             if val > best:
                 best = val

@@ -650,7 +650,7 @@ def convex_case(rec: Recorder, rng: Random) -> None:
     # the hull touches the unit level: max vertex gauge is exactly 1
     for l in (1, 2):
         P = A.component(l)
-        vals = [P.gauge_hrep(v) for v in P.vertices()]
+        vals = [P.gauge(v) for v in P.vertices()]
         rec.check(
             all(val <= 1 for val in vals) and max(vals) == 1,
             "vertex-gauge-one", (A, l), "max == 1", vals,
@@ -661,7 +661,7 @@ def convex_case(rec: Recorder, rng: Random) -> None:
         P = A.component(l)
         pt = x.part(l)
         q_v = P.gauge_vrep(pt)
-        q_h = P.gauge_hrep(pt)
+        q_h = P.gauge(pt)
         rec.check(q_v == q_h, "gauge-vrep-equals-hrep", (P, pt), "exact equal", (q_v, q_h))
         q_b = _bisection_gauge(P, pt)
         rec.check(abs(q_b - float(q_h)) <= 1e-9, "gauge-bisection", (P, pt), "within 1e-9", (q_b, float(q_h)))

@@ -773,8 +773,8 @@ def sampled_gauge_bound(B: DConvexSet, f: DLinearFunctional) -> DLinearFunctiona
         samples = list(P.vertices()) + _grid_points(n)
         for v in samples:
             fv = f.eval_component(l, v)
-            q_plus = P.gauge_hrep(v)
-            q_minus = P.gauge_hrep([-c for c in v])
+            q_plus = P.gauge(v)
+            q_minus = P.gauge([-c for c in v])
             if not (-q_minus <= fv <= q_plus):
                 raise BicomplexError("gauge bound check failed; construction is wrong")
         for v in P.vertices():

@@ -17,11 +17,24 @@ from bicomplex.backend import EXACT, FLOAT
 from bicomplex.cli import cmd_gauge, cmd_separate, cmd_verify, main
 from bicomplex.convex import DConvexSet
 from bicomplex.errors import BicomplexError, LPUnboundedError
-from bicomplex.generators import rand_absorbing_polytope, rand_separation_instance
+from bicomplex.generators import (
+    rand_absorbing_pair,
+    rand_absorbing_polytope,
+    rand_dvector,
+    rand_separation_instance,
+)
 from bicomplex.polytope import RealPolytope
 from bicomplex.scalars import BicomplexScalar, HyperbolicScalar
-from bicomplex.serialize import decode_certificate, encode_dconvex, encode_dvector
+from bicomplex.serialize import (
+    decode_certificate,
+    decode_dconvex,
+    decode_dvector,
+    encode_dconvex,
+    encode_dvector,
+)
 from bicomplex.vectors import DVector
+
+import fraction_reference
 
 F = Fraction
 
@@ -501,6 +514,21 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("content", (b"\xff\xfe\x00\x7b", b"[" * 100000 + b"]" * 100000),
+                             ids=("not-utf8", "nested-too-deep"))
+    def test_unreadable_json_file_exits_two(self, tmp_path, capsys, content):
+        """A file that is not UTF-8, or nests deeper than the JSON parser can
+        recurse, is malformed input: no traceback, exit 2."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))
+        xp = write_json(tmp_path, "point.json", encode_dvector(DVector.of(h(2, 3))))
+        for argv in (["separate", str(bad)], ["gauge", str(bad), xp], ["gauge", sp, str(bad)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:"), argv
+            assert "Traceback" not in captured.err
+
     def test_main_dispatches_gauge(self, tmp_path, capsys):
         sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))
         xp = write_json(tmp_path, "point.json", encode_dvector(DVector.of(h(2, 3))))
@@ -589,3 +617,63 @@ class TestSeparateFuzz:
             assert (doc["status"] == "separated") == (rc == 0)
         if rc == 0:  # ref holds the same sets as vertex lists
             assert _certificate_fault(ref, buf.getvalue()) is None
+
+
+# -- fuzzing gauge ---------------------------------------------------------------
+
+
+def _gauge_fuzz_bases() -> list[dict]:
+    """Absorbing vertex-list sets as "A" and a point as "B", the point kept as
+    two one-vertex lists so that `_mutate` edits it as it edits a set (the
+    "4d" edit lifts it with A, and "hrep" leaves it a vertex list)."""
+    rng = Random("cli-fuzz:gauge")
+    bases = []
+    for dim in (1, 2, 2, 3):
+        S, x = rand_absorbing_pair(rng, dim), rand_dvector(rng, dim)
+        bases.append({"A": encode_dconvex(S), "B": encode_dconvex(point_pair(x.part1(), x.part2()))})
+    return bases
+
+
+GAUGE_FUZZ_BASES = _gauge_fuzz_bases()
+
+
+def _point_of(B: dict) -> dict:
+    """The point a gauge base keeps as B (no vertex: no coordinates)."""
+    v1, v2 = ((B[k]["vertices"] or [[]])[0] for k in ("p1", "p2"))
+    return {"coords": [{"e1": a, "e2": b} for a, b in zip(v1, v2)]}
+
+
+class TestGaugeFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(base=st.sampled_from(range(len(GAUGE_FUZZ_BASES))),
+           edits=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.sampled_from("AB"),
+                                    st.sampled_from(("p1", "p2"))), max_size=2))
+    def test_mutated_gauge_queries_exit_cleanly(self, tmp_path_factory, base, edits):
+        doc = json.loads(json.dumps(GAUGE_FUZZ_BASES[base]))
+        for kind, side, key in edits:
+            if kind != "hrep":
+                _mutate(kind, doc, side, key)
+        for kind, side, key in edits:
+            if kind == "hrep" and "vertices" in doc["A"][key]:
+                doc["A"][key] = _as_halfspaces(doc["A"][key])
+        folder = tmp_path_factory.mktemp("fuzz-gauge")
+        sp, xp = folder / "set.json", folder / "point.json"
+        sp.write_text(json.dumps(doc["A"]))
+        xp.write_text(json.dumps(_point_of(doc["B"])))
+        buf, err = io.StringIO(), io.StringIO()
+        rc = cmd_gauge(str(sp), str(xp), out=buf, err=err)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc != 0:
+            assert err.getvalue().startswith("error:") and buf.getvalue() == ""
+            return
+        # vertex lists against the reference LP, halfspaces against the closed form
+        S, x = decode_dconvex(doc["A"]), decode_dvector(_point_of(doc["B"]))
+        got = [F(token) for token in buf.getvalue().split()]
+        for l in (1, 2):
+            P, xl = S.component(l), x.part(l)
+            if P.built_from_vertices():
+                want = fraction_reference.gauge_vrep(P.vertices(), xl)
+            else:
+                want = fraction_reference.gauge_hrep(P.halfspaces(), xl)
+            assert got[l - 1] == want, (l, doc)

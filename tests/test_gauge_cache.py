@@ -59,7 +59,7 @@ def test_hrep_gauge_matches_reference_value_and_type():
             P = RealPolytope.from_halfspaces(faces, V.dim)
             for x in _points(V, rng):
                 for _ in range(2):  # the first query fills the cache, the second reuses it
-                    got, want = P.gauge_hrep(x), ref.gauge_hrep(faces, x)
+                    got, want = P.gauge(x), ref.gauge_hrep(faces, x)
                     assert type(got) is type(want), (faces, x, got, want)
                     assert got == want, (faces, x)
                 checked += 1
@@ -68,10 +68,10 @@ def test_hrep_gauge_matches_reference_value_and_type():
 
 def test_hrep_gauge_zero_is_a_plain_int():
     P = RealPolytope.box(2, F(-1), F(2))
-    assert type(P.gauge_hrep((F(0), F(0)))) is int
-    assert type(P.gauge_hrep((F(-1, 3), F(0)))) is Fraction
-    assert P.gauge_hrep((F(-1, 3), F(0))) == F(1, 3)
-    assert RealPolytope.whole_space(2).gauge_hrep((F(5), F(1))) == 0
+    assert type(P.gauge((F(0), F(0)))) is int
+    assert type(P.gauge((F(-1, 3), F(0)))) is Fraction
+    assert P.gauge((F(-1, 3), F(0))) == F(1, 3)
+    assert RealPolytope.whole_space(2).gauge((F(5), F(1))) == 0
 
 
 def test_vrep_gauge_matches_reference():
@@ -114,7 +114,7 @@ def test_memoized_origin_interior_agrees_with_a_fresh_polytope():
             continue
         assert P.origin_interior() == fresh  # the memo survives the conversion
         Q = RealPolytope.from_vertices(verts)
-        Q.halfspaces()  # converted before the first query: decided from the faces
+        Q.halfspaces()  # converted before the first query: still decided from the vertices
         assert Q.origin_interior() == fresh
         assert RealPolytope.from_halfspaces(faces, dim).origin_interior() == fresh
         answers.add(fresh)
@@ -126,7 +126,7 @@ def test_not_absorbing_raised_on_every_call():
     P = RealPolytope.from_halfspaces(faces, 1)
     for x in [(F(1),), (F(1),), (F(0),), (1.5,)]:
         with pytest.raises(NotAbsorbingError):
-            P.gauge_hrep(x)
+            P.gauge(x)
         with pytest.raises(NotAbsorbingError):
             ref.gauge_hrep(faces, x)
     S = DConvexSet(P, RealPolytope.box(1, F(-1), F(1)))

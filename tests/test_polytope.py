@@ -159,23 +159,23 @@ class TestMembership:
 class TestGauges:
     def test_hrep_closed_form(self):
         B = RealPolytope.box(1, Fraction(-1), Fraction(1))
-        assert B.gauge_hrep(fr(2)) == 2
-        assert B.gauge_hrep(fr(0)) == 0
-        assert B.gauge_hrep(fr(-3)) == 3
+        assert B.gauge(fr(2)) == 2
+        assert B.gauge(fr(0)) == 0
+        assert B.gauge(fr(-3)) == 3
 
     def test_vrep_lp_agrees(self):
         B = RealPolytope.from_vertices([fr(-1, -1), fr(1, -1), fr(0, 2)])
         for pt in (fr(0, 0), fr(1, 1), fr(Fraction(1, 2), Fraction(-1, 2)), fr(0, 2)):
-            assert B.gauge_vrep(pt) == B.gauge_hrep(pt)
+            assert B.gauge_vrep(pt) == B.gauge(pt)
 
     def test_boundary_point_gauges_to_one(self):
         B = RealPolytope.box(2, Fraction(-2), Fraction(2))
-        assert B.gauge_hrep(fr(2, 1)) == 1
+        assert B.gauge(fr(2, 1)) == 1
 
     def test_nonabsorbing_rejected(self):
         P = RealPolytope.from_vertices([fr(1), fr(2)])
         with pytest.raises(NotAbsorbingError):
-            P.gauge_hrep(fr(1))
+            P.gauge(fr(1))
 
     def test_gauge_vrep_infinite_outside_cone(self):
         P = RealPolytope.from_vertices([fr(0, 0), fr(1, 0)])

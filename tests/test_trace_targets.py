@@ -83,3 +83,29 @@ def test_targets_are_wrapped_recorded_and_restored(tmp_path):
         assert _bound(*target) is original, target
     live = {id(w) for w in wrappers.values()}
     assert not any(id(value) in live for value in _bindings())
+
+
+def test_vertex_list_gauge_is_traced_without_an_lp(tmp_path):
+    """`cmd_gauge` on vertex lists gauges by the closed form on their facets,
+    so the trace holds `minkowski_gauge` and `origin_interior` spans and no
+    `lp.solve` span: a `gauge.lp.solve.calls` of 0 is by design, not a lost
+    wrapper."""
+    tracing = _load_tracing()
+    rng = Random("trace-targets:vertex-gauge")
+    S = gen.rand_absorbing_pair(rng, 2)
+    assert S.p1.built_from_vertices() and S.p2.built_from_vertices()
+    body = tmp_path / "set.json"
+    body.write_text(json.dumps(encode_dconvex(S)))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(encode_dvector(gen.rand_dvector(rng, 2))))
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cmd_gauge(str(body), str(point), out=io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+
+    names = [span[0] for span in tracer.spans]
+    assert {"convex.minkowski_gauge", "polytope.origin_interior"} <= set(names)
+    assert "lp.solve" not in names
