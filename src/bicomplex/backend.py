@@ -5,6 +5,12 @@ Every real quantity in the library is either an exact rational
 binary ``float``.  Exact values compare exactly; as soon as a float is
 involved, comparisons become tolerance-based with the module constant
 :data:`EPSILON`.
+
+On exact operands the comparisons cross-multiply the public
+``numerator``/``denominator`` instead of dispatching through ``Fraction``'s
+operators, and `fraction_operands` tells when a result may be built as one
+``Fraction`` from integers: as with the operators, a result is an ``int``
+only when every operand is one.  ``bool`` and ``float`` are not exact.
 """
 
 from __future__ import annotations
@@ -24,7 +30,20 @@ BACKENDS = (EXACT, FLOAT)
 
 
 def is_exact(x: Real) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    t = type(x)
+    return t is int or t is Fraction or (isinstance(x, (int, Fraction)) and not isinstance(x, bool))
+
+
+def fraction_operands(*xs: Real) -> bool:
+    """Every type is ``int`` or ``Fraction`` and one is ``Fraction``."""
+    fraction = False
+    for x in xs:
+        t = type(x)
+        if t is Fraction:
+            fraction = True
+        elif t is not int:
+            return False
+    return fraction
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -61,21 +80,21 @@ def as_real(value, backend: str = EXACT) -> Real:
 def req(a: Real, b: Real) -> bool:
     """Equality: exact when both operands are exact, ε-tolerant otherwise."""
     if is_exact(a) and is_exact(b):
-        return a == b
+        return a.numerator * b.denominator == b.numerator * a.denominator
     return abs(a - b) <= EPSILON
 
 
 def rle(a: Real, b: Real) -> bool:
     """a ≤ b, treating ε-close floats as equal."""
     if is_exact(a) and is_exact(b):
-        return a <= b
+        return a.numerator * b.denominator <= b.numerator * a.denominator
     return a <= b + EPSILON
 
 
 def rlt(a: Real, b: Real) -> bool:
     """a < b strictly; ε-close float values do not count as strict."""
     if is_exact(a) and is_exact(b):
-        return a < b
+        return a.numerator * b.denominator < b.numerator * a.denominator
     return a < b - EPSILON
 
 
@@ -96,16 +115,17 @@ def rsqrt(x: Real) -> Real:
     back as Fractions (so e.g. one-dimensional Euclidean norms stay exact);
     anything else falls to ``math.sqrt``.
     """
-    if x < 0:
+    if not is_exact(x):
+        if x < 0:
+            raise ValueError("negative radicand")
+        return math.sqrt(x)
+    n, d = x.numerator, x.denominator
+    if n < 0:
         raise ValueError("negative radicand")
-    if is_exact(x):
-        frac = Fraction(x)
-        rn = math.isqrt(frac.numerator)
-        rd = math.isqrt(frac.denominator)
-        if rn * rn == frac.numerator and rd * rd == frac.denominator:
-            return Fraction(rn, rd)
-        return math.sqrt(frac)
-    return math.sqrt(x)
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return math.sqrt(n / d)  # Fraction.__float__ is this quotient
 
 
 def encode_real(x: Real):

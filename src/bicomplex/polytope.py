@@ -269,21 +269,24 @@ def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
     if not vertices:
         raise EmptySetError("no vertices")
     pts, scale = _integer_points(vertices)
-    rays, _ = _cone_rays([[*p, -1] for p in pts], dim + 1)
+    rays, tight = _cone_rays([[*p, -1] for p in pts], dim + 1)
     if rays is None:
         raise DimensionMismatch("V->H conversion needs a full-dimensional polytope")
 
-    def first_basis(ray: list[int]) -> list[int]:
+    def first_basis(k: int) -> list[int]:
         basis: list[int] = []  # greedy, so the first basis of the matroid
-        for i, p in enumerate(pts):
-            if (sum(map(mul, ray, p)) == ray[dim]
-                    and _integer_affine_rank([*(pts[j] for j in basis), p]) == len(basis)):
+        mask = tight[k]  # bit i: point i lies on the facet
+        while mask and len(basis) < dim:  # dim points span the facet
+            i = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if _integer_affine_rank([*(pts[j] for j in basis), pts[i]]) == len(basis):
                 basis.append(i)
         return basis
 
-    rays.sort(key=(lambda ray: _angle_key(ray[:dim])) if dim <= 2 else first_basis)
+    key = (lambda k: _angle_key(rays[k][:dim])) if dim <= 2 else first_basis
     faces = []
-    for *a, beta in rays:
+    for k in sorted(range(len(rays)), key=key):
+        *a, beta = rays[k]
         g = gcd(*a)
         faces.append(Halfspace(tuple(Fraction(v // g) for v in a), Fraction(beta, g * scale)))
     return faces

@@ -8,7 +8,11 @@ operation is componentwise there.  Hyperbolic numbers
 stored as the pair ``(a1, a2) = (beta1 + beta2, beta1 - beta2)``.
 
 The real carrier of the components is either exact (`Fraction`/`int`) or
-`float`; see :mod:`bicomplex.backend`.
+`float`; see :mod:`bicomplex.backend`.  On exact components the complex
+product and ``abs2`` combine integer numerators and denominators and
+build each component as one ``Fraction`` (one gcd) instead of a chain of
+``Fraction`` operations; a component is an ``int`` exactly when every
+operand is, as with the plain operators.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .backend import Real, rdiv, req, rle, rsqrt
+from .backend import Real, fraction_operands, rdiv, req, rle, rsqrt
 from .errors import NullConeError, ZeroError
 
 
@@ -49,10 +53,14 @@ class ComplexScalar:
 
     def __mul__(self, other) -> ComplexScalar:
         other = _as_complex(other)
-        return ComplexScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if fraction_operands(a, b, c, d):
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
+            den = ad * bd * cd * dd
+            return ComplexScalar(Fraction(an * cn * bd * dd - bn * dn * ad * cd, den),
+                                 Fraction(an * dn * bd * cd + bn * cn * ad * dd, den))
+        return ComplexScalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -72,7 +80,11 @@ class ComplexScalar:
 
     def abs2(self) -> Real:
         """|z|^2 = re^2 + im^2, exact in the exact backend."""
-        return self.re * self.re + self.im * self.im
+        a, b = self.re, self.im
+        if fraction_operands(a, b):
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            return Fraction((an * bd) ** 2 + (bn * ad) ** 2, (ad * bd) ** 2)
+        return a * a + b * b
 
     def is_zero(self) -> bool:
         return _real_is_zero(self.re) and _real_is_zero(self.im)

@@ -277,7 +277,8 @@ def algebra_case(rec: Recorder, rng: Random) -> None:
         e2 = HyperbolicScalar.e2().to_bicomplex()
         kk = mul(k, k)
         rec.check(_bc_eq(kk, one), "k-squared", k, "one", kk)
-        rec.check(_bc_eq(k, e1 - e2), "k-idempotent-form", k, "e1 - e2", e1 - e2)
+        e1_minus_e2 = e1 - e2
+        rec.check(_bc_eq(k, e1_minus_e2), "k-idempotent-form", k, "e1 - e2", e1_minus_e2)
         e1e2 = mul(e1, e2)
         rec.check(_bc_eq(e1e2, zero), "idempotent-orthogonal", (e1, e2), "zero", e1e2)
         e1e1 = mul(e1, e1)
@@ -342,7 +343,8 @@ def algebra_case(rec: Recorder, rng: Random) -> None:
         z_zinv = mul(Z, bc_inverse(Z))
         rec.check(_bc_eq(z_zinv, one), "inverse-law", Z, "one", z_zinv)
     D = _bc_cast(gen.rand_zero_divisor(rng), backend)
-    rec.check(is_zero_divisor(D), "null-cone-detected", D, "True", is_zero_divisor(D))
+    on_null_cone = is_zero_divisor(D)
+    rec.check(on_null_cone, "null-cone-detected", D, "True", on_null_cone)
     rec.expect_raises(NullConeError, "null-cone-inverse-rejected", D, lambda: bc_inverse(D))
     opposite = BicomplexScalar(ComplexScalar(0), D.z1) if D.z2.is_zero() else BicomplexScalar(D.z2, ComplexScalar(0))
     annihilated = mul(D, opposite)
@@ -379,10 +381,11 @@ def order_case(rec: Recorder, rng: Random) -> None:
     c = b + step2
     x = _h_cast(gen.rand_hyperbolic(rng), backend)
 
-    rec.check(le(a, a), "reflexive", a, "a <=' a", le(a, a))
-    rec.check(le(a, b), "chain-le-1", (a, b), "a <=' a+p", le(a, b))
-    rec.check(le(a, c), "transitive", (a, b, c), "a <=' c", le(a, c))
-    if le(a, x) and le(x, a):
+    le_aa, le_ab, le_ac, le_ax, le_xa = le(a, a), le(a, b), le(a, c), le(a, x), le(x, a)
+    rec.check(le_aa, "reflexive", a, "a <=' a", le_aa)
+    rec.check(le_ab, "chain-le-1", (a, b), "a <=' a+p", le_ab)
+    rec.check(le_ac, "transitive", (a, b, c), "a <=' c", le_ac)
+    if le_ax and le_xa:
         rec.check(_h_eq(a, x), "antisymmetric", (a, x), "equal", (a, x))
 
     # compare() agrees with le / lt_strict
@@ -394,16 +397,18 @@ def order_case(rec: Recorder, rng: Random) -> None:
     cmp_ax = compare(a, x)
     if cmp_ax is OrderResult.INCOMPARABLE:
         rec.check(
-            not le(a, x) and not le(x, a),
-            "incomparable-consistent", (a, x), "neither <='", (le(a, x), le(x, a)),
+            not le_ax and not le_xa,
+            "incomparable-consistent", (a, x), "neither <='", (le_ax, le_xa),
         )
     if lt_strict(a, x):
-        rec.check(le(a, x) and not _h_eq(a, x), "strict-implies-weak", (a, x), "<=' and !=", cmp_ax)
+        rec.check(le_ax and not _h_eq(a, x), "strict-implies-weak", (a, x), "<=' and !=", cmp_ax)
 
     # translation and positive-scaling invariance
-    rec.check(le(a + x, b + x) == le(a, b), "translation-invariant", (a, b, x), "same truth", le(a + x, b + x))
+    le_shifted = le(a + x, b + x)
+    rec.check(le_shifted == le_ab, "translation-invariant", (a, b, x), "same truth", le_shifted)
     lam = _h_cast(gen.rand_positive_hyperbolic(rng), backend)
-    rec.check(le(lam * a, lam * b) == le(a, b), "positive-scaling", (a, b, lam), "same truth", le(lam * a, lam * b))
+    le_scaled = le(lam * a, lam * b)
+    rec.check(le_scaled == le_ab, "positive-scaling", (a, b, lam), "same truth", le_scaled)
 
     # sup / inf on a finite set
     S = [_h_cast(gen.rand_hyperbolic(rng), backend) for _ in range(2 + idx % 4)]
@@ -422,10 +427,12 @@ def order_case(rec: Recorder, rng: Random) -> None:
     # boundedness against the componentwise absolute values
     m = sup_d([v.abs_k() for v in S])
     bound = m + HyperbolicScalar.one()
-    rec.check(is_d_bounded(S, bound), "bounded-above-sup", (S, bound), "True", is_d_bounded(S, bound))
+    bounded = is_d_bounded(S, bound)
+    rec.check(bounded, "bounded-above-sup", (S, bound), "True", bounded)
     if lt_strict(zero, m):  # only a >' 0 value is a legal bound
-        rec.check(not is_d_bounded(S, m) or all(lt_strict(v.abs_k(), m) for v in S),
-                  "bound-strictness", (S, m), "strict below only", is_d_bounded(S, m))
+        bounded_m = is_d_bounded(S, m)
+        rec.check(not bounded_m or all(lt_strict(v.abs_k(), m) for v in S),
+                  "bound-strictness", (S, m), "strict below only", bounded_m)
     rec.expect_raises(
         NonPositiveBoundError, "nonpositive-bound-rejected", S,
         lambda: is_d_bounded(S, zero),
@@ -449,30 +456,27 @@ def metric_case(rec: Recorder, rng: Random) -> None:
     z = _dv_cast(gen.rand_dvector(rng, dim), backend)
 
     zero_v = DVector.zero(dim)
-    rec.check(_h_eq(dnorm(zero_v), HyperbolicScalar.zero()), "norm-of-zero", dim, "0", dnorm(zero_v))
-    rec.check(
-        le(HyperbolicScalar.zero(), dmetric(x, y)), "metric-nonnegative", (x, y), ">=' 0", dmetric(x, y)
-    )
-    rec.check(_h_eq(dmetric(x, y), dmetric(y, x)), "metric-symmetric", (x, y), "equal", dmetric(y, x))
-    rec.check(_h_eq(dmetric(x, x), HyperbolicScalar.zero()), "metric-identity", x, "0", dmetric(x, x))
-    triangle = dmetric(x, y) + dmetric(y, z)
-    rec.check(le(dmetric(x, z), triangle), "triangle", (x, y, z), "<='", (dmetric(x, z), triangle))
-    rec.check(
-        _h_eq(dmetric(x + z, y + z), dmetric(x, y)),
-        "translation-invariant", (x, y, z), "equal", dmetric(x + z, y + z),
-    )
+    norm_zero = dnorm(zero_v)
+    rec.check(_h_eq(norm_zero, HyperbolicScalar.zero()), "norm-of-zero", dim, "0", norm_zero)
+    d_xy, d_yx, d_xx = dmetric(x, y), dmetric(y, x), dmetric(x, x)
+    rec.check(le(HyperbolicScalar.zero(), d_xy), "metric-nonnegative", (x, y), ">=' 0", d_xy)
+    rec.check(_h_eq(d_xy, d_yx), "metric-symmetric", (x, y), "equal", d_yx)
+    rec.check(_h_eq(d_xx, HyperbolicScalar.zero()), "metric-identity", x, "0", d_xx)
+    triangle, d_xz = d_xy + dmetric(y, z), dmetric(x, z)
+    rec.check(le(d_xz, triangle), "triangle", (x, y, z), "<='", (d_xz, triangle))
+    d_shifted = dmetric(x + z, y + z)
+    rec.check(_h_eq(d_shifted, d_xy), "translation-invariant", (x, y, z), "equal", d_shifted)
     lam = _h_cast(gen.rand_positive_hyperbolic(rng), backend)
-    rec.check(
-        _h_eq(dnorm(x.scale(lam)), lam * dnorm(x)),
-        "positive-homogeneous", (x, lam), "equal", (dnorm(x.scale(lam)), lam * dnorm(x)),
-    )
+    norm_scaled, scaled_norm = dnorm(x.scale(lam)), lam * dnorm(x)
+    rec.check(_h_eq(norm_scaled, scaled_norm), "positive-homogeneous", (x, lam), "equal", (norm_scaled, scaled_norm))
 
     u = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
     v = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
     w = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
-    tri_bc = dmetric_bc(u, v) + dmetric_bc(v, w)
-    rec.check(le(dmetric_bc(u, w), tri_bc), "bc-triangle", (u, v, w), "<='", (dmetric_bc(u, w), tri_bc))
-    rec.check(_h_eq(dnorm_bc(u.scale(-1)), dnorm_bc(u)), "bc-norm-even", u, "equal", dnorm_bc(u.scale(-1)))
+    tri_bc, d_uw = dmetric_bc(u, v) + dmetric_bc(v, w), dmetric_bc(u, w)
+    rec.check(le(d_uw, tri_bc), "bc-triangle", (u, v, w), "<='", (d_uw, tri_bc))
+    norm_neg = dnorm_bc(u.scale(-1))
+    rec.check(_h_eq(norm_neg, dnorm_bc(u)), "bc-norm-even", u, "equal", norm_neg)
 
     # ball strictness: boundary points are outside, interior points inside
     r = HyperbolicScalar(Fraction(3, 2), Fraction(1, 2))
@@ -481,7 +485,8 @@ def metric_case(rec: Recorder, rng: Random) -> None:
     rec.check(ball_contains(ball, _dv_cast(inner, backend)), "ball-interior", (ball, inner), "True", True)
     edge = x + DVector.of(*([HyperbolicScalar.zero()] * (dim - 1) + [r]))
     if backend == EXACT:
-        rec.check(not ball_contains(ball, edge), "ball-boundary-strict", (ball, edge), "False", ball_contains(ball, edge))
+        edge_inside = ball_contains(ball, edge)
+        rec.check(not edge_inside, "ball-boundary-strict", (ball, edge), "False", edge_inside)
 
     if idx % 10 == 0:
         cover, bounding = gen.rand_cover(Random(f"cover:{seed}:{idx}"), 5)
@@ -520,18 +525,17 @@ def linear_case(rec: Recorder, rng: Random) -> None:
     y = _bcv_cast(gen.rand_bcvector(rng, dim), backend)
     Z0 = _bc_cast(gen.rand_bicomplex(rng), backend)
 
-    rec.check(_bc_eq(h(x + y), h(x) + h(y)), "functional-additive", (h, x, y), "equal", (h(x + y), h(x) + h(y)))
-    rec.check(
-        _bc_eq(h(x.scale(Z0)), scalars.bc_mul(Z0, h(x))),
-        "functional-homogeneous", (h, x, Z0), "equal", (h(x.scale(Z0)), scalars.bc_mul(Z0, h(x))),
-    )
+    hx = h(x)
+    h_sum, sum_h = h(x + y), hx + h(y)
+    rec.check(_bc_eq(h_sum, sum_h), "functional-additive", (h, x, y), "equal", (h_sum, sum_h))
+    h_scaled, scaled_h = h(x.scale(Z0)), scalars.bc_mul(Z0, hx)
+    rec.check(_bc_eq(h_scaled, scaled_h), "functional-homogeneous", (h, x, Z0), "equal", (h_scaled, scaled_h))
 
     # six equal derivations of the hyperbolic part, at the value level
     hp = hyperbolic_part(h)
     ref = hp(x)
-    value = h(x)
     for form in _ALL_FORMS:
-        derived = hyperbolic_part_of_value(value, form)
+        derived = hyperbolic_part_of_value(hx, form)
         rec.check(_h_eq(derived, ref), f"hyperbolic-part-{form.name}", (h, x), "equal", (derived, ref))
 
     # reconstruction along both imaginary axes is exact
@@ -546,27 +550,24 @@ def linear_case(rec: Recorder, rng: Random) -> None:
     f2n = gen.rand_dfunctional(rng, 2 * dim)
     F = hyperbolic_functional_from_pairs(f2n)
     alpha = _h_cast(gen.rand_hyperbolic(rng), backend)
-    rec.check(_h_eq(F(x + y), F(x) + F(y)), "pairs-additive", (f2n, x, y), "equal", (F(x + y), F(x) + F(y)))
-    rec.check(
-        _h_eq(F(x.scale(alpha)), alpha * F(x)),
-        "pairs-d-homogeneous", (f2n, x, alpha), "equal", (F(x.scale(alpha)), alpha * F(x)),
-    )
+    Fx = F(x)
+    F_sum, sum_F = F(x + y), Fx + F(y)
+    rec.check(_h_eq(F_sum, sum_F), "pairs-additive", (f2n, x, y), "equal", (F_sum, sum_F))
+    F_scaled, scaled_F = F(x.scale(alpha)), alpha * Fx
+    rec.check(_h_eq(F_scaled, scaled_F), "pairs-d-homogeneous", (f2n, x, alpha), "equal", (F_scaled, scaled_F))
 
     # norm bounds: |f(x)|_k <=' bound * |x|_D, |T x|_D <=' |T|_D |x|_D
     fD = gen.rand_dfunctional(rng, dim)
     if backend == FLOAT:
         fD = DLinearFunctional(_dv_cast(fD.coeffs, backend))
     xD = _dv_cast(gen.rand_dvector(rng, dim), backend)
-    bnd = functional_dbound(fD)
-    rec.check(
-        le(fD(xD).abs_k(), bnd * dnorm(xD)),
-        "functional-bound", (fD, xD), "<='", (fD(xD).abs_k(), bnd * dnorm(xD)),
-    )
+    value_abs, value_bound = fD(xD).abs_k(), functional_dbound(fD) * dnorm(xD)
+    rec.check(le(value_abs, value_bound), "functional-bound", (fD, xD), "<='", (value_abs, value_bound))
     T = gen.rand_bcmap(rng, 1 + (idx // 2) % 3, dim)
-    norm_T = operator_dnorm(T)
+    image_norm, image_bound = dnorm_bc(T(x)), operator_dnorm(T) * dnorm_bc(x)
     rec.check(
-        le(dnorm_bc(T(x)), norm_T * dnorm_bc(x) + HyperbolicScalar(EPSILON, EPSILON)),
-        "operator-bound", (T, x), "<='", (dnorm_bc(T(x)), norm_T * dnorm_bc(x)),
+        le(image_norm, image_bound + HyperbolicScalar(EPSILON, EPSILON)),
+        "operator-bound", (T, x), "<='", (image_norm, image_bound),
     )
 
     # image of a convex pair under a D-functional is the interval pair
@@ -578,14 +579,13 @@ def linear_case(rec: Recorder, rng: Random) -> None:
             [gen.rand_nonzero_fraction(rng) for _ in range(sdim)],
         ))
         img = image_convex(fI, A)
-        for v1 in A.p1.vertices():
-            for v2 in A.p2.vertices():
-                val = HyperbolicScalar(fI.eval_component(1, v1), fI.eval_component(2, v2))
+        vals1 = [(v1, fI.eval_component(1, v1)) for v1 in A.p1.vertices()]
+        vals2 = [(v2, fI.eval_component(2, v2)) for v2 in A.p2.vertices()]
+        for v1, f1 in vals1:
+            for v2, f2 in vals2:
+                val = HyperbolicScalar(f1, f2)
                 rec.check(img.contains(val), "image-contains-vertices", (fI, v1, v2), "inside", val)
-        mid = HyperbolicScalar(
-            fI.eval_component(1, A.p1.vertices()[0]),
-            fI.eval_component(2, A.p2.vertices()[0]),
-        ) * HyperbolicScalar(Fraction(1, 2), Fraction(1, 2))
+        mid = HyperbolicScalar(vals1[0][1], vals2[0][1]) * HyperbolicScalar(Fraction(1, 2), Fraction(1, 2))
         rec.check(img.contains(mid), "image-contains-midpoint", fI, "inside", mid)
         zero_f = DLinearFunctional(DVector.from_parts([0] * sdim, [1] * sdim))
         rec.expect_raises(
@@ -638,10 +638,11 @@ def convex_case(rec: Recorder, rng: Random) -> None:
     qx = minkowski_gauge(A, x).hyper()
     qy = minkowski_gauge(A, y).hyper()
     qsum = minkowski_gauge(A, x + y).hyper()
-    rec.check(le(qsum, qx + qy), "gauge-sublinear", (A, x, y), "<='", (qsum, qx + qy))
+    qx_qy = qx + qy
+    rec.check(le(qsum, qx_qy), "gauge-sublinear", (A, x, y), "<='", (qsum, qx_qy))
     lam = gen.rand_positive_hyperbolic(rng)
-    qlam = minkowski_gauge(A, x.scale(lam)).hyper()
-    rec.check(_h_eq(qlam, lam * qx), "gauge-homogeneous", (A, x, lam), "equal", (qlam, lam * qx))
+    qlam, lam_qx = minkowski_gauge(A, x.scale(lam)).hyper(), lam * qx
+    rec.check(_h_eq(qlam, lam_qx), "gauge-homogeneous", (A, x, lam), "equal", (qlam, lam_qx))
 
     # membership: q(x) <=' 1 iff x in the closed set
     inside = A.contains(x)
@@ -679,7 +680,8 @@ def convex_case(rec: Recorder, rng: Random) -> None:
     a_pt = HyperbolicScalar(Fraction(0), Fraction(0))
     b_pt = HyperbolicScalar(Fraction(1), Fraction(1))
     mixed = [DVector.of(*([a_pt] * dim)), DVector.of(*([b_pt] * dim))]
-    rec.check(not is_dconvex(mixed), "two-points-not-dconvex", mixed, "False", is_dconvex(mixed))
+    mixed_convex = is_dconvex(mixed)
+    rec.check(not mixed_convex, "two-points-not-dconvex", mixed, "False", mixed_convex)
 
     # absorbency
     rec.check(is_dabsorbing(A), "absorbing-positive", A, "True", True)
@@ -688,7 +690,8 @@ def convex_case(rec: Recorder, rng: Random) -> None:
         RealPolytope.from_vertices([tuple(c + s for c, s in zip(v, shift)) for v in A.p1.vertices()]),
         A.p2,
     )
-    rec.check(not is_dabsorbing(moved), "shifted-not-absorbing", moved, "False", is_dabsorbing(moved))
+    moved_absorbing = is_dabsorbing(moved)
+    rec.check(not moved_absorbing, "shifted-not-absorbing", moved, "False", moved_absorbing)
     if idx % 10 == 0:
         away = DVector.zero(dim) - DVector.from_parts(shift, [0] * dim)
         rec.expect_raises(
@@ -996,11 +999,12 @@ def extension_case(rec: Recorder, rng: Random) -> None:
     if f is None:
         return
     for v in basis:
-        rec.check(_h_eq(f(v), scaled(v)), "extension-agrees-on-subspace", (v,), "g(v)", (f(v), scaled(v)))
+        fv, gv = f(v), scaled(v)
+        rec.check(_h_eq(fv, gv), "extension-agrees-on-subspace", (v,), "g(v)", (fv, gv))
     for _ in range(3):
         x = gen.rand_dvector(rng, dim)
-        q = minkowski_gauge(B, x).hyper()
-        rec.check(le(f(x), q), "extension-dominated", (x,), "f <=' q", (f(x), q))
+        fx, q = f(x), minkowski_gauge(B, x).hyper()
+        rec.check(le(fx, q), "extension-dominated", (x,), "f <=' q", (fx, q))
     # an oversized functional on a line with nonzero value cannot be dominated
     y0 = basis[0]
     if not scaled(y0).is_zero():
@@ -1076,10 +1080,12 @@ def hyperplane_case(rec: Recorder, rng: Random) -> None:
     if basisM:
         Lv = rec.guard("variety-extend", (x0, basisM, B), lambda: variety_extend_hyperplane(x0, basisM, B))
         if Lv is not None:
-            rec.check(_h_eq(Lv.f(x0), HyperbolicScalar.one()), "variety-level-one", x0, "f(x0) = 1", Lv.f(x0))
+            level = Lv.f(x0)
+            rec.check(_h_eq(level, HyperbolicScalar.one()), "variety-level-one", x0, "f(x0) = 1", level)
+            on_directions = [Lv.f(mv) for mv in basisM]
             rec.check(
-                all(_h_eq(Lv.f(mv), HyperbolicScalar.zero()) for mv in basisM),
-                "variety-directions-null", basisM, "f = 0 on directions", [Lv.f(mv) for mv in basisM],
+                all(_h_eq(fm, HyperbolicScalar.zero()) for fm in on_directions),
+                "variety-directions-null", basisM, "f = 0 on directions", on_directions,
             )
 
 

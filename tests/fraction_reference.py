@@ -61,17 +61,25 @@ verbatim: the body's LPs must have the same rows and solve to the same
 before it certified by `form_max` (B's vertices and a grid, against the
 closed-form gauge), copied verbatim: both must accept or reject the same
 (B, f) pairs.
+
+`is_exact`, `req`, `rle`, `rlt`, `rsqrt`, `complex_mul` (the body of
+`ComplexScalar.__mul__`) and `complex_abs2` (of `ComplexScalar.abs2`) are
+the scalar kernel before its exact fast path, copied verbatim: it went
+through `Fraction`'s operators for every exact operand.  Values, types and
+reprs must come out the same, and so must raised errors.  This module's
+other references use this `rlt`, not the library's.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
 from bicomplex.analysis import DHyperplane, _complete_basis
-from bicomplex.backend import Real, rdiv, rlt
+from bicomplex.backend import EPSILON, Real, rdiv
 from bicomplex.convex import DConvexSet, is_dabsorbing
 from bicomplex.errors import (
     BicomplexError,
@@ -97,7 +105,7 @@ from bicomplex.polytope import (
     matrix_rank,
     solve_square,
 )
-from bicomplex.scalars import BicomplexScalar, ComplexScalar
+from bicomplex.scalars import BicomplexScalar, ComplexScalar, _as_complex
 from bicomplex.vectors import DVector
 
 
@@ -992,3 +1000,63 @@ def map_from_graph(basisG: Sequence, n: int) -> BCLinearMap:
         for j in range(m)
     )
     return BCLinearMap(matrix)
+
+
+# -- the scalar kernel before the exact fast path -------------------------------
+
+
+def is_exact(x: Real) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def req(a: Real, b: Real) -> bool:
+    """Equality: exact when both operands are exact, ε-tolerant otherwise."""
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(a - b) <= EPSILON
+
+
+def rle(a: Real, b: Real) -> bool:
+    """a ≤ b, treating ε-close floats as equal."""
+    if is_exact(a) and is_exact(b):
+        return a <= b
+    return a <= b + EPSILON
+
+
+def rlt(a: Real, b: Real) -> bool:
+    """a < b strictly; ε-close float values do not count as strict."""
+    if is_exact(a) and is_exact(b):
+        return a < b
+    return a < b - EPSILON
+
+
+def rsqrt(x: Real) -> Real:
+    """Square root, exact when ``x`` is a perfect rational square.
+
+    Exact inputs whose numerator and denominator are perfect squares come
+    back as Fractions (so e.g. one-dimensional Euclidean norms stay exact);
+    anything else falls to ``math.sqrt``.
+    """
+    if x < 0:
+        raise ValueError("negative radicand")
+    if is_exact(x):
+        frac = Fraction(x)
+        rn = math.isqrt(frac.numerator)
+        rd = math.isqrt(frac.denominator)
+        if rn * rn == frac.numerator and rd * rd == frac.denominator:
+            return Fraction(rn, rd)
+        return math.sqrt(frac)
+    return math.sqrt(x)
+
+
+def complex_mul(self: ComplexScalar, other) -> ComplexScalar:
+    other = _as_complex(other)
+    return ComplexScalar(
+        self.re * other.re - self.im * other.im,
+        self.re * other.im + self.im * other.re,
+    )
+
+
+def complex_abs2(self: ComplexScalar) -> Real:
+    """|z|^2 = re^2 + im^2, exact in the exact backend."""
+    return self.re * self.re + self.im * self.im

@@ -1,13 +1,15 @@
 """Property-suite harness: green runs, determinism, and fault sensitivity."""
 
 import io
+from collections import Counter
 from random import Random
 
 import pytest
 
-from bicomplex import scalars, suites
+from bicomplex import metric, scalars, suites
 from bicomplex.backend import EXACT, FLOAT
 from bicomplex.cli import cmd_verify
+from bicomplex.linear import BCLinearFunctional
 from bicomplex.scalars import BicomplexScalar
 from bicomplex.suites import SUITE_NAMES, run_all, run_cases, run_suite
 
@@ -104,3 +106,42 @@ class TestFaultSensitivity:
         assert report.failures
         rec = report.failures[0]
         assert {"case", "property", "inputs", "expected", "observed"} <= set(rec)
+
+
+class TestEachValueOnce:
+    """A case binds each checked value once and passes the same object to the
+    condition and as ``observed``, so no call repeats with equal arguments."""
+
+    @staticmethod
+    def _peak_calls(name, case, calls):
+        """The highest count in ``calls`` (keyed by argument repr) in each of
+        8 cases of the seed-7 stream."""
+        peaks = []
+
+        def counted_case(rec, rng):
+            calls.clear()
+            case(rec, rng)
+            peaks.append(max(calls.values()))
+
+        report = run_cases(name, counted_case, Random(f"{name}:7"), 7, 8)
+        assert report.ok, report.text()
+        return peaks
+
+    @staticmethod
+    def _counting(calls, f):
+        def counted(*args):
+            calls[repr(args)] += 1
+            return f(*args)
+        return counted
+
+    def test_metric_case_measures_each_pair_once(self, monkeypatch):
+        calls = Counter()
+        counted = self._counting(calls, metric.dmetric)
+        monkeypatch.setattr(suites, "dmetric", counted)
+        monkeypatch.setattr(metric, "dmetric", counted)  # dnorm and ball_contains
+        assert self._peak_calls("metric", suites.metric_case, calls) == [1] * 8
+
+    def test_linear_case_evaluates_each_functional_value_once(self, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(BCLinearFunctional, "__call__", self._counting(calls, BCLinearFunctional.__call__))
+        assert self._peak_calls("linear", suites.linear_case, calls) == [1] * 8
