@@ -4,25 +4,31 @@ uniform-boundedness / open-mapping / inverse-mapping / closed-graph checks.
 The separation path executes the gauge construction end to end: translate the
 problem so the origin becomes interior (G = A - B + x0), take the hyperbolic
 Minkowski gauge of G, seed a functional on the ray through x0, and extend it
-one real dimension at a time under the gauge bound.  Every numeric step is an
-exact rational LP, so certificates re-check by plain evaluation.  D-convex
-sets are products, so a certificate states its inequalities once per
-component: gamma (the minimum of f over B's vertices) and sup_A (the maximum
-over the vertices of A's closure) are all a checker needs besides f.
+under the gauge bound.  Every numeric step is an exact rational LP, so
+certificates re-check by plain evaluation.  D-convex sets are products, so a
+certificate states its inequalities once per component: gamma (the minimum
+of f over B's vertices) and sup_A (the maximum over the vertices of A's
+closure) are all a checker needs besides f.
 
-The extension LPs read the gauge from one epigraph on columns,
-`polytope.GaugeBody`: q(z) <= t iff z = sum_k mu_k v_k with mu >= 0 and the
-t-weighted sum of mu equal to t.  For a polytope the columns are its
-vertices and every weight is 1.  G is never built: separation gauges it as
-a `convex.DifferenceBody` per component, the two-group body whose
-|A| + |B| columns are A's vertices shifted by x0 (weight 1) and B's negated
-(weight 0), tied by one balance row, so no Minkowski sum, hull or facet of
-G is ever formed.  The same gauge decides disjointness: G is open, so A
-meets B in a component exactly when q_G(x0) < 1, and the weights of that
-LP give a common point, so no V-rep set is converted to facets.  A bound
-f <=' q is certified by plain evaluation (`form_max`): a linear form is
-largest over a body at a column point of each group, and f <= 1 on an
-absorbing body is f <=' q everywhere.
+The gauge and the extension read one body on columns, `polytope.GaugeBody`:
+q(z) <= t iff z = sum_k mu_k v_k with mu >= 0 and the t-weighted sum of mu
+equal to t.  For a polytope the columns are its vertices and every weight
+is 1.  The extension is the dual side of that epigraph: one LP per
+component over the polar of the body (f <= 1 at its points), maximizing
+the scale s with f = s*g on the subspace.  Its optimum s* is 1 over the
+maximum of g on the subspace inside the body, so s* >= 1 is exactly the
+domination hypothesis g <= q there, and f/s* is the extension (LP duality,
+Schrijver 1986 ch. 7; the polar, Rockafellar 1970 §14).  G is never built:
+separation gauges it as a `convex.DifferenceBody` per component, the
+two-group body whose |A| + |B| columns are A's vertices shifted by x0
+(weight 1) and B's negated (weight 0), tied by one balance row, so no
+Minkowski sum, hull or facet of G is ever formed.  The same gauge decides
+disjointness: G is open, so A meets B in a component exactly when
+q_G(x0) < 1, and the weights of that LP give a common point, so no V-rep
+set is converted to facets.  A bound f <=' q is certified by plain
+evaluation (`form_max`): a linear form is largest over a body at a column
+point of each group, and f <= 1 on an absorbing body is f <=' q
+everywhere.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from .linear import (
 )
 from .lp import INFEASIBLE, UNBOUNDED, LinearProgram
 from .order import le
-from .polytope import RealPolytope, matrix_rank, solve_square
+from .polytope import RealPolytope, matrix_rank
 from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from .vectors import DVector
 
@@ -121,121 +127,28 @@ def complex_invert(
 # -- gauge-bounded extension --------------------------------------------------
 
 
-def _max_over_body(
-    P: RealPolytope,
-    span: Sequence[Sequence[Fraction]],
-    objective: Sequence[Fraction],
-) -> Fraction:
-    """max sum_j s_j*objective_j over {sum_j s_j u_j in P}.
-
-    The epigraph at height at most one: sum_j s_j u_j = sum_k mu_k v_k with
-    mu >= 0 and the t-weighted sum of mu at most 1.  Bounded, since P is and
-    the span vectors are independent.  P is a `RealPolytope` or a
-    `GaugeBody`; either hands over its `gauge_body`.
-    """
-    p = len(span)
-    if p == 0:
-        return Fraction(0)
-    body = P.gauge_body()
-    lp = body.gauge_lp(span, [0] * P.dim)
-    weights = body.gauge_weights()
-    k = len(weights)
-    lp.add_le([0] * p + weights, 1)
-    lp.set_maximize(list(objective) + [0] * k)
-    res = lp.solve()
-    if not res:
-        raise BicomplexError("gauge body LP failed")
-    return res.value
-
-
-def _extension_interval(
-    P: RealPolytope,
-    span: Sequence[Sequence[Fraction]],
-    vals: Sequence[Fraction],
-    xhat: Sequence[Fraction],
-) -> tuple[Fraction, Fraction]:
-    """The admissible value interval [lo, hi] for the next extension step.
-
-    lo = sup_y g(y) - q(y - xhat),  hi = inf_y q(y + xhat) - g(y)
-    over the current subspace; both are exact LPs on the epigraph of the
-    gauge of P, where the t-weighted sum of mu stands for q at y -+ xhat
-    (one equality row per coordinate, whatever the number of facets).
-    """
-    body = P.gauge_body()
-    weights = body.gauge_weights()
-    lo_lp = body.gauge_lp(span, [-x for x in xhat])
-    lo_lp.set_maximize(list(vals) + [-w for w in weights])
-    lo_res = lo_lp.solve()
-    hi_lp = body.gauge_lp(span, xhat)
-    hi_lp.set_minimize([-v for v in vals] + weights)
-    hi_res = hi_lp.solve()
-    if not lo_res or not hi_res:
-        raise BicomplexError("extension interval LP failed")
-    return lo_res.value, hi_res.value
-
-
-def _complete_basis(span: list[list[Fraction]], n: int) -> list[int]:
-    """Indices of standard basis vectors that extend span to all of R^n."""
-    added = []
-    current = [list(v) for v in span]
-    rank = matrix_rank(current)
-    for m in range(n):
-        unit = [Fraction(0)] * n
-        unit[m] = Fraction(1)
-        if matrix_rank(current + [unit]) > rank:
-            current.append(unit)
-            added.append(m)
-            rank += 1
-        if rank == n:
-            break
-    return added
-
-
-def _extend_component(
-    P: RealPolytope,
-    basis: list[list[Fraction]],
-    vals: list[Fraction],
-    n: int,
-    interp: Fraction,
-) -> list[Fraction]:
-    """One-dimension-at-a-time extension for a single component.
-
-    Returns the coefficient vector of the extended functional on R^n.
-    """
-    span = [list(v) for v in basis]
-    values = list(vals)
-    for m in _complete_basis(span, n):
-        xhat = [Fraction(0)] * n
-        xhat[m] = Fraction(1)
-        lo, hi = _extension_interval(P, span, values, xhat)
-        if lo > hi:
-            raise BicomplexError("empty extension interval; domination was violated")
-        span.append(xhat)
-        values.append(lo + interp * (hi - lo))
-    coeff = solve_square(span, values)
-    if coeff is None:
-        raise BicomplexError("extension basis became singular")
-    return coeff
-
-
 def extend_dominated(
     g: DLinearFunctional,
     basisY: Sequence[DVector],
     B: DConvexSet,
-    interp: Fraction = Fraction(1, 2),
 ) -> DLinearFunctional:
     """Extend g from span(basisY) to the whole space under the gauge of B.
 
     The result f agrees with g on the subspace and satisfies f <=' q_B
-    everywhere; the new value at each adjoined direction is chosen at the
-    ``interp`` point of the admissible interval (midpoint by default).  The
-    gauge enters every LP through the `GaugeBody` of each component, q(z) <= t
-    iff z = sum_k mu_k v_k with mu >= 0 and t-weighted sum t: over B's
-    vertices with weight 1, so an H-rep B is converted once to vertices
-    (an unbounded one raises) and a V-rep B is never converted to
-    facets; or over the columns of a `DifferenceBody` pair from
-    `difference_body`.  The domination hypothesis g <=' q_B on the subspace
-    is checked first by LP.  The global bound of the result is certified by
+    everywhere.  Each component is one exact LP over the polar of B_l
+    (`GaugeBody.polar_max`): maximize s over f with f = s*g on the span and
+    f <= 1 on B_l.  Its optimum is s* = 1/c with c = max{g(y) : y in
+    Y ∩ B_l}, and g <= q_l on Y exactly when c <= 1 (g is linear and q_l
+    positively homogeneous), so the domination hypothesis holds exactly when
+    s* >= 1 and `DominationError` is raised otherwise.  f/s* is then the
+    extension: it equals g on Y and is at most 1/s* <= 1 on B_l, which on
+    an absorbing B_l is f <= q_l everywhere (the Hahn-Banach step as one LP
+    duality; Schrijver 1986, ch. 7).  When g vanishes on Y the LP is
+    unbounded and the component is 0.  The LP reads the points of
+    `B.component(l).gauge_body()`: B's vertices, so an H-rep B is converted
+    once (an unbounded one raises) and a V-rep B is never converted to
+    facets; or the two groups of a `DifferenceBody` pair from
+    `difference_body`.  The global bound of the result is certified by
     plain evaluation before returning: f <=' q_B everywhere iff the maximum
     of f over each component (`form_max`) is at most 1.
     """
@@ -244,8 +157,6 @@ def extend_dominated(
         raise DimensionMismatch("ambient dimensions disagree")
     if not is_dabsorbing(B):
         raise NotAbsorbingError("extension gauge needs an absorbing set")
-    if not Fraction(0) <= interp <= Fraction(1):
-        raise ValueError("interp must lie in [0, 1]")
     out: list[list[Fraction]] = []
     for l in (1, 2):
         span = [[Fraction(c) for c in u.part(l)] for u in basisY]
@@ -254,9 +165,13 @@ def extend_dominated(
         coeffs = [Fraction(c) for c in g.component(l)]
         vals = [sum(c * u for c, u in zip(coeffs, vec)) for vec in span]
         P = B.component(l).gauge_body()
-        if _max_over_body(P, span, vals) > 1:
+        res = P.polar_max(span, vals)  # feasible: f = 0, s = 0
+        if res.status == UNBOUNDED:  # g vanishes on Y
+            full = [Fraction(0)] * n
+        elif res.value < 1:
             raise DominationError(f"g exceeds the gauge on Y in component {l}")
-        full = _extend_component(P, span, vals, n, interp)
+        else:
+            full = [c / res.value for c in res.x[:n]]
         if P.form_max(full) > 1:
             raise BicomplexError("extension failed its global gauge certificate")
         out.append(full)
@@ -332,11 +247,14 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     G is open, so A meets B in component l exactly when q_l(x0) < 1 (l = 1
     first); the witness, interior to A and in B, is read from that gauge
     LP's weights.  Otherwise g(lambda*x0) = lambda on the ray is extended
-    once, at the midpoint of each admissible interval, to f <=' q_G on the
-    whole space.  gamma is the componentwise minimum of f over B's vertices
-    and sup_A the componentwise maximum over the vertices of A's closure.
-    Since f <=' q_G and f(x0) = 1, f(a) <=' f(b) for every a in A's closure
-    and b in B, and f is nonconstant in each component; both are checked
+    to f <=' q_G on the whole space by `extend_dominated`, one LP per
+    component over the polar of G_l.  Its optimum is s* = q_l(x0) >= 1,
+    which is exactly g <= q_l on the ray, and f = f*/s* with f*(x0) = s*.
+    gamma is the componentwise minimum of f over B's vertices and sup_A the
+    componentwise maximum over the vertices of A's closure.  Since f <= 1/s*
+    on G_l and f(x0) = 1, f(a) <= f(b) + 1/s* - 1 for every a in A's
+    closure and b in B, strict when s* > 1 (A and B apart) and weak when
+    they touch; f is nonconstant in each component.  Both are checked
     exactly.  A nonconstant linear form has no maximum on an open set, so
     sup_A <=' gamma gives f <' gamma on A, including when A and B touch on
     A's boundary (sup_A <' gamma when they do not).
@@ -366,15 +284,14 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
         norm_sq = sum(c * c for c in part)
         rep.append([c / norm_sq for c in part])
     g = DLinearFunctional.from_parts(rep[0], rep[1])
-    interp = Fraction(1, 2)
-    f = extend_dominated(g, [x0], G, interp)
+    f = extend_dominated(g, [x0], G)
     gamma = _extremum(min, f, B)
     sup_A = _extremum(max, f, A)
     if not le(sup_A, gamma):
         raise BicomplexError(f"f exceeds gamma={gamma} on A's closure (sup {sup_A})")
     if not all(any(f.component(l)) for l in (1, 2)):
         raise BicomplexError("separating functional is constant in a component")
-    trace = {"x0": x0, "qg_x0": qg_x0.hyper(), "a0": a0, "b0": b0, "interp": interp}
+    trace = {"x0": x0, "qg_x0": qg_x0.hyper(), "a0": a0, "b0": b0}
     return SeparationCertificate(f, gamma, sup_A, trace)
 
 

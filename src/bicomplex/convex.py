@@ -210,7 +210,7 @@ class DifferenceBody(GaugeBody):
         weights lambda on A_l + x0_l, nu on -B_l with sum lambda (a + x0) -
         sum nu b = x0, so a* = sum lambda a + (1 - t) a0 = sum nu b + (1 - t) b0
         = b*.  For t < 1, a0 keeps weight 1 - t > 0: a* is interior to A_l."""
-        lp = self.gauge_lp((), self._shift)
+        lp = self.gauge_lp(self._shift)
         lp.set_minimize(self._weights)
         res = lp.solve()
         k = len(self._groups[0])

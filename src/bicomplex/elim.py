@@ -14,10 +14,10 @@ Pivots take no gcd, and entries stay the size of those minors.
 
 The simplex tableau (`lp`) pivots through `pivot`.  Every other exact
 solve runs through `eliminate`, the library's one Gauss-Jordan loop:
-`rank` and `solve` here, `polytope.solve_square`, `polytope.matrix_rank`
-and the starting cone of `polytope`'s double description, and the complex
-ranks, inverses and graph solves of `bicomplex.analysis`, which eliminate
-the real embedding X + iY -> [[X, -Y], [Y, X]].
+`rank` and `solve` here, `polytope.matrix_rank` and the starting cone of
+`polytope`'s double description, and the complex ranks, inverses and graph
+solves of `bicomplex.analysis`, which eliminate the real embedding
+X + iY -> [[X, -Y], [Y, X]].
 """
 
 from __future__ import annotations

@@ -8,15 +8,16 @@ hull fact in every dimension: H→V runs it on the cone over the halfspaces;
 V→H, `extreme_points` (in the coordinates of the affine hull) and the
 facets a vertex list is gauged by, by polarity, on the cone of valid
 inequalities.  The LPs left on a vertex list are hull membership
-(`point_in_hull`) and the gauge epigraph (`GaugeBody`).
+(`point_in_hull`), the gauge epigraph and the extension LP over the polar
+(both on `GaugeBody`).
 
-Elimination runs on integers: `solve_square` and `matrix_rank` scale each
-row to integers and pivot with the fraction-free kernel of `bicomplex.elim`
-(integer rows T over one denominator d > 0, true matrix T/d), the same
-kernel under the simplex of `bicomplex.lp`.  Rank and affine-rank tests,
-the double description, hull membership and the vertex order
-(`_vertex_order`) work on the points times the lcm of their denominators,
-in plain `int`s; only returned values are built as `Fraction`s.
+Elimination runs on integers: `matrix_rank` scales each row to integers
+and pivots with the fraction-free kernel of `bicomplex.elim` (integer rows
+T over one denominator d > 0, true matrix T/d), the same kernel under the
+simplex of `bicomplex.lp`.  Rank and affine-rank tests, the double
+description, hull membership and the vertex order (`_vertex_order`) work on
+the points times the lcm of their denominators, in plain `int`s; only
+returned values are built as `Fraction`s.
 
 A `RealPolytope` is immutable after construction: nothing writes its
 representations except its own lazy conversions, which derive the missing
@@ -27,10 +28,11 @@ fact once and memoizes it:
 - its integer faces (`_integer_faces`, the halfspaces it was built with or
   the facets of its vertex list), which both `origin_interior` and the
   closed-form `gauge` read, so no gauge query solves an LP;
-- its `GaugeBody` (`gauge_body`): the gauge epigraph on the exact vertex
-  columns, which `gauge_vrep`, the extension LPs and the `form_max`
-  certificates of `bicomplex.analysis` build on, so each LP only supplies
-  its span and right-hand side.
+- its `GaugeBody` (`gauge_body`): the exact vertex columns, which
+  `gauge_vrep` reads as the gauge epigraph and the extension LP of
+  `bicomplex.analysis` (`polar_max`) as the rows of the polar, and which
+  the `form_max` certificates evaluate, so each LP only supplies its
+  right-hand side or its span.
 
 Membership (`contains`), absorbency and the gauge answer in the
 representation the polytope was built with, never in one an earlier query
@@ -54,7 +56,7 @@ from .errors import (
     LPUnboundedError,
     NotAbsorbingError,
 )
-from .lp import OPTIMAL, LinearProgram
+from .lp import OPTIMAL, LinearProgram, LPResult
 
 Point = tuple[Real, ...]
 
@@ -81,16 +83,6 @@ def _dot(a: Sequence[Real], b: Sequence[Real]) -> Real:
 
 def _frac_point(p: Sequence[Real]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in p)
-
-
-def solve_square(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Solve A x = b exactly; None when A is singular."""
-    n = len(b)
-    T, d, pivots = elim.eliminate([elim.integer_row([*map(Fraction, row), Fraction(rhs)])
-                                   for row, rhs in zip(A, b)], n)
-    if len(pivots) < n:
-        return None
-    return [Fraction(row[n], d) for row in T]
 
 
 def matrix_rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -329,7 +321,9 @@ class GaugeBody:
     each point of the first group and 0 on the second, and one balance row
     says sum(lambda) - sum(nu) = 0.  One group is a V-rep polytope: every
     weight 1, no balance row.  The points must be exact; the columns are
-    built once, and each LP adds only its span and right-hand side.
+    built once, and each gauge LP adds only its right-hand side.  The
+    extension LP (`polar_max`) reads the same points as the rows of the
+    body's polar.
     """
 
     def __init__(self, first: Sequence[Sequence[Fraction]],
@@ -345,33 +339,52 @@ class GaugeBody:
         """Itself, so a body and a `RealPolytope` hand over their epigraph alike."""
         return self
 
-    def gauge_lp(self, span: Sequence[Sequence[Real]], shift: Sequence[Real]) -> LinearProgram:
-        """The epigraph over an affine subspace, objective unset.
+    def gauge_lp(self, point: Sequence[Real]) -> LinearProgram:
+        """The epigraph at a point, objective unset.
 
-        Variables are s (free, one per span vector u_j), then the column
-        weights (nonnegative); the rows say sum_k mu_k w_k - sum_j s_j u_j =
-        shift for the columns w_k, then the balance row when there is one.
-        So q(sum_j s_j u_j + shift) <= t holds exactly when some such mu has
-        gauge_weights . mu = t, and the least one is the gauge.
+        Variables are the column weights mu (nonnegative); the rows say
+        sum_k mu_k w_k = point for the columns w_k, then the balance row when
+        there is one.  So q(point) <= t holds exactly when some such mu has
+        t-weighted sum t, and the least one is the gauge.
         """
-        p, k = len(span), len(self._weights)
-        lp = LinearProgram(p + k, nonneg=[False] * p + [True] * k)
-        for c, column in enumerate(self._columns):
-            lp.add_eq([-u[c] for u in span] + column, shift[c])
+        lp = LinearProgram(len(self._weights), nonneg=True)
+        for column, x in zip(self._columns, point):
+            lp.add_eq(column, x)
         if self._balance:
-            lp.add_eq([0] * p + self._balance, 0)
+            lp.add_eq(self._balance, 0)
         return lp
-
-    def gauge_weights(self) -> list[int]:
-        """The t-weight of each column of `gauge_lp` (shared: do not mutate)."""
-        return self._weights
 
     def gauge(self, point: Sequence[Real]) -> Real:
         """The least t over the epigraph at the point, inf when nothing absorbs it."""
-        lp = self.gauge_lp((), point)
+        lp = self.gauge_lp(point)
         lp.set_minimize(self._weights)
         res = lp.solve()
         return res.value if res.status == OPTIMAL else inf
+
+    def polar_max(self, span: Sequence[Sequence[Fraction]],
+                  values: Sequence[Fraction]) -> LPResult:
+        """max s over the f with f.u_j = s*values_j on the span and f <= 1 on the body.
+
+        f <= 1 on the body is f in its polar: the sum over the groups of the
+        largest value of f at a point of the group is at most 1.  For two
+        groups a free beta splits that bound, f.p + beta <= 1 at each point p
+        of the first group and f.q - beta <= 0 at each q of the second; one
+        group needs no beta, f.p <= 1.  Variables are f (free, one per
+        coordinate), s (free), then beta.  By LP duality s* is 1 over the
+        maximum, over the points sum_j c_j u_j of the body, of sum_j c_j
+        values_j.  The LP is unbounded exactly when every value is 0: f = 0
+        with any s is feasible then, and a ray of the LP keeps f <= 0 on an
+        absorbing body, so its f is 0 and s*values_j = 0.
+        """
+        n, two = self.dim, len(self._groups) == 2
+        lp = LinearProgram(n + 1 + two)
+        for u, v in zip(span, values):
+            lp.add_eq([*u, -v] + [0] * two, 0)
+        for group, rhs, sign in zip(self._groups, (1, 0), (1, -1)):
+            for p in group:
+                lp.add_le([*p, 0] + [sign] * two, rhs)
+        lp.set_maximize([0] * n + [1] + [0] * two)
+        return lp.solve()
 
     def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
         """The maximum of an exact linear form over the body: the sum over the

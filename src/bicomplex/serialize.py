@@ -254,7 +254,7 @@ def decode_cover(obj, backend: str = EXACT) -> tuple[list[RectSet], RectSet]:
 # -- certificates and hyperplanes ----------------------------------------------
 
 
-CERTIFICATE_SCHEMA = 2
+CERTIFICATE_SCHEMA = 3
 
 
 def encode_certificate(cert: SeparationCertificate) -> dict:
@@ -269,23 +269,21 @@ def encode_certificate(cert: SeparationCertificate) -> dict:
             "qg_x0": encode_hyperbolic(trace["qg_x0"]),
             "a0": encode_dvector(trace["a0"]),
             "b0": encode_dvector(trace["b0"]),
-            "interp": encode_real(trace["interp"]),
         },
     }
 
 
 def decode_certificate(obj, backend: str = EXACT) -> SeparationCertificate:
-    """A schema-2 certificate; any other document is a schema error."""
+    """A schema-3 certificate; any other document is a schema error."""
     d = _expect_dict(obj, ("schema", "f", "gamma", "sup_A", "trace"), "certificate")
     if d["schema"] != CERTIFICATE_SCHEMA:
         raise SchemaError(f"certificate: unsupported schema {d['schema']!r}")
-    t = _expect_dict(d["trace"], ("x0", "qg_x0", "a0", "b0", "interp"), "certificate.trace")
+    t = _expect_dict(d["trace"], ("x0", "qg_x0", "a0", "b0"), "certificate.trace")
     trace = {
         "x0": decode_dvector(t["x0"], backend, "trace.x0"),
         "qg_x0": decode_hyperbolic(t["qg_x0"], backend, "trace.qg_x0"),
         "a0": decode_dvector(t["a0"], backend, "trace.a0"),
         "b0": decode_dvector(t["b0"], backend, "trace.b0"),
-        "interp": _real(t["interp"], "trace.interp", backend),
     }
     return SeparationCertificate(
         decode_dfunctional(d["f"], backend, "certificate.f"),

@@ -36,10 +36,12 @@ must come out in the same order with the same types, and the same answer.
 The gauge epigraph is the H-rep formulation the extension LPs of
 `bicomplex.analysis` used before they moved to the V-rep epigraph: `_faces`,
 `_max_over_body` and `_extension_interval` copied verbatim, and
-`extend_dominated` with its `_extend_component` copied unchanged except that
-the shared helpers are imported from the library.  LP optimum values are
-fixed by the gauge, so lo, hi, body maxima and extended functionals must be
-exactly equal.
+`extend_dominated` with its `_extend_component` and `_complete_basis`
+copied unchanged except that the shared helpers are imported from the
+library.  It is the one-real-dimension-at-a-time chain that one LP per
+component over the polar of the gauge body replaced, kept as an oracle for
+the domination decision: `_max_over_body` on the faces is the largest value
+of g on Y inside B, so both raise `DominationError` on the same inputs.
 
 The complex path is the `Fraction`-over-`ComplexScalar` Gauss-Jordan code
 that ran before complex ranks, inverses and graph solves moved to the
@@ -78,7 +80,7 @@ from itertools import combinations, product
 from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
-from bicomplex.analysis import DHyperplane, _complete_basis
+from bicomplex.analysis import DHyperplane
 from bicomplex.backend import EPSILON, Real, rdiv
 from bicomplex.convex import DConvexSet, is_dabsorbing
 from bicomplex.errors import (
@@ -103,7 +105,6 @@ from bicomplex.polytope import (
     _probe_forms,
     affine_rank,
     matrix_rank,
-    solve_square,
 )
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, _as_complex
 from bicomplex.vectors import DVector
@@ -647,6 +648,23 @@ def _extension_interval(
     if not lo_res or not hi_res:
         raise BicomplexError("extension interval LP failed")
     return lo_res.value, hi_res.value
+
+
+def _complete_basis(span: list[list[Fraction]], n: int) -> list[int]:
+    """Indices of standard basis vectors that extend span to all of R^n."""
+    added = []
+    current = [list(v) for v in span]
+    rank = matrix_rank(current)
+    for m in range(n):
+        unit = [Fraction(0)] * n
+        unit[m] = Fraction(1)
+        if matrix_rank(current + [unit]) > rank:
+            current.append(unit)
+            added.append(m)
+            rank += 1
+        if rank == n:
+            break
+    return added
 
 
 def _extend_component(

@@ -49,6 +49,7 @@ from bicomplex.linear import (
     DLinearFunctional,
     hyperbolic_part,
 )
+from bicomplex.lp import LinearProgram
 from bicomplex.order import le, lt_strict
 from bicomplex.polytope import RealPolytope, affine_rank
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
@@ -89,9 +90,9 @@ class TestExtendDominated:
         assert f.component(1) == (0, 0) and f.component(2) == (0, 0)
 
     def test_axis_extension_takes_midpoint(self):
-        # g = x1/2 on the first axis; the admissible slope interval for the
-        # second coordinate over the unit box is symmetric, so the midpoint
-        # rule yields a zero second coefficient.
+        # g = x1/2 on the first axis; over the unit box f <= 1 is
+        # |f1| + |f2| <= 1, so the largest scale s with f1 = s/2 is s = 2 at
+        # f2 = 0 only, the middle of the admissible slopes [-1/2, 1/2].
         g = DLinearFunctional.from_parts([F(1, 2), F(0)], [F(1, 2), F(0)])
         f = extend_dominated(g, [DVector.of(h(1, 1), h(0, 0))], box_pair(dim=2))
         assert f.component(1) == (F(1, 2), 0)
@@ -120,10 +121,21 @@ class TestExtendDominated:
         with pytest.raises(DegenerateBasisError):
             extend_dominated(g, [u, u], box_pair(dim=2))
 
-    def test_interp_range_checked(self):
-        g = DLinearFunctional.from_parts([F(0)], [F(0)])
-        with pytest.raises(ValueError):
-            extend_dominated(g, [], box_pair(), interp=F(2))
+    def test_one_lp_per_component(self, monkeypatch):
+        # 3-D, a 1-D span, g nonzero on it in both components: one solve each
+        B = DConvexSet(RealPolytope.box(3, F(-1), F(2)),
+                       RealPolytope.from_vertices([(F(2), F(0), F(0)), (F(-1), F(1), F(0)),
+                                                   (F(-1), F(-1), F(1)), (F(0), F(0), F(-3))]))
+        g = DLinearFunctional.from_parts([F(1, 8), F(1, 6), F(0)], [F(1, 5), F(0), F(-1, 7)])
+        u = DVector.from_parts([F(1), F(1), F(0)], [F(1), F(-1), F(1)])
+        for l in (1, 2):
+            B.component(l).gauge_body()
+        solves = []
+        solve = LinearProgram.solve
+        monkeypatch.setattr(LinearProgram, "solve", lambda lp: solves.append(lp) or solve(lp))
+        f = extend_dominated(g, [u], B)
+        assert len(solves) == 2
+        assert f(u) == g(u) and not f(u).is_zero()
 
     def test_needs_absorbing_gauge(self):
         g = DLinearFunctional.from_parts([F(0)], [F(0)])

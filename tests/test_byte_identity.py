@@ -6,7 +6,12 @@ pivots on both, so every separation certificate, every witness record, every
 halfspace list written by facet enumeration and every verify report (apart
 from ``wall_time_s``) must come out byte for byte the same.  The separation
 core digests pin f, gamma and the trace apart from G across certificate
-schemas 1 and 2.
+schemas 1 and 2.  The entries that hold extension functionals (separation
+certificates, the "variety" theorem stream and three fault streams) were
+re-recorded when `extend_dominated` became one LP per component over the
+polar of the gauge body, after every certificate in them passed plain
+`Fraction` evaluation and a HiGHS check; schema 3 (no ``interp`` in the
+trace) moved "sep-1d" with its f, gamma and sup_A unchanged.
 
 The gauge digests were recorded with per-query gauges, before each polytope
 cached its absorbency, vertex columns and integer faces: every `cmd_gauge`
@@ -69,12 +74,16 @@ PAIRS_PER_GROUP = 6
 # re-recorded when separation began to read its witness from the gauge LP of
 # G = A - B + x0 instead of a separate overlap LP, after every witness in
 # them was checked exactly: strictly inside A's faces and in B's hull.
+# The sep-* and hsep-* entries were re-recorded again for certificate schema
+# 3 and the one-LP extension: every certificate passed `perfbench/check.py`'s
+# plain-evaluation rule (strict on A's product vertices) and each pair has a
+# positive gap under HiGHS; sep-1d's f, gamma and sup_A did not move.
 SEPARATE_DIGESTS = {
-    "sep-1d": "69cd43ad7c8a4ffd5c2f84a6781398d14ee412a219eca66a6d3920ea2f3c204b",
-    "sep-2d": "72116d2ddc0036f0a7a923ec4a2e492cb55cd3e7ffdba5abc3c021aed5202b68",
-    "sep-3d": "8dac35c97956e6a8c29ba57f936365099f0ffee9303ad6276342bb978099756f",
-    "hsep-2d": "058edc4601fa3e7a27f92873257b2c2fb161f4783e405c1e839aefd43f05f121",
-    "hsep-3d": "9d730438ce444d611c357207ae794f3ffe87ea0f176c6bc2995a9f18955f0a9f",
+    "sep-1d": "62426bf926976aebadf621b4d55b87f94578fbd959d4639c19e23c1606183369",
+    "sep-2d": "0ded76edc7c115b2d09976a71d93c35e8c5d3906f8ef640f036319adf6e1bfbb",
+    "sep-3d": "9cd85d193d9ef5d747a17e2ff50296eb955cad1f7d24dd6d506a40fe7ab44f73",
+    "hsep-2d": "53dcd2e54e7d68b021e4d13094f0e12ddd2697b914e0e2c5558593865e5d07bd",
+    "hsep-3d": "2a7cdaffe2dc2a6196f6a0f6496825c90d8900f8a3489701e4461c016b31f8f6",
     "overlap-1d": "e5b059641d681bd13dd5da5b0e48fad945c39ac08e5f474638123feb320fc204",
     "overlap-2d": "d782dd172049a227d55edca81a032c43184b0c6c740419aa59cd67607d51f438",
     "overlap-3d": "ec7fd7c464f9f4a451b7c247a331cf6cfa217ad4001262edbad2e0d674f547f3",
@@ -84,12 +93,14 @@ SEPARATE_DIGESTS = {
 # without G, recorded on schema 1 before the certificate dropped its vertex
 # checks and G: the separation itself must not move with the wire format.
 # The overlap-* entries equal SEPARATE_DIGESTS' (no certificate to cut).
+# The others were re-recorded with SEPARATE_DIGESTS for schema 3 (the trace
+# lost ``interp``) and the one-LP extension.
 SEPARATE_CORE_DIGESTS = {
-    "sep-1d": "d471d69d32ae7fecab1171bc9fa1aeddb1497f4274b76dd854d909f7b967496f",
-    "sep-2d": "dd99c7bcde0f798d4f2fe94e9a5070bc9c437d533c7fae73c8cbaf027f6584fe",
-    "sep-3d": "1295cb39ce5382794b6dd1b49a881a796595c1020bfd7a19550879a16fc97b1d",
-    "hsep-2d": "c74420f5dc7e2f3153e32c8de99a2aa3629b85e06a459db5c3b057f763df3623",
-    "hsep-3d": "af3554e66b3608f89b6d392b8f8cb96f0192fc874cc51c9b7caea3c9bba82cb9",
+    "sep-1d": "379b6b5d7fdf5428a3d67b5accb186652afcca7f4bf6d8d71272b461ecd3d65f",
+    "sep-2d": "21fa2518bfe6d66ce0b144189856fb6eb39409116d2a33d10d38d450f032be87",
+    "sep-3d": "33aa376d99bcff0a79a2c55fdc266e71a977edbe495565c95d4b706f42432732",
+    "hsep-2d": "5e8342f1c2605de078fbd60b197d2fc716116e80deb8922af5b821350e27262d",
+    "hsep-3d": "d5b77c36f4d69efbb65d84e610e377868ee2207a2f4217edf18a521494fbbca3",
     "overlap-1d": "e5b059641d681bd13dd5da5b0e48fad945c39ac08e5f474638123feb320fc204",
     "overlap-2d": "d782dd172049a227d55edca81a032c43184b0c6c740419aa59cd67607d51f438",
     "overlap-3d": "ec7fd7c464f9f4a451b7c247a331cf6cfa217ad4001262edbad2e0d674f547f3",
@@ -277,6 +288,9 @@ def test_verify_reports_unchanged(suite):
 # that was Fraction(1, 1) must not come back as 1.  "overlap" was re-recorded
 # when separation began to read its witness from the gauge LP of G, after
 # every witness in it was checked exactly (inside A's faces, in B).
+# "variety" was re-recorded when the extension became one LP per component,
+# after every f in it was checked exactly: 1 at x0, 0 on M, and at most 1
+# on B's vertices (and under HiGHS over B's hull).
 
 THEOREM_CASES = 24
 
@@ -285,7 +299,7 @@ THEOREM_DIGESTS = {
     "hyperplane": "d7b3129be466789aae36041677e5fe7e2f8a5d743eab4121f1c941eaac21314a",
     "inverse": "58f0c2b607611ec04395e7b145ec9274affcb852860ac4e2dccdb13374512d08",
     "overlap": "b8cdeba7b927cf094b1d0c9654707349ef3335cc5b7cb500c5729067a40e6eba",
-    "variety": "802477991012b44e1ffa39889ee51a1286f91e38e31cc75f69d2e5a0a464c5bb",
+    "variety": "5d7327b3de7fe1ca8904599e504328178c2f16165ca39fba9c74d261b3eb9a41",
     "variety-crossing": "ec5884588191cc7154c8c881c8b7a05a523ad3928b10b376ed377ef81d06d88a",
 }
 
@@ -452,7 +466,11 @@ def test_theorem_outputs_unchanged(group):
 # suite loops became per-case functions under one driver.  A failure record
 # carries its case's drawn inputs, so these digests pin the draw order, the
 # order of the checks, the case numbering and every property name, which the
-# passing reports above (empty failure lists) cannot.
+# passing reports above (empty failure lists) cannot.  le-false separation
+# and theorems and lt-strict-false separation were re-recorded when the
+# extension became one LP per component: their failure records match the
+# earlier ones in every field but "observed", which holds certificate
+# values, and the same suites pass unfaulted.
 
 FAULT_CASES = 6
 
@@ -481,8 +499,8 @@ FAULT_DIGESTS = {
         "metric": "9f72609562be9d5acdc1360a3e6e948ff9be1b429fb20dd7d825d497a793ff81",
         "linear": "b211f67e9c778800e0abfbc575037b43c70d00f3b09e90d391b8043686f674a5",
         "convex": "fb86c4788f3ca1d51debdfbd4c3f1dbd90f6439155785f56c9ffaeae2d333fed",
-        "separation": "c50ac69e26430a75351124c3625a1ce8ffc62bd3f2b56cf0edd41be64fa9c3e5",
-        "theorems": "67db3699ee99631dd8c6988de111d82e7cce83da00cf194b276363f68618f8d1",
+        "separation": "c8257b9815723458fbdbe79a476e5c6e658d8d6e7ff44fd65984c73ae0eaaa12",
+        "theorems": "7b84292f999234da05a08262af02284efa8bdcbd1f10c9df56b51952f4382f52",
     },
     "lt-strict-false": {
         "algebra": "a25ebac6e3ba81fc152b532e5c0192d72c4256b05b8545b8058e232acda973c1",
@@ -490,7 +508,7 @@ FAULT_DIGESTS = {
         "metric": "076d01945f48c6ed7567d82d057221a620b398337beda813c0ed7d5b2dcae64b",
         "linear": "933280f5daa1ee458038d2506cf5c1005b069a220aa11c12cd6b4b6493119429",
         "convex": "56370baea32d1c04979d6abb6324533e6b570fe85628b5e6db22a42a96724901",
-        "separation": "ccdafd9b8ece64bdcd5070103a31a386df4de47bcfbacb54bc59c5b85c9439a7",
+        "separation": "df174b9a2881079e501c3e68dc1ae618c0a1baec1820a54401493c3e8265b6a8",
         "theorems": "78ee9329f2f78324815ca76c22d616f728563b4f1b8a9345adedbcd47f462b89",
     },
 }

@@ -15,7 +15,6 @@ from bicomplex.polytope import (
     extreme_points,
     matrix_rank,
     point_in_hull,
-    solve_square,
 )
 from bicomplex.serialize import encode_polytope
 
@@ -41,14 +40,6 @@ class TestLinearAlgebra:
         assert matrix_rank([[1, 0], [0, 1]]) == 2
         assert matrix_rank([[1, 2], [2, 4]]) == 1
         assert matrix_rank([[0, 0]]) == 0
-
-    def test_solve_square_exact(self):
-        x = solve_square([[2, 0], [1, 1]], [1, 1])
-        assert x == [Fraction(1, 2), Fraction(1, 2)]
-        assert all(isinstance(v, Fraction) for v in x)
-
-    def test_solve_square_singular(self):
-        assert solve_square([[1, 1], [1, 1]], [1, 2]) is None
 
 
 class TestExtremePoints:

@@ -254,18 +254,21 @@ class TestCertificateCodecs:
     def test_certificate_roundtrip(self):
         cert = self.build_cert()
         doc = through_json(encode_certificate(cert))
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert set(doc) == {"schema", "f", "gamma", "sup_A", "trace"}
-        assert set(doc["trace"]) == {"x0", "qg_x0", "a0", "b0", "interp"}
+        assert set(doc["trace"]) == {"x0", "qg_x0", "a0", "b0"}
         got = decode_certificate(doc)
         assert got == cert
 
     def test_certificate_schema_errors(self):
         cert = self.build_cert()
         doc = through_json(encode_certificate(cert))
-        for schema in (1, 3, "2", None):
+        for schema in (1, 2, 4, "3", None):
             with pytest.raises(SchemaError, match="unsupported schema"):
                 decode_certificate({**doc, "schema": schema})
+        # a schema-2 document: the same keys, and interp in its trace
+        with pytest.raises(SchemaError, match="unsupported schema"):
+            decode_certificate({**doc, "schema": 2, "trace": {**doc["trace"], "interp": "1/2"}})
         # a schema-1 document: no schema or sup_A, a G in its trace and checks
         old = {k: v for k, v in doc.items() if k not in ("schema", "sup_A")}
         old["trace"] = {**doc["trace"], "G": {}}
