@@ -22,10 +22,11 @@ Schrijver 1986 ch. 7; the polar, Rockafellar 1970 §14).  G is never built:
 separation gauges it as a `convex.DifferenceBody` per component, the
 two-group body whose |A| + |B| columns are A's vertices shifted by x0
 (weight 1) and B's negated (weight 0), tied by one balance row, so no
-Minkowski sum, hull or facet of G is ever formed.  The same gauge decides
-disjointness: G is open, so A meets B in a component exactly when
-q_G(x0) < 1, and the weights of that LP give a common point, so no V-rep
-set is converted to facets.  A bound f <=' q is certified by plain
+Minkowski sum, hull or facet of G is ever formed.  The extension LP also
+decides disjointness: its optimum in component l is q_G(x0)_l, and G is
+open, so A meets B there exactly when it is below 1.  Only then is the
+gauge LP at x0 solved, whose weights give a common point, so no V-rep set
+is converted to facets.  A bound f <=' q is certified by plain
 evaluation (`form_max`): a linear form is largest over a body at a column
 point of each group, and f <= 1 on an absorbing body is f <=' q
 everywhere.
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 
 from . import elim
 from .backend import Real
-from .convex import DConvexSet, difference_body, is_dabsorbing, minkowski_gauge
+from .convex import DConvexSet, difference_body, is_dabsorbing
 from .errors import (
     BicomplexError,
     DegenerateBasisError,
@@ -140,7 +141,8 @@ def extend_dominated(
     f <= 1 on B_l.  Its optimum is s* = 1/c with c = max{g(y) : y in
     Y ∩ B_l}, and g <= q_l on Y exactly when c <= 1 (g is linear and q_l
     positively homogeneous), so the domination hypothesis holds exactly when
-    s* >= 1 and `DominationError` is raised otherwise.  f/s* is then the
+    s* >= 1 and `DominationError` is raised otherwise (it carries the
+    component, as `DegenerateBasisError` does).  f/s* is then the
     extension: it equals g on Y and is at most 1/s* <= 1 on B_l, which on
     an absorbing B_l is f <= q_l everywhere (the Hahn-Banach step as one LP
     duality; Schrijver 1986, ch. 7).  When g vanishes on Y the LP is
@@ -161,7 +163,7 @@ def extend_dominated(
     for l in (1, 2):
         span = [[Fraction(c) for c in u.part(l)] for u in basisY]
         if span and matrix_rank(span) < len(span):
-            raise DegenerateBasisError(f"dependent basis in component {l}")
+            raise DegenerateBasisError(f"dependent basis in component {l}", component=l)
         coeffs = [Fraction(c) for c in g.component(l)]
         vals = [sum(c * u for c, u in zip(coeffs, vec)) for vec in span]
         P = B.component(l).gauge_body()
@@ -169,7 +171,7 @@ def extend_dominated(
         if res.status == UNBOUNDED:  # g vanishes on Y
             full = [Fraction(0)] * n
         elif res.value < 1:
-            raise DominationError(f"g exceeds the gauge on Y in component {l}")
+            raise DominationError(f"g exceeds the gauge on Y in component {l}", component=l)
         else:
             full = [c / res.value for c in res.x[:n]]
         if P.form_max(full) > 1:
@@ -206,7 +208,7 @@ def _slack_point(
     """A point x of P that satisfies the caller's rows, or None when none does.
 
     One LP decides whether P meets a hyperplane or an affine variety (P meets
-    another set when the gauge of their difference body says so).  Its
+    another set when the extension LP of their difference body says so).  Its
     variables are x (free, one per coordinate of P), a common slack t
     (free), then y_count more free variables y.  Its rows, in this order,
     are P's faces a.x + sigma*t <= b, with sigma = 1 when ``strict`` and 0
@@ -242,22 +244,27 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     """A hyperbolic separation certificate for an open A and a disjoint B.
 
     Runs the gauge construction: G = A - B + x0 with x0 = b0 - a0 for the
-    centroids a0, b0 of A and B (`difference_body`, which refuses a component
-    of A with an empty interior; G itself is never formed), q_G its gauge.
-    G is open, so A meets B in component l exactly when q_l(x0) < 1 (l = 1
-    first); the witness, interior to A and in B, is read from that gauge
-    LP's weights.  Otherwise g(lambda*x0) = lambda on the ray is extended
-    to f <=' q_G on the whole space by `extend_dominated`, one LP per
-    component over the polar of G_l.  Its optimum is s* = q_l(x0) >= 1,
-    which is exactly g <= q_l on the ray, and f = f*/s* with f*(x0) = s*.
-    gamma is the componentwise minimum of f over B's vertices and sup_A the
-    componentwise maximum over the vertices of A's closure.  Since f <= 1/s*
-    on G_l and f(x0) = 1, f(a) <= f(b) + 1/s* - 1 for every a in A's
-    closure and b in B, strict when s* > 1 (A and B apart) and weak when
-    they touch; f is nonconstant in each component.  Both are checked
-    exactly.  A nonconstant linear form has no maximum on an open set, so
-    sup_A <=' gamma gives f <' gamma on A, including when A and B touch on
-    A's boundary (sup_A <' gamma when they do not).
+    centroids a0, b0 of A and B (`difference_body`, which refuses a
+    component of A with an empty interior; G itself is never formed), q_G
+    its gauge.  g(lambda*x0) = lambda on the ray is extended to f <=' q_G
+    on the whole space by `extend_dominated`, one LP per component over the
+    polar of G_l (l = 1 first).  Its optimum is s* = q_l(x0), so that one
+    LP also decides overlap: G is open, so A meets B in component l exactly
+    when s* < 1, which `extend_dominated` refuses as `DominationError` (or,
+    when x0_l = 0 and so q_l(x0) = 0, as `DegenerateBasisError` on the zero
+    span).  Only then is the gauge LP at x0_l solved, for the weights that
+    give the witness, interior to A and in B.  Otherwise f = f*/s* with
+    f*(x0) = s*.  gamma is the componentwise minimum of f over B's vertices
+    and sup_A the componentwise maximum over the vertices of A's closure.
+    Since f <= 1/s* on G_l, with equality at the optimum, and f(x0) = 1,
+    f(a) <= f(b) + 1/s* - 1 for every a in A's closure and b in B, strict
+    when s* > 1 (A and B apart) and weak when they touch; f is nonconstant
+    in each component.  Both are checked exactly.  The trace's qg_x0 is
+    1 over the maximum of f over G_l (`form_max`), which is s*; with exact
+    extrema it equals 1/(1 + sup_A - gamma), since that maximum is
+    sup_A + f(x0) - gamma.  A nonconstant linear form has no maximum on an
+    open set, so sup_A <=' gamma gives f <' gamma on A, including when A
+    and B touch on A's boundary (sup_A <' gamma when they do not).
     """
     if not A.open:
         raise NotOpenError("strict separation needs an open first set")
@@ -265,33 +272,31 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
         raise DimensionMismatch("sets live in different dimensions")
     G, a0, b0 = difference_body(A, B)
     x0 = b0 - a0
-    qg_x0 = minkowski_gauge(G, x0)
-    for l, q in ((1, qg_x0.q1), (2, qg_x0.q2)):
-        if q < 1:
-            a_star, b_star = G.component(l).meeting_points(a0.part(l), b0.part(l))
-            if a_star != b_star:
-                raise BicomplexError(f"gauge weights gave no common point in component {l}")
-            raise NotDisjointError(
-                f"components {l} of A and B intersect",
-                component=l,
-                witness=a_star,
-            )
-    # Seed functional: any ambient representative with g(x0) = 1 per component
-    # (x0_l is not 0 here, since q_G(0) = 0 < 1).
+    # Seed functional: any ambient representative with g(x0) = 1 per
+    # component, or 0 where x0_l = 0 (the centroids coincide).
     rep = []
     for l in (1, 2):
         part = [Fraction(c) for c in x0.part(l)]
         norm_sq = sum(c * c for c in part)
-        rep.append([c / norm_sq for c in part])
+        rep.append([c / norm_sq for c in part] if norm_sq else part)
     g = DLinearFunctional.from_parts(rep[0], rep[1])
-    f = extend_dominated(g, [x0], G)
+    try:
+        f = extend_dominated(g, [x0], G)
+    except (DominationError, DegenerateBasisError) as exc:  # q_l(x0) < 1
+        l = exc.component
+        a_star, b_star = G.component(l).meeting_points(a0.part(l), b0.part(l))
+        if a_star != b_star:
+            raise BicomplexError(f"gauge weights gave no common point in component {l}")
+        raise NotDisjointError(f"components {l} of A and B intersect",
+                               component=l, witness=a_star) from None
     gamma = _extremum(min, f, B)
     sup_A = _extremum(max, f, A)
     if not le(sup_A, gamma):
         raise BicomplexError(f"f exceeds gamma={gamma} on A's closure (sup {sup_A})")
     if not all(any(f.component(l)) for l in (1, 2)):
         raise BicomplexError("separating functional is constant in a component")
-    trace = {"x0": x0, "qg_x0": qg_x0.hyper(), "a0": a0, "b0": b0}
+    qg_x0 = HyperbolicScalar(*(1 / G.component(l).form_max(f.component(l)) for l in (1, 2)))
+    trace = {"x0": x0, "qg_x0": qg_x0, "a0": a0, "b0": b0}
     return SeparationCertificate(f, gamma, sup_A, trace)
 
 

@@ -12,7 +12,10 @@ A's and B's vertices alone.  `difference_body` picks the base points itself
 (the centroids of the vertex lists), so 0 is interior to G by construction
 and no facet of A or B is read.  The extension LPs read either form through
 the same `GaugeBody` epigraph (a vertex list through the one its
-`RealPolytope` memoizes); the gauge is that LP only on a difference body.
+`RealPolytope` memoizes).  Separation does not gauge G to decide whether A
+meets B: the extension LP's optimum is q_G(x0) in each component, and the
+gauge LP of a `DifferenceBody` runs only for the witness of an overlap
+(`meeting_points`).
 """
 
 from __future__ import annotations
@@ -198,10 +201,6 @@ class DifferenceBody(GaugeBody):
         super().__init__([[Fraction(x) + s for x, s in zip(a, shift)] for a in A_l.vertices()],
                          [[-Fraction(x) for x in b] for b in B_l.vertices()])
 
-    def built_from_vertices(self) -> bool:
-        """True: G is known only through its columns, so its gauge is the LP."""
-        return True
-
     def origin_interior(self) -> bool:
         return True
 
@@ -232,12 +231,12 @@ def difference_body(A: DConvexSet, B: DConvexSet) -> tuple[DConvexSet, DVector, 
     """(G, a0, b0): G = A - B + x0 with x0 = b0 - a0, as a pair of `DifferenceBody` gauges.
 
     The same set as `minkowski_diff_translate`, but G is never formed, so
-    the pair serves `minkowski_gauge` and `extend_dominated`, not membership
-    or vertex queries.  a0 and b0 are the centroids of A's and B's vertex
-    lists.  Every convex weight of a centroid is positive, so a0 is interior
-    to A once each component of A is full-dimensional (Rockafellar, "Convex
-    Analysis", Thm 6.9), and b0 lies in B; then 0 is interior to G with no
-    LP and no facet.  A lower-dimensional component of A raises
+    the pair serves `extend_dominated`, `meeting_points` and
+    `minkowski_gauge`, not membership or vertex queries.  a0 and b0 are the
+    centroids of A's and B's vertex lists.  Every convex weight of a
+    centroid is positive, so a0 is interior to A once each component of A
+    is full-dimensional (Rockafellar, "Convex Analysis", Thm 6.9), and b0
+    lies in B; then 0 is interior to G with no LP and no facet.  A lower-dimensional component of A raises
     `EmptyInteriorError`.
     """
     if A.dim != B.dim:

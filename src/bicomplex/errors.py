@@ -6,7 +6,16 @@ the whole family at once; the CLI maps them onto exit codes.
 
 
 class BicomplexError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors.
+
+    ``component`` is the idempotent component (1 or 2) an error is about, and
+    ``witness`` a point that shows it; both are None when they do not apply.
+    """
+
+    def __init__(self, *args, component=None, witness=None):
+        super().__init__(*args)
+        self.component = component
+        self.witness = witness
 
 
 class ZeroError(BicomplexError):
@@ -43,10 +52,6 @@ class NotACoverError(BicomplexError):
     ``witness`` is an uncovered hyperbolic point.
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotAbsorbingError(BicomplexError):
     """The origin is not interior to both components of the set."""
@@ -70,11 +75,6 @@ class NotDisjointError(BicomplexError):
     ``component`` is 1 or 2; ``witness`` is a point of the intersection.
     """
 
-    def __init__(self, message, component=None, witness=None):
-        super().__init__(message)
-        self.component = component
-        self.witness = witness
-
 
 class NotOpenError(BicomplexError):
     """The first set of a strict separation problem is not open."""
@@ -85,10 +85,6 @@ class EmptyInteriorError(BicomplexError):
 
     ``component`` is 1 or 2.
     """
-
-    def __init__(self, message, component=None):
-        super().__init__(message)
-        self.component = component
 
 
 class ZeroDivisorLevelError(BicomplexError):
@@ -110,17 +106,9 @@ class EmptyFamilyError(BicomplexError):
 class NotSurjectiveError(BicomplexError):
     """A map is not surjective in some component (``component`` identifies it)."""
 
-    def __init__(self, message, component=None):
-        super().__init__(message)
-        self.component = component
-
 
 class NotBijectiveError(BicomplexError):
     """A square map is singular in some component."""
-
-    def __init__(self, message, component=None):
-        super().__init__(message)
-        self.component = component
 
 
 class NotAGraphError(BicomplexError):

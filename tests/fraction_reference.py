@@ -52,7 +52,7 @@ integer kernel through the real embedding: `_rref`, `complex_rank`,
 hand-built disjointness LPs that the one slack-LP helper replaced, copied
 verbatim.  Ranks, inverses, graph maps, error messages, hyperplane
 witnesses and every raise-or-not decision must come out the same.
-Separation no longer runs an overlap LP (the gauge of G decides), so
+Separation no longer runs an overlap LP (the extension LP of G decides), so
 `_overlap_witness` is the oracle for its meet-or-miss decision only.
 
 `VertexEpigraph` and `DifferenceEpigraph` are the two column epigraphs that

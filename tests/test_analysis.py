@@ -201,6 +201,30 @@ class TestSeparation:
                 witnesses.append((exc.value.component, exc.value.witness))
             assert witnesses[0] == witnesses[1]
 
+    @pytest.mark.parametrize("B1, B2, outcome, solves", [
+        (((3,),), ((5,),), None, 2),  # disjoint: one polar LP per component
+        (((0,), (2,)), ((5,),), 1, 2),  # component 1 overlaps: its polar LP, then the witness
+        (((5,),), ((0,), (2,)), 2, 3),  # only component 2 overlaps
+        (((-1,), (1,)), ((5,),), 1, 1),  # the centroids coincide in component 1: no polar LP
+    ])
+    def test_one_lp_per_component(self, B1, B2, outcome, solves, monkeypatch):
+        # the polar LP of the extension decides overlap; the gauge LP at x0
+        # runs only for the witness of the component that overlaps
+        segment = RealPolytope.from_vertices([(F(-1),), (F(1),)])
+        A = DConvexSet(segment, segment, open=True)
+        B = DConvexSet(*(RealPolytope.from_vertices([tuple(map(F, p)) for p in part])
+                         for part in (B1, B2)))
+        count = []
+        solve = LinearProgram.solve
+        monkeypatch.setattr(LinearProgram, "solve", lambda lp: count.append(lp) or solve(lp))
+        if outcome is None:
+            separate_hyperbolic(A, B)
+        else:
+            with pytest.raises(NotDisjointError) as exc:
+                separate_hyperbolic(A, B)
+            assert exc.value.component == outcome
+        assert len(count) == solves
+
     def test_closed_first_set_rejected(self):
         with pytest.raises(NotOpenError):
             separate_hyperbolic(box_pair(), point_pair((3,), (3,)))

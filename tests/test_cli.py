@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from bicomplex import cli, scalars
 from bicomplex.backend import EXACT, FLOAT
 from bicomplex.cli import cmd_gauge, cmd_separate, cmd_verify, main
-from bicomplex.convex import DConvexSet
+from bicomplex.analysis import separate_hyperbolic
+from bicomplex.convex import DConvexSet, difference_body, minkowski_gauge
 from bicomplex.errors import BicomplexError, LPUnboundedError
 from bicomplex.generators import (
     rand_absorbing_pair,
@@ -242,6 +243,64 @@ class TestSeparate:
             assert _certificate_fault(pair, buf.getvalue()) is None
             doc = json.loads(buf.getvalue())
             assert doc["sup_A"] == doc["gamma"]  # the closures do touch
+
+    @pytest.mark.parametrize("B1, B2, component, witness", [
+        ((F(-1, 2), F(1, 2)), (5, 6), 1, ["0", "0"]),
+        ((5, 6), (F(-1, 2), F(1, 2)), 2, ["0", "0"]),
+        ((0, 3), (F(-1, 2), F(1, 2)), 1, ["3/5", "3/5"]),
+        ((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2)), 1, ["0", "0"]),
+    ])
+    def test_coinciding_centroids_keep_the_component_order(self, B1, B2, component, witness,
+                                                           tmp_path):
+        # squares [lo, hi]^2; A's centroid is 0, and B's is 0 in at least one
+        # component, where x0 is 0: component 1 is still decided first
+        A = box_pair(dim=2, open_flag=True)
+        B = DConvexSet(RealPolytope.box(2, F(B1[0]), F(B1[1])),
+                       RealPolytope.box(2, F(B2[0]), F(B2[1])))
+        buf = io.StringIO()
+        assert cmd_separate(write_pair(tmp_path, A, B), out=buf) == 1
+        assert json.loads(buf.getvalue()) == {
+            "status": "not-disjoint",
+            "component": component,
+            "witness": witness,
+            "message": f"components {component} of A and B intersect",
+        }
+
+    def test_trace_gauge_is_the_gauge_of_the_difference_body(self):
+        """The trace's qg_x0, 1/max of f over G, equals the gauge LP of G
+        at x0, which separation no longer solves; it is 1 on touching pairs."""
+        rng = Random("trace-gauge")
+        pairs = []
+        for dim in (1, 2, 3, 4):
+            for i in range(4):
+                A, B = rand_separation_instance(rng, dim)
+                if i % 2:
+                    A = DConvexSet(*(RealPolytope.from_halfspaces(P.halfspaces(), dim)
+                                     for P in (A.p1, A.p2)), open=True)
+                pairs.append((A, B, False))
+        for dim in (1, 2, 3):
+            for _ in range(4):
+                parts = [_touching_component(rng, dim) for _ in (1, 2)]
+                A = decode_dconvex({"p1": _vrep(parts[0][0]), "p2": _vrep(parts[1][0]),
+                                    "open": True})
+                B = decode_dconvex({"p1": _vrep(parts[0][1]), "p2": _vrep(parts[1][1])})
+                pairs.append((A, B, True))
+        for A, B, touching in pairs:
+            cert = separate_hyperbolic(A, B)
+            G, a0, b0 = difference_body(A, B)
+            gauge = minkowski_gauge(G, b0 - a0).hyper()
+            assert cert.trace["qg_x0"] == gauge, (A, B)
+            assert (gauge == HyperbolicScalar(1, 1)) is touching, (A, B)
+
+    def test_float_backend_trace_gauge_stays_exact(self, tmp_path):
+        # float extrema 1e-17 and 1.0 would cancel 1 + sup_A - gamma to 0
+        pair = {"A": {"p1": _vbox(1, -1, 1), "p2": _vbox(1, -1, 1), "open": True},
+                "B": {"p1": {"vertices": [[1e17]]}, "p2": {"vertices": [[3]]}}}
+        buf = io.StringIO()
+        assert cmd_separate(write_json(tmp_path, "far.json", pair), backend=FLOAT, out=buf) == 0
+        doc = json.loads(buf.getvalue())
+        assert doc["sup_A"] == {"e1": 1e-17, "e2": 1 / 3}
+        assert doc["trace"]["qg_x0"] == {"e1": str(10**17), "e2": "3"}
 
     @pytest.mark.parametrize("A, B, error", [
         # an empty H-rep component of B: x <= 0 and -x <= -1

@@ -1,9 +1,10 @@
 """The disjointness decisions against an independent float LP (HiGHS).
 
 The hyperplane and variety checks of `bicomplex.analysis` decide by one
-exact slack LP, and the overlap of an open A with B by the gauge of
-G = A - B + x0 in `separate_hyperbolic` (they meet when q_G(x0) < 1).  Here `scipy.optimize.linprog` decides the same
-questions from the vertex lists alone and shares no code with
+exact slack LP, and `separate_hyperbolic` decides the overlap of an open A
+with B by the extension LP over the polar of G = A - B + x0, whose optimum
+is q_G(x0) (they meet when it is below 1).  Here `scipy.optimize.linprog`
+decides the same questions from the vertex lists alone and shares no code with
 `bicomplex.lp`: a point meets conv(V) when it is sum_i mu_i v_i with
 mu >= 0 and sum(mu) = 1, and meets its interior when some such mu has every
 mu_i > 0, so the oracle maximizes s <= min_i mu_i.  Every instance is built

@@ -8,8 +8,8 @@ they replaced (``fraction_reference.py``): ranks, inverses, graph maps,
 error messages, hyperplane witnesses and every raise-or-not decision must
 agree exactly, touching sets included.  The variety LP's columns moved, so
 its witness may differ: each one is checked by exact evaluation instead.
-Separation decides overlap by the gauge of G = A - B + x0, not by the
-reference's overlap LP: the two must agree on every meet-or-miss, and each
+Separation decides overlap by the extension LP over the polar of
+G = A - B + x0, whose optimum is q_G(x0), not by the reference's overlap LP: the two must agree on every meet-or-miss, and each
 witness is checked exactly, strictly inside every face of the open set and
 inside the other.
 """

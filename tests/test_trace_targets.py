@@ -4,9 +4,12 @@
 site and each method on its class (read from the class body), and its
 per-layer metrics read the spans those wrappers record.  A refactor that
 moves a target, or stops routing separation through the public
-`extend_dominated` or `minkowski_gauge`, would break ``--trace 1`` or zero a
-metric without failing any other test.  The tracer is imported from its
-path; nothing under ``perfbench/`` is changed.
+`extend_dominated` or the gauge query through `minkowski_gauge`, would break
+``--trace 1`` or zero a metric without failing any other test.  Separation
+decides overlap from the extension LP, so a disjoint pair records no
+`minkowski_gauge` span (a missing span reads as 0 in the per-layer rows).
+The tracer is imported from its path; nothing under ``perfbench/`` is
+changed.
 """
 
 import importlib
@@ -76,8 +79,8 @@ def test_targets_are_wrapped_recorded_and_restored(tmp_path):
     for target, wrapper in wrappers.items():
         assert getattr(wrapper, "__wrapped__", None) is originals[target], target
     separate = {span[0] for span in tracer.spans[:separate_spans]}
-    assert {"analysis.separate_hyperbolic", "analysis.extend_dominated",
-            "convex.minkowski_gauge"} <= separate
+    assert {"analysis.separate_hyperbolic", "analysis.extend_dominated"} <= separate
+    assert "convex.minkowski_gauge" not in separate
     assert "convex.minkowski_gauge" in {span[0] for span in tracer.spans[separate_spans:]}
     for target, original in originals.items():
         assert _bound(*target) is original, target
