@@ -8,7 +8,9 @@ under the gauge bound.  Every numeric step is an exact rational LP, so
 certificates re-check by plain evaluation.  D-convex sets are products, so a
 certificate states its inequalities once per component: gamma (the minimum
 of f over B's vertices) and sup_A (the maximum over the vertices of A's
-closure) are all a checker needs besides f.
+closure) are all a checker needs besides f.  Both are read exactly from the
+maxima of f on the two point groups of the difference body G_l: -gamma_l on
+-B_l, and sup_A_l + f_l(x0_l) on A_l + x0_l.
 
 The gauge and the extension read one body on columns, `polytope.GaugeBody`:
 q(z) <= t iff z = sum_k mu_k v_k with mu >= 0 and the t-weighted sum of mu
@@ -190,7 +192,8 @@ class SeparationCertificate:
     gamma is the componentwise minimum of f over B's vertices, so
     gamma <=' f on B; sup_A is the componentwise maximum of f over the
     vertices of A's closure, and sup_A <=' gamma with f nonconstant in each
-    component gives f <' gamma on the open A.
+    component gives f <' gamma on the open A.  Both are read from the group
+    maxima of f over the difference body.
     """
 
     f: DLinearFunctional
@@ -233,13 +236,6 @@ def _slack_point(
     return tuple(res.x[:dim]) if res.value > 0 or not strict else None
 
 
-def _extremum(pick, f: DLinearFunctional, S: DConvexSet) -> HyperbolicScalar:
-    """pick (min or max) of f over S's vertices, one component at a time."""
-    return HyperbolicScalar(*(
-        pick(f.eval_component(l, v) for v in S.component(l).vertices()) for l in (1, 2)
-    ))
-
-
 def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     """A hyperbolic separation certificate for an open A and a disjoint B.
 
@@ -254,16 +250,17 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     when x0_l = 0 and so q_l(x0) = 0, as `DegenerateBasisError` on the zero
     span).  Only then is the gauge LP at x0_l solved, for the weights that
     give the witness, interior to A and in B.  Otherwise f = f*/s* with
-    f*(x0) = s*.  gamma is the componentwise minimum of f over B's vertices
-    and sup_A the componentwise maximum over the vertices of A's closure.
-    Since f <= 1/s* on G_l, with equality at the optimum, and f(x0) = 1,
-    f(a) <= f(b) + 1/s* - 1 for every a in A's closure and b in B, strict
-    when s* > 1 (A and B apart) and weak when they touch; f is nonconstant
-    in each component.  Both are checked exactly.  The trace's qg_x0 is
-    1 over the maximum of f over G_l (`form_max`), which is s*; with exact
-    extrema it equals 1/(1 + sup_A - gamma), since that maximum is
-    sup_A + f(x0) - gamma.  A nonconstant linear form has no maximum on an
-    open set, so sup_A <=' gamma gives f <' gamma on A, including when A
+    f*(x0) = s*.  One exact pass of f over the two point groups of G_l
+    (`group_maxima`) gives m_A, the maximum on A_l + x0_l, and m_B, the
+    maximum on -B_l: gamma_l = -m_B is the minimum of f over B's vertices,
+    sup_A_l = m_A - f_l(x0_l) the maximum over the vertices of A's closure,
+    and the trace's qg_x0_l = 1/(m_A + m_B) = 1/(1 + sup_A_l - gamma_l) is
+    s*, since m_A + m_B is the maximum of f over G_l.  Since f <= 1/s* on
+    G_l, with equality at the optimum, and f(x0) = 1, f(a) <= f(b) + 1/s* -
+    1 for every a in A's closure and b in B, strict when s* > 1 (A and B
+    apart) and weak when they touch; f is nonconstant in each component.
+    Both are checked exactly.  A nonconstant linear form has no maximum on
+    an open set, so sup_A <=' gamma gives f <' gamma on A, including when A
     and B touch on A's boundary (sup_A <' gamma when they do not).
     """
     if not A.open:
@@ -289,13 +286,14 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
             raise BicomplexError(f"gauge weights gave no common point in component {l}")
         raise NotDisjointError(f"components {l} of A and B intersect",
                                component=l, witness=a_star) from None
-    gamma = _extremum(min, f, B)
-    sup_A = _extremum(max, f, A)
+    (mA1, mB1), (mA2, mB2) = (G.component(l).group_maxima(f.component(l)) for l in (1, 2))
+    gamma = HyperbolicScalar(-mB1, -mB2)
+    sup_A = HyperbolicScalar(mA1, mA2) - f(x0)
     if not le(sup_A, gamma):
         raise BicomplexError(f"f exceeds gamma={gamma} on A's closure (sup {sup_A})")
     if not all(any(f.component(l)) for l in (1, 2)):
         raise BicomplexError("separating functional is constant in a component")
-    qg_x0 = HyperbolicScalar(*(1 / G.component(l).form_max(f.component(l)) for l in (1, 2)))
+    qg_x0 = HyperbolicScalar(1 / (mA1 + mB1), 1 / (mA2 + mB2))
     trace = {"x0": x0, "qg_x0": qg_x0, "a0": a0, "b0": b0}
     return SeparationCertificate(f, gamma, sup_A, trace)
 

@@ -105,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     separate.add_argument("input", help='JSON file with {"A": <set>, "B": <set>}')
     separate.add_argument("output", nargs="?",
                           help="certificate destination (default: stdout)")
-    separate.add_argument("--backend", choices=BACKENDS, default=EXACT,
-                          help="scalar backend for decoding (default: exact)")
 
     gauge = sub.add_parser("gauge", help="evaluate a Minkowski gauge at a point")
     gauge.add_argument("polytope", help="JSON file with a D-convex set")
@@ -182,16 +180,15 @@ def _emit(document: dict, output: Optional[str], out, err, code: int) -> int:
     return code
 
 
-def cmd_separate(input_path: str, output: Optional[str] = None,
-                 backend: str = EXACT, out=None, err=None) -> int:
+def cmd_separate(input_path: str, output: Optional[str] = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         obj = _load_json(input_path)
         if not isinstance(obj, dict) or "A" not in obj or "B" not in obj:
             raise SchemaError('separation input needs keys "A" and "B"')
-        A = serialize.decode_dconvex(obj["A"], backend, where="A")
-        B = serialize.decode_dconvex(obj["B"], backend, where="B")
+        A = serialize.decode_dconvex(obj["A"], where="A")
+        B = serialize.decode_dconvex(obj["B"], where="B")
     except (OSError, json.JSONDecodeError, SchemaError) as exc:
         err.write(f"error: {exc}\n")
         return 2
@@ -262,7 +259,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_verify(args.suite, args.seed, args.cases, args.backend,
                           args.report, args.fmt)
     if args.command == "separate":
-        return cmd_separate(args.input, args.output, args.backend)
+        return cmd_separate(args.input, args.output)
     return cmd_gauge(args.polytope, args.point, args.backend)
 
 

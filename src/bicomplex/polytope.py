@@ -386,10 +386,13 @@ class GaugeBody:
         lp.set_maximize([0] * n + [1] + [0] * two)
         return lp.solve()
 
+    def group_maxima(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
+        """The largest value of an exact linear form at a point of each group."""
+        return [max(sum(map(mul, coeffs, p)) for p in group) for group in self._groups]
+
     def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
-        """The maximum of an exact linear form over the body: the sum over the
-        groups of its largest value at a point of the group."""
-        return sum(max(sum(map(mul, coeffs, p)) for p in group) for group in self._groups)
+        """The maximum of an exact linear form over the body: its group maxima summed."""
+        return sum(self.group_maxima(coeffs))
 
 
 # -- the polytope type ------------------------------------------------------
@@ -401,9 +404,9 @@ class RealPolytope:
     The stored representations always describe the closed set; openness is
     a property of the containing DConvexSet (plus per-face strict flags on
     H-rep input).  Never mutated after construction, so the memoized facts
-    listed in the module docstring stay valid; `has_vrep` and `has_hrep`
-    report which representations are held so far, `built_from_vertices`
-    which one it was constructed with (a V-rep when given both).
+    listed in the module docstring stay valid; `has_vrep` reports whether
+    vertices are held so far, `built_from_vertices` which representation it
+    was constructed with (a V-rep when given both).
     """
 
     def __init__(self, dim: int, vertices: Optional[Sequence[Point]] = None,
@@ -459,9 +462,6 @@ class RealPolytope:
 
     def has_vrep(self) -> bool:
         return self._vertices is not None
-
-    def has_hrep(self) -> bool:
-        return self._halfspaces is not None
 
     def built_from_vertices(self) -> bool:
         return self._built_from_vertices

@@ -159,6 +159,8 @@ def encode_polytope(P: RealPolytope) -> dict:
 def decode_polytope(obj, backend: str = EXACT, where: str = "polytope") -> RealPolytope:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
+    if "vertices" in obj and "halfspaces" in obj:
+        raise SchemaError(f"{where}: need either vertices or halfspaces, not both")
     if "vertices" in obj:
         verts = _expect_list(obj["vertices"], f"{where}.vertices")
         if not verts:

@@ -26,7 +26,7 @@ from bicomplex.analysis import (
     ubp_bound,
     variety_extend_hyperplane,
 )
-from bicomplex.convex import DConvexSet, minkowski_gauge
+from bicomplex.convex import DConvexSet, DifferenceBody, minkowski_gauge
 from bicomplex.errors import (
     DegenerateBasisError,
     DegenerateFunctionalError,
@@ -51,7 +51,7 @@ from bicomplex.linear import (
 )
 from bicomplex.lp import LinearProgram
 from bicomplex.order import le, lt_strict
-from bicomplex.polytope import RealPolytope, affine_rank
+from bicomplex.polytope import GaugeBody, RealPolytope, affine_rank
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from bicomplex.vectors import BCVector, DVector
 
@@ -163,6 +163,21 @@ class TestSeparation:
         for l in (1, 2):
             values = [cert.f.eval_component(l, v) for v in A.component(l).vertices()]
             assert max(values) == (cert.sup_A.a1, cert.sup_A.a2)[l - 1]
+
+    def test_one_pass_of_group_maxima_per_component(self, monkeypatch):
+        # the extension's global check and the certificate's extrema each
+        # read f over the difference body's groups once per component
+        A = box_pair(dim=2, open_flag=True)
+        B = point_pair((3, 1), (5, -2))
+        calls = []
+        group_maxima = GaugeBody.group_maxima
+        monkeypatch.setattr(GaugeBody, "group_maxima",
+                            lambda body, coeffs: calls.append(body) or group_maxima(body, coeffs))
+        cert = separate_hyperbolic(A, B)
+        assert lt_strict(cert.sup_A, cert.gamma)
+        assert len(calls) == 4
+        assert all(isinstance(body, DifferenceBody) for body in calls)
+        assert len(set(map(id, calls))) == 2  # one body per component, read twice each
 
     def test_agrees_with_lp_oracle(self):
         rng = Random("sep-oracle")

@@ -290,17 +290,29 @@ class TestSeparate:
             G, a0, b0 = difference_body(A, B)
             gauge = minkowski_gauge(G, b0 - a0).hyper()
             assert cert.trace["qg_x0"] == gauge, (A, B)
+            one = HyperbolicScalar(1, 1)
+            assert cert.trace["qg_x0"] == one / (one + cert.sup_A - cert.gamma), (A, B)
             assert (gauge == HyperbolicScalar(1, 1)) is touching, (A, B)
 
-    def test_float_backend_trace_gauge_stays_exact(self, tmp_path):
-        # float extrema 1e-17 and 1.0 would cancel 1 + sup_A - gamma to 0
+    def test_json_float_input_gives_exact_extrema(self, tmp_path):
+        # the JSON number 1e17 is read at its exact binary value, 10**17, so
+        # sup_A is not rounded and 1 + sup_A - gamma is the exact qg_x0
         pair = {"A": {"p1": _vbox(1, -1, 1), "p2": _vbox(1, -1, 1), "open": True},
                 "B": {"p1": {"vertices": [[1e17]]}, "p2": {"vertices": [[3]]}}}
         buf = io.StringIO()
-        assert cmd_separate(write_json(tmp_path, "far.json", pair), backend=FLOAT, out=buf) == 0
+        assert cmd_separate(write_json(tmp_path, "far.json", pair), out=buf) == 0
         doc = json.loads(buf.getvalue())
-        assert doc["sup_A"] == {"e1": 1e-17, "e2": 1 / 3}
-        assert doc["trace"]["qg_x0"] == {"e1": str(10**17), "e2": "3"}
+        assert doc["sup_A"] == {"e1": "1/100000000000000000", "e2": "1/3"}
+        assert doc["trace"]["qg_x0"] == {"e1": "100000000000000000", "e2": "3"}
+
+    def test_polytope_with_both_representations_exits_two(self, tmp_path):
+        pair = {"A": {"p1": _vbox(1, -1, 1), "p2": _vbox(1, -1, 1), "open": True},
+                "B": {"p1": {"vertices": [[-1], [1]], "halfspaces": "garbage"},
+                      "p2": {"vertices": [[3]]}}}
+        buf, err = io.StringIO(), io.StringIO()
+        assert cmd_separate(write_json(tmp_path, "both.json", pair), out=buf, err=err) == 2
+        assert buf.getvalue() == ""
+        assert err.getvalue().startswith("error: B.p1: need either vertices or halfspaces")
 
     @pytest.mark.parametrize("A, B, error", [
         # an empty H-rep component of B: x <= 0 and -x <= -1
@@ -572,6 +584,12 @@ class TestEntryPoint:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_separate_takes_no_backend_flag(self, tmp_path):
+        pair = write_pair(tmp_path, box_pair(open_flag=True), point_pair((3,), (5,)))
+        with pytest.raises(SystemExit) as exc:
+            main(["separate", "--backend", "float", pair])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("content", (b"\xff\xfe\x00\x7b", b"[" * 100000 + b"]" * 100000),
                              ids=("not-utf8", "nested-too-deep"))

@@ -209,6 +209,8 @@ class TestGeometryCodecs:
             decode_polytope({"vertices": [[1], [1, 2]]})
         with pytest.raises(SchemaError):
             decode_polytope({"halfspaces": [{"a": [1], "b": 1, "strict": "yes"}]})
+        with pytest.raises(SchemaError, match="need either vertices or halfspaces"):
+            decode_polytope({"vertices": [[-1], [1]], "halfspaces": "garbage"})
 
     def test_dconvex_roundtrip_with_open_flag(self):
         A = DConvexSet(
