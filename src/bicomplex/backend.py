@@ -11,13 +11,22 @@ On exact operands the comparisons cross-multiply the public
 operators, and `fraction_operands` tells when a result may be built as one
 ``Fraction`` from integers: as with the operators, a result is an ``int``
 only when every operand is one.  ``bool`` and ``float`` are not exact.
+
+The exact dot kernel serves every sum of products in the library: `rdot`
+(Σ x·y) and `rdist2` (Σ (x − y)²) hand their integer terms to one
+accumulator, `fraction_sum`, which keeps a running lcm denominator and
+builds one ``Fraction`` at the end instead of two to eight per term.  When
+an operand is not exact they run the plain loop, in the same order, so
+float results stay bit-identical.  `rdiv` builds its quotient as one
+``Fraction`` too.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Iterable, Sequence, Union
 
 Real = Union[int, Fraction, float]
 
@@ -44,6 +53,51 @@ def fraction_operands(*xs: Real) -> bool:
         elif t is not int:
             return False
     return fraction
+
+
+def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Σ n/d over integer pairs ``(n, d)`` with ``d > 0``, as one ``Fraction``.
+
+    The running denominator is the lcm of the denominators seen so far, so
+    no ``Fraction`` is built per term and one gcd normalises the sum.
+    """
+    num, den = 0, 1
+    for n, d in terms:
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den *= d // g
+    return Fraction(num, den)
+
+
+def rdot(xs: Sequence[Real], ys: Sequence[Real]) -> Real:
+    """Σ x·y over ``zip(xs, ys)``; 0 when empty.
+
+    A ``Fraction`` when every operand is an ``int`` or ``Fraction`` and one
+    is a ``Fraction``; otherwise the plain left-to-right loop.
+    """
+    if fraction_operands(*xs, *ys):
+        return fraction_sum((x.numerator * y.numerator, x.denominator * y.denominator)
+                            for x, y in zip(xs, ys))
+    total = 0
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+def rdist2(xs: Sequence[Real], ys: Sequence[Real]) -> Real:
+    """Σ (x − y)² over ``zip(xs, ys)``, with the type rule of `rdot`."""
+    if fraction_operands(*xs, *ys):
+        return fraction_sum(((x.numerator * y.denominator - y.numerator * x.denominator) ** 2,
+                             (x.denominator * y.denominator) ** 2)
+                            for x, y in zip(xs, ys))
+    total = 0
+    for x, y in zip(xs, ys):
+        d = x - y
+        total = total + d * d
+    return total
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -102,9 +156,13 @@ def rdiv(a: Real, b: Real) -> Real:
     """a / b, staying exact when both operands are exact.
 
     Plain ``int / int`` would produce a float; this keeps rationals rational.
+    The exact quotient is always a ``Fraction``, built once from integers;
+    a zero divisor raises ``Fraction``'s own ``ZeroDivisionError``.
     """
     if is_exact(a) and is_exact(b):
-        return Fraction(a) / Fraction(b)
+        if not b:
+            return Fraction(a) / Fraction(b)
+        return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
     return a / b
 
 

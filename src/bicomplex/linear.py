@@ -6,6 +6,11 @@ implements the correspondence between a BC-linear functional ``h`` and its
 hyperbolic part ``h_D`` (the D-valued, D-linear functional with
 ``h(x) = h_D(x) - i h_D(ix) = h_D(x) - j h_D(jx)``), including the six
 independent ways of deriving ``h_D`` from a decomposition of ``h``.
+
+Every evaluation is a sum of products per idempotent component and goes
+through the exact dot kernel: `backend.rdot` for real components and
+`scalars.complex_dot` for complex ones, one ``Fraction`` per real output
+component on exact operands and the plain loop on floats.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .backend import Real, rsqrt
+from .backend import Real, rdot, rle, rlt, rsqrt
 from .convex import DConvexSet
 from .errors import ConstantComponentError, DimensionMismatch
 from .polytope import extreme_points
-from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
+from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar, complex_dot
 from .vectors import BCVector, DVector
 
 if TYPE_CHECKING:
@@ -64,16 +69,13 @@ class DLinearFunctional:
         c = self.component(l)
         if len(c) != len(v):
             raise DimensionMismatch("point dim mismatch")
-        return sum(a * b for a, b in zip(c, v))
+        return rdot(c, v)
 
 
 def eval_d(f: DLinearFunctional, x: DVector) -> HyperbolicScalar:
     if f.dim != x.dim:
         raise DimensionMismatch(f"functional dim {f.dim} vs point dim {x.dim}")
-    total = HyperbolicScalar.zero()
-    for c, v in zip(f.coeffs.coords, x.coords):
-        total = total + c * v
-    return total
+    return HyperbolicScalar(rdot(f.coeffs.part1(), x.part1()), rdot(f.coeffs.part2(), x.part2()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,10 +91,8 @@ class BCLinearFunctional:
     def __call__(self, x: BCVector) -> BicomplexScalar:
         if self.dim != x.dim:
             raise DimensionMismatch("functional dim vs point dim")
-        total = BicomplexScalar.zero()
-        for c, v in zip(self.coeffs.coords, x.coords):
-            total = total + c * v
-        return total
+        return BicomplexScalar(complex_dot(self.coeffs.part1(), x.part1()),
+                               complex_dot(self.coeffs.part2(), x.part2()))
 
 
 def split_functional(f):
@@ -117,9 +117,8 @@ def functional_from_parts(part1, part2):
 
 def functional_dbound(f: DLinearFunctional) -> HyperbolicScalar:
     """e1*||c1|| + e2*||c2||: a D-bound with |f(x)|_k <=' bound * ||x||_D."""
-    sq1 = sum(c * c for c in f.coeffs.part1())
-    sq2 = sum(c * c for c in f.coeffs.part2())
-    return HyperbolicScalar(rsqrt(sq1), rsqrt(sq2))
+    c1, c2 = f.coeffs.part1(), f.coeffs.part2()
+    return HyperbolicScalar(rsqrt(rdot(c1, c1)), rsqrt(rdot(c2, c2)))
 
 
 # -- the hyperbolic part of a BC-linear functional --------------------------
@@ -188,7 +187,8 @@ class HyperbolicFunctional:
     Stored by its values on the module generators e_m and i*e_m, which makes
     D-linearity structural: writing a coordinate as alpha + i*beta with
     hyperbolic alpha, beta, evaluation is
-    sum_m alpha_m * on_basis[m] + beta_m * on_ibasis[m].
+    sum_m alpha_m * on_basis[m] + beta_m * on_ibasis[m]: per component, one
+    `rdot` of the interleaved (alpha_m, beta_m) with the interleaved values.
     """
 
     on_basis: tuple[HyperbolicScalar, ...]
@@ -201,12 +201,13 @@ class HyperbolicFunctional:
     def __call__(self, x: BCVector) -> HyperbolicScalar:
         if x.dim != self.dim:
             raise DimensionMismatch("point dim mismatch")
-        total = HyperbolicScalar.zero()
-        for m, Z in enumerate(x.coords):
-            alpha = HyperbolicScalar(Z.z1.re, Z.z2.re)
-            beta = HyperbolicScalar(Z.z1.im, Z.z2.im)
-            total = total + alpha * self.on_basis[m] + beta * self.on_ibasis[m]
-        return total
+        xs1, xs2, ys1, ys2 = [], [], [], []
+        for Z, b, ib in zip(x.coords, self.on_basis, self.on_ibasis):
+            xs1 += (Z.z1.re, Z.z1.im)
+            xs2 += (Z.z2.re, Z.z2.im)
+            ys1 += (b.a1, ib.a1)
+            ys2 += (b.a2, ib.a2)
+        return HyperbolicScalar(rdot(xs1, ys1), rdot(xs2, ys2))
 
 
 def hyperbolic_part(h: BCLinearFunctional) -> HyperbolicFunctional:
@@ -284,13 +285,11 @@ class BCLinearMap:
     def __call__(self, x: BCVector) -> BCVector:
         if x.dim != self.cols:
             raise DimensionMismatch("map cols vs point dim")
-        out = []
-        for row in self.matrix:
-            acc = BicomplexScalar.zero()
-            for entry, v in zip(row, x.coords):
-                acc = acc + entry * v
-            out.append(acc)
-        return BCVector(tuple(out))
+        x1, x2 = x.part1(), x.part2()
+        return BCVector(tuple(
+            BicomplexScalar(complex_dot([e.z1 for e in row], x1), complex_dot([e.z2 for e in row], x2))
+            for row in self.matrix
+        ))
 
     def component(self, l: int) -> list[list[ComplexScalar]]:
         """The complex component matrix T_l."""
@@ -327,8 +326,6 @@ class DIntervalPair:
     open: bool = False
 
     def contains(self, alpha: HyperbolicScalar) -> bool:
-        from .backend import rle, rlt
-
         cmp = rlt if self.open else rle
         return (
             cmp(self.i1[0], alpha.a1)
@@ -375,9 +372,7 @@ def image_convex(f, A: DConvexSet):
                 raise ConstantComponentError(f"zero coefficients in component {l}")
             images = []
             for v in A.component(l).vertices():
-                z = ComplexScalar(0)
-                for m, c in enumerate(coeffs):
-                    z = z + c * ComplexScalar(v[2 * m], v[2 * m + 1])
+                z = complex_dot(coeffs, [ComplexScalar(v[2 * m], v[2 * m + 1]) for m in range(len(coeffs))])
                 images.append((z.re, z.im))
             hulls.append(tuple(extreme_points(images)))
         return PlanarRegionPair(hulls[0], hulls[1], open=A.open)

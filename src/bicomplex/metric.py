@@ -6,6 +6,12 @@ the strict partial order, so a ball in D is an open axis-aligned rectangle
 of the (a1, a2) plane.  That makes containment and set-difference queries
 against closed rectangles exactly decidable, which is what the constructive
 Baire procedure needs.
+
+Each squared component distance is one call of the exact dot kernel:
+`backend.rdist2` over the real parts (for BC^n, the interleaved real and
+imaginary parts), which builds one ``Fraction`` on exact operands.  On
+float operands the metrics keep their plain loops, so the float backend's
+roundings do not change.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .backend import Real, rdiv, rle, rsqrt
+from .backend import Real, fraction_operands, rdist2, rdiv, rle, rsqrt
 from .errors import DimensionMismatch, EmptyInputError, NotACoverError
 from .order import lt_strict
 from .scalars import HyperbolicScalar
@@ -24,12 +30,7 @@ from .vectors import BCVector, DVector
 def dmetric(x: DVector, y: DVector) -> HyperbolicScalar:
     if x.dim != y.dim:
         raise DimensionMismatch(f"dims {x.dim} vs {y.dim}")
-    sq1 = sq2 = 0
-    for a, b in zip(x.coords, y.coords):
-        d = a - b
-        sq1 += d.a1 * d.a1
-        sq2 += d.a2 * d.a2
-    return HyperbolicScalar(rsqrt(sq1), rsqrt(sq2))
+    return HyperbolicScalar(rsqrt(rdist2(x.part1(), y.part1())), rsqrt(rdist2(x.part2(), y.part2())))
 
 
 def dnorm(x: DVector) -> HyperbolicScalar:
@@ -40,12 +41,21 @@ def dmetric_bc(x: BCVector, y: BCVector) -> HyperbolicScalar:
     """Same metric on BC^n, with complex Euclidean component norms."""
     if x.dim != y.dim:
         raise DimensionMismatch(f"dims {x.dim} vs {y.dim}")
-    sq1 = sq2 = 0
-    for a, b in zip(x.coords, y.coords):
-        d = a - b
-        sq1 += d.z1.abs2()
-        sq2 += d.z2.abs2()
-    return HyperbolicScalar(rsqrt(sq1), rsqrt(sq2))
+    return HyperbolicScalar(rsqrt(_complex_dist2(x.part1(), y.part1())),
+                            rsqrt(_complex_dist2(x.part2(), y.part2())))
+
+
+def _complex_dist2(zs, ws) -> Real:
+    """Σ |z − w|²: `rdist2` over interleaved parts when exact, else the
+    plain loop of ``abs2`` (each |z − w|² rounded before it is added)."""
+    xs = [t for z in zs for t in (z.re, z.im)]
+    ys = [t for w in ws for t in (w.re, w.im)]
+    if fraction_operands(*xs, *ys):
+        return rdist2(xs, ys)
+    total = 0
+    for z, w in zip(zs, ws):
+        total = total + (z - w).abs2()
+    return total
 
 
 def dnorm_bc(x: BCVector) -> HyperbolicScalar:

@@ -12,7 +12,8 @@ The real carrier of the components is either exact (`Fraction`/`int`) or
 product and ``abs2`` combine integer numerators and denominators and
 build each component as one ``Fraction`` (one gcd) instead of a chain of
 ``Fraction`` operations; a component is an ``int`` exactly when every
-operand is, as with the plain operators.
+operand is, as with the plain operators.  `complex_dot`, a sum of complex
+products, sums the same integer terms in `backend.fraction_sum`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
-from .backend import Real, fraction_operands, rdiv, req, rle, rsqrt
+from .backend import Real, fraction_operands, fraction_sum, rdiv, req, rle, rsqrt
 from .errors import NullConeError, ZeroError
 
 
@@ -55,11 +57,8 @@ class ComplexScalar:
         other = _as_complex(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if fraction_operands(a, b, c, d):
-            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-            cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
-            den = ad * bd * cd * dd
-            return ComplexScalar(Fraction(an * cn * bd * dd - bn * dn * ad * cd, den),
-                                 Fraction(an * dn * bd * cd + bn * cn * ad * dd, den))
+            re, im, den = _product_terms(a, b, c, d)
+            return ComplexScalar(Fraction(re, den), Fraction(im, den))
         return ComplexScalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -91,6 +90,35 @@ class ComplexScalar:
 
     def times_i(self) -> ComplexScalar:
         return ComplexScalar(-self.im, self.re)
+
+
+def _product_terms(a, b, c, d) -> tuple[int, int, int]:
+    """(a + bi)(c + di) on exact operands: the real and imaginary
+    numerators over their common denominator."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
+    return (an * cn * bd * dd - bn * dn * ad * cd,
+            an * dn * bd * cd + bn * cn * ad * dd,
+            ad * bd * cd * dd)
+
+
+def complex_dot(zs: Sequence[ComplexScalar], ws: Sequence[ComplexScalar]) -> ComplexScalar:
+    """Σ z·w over ``zip(zs, ws)``, the complex sibling of `backend.rdot`.
+
+    On exact parts with one ``Fraction`` each component is one
+    `fraction_sum`; otherwise the plain loop of complex products.
+    """
+    if fraction_operands(*(t for z, w in zip(zs, ws) for t in (z.re, z.im, w.re, w.im))):
+        re_terms, im_terms = [], []
+        for z, w in zip(zs, ws):
+            re, im, den = _product_terms(z.re, z.im, w.re, w.im)
+            re_terms.append((re, den))
+            im_terms.append((im, den))
+        return ComplexScalar(fraction_sum(re_terms), fraction_sum(im_terms))
+    total = ComplexScalar(0)
+    for z, w in zip(zs, ws):
+        total = total + z * w
+    return total
 
 
 def _as_complex(v) -> ComplexScalar:

@@ -70,6 +70,18 @@ the scalar kernel before its exact fast path, copied verbatim: it went
 through `Fraction`'s operators for every exact operand.  Values, types and
 reprs must come out the same, and so must raised errors.  This module's
 other references use this `rlt`, not the library's.
+
+The sums of products are the loops of `bicomplex.linear` and
+`bicomplex.metric` before the exact dot kernel, copied verbatim as
+functions of the object they were methods of: `eval_d`,
+`bc_functional_call` (`BCLinearFunctional.__call__`),
+`hyperbolic_functional_call` (`HyperbolicFunctional.__call__`),
+`bc_map_call` (`BCLinearMap.__call__`), `eval_component`,
+`functional_dbound`, `dmetric` and `dmetric_bc`, with `rdiv` as it was
+before it built its quotient as one `Fraction`.  They run on the library's
+scalar operators, one ring operation per term.  Values, types, reprs and
+float bits must come out the same, and so must raised errors.  This
+module's other references use this `rdiv`, not the library's.
 """
 
 from __future__ import annotations
@@ -81,7 +93,7 @@ from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
 from bicomplex.analysis import DHyperplane
-from bicomplex.backend import EPSILON, Real, rdiv
+from bicomplex.backend import EPSILON, Real
 from bicomplex.convex import DConvexSet, is_dabsorbing
 from bicomplex.errors import (
     BicomplexError,
@@ -106,8 +118,8 @@ from bicomplex.polytope import (
     affine_rank,
     matrix_rank,
 )
-from bicomplex.scalars import BicomplexScalar, ComplexScalar, _as_complex
-from bicomplex.vectors import DVector
+from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar, _as_complex
+from bicomplex.vectors import BCVector, DVector
 
 
 class FractionLinearProgram(LinearProgram):
@@ -1078,3 +1090,94 @@ def complex_mul(self: ComplexScalar, other) -> ComplexScalar:
 def complex_abs2(self: ComplexScalar) -> Real:
     """|z|^2 = re^2 + im^2, exact in the exact backend."""
     return self.re * self.re + self.im * self.im
+
+
+# -- the sums of products before the exact dot kernel ---------------------------
+
+
+def rdiv(a: Real, b: Real) -> Real:
+    """a / b, staying exact when both operands are exact.
+
+    Plain ``int / int`` would produce a float; this keeps rationals rational.
+    """
+    if is_exact(a) and is_exact(b):
+        return Fraction(a) / Fraction(b)
+    return a / b
+
+
+def eval_d(f: DLinearFunctional, x: DVector) -> HyperbolicScalar:
+    if f.dim != x.dim:
+        raise DimensionMismatch(f"functional dim {f.dim} vs point dim {x.dim}")
+    total = HyperbolicScalar.zero()
+    for c, v in zip(f.coeffs.coords, x.coords):
+        total = total + c * v
+    return total
+
+
+def bc_functional_call(self, x: BCVector) -> BicomplexScalar:
+    if self.dim != x.dim:
+        raise DimensionMismatch("functional dim vs point dim")
+    total = BicomplexScalar.zero()
+    for c, v in zip(self.coeffs.coords, x.coords):
+        total = total + c * v
+    return total
+
+
+def hyperbolic_functional_call(self, x: BCVector) -> HyperbolicScalar:
+    if x.dim != self.dim:
+        raise DimensionMismatch("point dim mismatch")
+    total = HyperbolicScalar.zero()
+    for m, Z in enumerate(x.coords):
+        alpha = HyperbolicScalar(Z.z1.re, Z.z2.re)
+        beta = HyperbolicScalar(Z.z1.im, Z.z2.im)
+        total = total + alpha * self.on_basis[m] + beta * self.on_ibasis[m]
+    return total
+
+
+def bc_map_call(self, x: BCVector) -> BCVector:
+    if x.dim != self.cols:
+        raise DimensionMismatch("map cols vs point dim")
+    out = []
+    for row in self.matrix:
+        acc = BicomplexScalar.zero()
+        for entry, v in zip(row, x.coords):
+            acc = acc + entry * v
+        out.append(acc)
+    return BCVector(tuple(out))
+
+
+def eval_component(self, l: int, v: Sequence[Real]) -> Real:
+    c = self.component(l)
+    if len(c) != len(v):
+        raise DimensionMismatch("point dim mismatch")
+    return sum(a * b for a, b in zip(c, v))
+
+
+def functional_dbound(f: DLinearFunctional) -> HyperbolicScalar:
+    """e1*||c1|| + e2*||c2||: a D-bound with |f(x)|_k <=' bound * ||x||_D."""
+    sq1 = sum(c * c for c in f.coeffs.part1())
+    sq2 = sum(c * c for c in f.coeffs.part2())
+    return HyperbolicScalar(rsqrt(sq1), rsqrt(sq2))
+
+
+def dmetric(x: DVector, y: DVector) -> HyperbolicScalar:
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"dims {x.dim} vs {y.dim}")
+    sq1 = sq2 = 0
+    for a, b in zip(x.coords, y.coords):
+        d = a - b
+        sq1 += d.a1 * d.a1
+        sq2 += d.a2 * d.a2
+    return HyperbolicScalar(rsqrt(sq1), rsqrt(sq2))
+
+
+def dmetric_bc(x: BCVector, y: BCVector) -> HyperbolicScalar:
+    """Same metric on BC^n, with complex Euclidean component norms."""
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"dims {x.dim} vs {y.dim}")
+    sq1 = sq2 = 0
+    for a, b in zip(x.coords, y.coords):
+        d = a - b
+        sq1 += d.z1.abs2()
+        sq2 += d.z2.abs2()
+    return HyperbolicScalar(rsqrt(sq1), rsqrt(sq2))
