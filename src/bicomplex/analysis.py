@@ -31,7 +31,10 @@ gauge LP at x0 solved, whose weights give a common point, so no V-rep set
 is converted to facets.  A bound f <=' q is certified by plain
 evaluation (`form_max`): a linear form is largest over a body at a column
 point of each group, and f <= 1 on an absorbing body is f <=' q
-everywhere.
+everywhere.  The same evaluation decides whether a hyperplane {f = 1}
+misses an absorbing set, with the maximizing point scaled onto the level
+as the witness when it does not.  Only an affine variety's disjointness
+takes an LP (`_slack_point`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import elim
-from .backend import Real
+from .backend import Real, rdot
 from .convex import DConvexSet, difference_body, is_dabsorbing
 from .errors import (
     BicomplexError,
@@ -167,7 +170,7 @@ def extend_dominated(
         if span and matrix_rank(span) < len(span):
             raise DegenerateBasisError(f"dependent basis in component {l}", component=l)
         coeffs = [Fraction(c) for c in g.component(l)]
-        vals = [sum(c * u for c, u in zip(coeffs, vec)) for vec in span]
+        vals = [rdot(coeffs, vec) for vec in span]
         P = B.component(l).gauge_body()
         res = P.polar_max(span, vals)  # feasible: f = 0, s = 0
         if res.status == UNBOUNDED:  # g vanishes on Y
@@ -210,14 +213,16 @@ def _slack_point(
 ) -> Optional[tuple]:
     """A point x of P that satisfies the caller's rows, or None when none does.
 
-    One LP decides whether P meets a hyperplane or an affine variety (P meets
-    another set when the extension LP of their difference body says so).  Its
-    variables are x (free, one per coordinate of P), a common slack t
-    (free), then y_count more free variables y.  Its rows, in this order,
-    are P's faces a.x + sigma*t <= b, with sigma = 1 when ``strict`` and 0
-    otherwise; the caller's ``eq`` rows, written over (x, y); t <= 1.  It
-    maximizes t.  When ``strict``, only t > 0 counts, which puts x in the
-    interior of P; otherwise every feasible point counts.
+    One LP decides whether P meets an affine variety x0 + span(M), for
+    `variety_extend_hyperplane` (a hyperplane is decided by the maximum of
+    its functional over P, another set by the extension LP of their
+    difference body).  Its variables are x (free, one per coordinate of
+    P), a common slack t (free), then y_count more free variables y.  Its
+    rows, in this order, are P's faces a.x + sigma*t <= b, with sigma = 1
+    when ``strict`` and 0 otherwise; the caller's ``eq`` rows, written over
+    (x, y); t <= 1.  It maximizes t.  When ``strict``, only t > 0 counts,
+    which puts x in the interior of P; otherwise every feasible point
+    counts.
     """
     dim = P.dim
     lp = LinearProgram(dim + 1 + y_count)
@@ -298,38 +303,6 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     return SeparationCertificate(f, gamma, sup_A, trace)
 
 
-def lp_separation_oracle(A: DConvexSet, B: DConvexSet) -> bool:
-    """Independent componentwise check that A and B are strictly separable.
-
-    For each component, an LP searches for a functional w with a positive gap
-    between max w on A's vertices and min w on B's vertices (w is box-normalized
-    to keep the program bounded).  True means both components admit a gap —
-    it never looks at the certificate construction.
-    """
-    if A.dim != B.dim:
-        raise DimensionMismatch("sets live in different dimensions")
-    n = A.dim
-    for l in (1, 2):
-        # Variables: w (n, free), a level c and the gap s.  Maximize s
-        # subject to w.a + s <= c <= w.b at every vertex a of A and b of B,
-        # |w_i| <= 1: one row per vertex, not per vertex pair.
-        lp = LinearProgram(n + 2)
-        for a in A.component(l).vertices():
-            lp.add_le([*map(Fraction, a), -1, 1], 0)
-        for b in B.component(l).vertices():
-            lp.add_ge([*map(Fraction, b), -1, 0], 0)
-        for i in range(n):
-            unit = [0] * (n + 2)
-            unit[i] = 1
-            lp.add_le(unit, 1)
-            lp.add_ge(unit, -1)
-        lp.set_maximize([0] * (n + 1) + [1])
-        res = lp.solve()
-        if not res or res.value <= 0:
-            return False
-    return True
-
-
 def separate_bicomplex(A: DConvexSet, B: DConvexSet) -> tuple[BCLinearFunctional, HyperbolicScalar]:
     """Separation with a BC-linear functional, via its hyperbolic part.
 
@@ -389,40 +362,30 @@ def _recip(v: Real) -> Real:
     return 1 / Fraction(v) if isinstance(v, (int, Fraction)) else 1.0 / v
 
 
-def _hyperplane_disjoint_or_raise(B: DConvexSet, L: DHyperplane) -> None:
-    for l in (1, 2):
-        coeffs, level = L.component_level(l)
-        witness = _slack_point(B.component(l), B.open, eq=[(coeffs, level)])
-        if witness is not None:
-            raise NotDisjointError(
-                f"hyperplane meets component {l} of the set",
-                component=l,
-                witness=witness,
-            )
-
-
 def hyperplane_gauge_bound(B: DConvexSet, L: DHyperplane) -> DLinearFunctional:
     """The normalized functional of L, certified against the gauge of B.
 
     Requires B absorbing and componentwise disjoint from L.  The returned f
     has {f = 1} = L and satisfies -q_B(-x) <=' f(x) <=' q_B(x).  For an
     absorbing B, f <= 1 on B_l is f_l <= q_l everywhere, and
-    -q(-x) <= f(x) is the same bound at -x; so one exact test per component
-    certifies the bound and B ⊆ {f <' 1}: the maximum of f over B_l
-    (`form_max`) is below 1, or at most 1 when B is open.
+    -q(-x) <= f(x) is the same bound at -x.  One exact pass per component
+    (l = 1 first) decides and certifies both: m_l, the maximum of f_l over
+    B_l's points (`form_argmax`), must be below 1, or at most 1 when B is
+    open.  B_l is convex and f(0) = 0 < 1, so {f_l = 1} meets B_l exactly
+    when m_l >= 1 and meets its interior exactly when m_l > 1; then
+    `NotDisjointError` carries v*/m_l for the first point v* attaining m_l.
+    It lies on {f_l = 1} and in B_l, and in its interior when m_l > 1,
+    since 0 is interior (Rockafellar 1970, Thm 6.1).
     """
     if not is_dabsorbing(B):
         raise NotAbsorbingError("gauge bound needs an absorbing set")
-    normalized = hyperplane_normalize(L.f, L.c)
-    _hyperplane_disjoint_or_raise(B, normalized)
-    f = normalized.f
+    f = hyperplane_normalize(L.f, L.c).f
     for l in (1, 2):
-        top = B.component(l).gauge_body().form_max([Fraction(c) for c in f.component(l)])
-        if B.open:
-            if top > 1:
-                raise BicomplexError("open set escapes the unit level")
-        elif top >= 1:
-            raise BicomplexError("closed set touches its separating hyperplane")
+        body = B.component(l).gauge_body()
+        top, peak = body.form_argmax([Fraction(c) for c in f.component(l)])
+        if top > 1 or (top == 1 and not B.open):
+            raise NotDisjointError(f"hyperplane meets component {l} of the set",
+                                   component=l, witness=tuple(x / top for x in peak))
     return f
 
 

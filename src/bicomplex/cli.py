@@ -151,12 +151,15 @@ def cmd_verify(suite: str, seed: int, cases: int, backend: str,
 
 
 def _load_json(path: str):
-    """The document in the file; one that is not UTF-8 or nests too deeply to
-    parse raises `SchemaError`, like any other malformed input."""
+    """The document in the file; one that is not UTF-8, nests too deeply to
+    parse or holds an integer longer than Python converts (4300 digits by
+    default) raises `SchemaError`, like any other malformed input."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (UnicodeDecodeError, RecursionError) as exc:
+        except json.JSONDecodeError:
+            raise
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
             raise SchemaError(f"{path}: {exc}") from None
 
 
@@ -193,29 +196,38 @@ def cmd_separate(input_path: str, output: Optional[str] = None, out=None, err=No
         err.write(f"error: {exc}\n")
         return 2
     try:
-        cert = separate_hyperbolic(A, B)
+        record, code = _separation_record(A, B)
     except DimensionMismatch as exc:
         err.write(f"error: {exc}\n")
         return 2
+    except ValueError as exc:  # an exact value too long for str (Python's digit limit)
+        record, code = {"status": "refused", "error": type(exc).__name__, "message": str(exc)}, 1
+    return _emit(record, output, out, err, code)
+
+
+def _separation_record(A, B) -> tuple[dict, int]:
+    """The certificate of A and B, or the record of why there is none, with
+    its exit code; `DimensionMismatch` propagates."""
+    try:
+        cert = separate_hyperbolic(A, B)
+    except DimensionMismatch:
+        raise
     except NotDisjointError as exc:
-        record = {
+        return {
             "status": "not-disjoint",
             "component": exc.component,
             "witness": [encode_real(c) for c in exc.witness],
             "message": str(exc),
-        }
-        return _emit(record, output, out, err, 1)
+        }, 1
     except NotOpenError as exc:
-        return _emit({"status": "not-open", "message": str(exc)}, output, out, err, 1)
+        return {"status": "not-open", "message": str(exc)}, 1
     except EmptyInteriorError as exc:
-        record = {"status": "empty-interior", "component": exc.component, "message": str(exc)}
-        return _emit(record, output, out, err, 1)
+        return {"status": "empty-interior", "component": exc.component, "message": str(exc)}, 1
     except BicomplexError as exc:
-        record = {"status": "refused", "error": type(exc).__name__, "message": str(exc)}
-        return _emit(record, output, out, err, 1)
+        return {"status": "refused", "error": type(exc).__name__, "message": str(exc)}, 1
     document = serialize.encode_certificate(cert)
     document["status"] = "separated"
-    return _emit(document, output, out, err, 0)
+    return document, 0
 
 
 # -- gauge ------------------------------------------------------------------------
@@ -238,15 +250,16 @@ def cmd_gauge(polytope_path: str, point_path: str, backend: str = EXACT,
         err.write(f"error: {exc}\n")
         return 2
     try:
-        value = minkowski_gauge(S, x)
-        q = value.hyper()
+        q = minkowski_gauge(S, x).hyper()
+        line = f"{_format_component(q.a1, backend)} {_format_component(q.a2, backend)}\n"
     except DimensionMismatch as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except BicomplexError as exc:  # not absorbing, or a set the gauge cannot read
+    except (BicomplexError, ValueError) as exc:
+        # not absorbing, a set the gauge cannot read, or a value too long for str
         err.write(f"error: {exc}\n")
         return 1
-    out.write(f"{_format_component(q.a1, backend)} {_format_component(q.a2, backend)}\n")
+    out.write(line)
     return 0
 
 

@@ -31,8 +31,8 @@ fact once and memoizes it:
 - its `GaugeBody` (`gauge_body`): the exact vertex columns, which
   `gauge_vrep` reads as the gauge epigraph and the extension LP of
   `bicomplex.analysis` (`polar_max`) as the rows of the polar, and which
-  the `form_max` certificates evaluate, so each LP only supplies its
-  right-hand side or its span.
+  the `form_max` and `form_argmax` certificates evaluate, so each LP only
+  supplies its right-hand side or its span.
 
 Membership (`contains`), absorbency and the gauge answer in the
 representation the polytope was built with, never in one an earlier query
@@ -49,7 +49,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import elim
-from .backend import Real, is_exact, rdiv, rle, rlt
+from .backend import Real, is_exact, rdiv, rdot, rle, rlt
 from .errors import (
     DimensionMismatch,
     EmptySetError,
@@ -70,15 +70,11 @@ class Halfspace:
     strict: bool = False
 
     def holds(self, point: Sequence[Real]) -> bool:
-        v = _dot(self.a, point)
+        v = rdot(self.a, point)
         return rlt(v, self.b) if self.strict else rle(v, self.b)
 
 
 # -- exact linear algebra ---------------------------------------------------
-
-
-def _dot(a: Sequence[Real], b: Sequence[Real]) -> Real:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _frac_point(p: Sequence[Real]) -> tuple[Fraction, ...]:
@@ -129,7 +125,7 @@ def _lex_argmax(points: Sequence[tuple[int, ...]], form: Sequence[int]) -> int:
     """Index of the lexicographically largest maximizer of form . x — always
     extreme.  The points are integer coordinates: a positive common scale
     keeps both the values' order and the lexicographic order."""
-    return max(range(len(points)), key=lambda i: (_dot(form, points[i]), points[i]))
+    return max(range(len(points)), key=lambda i: (sum(map(mul, form, points[i])), points[i]))
 
 
 def _probe_forms(dim: int) -> list[tuple[int, ...]]:
@@ -388,7 +384,15 @@ class GaugeBody:
 
     def group_maxima(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
         """The largest value of an exact linear form at a point of each group."""
-        return [max(sum(map(mul, coeffs, p)) for p in group) for group in self._groups]
+        return [max(rdot(coeffs, p) for p in group) for group in self._groups]
+
+    def form_argmax(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, Sequence[Fraction]]:
+        """The maximum of an exact linear form over a one-group body (a
+        polytope's vertices) and the first point that attains it."""
+        points = self._groups[0]
+        values = [rdot(coeffs, p) for p in points]
+        top = max(values)
+        return top, points[values.index(top)]
 
     def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
         """The maximum of an exact linear form over the body: its group maxima summed."""
@@ -497,7 +501,7 @@ class RealPolytope:
         """Membership in the interior of the closure."""
         if len(point) != self.dim:
             raise DimensionMismatch("point length != dim")
-        return all(rlt(_dot(h.a, point), h.b) for h in self.halfspaces())
+        return all(rlt(rdot(h.a, point), h.b) for h in self.halfspaces())
 
     def origin_interior(self) -> bool:
         """Is 0 an interior point?  Read from `_integer_faces`, so decided
@@ -510,7 +514,7 @@ class RealPolytope:
             verts = [tuple(x + s for x, s in zip(v, shift)) for v in self._vertices]
             return RealPolytope(self.dim, vertices=verts)
         faces = [
-            Halfspace(h.a, h.b + _dot(h.a, shift), h.strict) for h in self._halfspaces
+            Halfspace(h.a, h.b + rdot(h.a, shift), h.strict) for h in self._halfspaces
         ]
         return RealPolytope(self.dim, halfspaces=faces)
 
@@ -561,7 +565,7 @@ class RealPolytope:
             return Fraction(num, den * L) if num or vrep else 0
         best: Real = 0
         for h in self._halfspaces:
-            val = rdiv(_dot(h.a, point), h.b)
+            val = rdiv(rdot(h.a, point), h.b)
             if val > best:
                 best = val
         return best

@@ -50,10 +50,12 @@ integer kernel through the real embedding: `_rref`, `complex_rank`,
 `_overlap_witness`, `_hyperplane_disjoint_or_raise` and the LP of
 `variety_extend_hyperplane` (as `variety_disjoint_or_raise`) are the three
 hand-built disjointness LPs that the one slack-LP helper replaced, copied
-verbatim.  Ranks, inverses, graph maps, error messages, hyperplane
-witnesses and every raise-or-not decision must come out the same.
-Separation no longer runs an overlap LP (the extension LP of G decides), so
-`_overlap_witness` is the oracle for its meet-or-miss decision only.
+verbatim.  Ranks, inverses, graph maps, error messages and every
+raise-or-not decision must come out the same.  Separation no longer runs an
+overlap LP (the extension LP of G decides), and `hyperplane_gauge_bound` no
+LP at all (one maximum of f per component decides), so `_overlap_witness`
+and `_hyperplane_disjoint_or_raise` are the oracles for their decisions and
+components only; their witnesses are checked exactly instead.
 
 `VertexEpigraph` and `DifferenceEpigraph` are the two column epigraphs that
 `polytope.GaugeBody` replaced, `RealPolytope.gauge_lp` and
@@ -63,6 +65,10 @@ verbatim: the body's LPs must have the same rows and solve to the same
 before it certified by `form_max` (B's vertices and a grid, against the
 closed-form gauge), copied verbatim: both must accept or reject the same
 (B, f) pairs.
+
+`_dot` is the sum of products `bicomplex.polytope` used before every dot
+product went through `backend.rdot`, copied verbatim for the references
+above that call it.
 
 `is_exact`, `req`, `rle`, `rlt`, `rsqrt`, `complex_mul` (the body of
 `ComplexScalar.__mul__`) and `complex_abs2` (of `ComplexScalar.abs2`) are
@@ -112,7 +118,6 @@ from bicomplex.polytope import (
     Halfspace,
     Point,
     RealPolytope,
-    _dot,
     _frac_point,
     _probe_forms,
     affine_rank,
@@ -120,6 +125,10 @@ from bicomplex.polytope import (
 )
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar, _as_complex
 from bicomplex.vectors import BCVector, DVector
+
+
+def _dot(a: Sequence[Real], b: Sequence[Real]) -> Real:
+    return sum(x * y for x, y in zip(a, b))
 
 
 class FractionLinearProgram(LinearProgram):

@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from bicomplex import polytope
 from bicomplex.analysis import (
     DHyperplane,
     MapFamily,
@@ -18,7 +19,6 @@ from bicomplex.analysis import (
     hyperplane_gauge_bound,
     hyperplane_normalize,
     inverse_map,
-    lp_separation_oracle,
     map_from_graph,
     omt_delta,
     separate_bicomplex,
@@ -42,7 +42,7 @@ from bicomplex.errors import (
     NotSurjectiveError,
     ZeroDivisorLevelError,
 )
-from bicomplex.generators import rand_overlap_instance, rand_separation_instance
+from bicomplex.generators import rand_overlap_instance
 from bicomplex.linear import (
     BCLinearFunctional,
     BCLinearMap,
@@ -179,15 +179,6 @@ class TestSeparation:
         assert all(isinstance(body, DifferenceBody) for body in calls)
         assert len(set(map(id, calls))) == 2  # one body per component, read twice each
 
-    def test_agrees_with_lp_oracle(self):
-        rng = Random("sep-oracle")
-        for _ in range(8):
-            dim = rng.randint(1, 2)
-            A, B = rand_separation_instance(rng, dim)
-            cert = separate_hyperbolic(A, B)
-            assert lp_separation_oracle(A, B)
-            assert cert.gamma.a1 is not None
-
     def test_overlap_raises_with_witness(self):
         A = box_pair(dim=2, open_flag=True)
         B = point_pair((0, 0), (0, 0))
@@ -196,7 +187,6 @@ class TestSeparation:
         err = exc.value
         assert err.component in (1, 2)
         assert tuple(err.witness) == (0, 0)
-        assert not lp_separation_oracle(A, B)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_overlap_witness_ignores_derived_vertices(self, dim):
@@ -327,7 +317,6 @@ class TestHyperplane:
             assert le(-q, f(x))
 
     def test_gauge_bound_on_four_dimensional_vertex_box(self):
-        """The disjointness LP reads B's facets, so a V-rep B converts to them."""
         box = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=4)))
         B = DConvexSet(box, box)
         L = DHyperplane(DLinearFunctional.from_parts([F(1), F(1), F(0), F(0)],
@@ -336,6 +325,28 @@ class TestHyperplane:
         assert f.component(1) == (F(1, 4), F(1, 4), F(0), F(0))
         assert f.component(2) == (F(0), F(0), F(0), F(1, 2))
         assert len(box.halfspaces()) == 8
+
+    @pytest.mark.parametrize("open_flag", [False, True])
+    def test_one_exact_pass_decides_without_lp_or_facets(self, open_flag, monkeypatch):
+        """A vertex box whose largest value of f is exactly 1 at (1, 1): the
+        closed box touches {f = 1} there and is refused with that vertex,
+        the open one misses it.  Neither solves an LP or finds a facet."""
+        solves, facets = [], []
+        solve, enumerate_facets = LinearProgram.solve, polytope.facet_enumeration
+        monkeypatch.setattr(LinearProgram, "solve", lambda lp: solves.append(lp) or solve(lp))
+        monkeypatch.setattr(polytope, "facet_enumeration",
+                            lambda *args: facets.append(args) or enumerate_facets(*args))
+        box = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=2)))
+        B = DConvexSet(box, box, open=open_flag)
+        L = DHyperplane(DLinearFunctional.from_parts([F(1, 2), F(1, 2)], [F(1, 4), F(0)]),
+                        HyperbolicScalar.one())
+        if open_flag:
+            assert hyperplane_gauge_bound(B, L).component(1) == (F(1, 2), F(1, 2))
+        else:
+            with pytest.raises(NotDisjointError) as exc:
+                hyperplane_gauge_bound(B, L)
+            assert (exc.value.component, exc.value.witness) == (1, (F(1), F(1)))
+        assert solves == [] and facets == []
 
     def test_crossing_level_raises(self):
         L = DHyperplane(DLinearFunctional.from_parts([F(1)], [F(1)]), h(F(1, 2), F(1, 2)))

@@ -19,7 +19,9 @@ output and every gauge value, with its type, must stay the same under both
 backends.
 
 The theorem digests were recorded with the `Fraction` Gauss-Jordan complex
-path and the three hand-built disjointness LPs (see the section below).
+path and the three hand-built disjointness LPs; "overlap", "variety" and
+"hyperplane" were re-recorded since, each after an exact check (see the
+section below).
 
 The fault digests hash the seven suites' reports, failure records included,
 plain and under three injected faults (see the last section).
@@ -290,13 +292,17 @@ def test_verify_reports_unchanged(suite):
 # every witness in it was checked exactly (inside A's faces, in B).
 # "variety" was re-recorded when the extension became one LP per component,
 # after every f in it was checked exactly: 1 at x0, 0 on M, and at most 1
-# on B's vertices (and under HiGHS over B's hull).
+# on B's vertices (and under HiGHS over B's hull).  "hyperplane" was
+# re-recorded when `hyperplane_gauge_bound` began to decide by the maximum
+# of f over B's points instead of a slack LP: every repr(f) and every
+# refusal component is unchanged, and every witness (5 of 15 moved) lies on
+# {f = 1} and within every face of B, strictly when B is open.
 
 THEOREM_CASES = 24
 
 THEOREM_DIGESTS = {
     "graph": "18b52786a0e290c48919af4e24abdeca5efbd7392e784d08a91d3abcab113722",
-    "hyperplane": "d7b3129be466789aae36041677e5fe7e2f8a5d743eab4121f1c941eaac21314a",
+    "hyperplane": "f424d4fbb27e4399c403ae7e214b62ca22cba10c3934cec94c2b07dd9c1b0e1b",
     "inverse": "58f0c2b607611ec04395e7b145ec9274affcb852860ac4e2dccdb13374512d08",
     "overlap": "b8cdeba7b927cf094b1d0c9654707349ef3335cc5b7cb500c5729067a40e6eba",
     "variety": "5d7327b3de7fe1ca8904599e504328178c2f16165ca39fba9c74d261b3eb9a41",

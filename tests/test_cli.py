@@ -606,6 +606,43 @@ class TestEntryPoint:
             assert captured.out == "" and captured.err.startswith("error:"), argv
             assert "Traceback" not in captured.err
 
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        """A JSON integer longer than Python converts (4300 digits) is malformed
+        input, not a traceback."""
+        big = "1" + "0" * 4400
+        pair = tmp_path / "pair.json"
+        pair.write_text('{"A": {"p1": {"vertices": [[-1], [1]]}, "p2": {"vertices": [[-1], [1]]},'
+                        ' "open": true}, "B": {"p1": {"vertices": [[%s]]}, "p2": {"vertices": [[3]]}}}'
+                        % big)
+        bad_set = tmp_path / "set.json"
+        bad_set.write_text('{"p1": {"vertices": [[-1], [%s]]}, "p2": {"vertices": [[-1], [1]]}}' % big)
+        xp = write_json(tmp_path, "point.json", encode_dvector(DVector.of(h(2, 3))))
+        for argv in (["separate", str(pair)], ["gauge", str(bad_set), xp]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:"), argv
+            assert "4300 digits" in captured.err
+
+    def test_exact_output_past_the_digit_limit_is_refused(self, tmp_path, capsys):
+        """Inputs of 2500-digit numbers whose exact answers pass 4300 digits:
+        `separate` writes a refused record and `gauge` an error line, both
+        exit 1."""
+        n, p = int("7" * 2500), int("3" * 2500)
+        A = {"p1": _vrep([(f"-1/{n}",), (f"1/{n}",)]), "p2": _vrep([(-1,), (1,)]), "open": True}
+        B = {"p1": _vrep([(f"{p}/{n + 1}",)]), "p2": _vrep([(3,)])}
+        pair = write_json(tmp_path, "pair.json", {"A": A, "B": B})
+        assert main(["separate", pair]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert (record["status"], record["error"]) == ("refused", "ValueError")
+        assert "4300 digits" in record["message"] and captured.err == ""
+        sp = write_json(tmp_path, "set.json", {"p1": A["p1"], "p2": A["p2"]})
+        xp = write_json(tmp_path, "point.json", {"coords": [{"e1": f"{p}/{n + 1}", "e2": "1"}]})
+        assert main(["gauge", sp, xp]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "4300 digits" in captured.err
+
     def test_main_dispatches_gauge(self, tmp_path, capsys):
         sp = write_json(tmp_path, "set.json", encode_dconvex(box_pair()))
         xp = write_json(tmp_path, "point.json", encode_dvector(DVector.of(h(2, 3))))

@@ -1,20 +1,21 @@
 """The disjointness decisions against an independent float LP (HiGHS).
 
-The hyperplane and variety checks of `bicomplex.analysis` decide by one
-exact slack LP, and `separate_hyperbolic` decides the overlap of an open A
-with B by the extension LP over the polar of G = A - B + x0, whose optimum
-is q_G(x0) (they meet when it is below 1).  Here `scipy.optimize.linprog`
-decides the same questions from the vertex lists alone and shares no code with
-`bicomplex.lp`: a point meets conv(V) when it is sum_i mu_i v_i with
-mu >= 0 and sum(mu) = 1, and meets its interior when some such mu has every
-mu_i > 0, so the oracle maximizes s <= min_i mu_i.  Every instance is built
+`hyperplane_gauge_bound` decides whether {f = 1} meets an absorbing set by
+the maximum of f over the set's points, the variety check of
+`variety_extend_hyperplane` by one exact slack LP, and `separate_hyperbolic`
+decides the overlap of an open A with B by the extension LP over the polar
+of G = A - B + x0, whose optimum is q_G(x0) (they meet when it is below 1).
+Here `scipy.optimize.linprog` decides the same questions from the vertex
+lists alone and shares no code with `bicomplex.lp`: a point meets conv(V)
+when it is sum_i mu_i v_i with mu >= 0 and sum(mu) = 1, and meets its
+interior when some such mu has every mu_i > 0, so the oracle maximizes
+s <= min_i mu_i.  Every instance is built
 with a margin of at least 1/8: a meeting set reaches 1/8 into the other, a
 missing one stays 1/8 away (in the functional's value for hyperplanes and
 varieties), so no float tolerance can flip a decision.
 
 Strict separability of the separation suite's pairs is decided the same
-way, one component at a time, against both `lp_separation_oracle` (which
-runs on the construction's own simplex) and `separate_hyperbolic`.
+way, one component at a time, against `separate_hyperbolic`.
 """
 
 from collections import Counter
@@ -28,9 +29,8 @@ from scipy.optimize import linprog  # noqa: E402
 
 from bicomplex import generators as gen  # noqa: E402
 from bicomplex.analysis import (  # noqa: E402
-    _hyperplane_disjoint_or_raise,
+    hyperplane_gauge_bound,
     hyperplane_normalize,
-    lp_separation_oracle,
     separate_hyperbolic,
     variety_extend_hyperplane,
 )
@@ -148,7 +148,7 @@ def test_hyperplane_decisions_agree_with_highs():
             if want is None and _meets(V, B.open, [(g.component(l), [], c)]):
                 want = l
         L = hyperplane_normalize(g, HyperbolicScalar(*levels))
-        assert _first_meeting(_hyperplane_disjoint_or_raise, B, L) == want
+        assert _first_meeting(hyperplane_gauge_bound, B, L) == want
         seen[B.open, want] += 1
     assert min(seen.values()) > 5 and len(seen) == 6
 
@@ -212,7 +212,6 @@ def test_separation_decisions_agree_with_highs():
             A, B = gen.rand_separation_instance(rng, dim)
         apart = [_separable(A.component(l).vertices(), B.component(l).vertices())
                  for l in (1, 2)]
-        assert lp_separation_oracle(A, B) == all(apart)
         try:
             separate_hyperbolic(A, B)
             got = None

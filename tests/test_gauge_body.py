@@ -7,11 +7,11 @@ same variables and rows as theirs with an empty span, so the simplex takes
 the same pivots: every `LPResult` (status, x, value, basis) must be equal
 under the gauge's objective.
 
-`hyperplane_gauge_bound` certifies -q_B(-x) <=' f(x) <=' q_B(x) by one
-`form_max` test per component; the reference samples B's vertices and a
-grid against the closed-form gauge.  With the disjointness LP taken out,
-both must accept or reject the same (B, f), with f's maximum over B below,
-at and above 1, for open and closed B given by vertices or by halfspaces.
+`hyperplane_gauge_bound` decides and certifies -q_B(-x) <=' f(x) <=' q_B(x)
+by one maximum of f over B's points per component; the reference samples
+B's vertices and a grid against the closed-form gauge.  Both must accept or
+reject the same (B, f), with f's maximum over B below, at and above 1, for
+open and closed B given by vertices or by halfspaces.
 """
 
 from fractions import Fraction
@@ -20,7 +20,6 @@ from random import Random
 import pytest
 
 import fraction_reference as ref
-from bicomplex import analysis
 from bicomplex import generators as gen
 from bicomplex.analysis import (
     DHyperplane,
@@ -28,7 +27,7 @@ from bicomplex.analysis import (
     hyperplane_normalize,
 )
 from bicomplex.convex import DConvexSet, DifferenceBody, _centroid
-from bicomplex.errors import BicomplexError
+from bicomplex.errors import BicomplexError, NotDisjointError
 from bicomplex.linear import DLinearFunctional
 from bicomplex.polytope import RealPolytope
 from bicomplex.scalars import HyperbolicScalar
@@ -108,8 +107,7 @@ def _accepts(check, *args) -> bool:
     return True
 
 
-def test_form_max_certificate_accepts_what_the_sampled_check_accepts(monkeypatch):
-    monkeypatch.setattr(analysis, "_hyperplane_disjoint_or_raise", lambda B, L: None)
+def test_form_max_certificate_accepts_what_the_sampled_check_accepts():
     accepted = rejected = 0
     for B, f, scales in _hyperplane_cases():
         want = _accepts(ref.sampled_gauge_bound, B, hyperplane_normalize(f, ONE).f)
@@ -121,14 +119,18 @@ def test_form_max_certificate_accepts_what_the_sampled_check_accepts(monkeypatch
     assert accepted > 50 and rejected > 300
 
 
-@pytest.mark.parametrize("open_flag, scale, message", [
-    (True, F(2), "open set escapes the unit level"),
-    (False, F(1), "closed set touches its separating hyperplane"),
+@pytest.mark.parametrize("open_flag, scale, witness", [
+    (True, F(2), (F(1, 2), F(-1, 2))),
+    (False, F(1), (F(1), F(-1))),
 ])
-def test_raise_branches_behind_the_disjointness_lp(monkeypatch, open_flag, scale, message):
-    monkeypatch.setattr(analysis, "_hyperplane_disjoint_or_raise", lambda B, L: None)
+def test_refusal_witness_is_the_scaled_first_maximizer(open_flag, scale, witness):
+    """Over the box's vertices (-1, -1), (1, -1), (1, 1), (-1, 1), in that
+    order, f_1 = scale * x_1 is largest first at (1, -1): an open box with
+    maximum 2 and a closed one with maximum exactly 1 both meet {f = 1} in
+    component 1, at that vertex divided by the maximum."""
     box = RealPolytope.box(2, F(-1), F(1))
     B = DConvexSet(box, box, open=open_flag)
     f = DLinearFunctional.from_parts([scale, F(0)], [F(1, 2), F(0)])
-    with pytest.raises(BicomplexError, match=message):
+    with pytest.raises(NotDisjointError) as exc:
         hyperplane_gauge_bound(B, DHyperplane(f, ONE))
+    assert (exc.value.component, exc.value.witness) == (1, witness)

@@ -1,13 +1,16 @@
 """The complex path and the disjointness LPs against the `Fraction` reference code.
 
 Complex ranks, inverses and graph maps now run on the integer kernel through
-the real embedding X + iY -> [[X, -Y], [Y, X]], and the overlap, hyperplane
-and variety checks build their LPs through one slack-LP helper.  Seeded
-instances go through both the library and the verbatim copies of the code
-they replaced (``fraction_reference.py``): ranks, inverses, graph maps,
-error messages, hyperplane witnesses and every raise-or-not decision must
-agree exactly, touching sets included.  The variety LP's columns moved, so
-its witness may differ: each one is checked by exact evaluation instead.
+the real embedding X + iY -> [[X, -Y], [Y, X]], and the variety check builds
+its LP through one slack-LP helper.  Seeded instances go through both the
+library and the verbatim copies of the code they replaced
+(``fraction_reference.py``): ranks, inverses, graph maps, error messages and
+every raise-or-not decision must agree exactly, touching sets included.
+The variety LP's columns moved, so its witness may differ: each one is
+checked by exact evaluation instead.  `hyperplane_gauge_bound` decides by
+the maximum of f over the set's points, not by the reference's LP: the
+decision and the component must agree, and each witness must lie on
+{f = 1} and within every face (strictly when the set is open).
 Separation decides overlap by the extension LP over the polar of
 G = A - B + x0, whose optimum is q_G(x0), not by the reference's overlap LP: the two must agree on every meet-or-miss, and each
 witness is checked exactly, strictly inside every face of the open set and
@@ -24,9 +27,9 @@ import fraction_reference as ref
 from bicomplex import elim
 from bicomplex import generators as gen
 from bicomplex.analysis import (
-    _hyperplane_disjoint_or_raise,
     complex_invert,
     complex_rank,
+    hyperplane_gauge_bound,
     hyperplane_normalize,
     inverse_map,
     map_from_graph,
@@ -215,9 +218,18 @@ def test_hyperplane_witnesses_match_reference_lp():
             top, bottom = max(values), min(values)
             levels.append(rng.choice((top / 2, bottom / 3, top, bottom, top + 1, bottom - 1)))
         L = hyperplane_normalize(g, HyperbolicScalar(*levels))
-        got = _disjoint_outcome(_hyperplane_disjoint_or_raise, B, L)
-        assert got == _disjoint_outcome(ref._hyperplane_disjoint_or_raise, B, L)
+        got = _disjoint_outcome(hyperplane_gauge_bound, B, L)
+        want = _disjoint_outcome(ref._hyperplane_disjoint_or_raise, B, L)
+        assert (got is None) == (want is None)
         seen[B.open, got is None] += 1
+        if got is None:
+            continue
+        l, w = got
+        assert l == want[0]
+        assert sum(F(c) * x for c, x in zip(L.f.component(l), w)) == 1  # on {f_l = 1}
+        for h in B.component(l).halfspaces():
+            value = sum(F(a) * x for a, x in zip(h.a, w))
+            assert value < h.b if B.open else value <= h.b
     assert min(seen.values()) > 10
 
 
