@@ -157,7 +157,9 @@ def extend_dominated(
     facets; or the two groups of a `DifferenceBody` pair from
     `difference_body`.  The global bound of the result is certified by
     plain evaluation before returning: f <=' q_B everywhere iff the maximum
-    of f over each component (`form_max`) is at most 1.
+    of f over each component (`form_max`) is at most 1.  The body keeps
+    those group maxima, so `separate_hyperbolic` reads its extrema from
+    them without evaluating f again.
     """
     n = B.dim
     if g.dim != n or any(u.dim != n for u in basisY):
@@ -256,13 +258,14 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     span).  Only then is the gauge LP at x0_l solved, for the weights that
     give the witness, interior to A and in B.  Otherwise f = f*/s* with
     f*(x0) = s*.  One exact pass of f over the two point groups of G_l
-    (`group_maxima`) gives m_A, the maximum on A_l + x0_l, and m_B, the
-    maximum on -B_l: gamma_l = -m_B is the minimum of f over B's vertices,
-    sup_A_l = m_A - f_l(x0_l) the maximum over the vertices of A's closure,
-    and the trace's qg_x0_l = 1/(m_A + m_B) = 1/(1 + sup_A_l - gamma_l) is
-    s*, since m_A + m_B is the maximum of f over G_l.  Since f <= 1/s* on
-    G_l, with equality at the optimum, and f(x0) = 1, f(a) <= f(b) + 1/s* -
-    1 for every a in A's closure and b in B, strict when s* > 1 (A and B
+    (`group_maxima`, made by the extension's certificate and kept by G_l)
+    gives m_A, the maximum on A_l + x0_l, and m_B, the maximum on -B_l:
+    gamma_l = -m_B is the minimum of f over B's vertices, sup_A_l = m_A -
+    f_l(x0_l) the maximum over the vertices of A's closure, and the trace's
+    qg_x0_l = 1/(m_A + m_B) = 1/(1 + sup_A_l - gamma_l) is s*, since m_A +
+    m_B is the maximum of f over G_l.  Since f <= 1/s* on G_l, with
+    equality at the optimum, and f(x0) = 1, f(a) <= f(b) + 1/s* - 1 for
+    every a in A's closure and b in B, strict when s* > 1 (A and B
     apart) and weak when they touch; f is nonconstant in each component.
     Both are checked exactly.  A nonconstant linear form has no maximum on
     an open set, so sup_A <=' gamma gives f <' gamma on A, including when A

@@ -10,7 +10,11 @@ hull), and `difference_body` pairs two `DifferenceBody` gauges, each the
 two-group `polytope.GaugeBody` on A_l + x0_l and -B_l, so G is read from
 A's and B's vertices alone.  `difference_body` picks the base points itself
 (the centroids of the vertex lists), so 0 is interior to G by construction
-and no facet of A or B is read.  The extension LPs read either form through
+and no facet of A or B is read.  Centroids, affine ranks and both point
+groups come from the integer vertex rows each `RealPolytope` holds once
+(`integer_vertices`): a centroid is column sums over k*L, and A's rows are
+shifted by x0 on the lcm of the two denominators, so no `Fraction` is
+built per point.  The extension LPs read either form through
 the same `GaugeBody` epigraph (a vertex list through the one its
 `RealPolytope` memoizes).  Separation does not gauge G to decide whether A
 meets B: the extension LP's optimum is q_G(x0) in each component, and the
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from typing import Sequence
 
 from .backend import Real
@@ -33,7 +37,13 @@ from .errors import (
     MembershipError,
     NotAbsorbingError,
 )
-from .polytope import GaugeBody, RealPolytope, affine_rank, extreme_points
+from .polytope import (
+    GaugeBody,
+    RealPolytope,
+    extreme_points,
+    integer_affine_rank,
+    integer_points,
+)
 from .scalars import HyperbolicScalar
 from .vectors import DVector
 
@@ -187,7 +197,11 @@ class DifferenceBody(GaugeBody):
 
     G is the sum of the hulls of A_l + x0_l and -B_l, so its gauge epigraph
     is the two-group `GaugeBody` on those points: |A| + |B| columns where
-    G's vertex list needs up to |A|*|B| sums and a hull.  0 is interior by
+    G's vertex list needs up to |A|*|B| sums and a hull.  Both groups come
+    from the polytopes' integer vertex rows (`RealPolytope.integer_vertices`)
+    with no `Fraction` built: A's rows over L_A are shifted by x0_l on
+    E = lcm(L_A, den x0_l), each a*(E/L_A) + X*(E/L_X) over E for x0_l =
+    X/L_X, and B's rows are negated over L_B.  0 is interior by
     construction, not decided: `difference_body` builds bodies only for
     x0 = b0 - a0 with a0 the centroid of a full-dimensional A_l (so
     interior) and b0 the centroid of B_l, so 0 = a0 - b0 + x0 is interior
@@ -197,9 +211,14 @@ class DifferenceBody(GaugeBody):
     def __init__(self, A_l: RealPolytope, B_l: RealPolytope, x0_l: Sequence[Real]):
         if A_l.dim != B_l.dim or len(x0_l) != A_l.dim:
             raise DimensionMismatch("difference body parts differ in dimension")
-        shift = self._shift = [Fraction(x) for x in x0_l]
-        super().__init__([[Fraction(x) + s for x, s in zip(a, shift)] for a in A_l.vertices()],
-                         [[-Fraction(x) for x in b] for b in B_l.vertices()])
+        self._shift = x0_l
+        (rows_a, L_a), (rows_b, L_b) = A_l.integer_vertices(), B_l.integer_vertices()
+        (X,), L_x = integer_points([x0_l])
+        E = lcm(L_a, L_x)
+        ka, kx = E // L_a, E // L_x
+        shift = [x * kx for x in X]
+        super().__init__(([tuple(a * ka + s for a, s in zip(row, shift)) for row in rows_a], E),
+                         ([tuple(-b for b in row) for row in rows_b], L_b))
 
     def origin_interior(self) -> bool:
         return True
@@ -209,22 +228,24 @@ class DifferenceBody(GaugeBody):
         weights lambda on A_l + x0_l, nu on -B_l with sum lambda (a + x0) -
         sum nu b = x0, so a* = sum lambda a + (1 - t) a0 = sum nu b + (1 - t) b0
         = b*.  For t < 1, a0 keeps weight 1 - t > 0: a* is interior to A_l."""
-        lp = self.gauge_lp(self._shift)
+        shift = [Fraction(x) for x in self._shift]
+        lp = self.gauge_lp(shift)
         lp.set_minimize(self._weights)
         res = lp.solve()
-        k = len(self._groups[0])
-        lam, nu, t = res.x[:k], res.x[k:], res.value
-        a_star = tuple(sum(w * (p[c] - s) for w, p in zip(lam, self._groups[0])) + (1 - t) * a
-                       for c, (s, a) in enumerate(zip(self._shift, a0_l)))
-        b_star = tuple(sum(-w * p[c] for w, p in zip(nu, self._groups[1])) + (1 - t) * b
+        (rows_a, E), (rows_b, L_b) = self._groups
+        lam, nu, t = res.x[:len(rows_a)], res.x[len(rows_a):], res.value
+        a_star = tuple(sum(w * (Fraction(p[c], E) - s) for w, p in zip(lam, rows_a)) + (1 - t) * a
+                       for c, (s, a) in enumerate(zip(shift, a0_l)))
+        b_star = tuple(sum(-w * Fraction(p[c], L_b) for w, p in zip(nu, rows_b)) + (1 - t) * b
                        for c, b in enumerate(b0_l))
         return a_star, b_star
 
 
 def _centroid(P: RealPolytope) -> tuple[Fraction, ...]:
-    verts = P.vertices()
-    k = Fraction(len(verts))
-    return tuple(sum(Fraction(v[i]) for v in verts) / k for i in range(len(verts[0])))
+    """The mean of P's vertex list: column sums of its integer rows over k*L."""
+    rows, L = P.integer_vertices()
+    den = len(rows) * L
+    return tuple(Fraction(sum(column), den) for column in zip(*rows))
 
 
 def difference_body(A: DConvexSet, B: DConvexSet) -> tuple[DConvexSet, DVector, DVector]:
@@ -236,13 +257,15 @@ def difference_body(A: DConvexSet, B: DConvexSet) -> tuple[DConvexSet, DVector, 
     centroids of A's and B's vertex lists.  Every convex weight of a
     centroid is positive, so a0 is interior to A once each component of A
     is full-dimensional (Rockafellar, "Convex Analysis", Thm 6.9), and b0
-    lies in B; then 0 is interior to G with no LP and no facet.  A lower-dimensional component of A raises
-    `EmptyInteriorError`.
+    lies in B; then 0 is interior to G with no LP and no facet.  A
+    lower-dimensional component of A raises `EmptyInteriorError`.  The
+    centroids, the affine rank and both point groups of each body are read
+    from the integer vertex rows each polytope holds once.
     """
     if A.dim != B.dim:
         raise DimensionMismatch("set dims differ")
     for l in (1, 2):
-        if affine_rank(A.component(l).vertices()) < A.dim:
+        if integer_affine_rank(A.component(l).integer_vertices()[0]) < A.dim:
             raise EmptyInteriorError(
                 f"component {l} of the open set is lower-dimensional: its interior is empty",
                 component=l,

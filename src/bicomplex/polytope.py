@@ -25,14 +25,18 @@ one from the one it was built with.  It therefore computes each set-level
 fact once and memoizes it:
 
 - the vertices (from an H-rep) and the halfspaces (from a V-rep);
+- its integer vertex rows (`integer_vertices`): the vertex list times L,
+  the lcm of its denominators, with L, which the facets of a vertex list,
+  the gauge body and `convex.difference_body`'s centroids, affine ranks
+  and shifted groups all read, so the vertices are scaled once;
 - its integer faces (`_integer_faces`, the halfspaces it was built with or
   the facets of its vertex list), which both `origin_interior` and the
   closed-form `gauge` read, so no gauge query solves an LP;
-- its `GaugeBody` (`gauge_body`): the exact vertex columns, which
+- its `GaugeBody` (`gauge_body`) on the integer vertex rows, which
   `gauge_vrep` reads as the gauge epigraph and the extension LP of
   `bicomplex.analysis` (`polar_max`) as the rows of the polar, and which
-  the `form_max` and `form_argmax` certificates evaluate, so each LP only
-  supplies its right-hand side or its span.
+  the `form_max` and `form_argmax` certificates evaluate by integer dots,
+  so each LP only supplies its right-hand side or its span.
 
 Membership (`contains`), absorbency and the gauge answer in the
 representation the polytope was built with, never in one an earlier query
@@ -59,6 +63,8 @@ from .errors import (
 from .lp import OPTIMAL, LinearProgram, LPResult
 
 Point = tuple[Real, ...]
+# integer rows R over one denominator D > 0: the points R/D
+IntegerGroup = tuple[list[tuple[int, ...]], int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,18 +87,24 @@ def _frac_point(p: Sequence[Real]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in p)
 
 
+def _rational(x: Real) -> Real:
+    """x itself when it is an int or a Fraction, else its exact Fraction."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
 def matrix_rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return elim.rank([elim.integer_row(list(map(Fraction, r))) for r in rows])
 
 
-def _integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
+def integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
     """The points times L, the lcm of all their denominators, and L."""
-    pts = [_frac_point(p) for p in points]
+    pts = [[_rational(x) for x in p] for p in points]
     scale = lcm(*(x.denominator for p in pts for x in p))
     return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts], scale
 
 
-def _integer_affine_rank(pts: Sequence[tuple[int, ...]]) -> int:
+def integer_affine_rank(pts: Sequence[tuple[int, ...]]) -> int:
+    """Dimension of the affine hull of nonempty integer points."""
     base = pts[0]
     return elim.rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
 
@@ -101,7 +113,7 @@ def affine_rank(points: Sequence[Point]) -> int:
     """Dimension of the affine hull of the points."""
     if len(points) <= 1:
         return 0
-    return _integer_affine_rank(_integer_points(points)[0])
+    return integer_affine_rank(integer_points(points)[0])
 
 
 # -- hull machinery ---------------------------------------------------------
@@ -113,7 +125,7 @@ def point_in_hull(point: Sequence[Real], vertices: Sequence[Point]) -> bool:
     same positive factor keeps the answer)."""
     if not vertices:
         return False
-    (p, *verts), _ = _integer_points([point, *vertices])
+    (p, *verts), _ = integer_points([point, *vertices])
     lp = LinearProgram(len(verts), nonneg=True)
     for c, x in enumerate(p):
         lp.add_eq([v[c] for v in verts], x)
@@ -153,7 +165,7 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
     unique = list(dict.fromkeys(map(_frac_point, points)))
     if len(unique) <= 1:
         return unique
-    scaled = _integer_points(unique)[0]
+    scaled = integer_points(unique)[0]
     base = scaled[0]
     _, _, pivots = elim.eliminate([[x - y for x, y in zip(p, base)] for p in scaled[1:]],
                                   len(base))
@@ -256,7 +268,7 @@ def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
     """
     if not vertices:
         raise EmptySetError("no vertices")
-    pts, scale = _integer_points(vertices)
+    pts, scale = integer_points(vertices)
     rays, tight = _cone_rays([[*p, -1] for p in pts], dim + 1)
     if rays is None:
         raise DimensionMismatch("V->H conversion needs a full-dimensional polytope")
@@ -267,7 +279,7 @@ def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
         while mask and len(basis) < dim:  # dim points span the facet
             i = (mask & -mask).bit_length() - 1
             mask &= mask - 1
-            if _integer_affine_rank([*(pts[j] for j in basis), pts[i]]) == len(basis):
+            if integer_affine_rank([*(pts[j] for j in basis), pts[i]]) == len(basis):
                 basis.append(i)
         return basis
 
@@ -300,7 +312,7 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[Point]
     if not all(y[dim] for y in rays):
         raise LPUnboundedError("polytope is unbounded")
     vertices = sorted(tuple(Fraction(v, y[dim]) for v in y[:dim]) for y in rays)
-    return _vertex_order(vertices, _integer_points(vertices)[0])
+    return _vertex_order(vertices, integer_points(vertices)[0])
 
 
 # -- the gauge epigraph on columns --------------------------------------------
@@ -310,26 +322,28 @@ class GaugeBody:
     """The sum of the hulls of one or two exact point groups, read through
     the epigraph of its gauge.
 
-    A point of t*(conv(P) + conv(Q)) is sum_i lambda_i p_i + sum_j nu_j q_j
-    with lambda, nu >= 0 and sum(lambda) = sum(nu) = t (the Minkowski-sum
-    epigraph of Fukuda 2004), so q(z) <= t iff z is such a combination.  The
-    columns are the points of both groups in order; the t-weight is 1 on
-    each point of the first group and 0 on the second, and one balance row
-    says sum(lambda) - sum(nu) = 0.  One group is a V-rep polytope: every
-    weight 1, no balance row.  The points must be exact; the columns are
-    built once, and each gauge LP adds only its right-hand side.  The
-    extension LP (`polar_max`) reads the same points as the rows of the
-    body's polar.
+    Each group is held once as integer rows R over one denominator D > 0,
+    the points being R/D (`RealPolytope.integer_vertices`); no `Fraction`
+    copy of the points is kept.  A point of t*(conv(P) + conv(Q)) is
+    sum_i lambda_i p_i + sum_j nu_j q_j with lambda, nu >= 0 and sum(lambda)
+    = sum(nu) = t (the Minkowski-sum epigraph of Fukuda 2004), so q(z) <= t
+    iff z is such a combination.  The columns are the points of both groups
+    in order; the t-weight is 1 on each point of the first group and 0 on
+    the second, and one balance row says sum(lambda) - sum(nu) = 0.  One
+    group is a V-rep polytope: every weight 1, no balance row.  Each gauge
+    LP builds the `Fraction` columns it reads; the extension LP
+    (`polar_max`) reads the integer rows as the rows of the body's polar,
+    and a linear form is evaluated by integer dots (`group_maxima`).
     """
 
-    def __init__(self, first: Sequence[Sequence[Fraction]],
-                 second: Sequence[Sequence[Fraction]] = ()):
-        self.dim = len(first[0])
-        self._groups = (first, second) if second else (first,)
-        self._columns = [[p[c] for group in self._groups for p in group]
-                         for c in range(self.dim)]
-        self._weights = [1] * len(first) + [0] * len(second)
-        self._balance = [1] * len(first) + [-1] * len(second) if second else None
+    def __init__(self, first: IntegerGroup, second: Optional[IntegerGroup] = None):
+        self.dim = len(first[0][0])
+        self._groups = (first,) if second is None else (first, second)
+        k = len(first[0])
+        m = len(second[0]) if second is not None else 0
+        self._weights = [1] * k + [0] * m
+        self._balance = [1] * k + [-1] * m if second is not None else None
+        self._last_maxima: Optional[tuple[tuple[Real, ...], list[Fraction]]] = None
 
     def gauge_body(self) -> GaugeBody:
         """Itself, so a body and a `RealPolytope` hand over their epigraph alike."""
@@ -344,8 +358,8 @@ class GaugeBody:
         t-weighted sum t, and the least one is the gauge.
         """
         lp = LinearProgram(len(self._weights), nonneg=True)
-        for column, x in zip(self._columns, point):
-            lp.add_eq(column, x)
+        for c, x in zip(range(self.dim), point):
+            lp.add_eq([Fraction(r[c], D) for rows, D in self._groups for r in rows], x)
         if self._balance:
             lp.add_eq(self._balance, 0)
         return lp
@@ -371,30 +385,50 @@ class GaugeBody:
         values_j.  The LP is unbounded exactly when every value is 0: f = 0
         with any s is feasible then, and a ray of the LP keeps f <= 0 on an
         absorbing body, so its f is 0 and s*values_j = 0.
+
+        Each point row is handed over as the group's integer row R times D:
+        f.R + D*beta <= D, f.R' - D'*beta <= 0, or f.R <= D for one group.
+        A positive factor on an inequality with a nonnegative right-hand
+        side only rescales its slack, which starts basic: the signs of the
+        reduced costs, the ratio test and so Bland's pivots are unchanged,
+        and with them every answer (x, value, basis).
         """
         n, two = self.dim, len(self._groups) == 2
         lp = LinearProgram(n + 1 + two)
         for u, v in zip(span, values):
             lp.add_eq([*u, -v] + [0] * two, 0)
-        for group, rhs, sign in zip(self._groups, (1, 0), (1, -1)):
-            for p in group:
-                lp.add_le([*p, 0] + [sign] * two, rhs)
+        for (rows, D), top, sign in zip(self._groups, (1, 0), (1, -1)):
+            beta = [sign * D] * two
+            for r in rows:
+                lp.add_le([*r, 0, *beta], top * D)
         lp.set_maximize([0] * n + [1] + [0] * two)
         return lp.solve()
 
-    def group_maxima(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
-        """The largest value of an exact linear form at a point of each group."""
-        return [max(rdot(coeffs, p) for p in group) for group in self._groups]
+    def group_maxima(self, coeffs: Sequence[Real]) -> list[Fraction]:
+        """The largest value of an exact linear form at a point of each group.
 
-    def form_argmax(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, Sequence[Fraction]]:
+        The form is scaled to integers C/M once; a group's largest value is
+        its largest integer dot C.R over M*D, one `Fraction` per group.  The
+        last form's maxima are kept: the extension's certificate and the
+        separation extrema read the same f over a difference body.
+        """
+        key = tuple(coeffs)
+        if self._last_maxima is None or self._last_maxima[0] != key:
+            (C,), M = integer_points([key])
+            self._last_maxima = key, [Fraction(max(sum(map(mul, C, r)) for r in rows), M * D)
+                                      for rows, D in self._groups]
+        return list(self._last_maxima[1])
+
+    def form_argmax(self, coeffs: Sequence[Real]) -> tuple[Fraction, tuple[Fraction, ...]]:
         """The maximum of an exact linear form over a one-group body (a
         polytope's vertices) and the first point that attains it."""
-        points = self._groups[0]
-        values = [rdot(coeffs, p) for p in points]
+        rows, D = self._groups[0]
+        (C,), M = integer_points([coeffs])
+        values = [sum(map(mul, C, r)) for r in rows]
         top = max(values)
-        return top, points[values.index(top)]
+        return Fraction(top, M * D), tuple(Fraction(x, D) for x in rows[values.index(top)])
 
-    def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
+    def form_max(self, coeffs: Sequence[Real]) -> Fraction:
         """The maximum of an exact linear form over the body: its group maxima summed."""
         return sum(self.group_maxima(coeffs))
 
@@ -433,6 +467,7 @@ class RealPolytope:
         self._vertices = tuple(tuple(v) for v in vertices) if vertices is not None else None
         self._halfspaces = tuple(halfspaces) if halfspaces is not None else None
         self._built_from_vertices = vertices is not None
+        self._integer_vertices: Optional[IntegerGroup] = None
         self._gauge_body: Optional[GaugeBody] = None
         self._gauge_faces: Optional[tuple[bool, list[tuple[list[int], int]]]] = None
 
@@ -527,7 +562,7 @@ class RealPolytope:
         list, from the rays (a, beta) that `facet_enumeration` reads."""
         if self._gauge_faces is None:
             if self._built_from_vertices:
-                pts, scale = _integer_points(self._vertices)
+                pts, scale = self.integer_vertices()
                 rays, _ = _cone_rays([[*p, -1] for p in pts], self.dim + 1)
                 faces = [([scale * v for v in a], beta) for *a, beta in rays or ()]
                 spans = rays is not None  # else the vertices are flat: 0 is not interior
@@ -556,7 +591,7 @@ class RealPolytope:
             raise NotAbsorbingError("gauge formula requires 0 in the interior")
         vrep = self._built_from_vertices
         if faces and (vrep or all(map(is_exact, point))):
-            (X,), L = _integer_points([point])
+            (X,), L = integer_points([point])
             num, den = 0, 1
             for a, b in faces:
                 n = sum(map(mul, a, X))
@@ -570,11 +605,19 @@ class RealPolytope:
                 best = val
         return best
 
+    def integer_vertices(self) -> IntegerGroup:
+        """(R, L): the vertex list times L, the lcm of its denominators, as
+        integer rows, computed once (an H-rep polytope converts to vertices
+        first).  Read only: the faces of a vertex list, the gauge body and
+        the centroids and shifts of `convex.difference_body` share it."""
+        if self._integer_vertices is None:
+            self._integer_vertices = integer_points(self.vertices())
+        return self._integer_vertices
+
     def gauge_body(self) -> GaugeBody:
-        """The V-rep gauge epigraph on the exact vertices, built once (an
-        H-rep polytope converts to vertices first)."""
+        """The V-rep gauge epigraph on the integer vertex rows, built once."""
         if self._gauge_body is None:
-            self._gauge_body = GaugeBody([_frac_point(v) for v in self.vertices()])
+            self._gauge_body = GaugeBody(self.integer_vertices())
         return self._gauge_body
 
     def gauge_vrep(self, point: Sequence[Real]) -> Real:

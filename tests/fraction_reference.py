@@ -66,6 +66,13 @@ before it certified by `form_max` (B's vertices and a grid, against the
 closed-form gauge), copied verbatim: both must accept or reject the same
 (B, f) pairs.
 
+`centroid` and `FractionGaugeBody` are the point groups as `Fraction`
+tuples, before each `GaugeBody` group became integer rows over one
+denominator: `convex._centroid`, the groups `RealPolytope.gauge_body` and
+`DifferenceBody.__init__` built, and `GaugeBody.polar_max`,
+`group_maxima`, `form_argmax` and `form_max` copied verbatim.  Values,
+types and reprs must come out the same, and so must every polar-LP result.
+
 `_dot` is the sum of products `bicomplex.polytope` used before every dot
 product went through `backend.rdot`, copied verbatim for the references
 above that call it.
@@ -99,7 +106,7 @@ from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
 from bicomplex.analysis import DHyperplane
-from bicomplex.backend import EPSILON, Real
+from bicomplex.backend import EPSILON, Real, rdot
 from bicomplex.convex import DConvexSet, is_dabsorbing
 from bicomplex.errors import (
     BicomplexError,
@@ -801,6 +808,77 @@ class DifferenceEpigraph:
             lp.add_eq([-u[c] for u in span] + column, shift[c])
         lp.add_eq([0] * p + self._balance, 0)
         return lp
+
+
+def centroid(P: RealPolytope) -> tuple[Fraction, ...]:
+    """`convex._centroid` on `Fraction` sums, copied verbatim."""
+    verts = P.vertices()
+    k = Fraction(len(verts))
+    return tuple(sum(Fraction(v[i]) for v in verts) / k for i in range(len(verts[0])))
+
+
+class FractionGaugeBody:
+    """`polytope.GaugeBody` on `Fraction` point groups: its groups,
+    `polar_max`, `group_maxima`, `form_argmax` and `form_max` copied
+    verbatim, and the groups `RealPolytope.gauge_body` (`of_polytope`) and
+    `convex.DifferenceBody.__init__` (`difference`) built."""
+
+    def __init__(self, first: Sequence[Sequence[Fraction]],
+                 second: Sequence[Sequence[Fraction]] = ()):
+        self.dim = len(first[0])
+        self._groups = (first, second) if second else (first,)
+
+    @classmethod
+    def of_polytope(cls, P: RealPolytope) -> FractionGaugeBody:
+        return cls([_frac_point(v) for v in P.vertices()])
+
+    @classmethod
+    def difference(cls, A_l: RealPolytope, B_l: RealPolytope,
+                   x0_l: Sequence[Real]) -> FractionGaugeBody:
+        shift = [Fraction(x) for x in x0_l]
+        return cls([[Fraction(x) + s for x, s in zip(a, shift)] for a in A_l.vertices()],
+                   [[-Fraction(x) for x in b] for b in B_l.vertices()])
+
+    def polar_max(self, span: Sequence[Sequence[Fraction]],
+                  values: Sequence[Fraction]) -> LPResult:
+        """max s over the f with f.u_j = s*values_j on the span and f <= 1 on the body.
+
+        f <= 1 on the body is f in its polar: the sum over the groups of the
+        largest value of f at a point of the group is at most 1.  For two
+        groups a free beta splits that bound, f.p + beta <= 1 at each point p
+        of the first group and f.q - beta <= 0 at each q of the second; one
+        group needs no beta, f.p <= 1.  Variables are f (free, one per
+        coordinate), s (free), then beta.  By LP duality s* is 1 over the
+        maximum, over the points sum_j c_j u_j of the body, of sum_j c_j
+        values_j.  The LP is unbounded exactly when every value is 0: f = 0
+        with any s is feasible then, and a ray of the LP keeps f <= 0 on an
+        absorbing body, so its f is 0 and s*values_j = 0.
+        """
+        n, two = self.dim, len(self._groups) == 2
+        lp = LinearProgram(n + 1 + two)
+        for u, v in zip(span, values):
+            lp.add_eq([*u, -v] + [0] * two, 0)
+        for group, rhs, sign in zip(self._groups, (1, 0), (1, -1)):
+            for p in group:
+                lp.add_le([*p, 0] + [sign] * two, rhs)
+        lp.set_maximize([0] * n + [1] + [0] * two)
+        return lp.solve()
+
+    def group_maxima(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
+        """The largest value of an exact linear form at a point of each group."""
+        return [max(rdot(coeffs, p) for p in group) for group in self._groups]
+
+    def form_argmax(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, Sequence[Fraction]]:
+        """The maximum of an exact linear form over a one-group body (a
+        polytope's vertices) and the first point that attains it."""
+        points = self._groups[0]
+        values = [rdot(coeffs, p) for p in points]
+        top = max(values)
+        return top, points[values.index(top)]
+
+    def form_max(self, coeffs: Sequence[Fraction]) -> Fraction:
+        """The maximum of an exact linear form over the body: its group maxima summed."""
+        return sum(self.group_maxima(coeffs))
 
 
 def _grid_points(dim: int) -> list[tuple[Fraction, ...]]:
