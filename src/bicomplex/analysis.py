@@ -27,14 +27,16 @@ two-group body whose |A| + |B| columns are A's vertices shifted by x0
 Minkowski sum, hull or facet of G is ever formed.  The extension LP also
 decides disjointness: its optimum in component l is q_G(x0)_l, and G is
 open, so A meets B there exactly when it is below 1.  Only then is the
-gauge LP at x0 solved, whose weights give a common point, so no V-rep set
-is converted to facets.  A bound f <=' q is certified by plain
-evaluation (`form_max`): a linear form is largest over a body at a column
-point of each group, and f <= 1 on an absorbing body is f <=' q
-everywhere.  The same evaluation decides whether a hyperplane {f = 1}
-misses an absorbing set, with the maximizing point scaled onto the level
-as the witness when it does not.  Only an affine variety's disjointness
-takes an LP (`_slack_point`).
+gauge LP at x0 solved, whose weights give a common point.  The same LP
+decides whether an affine variety x0 + span(M) misses B: its optimum is
+the least t at which the variety meets t*B_l, and only a meeting variety
+solves the least-gauge LP along the span, for a common point.  So no
+theorem engine converts a V-rep set to facets.  A bound f <=' q is
+certified by plain evaluation (`form_max`): a linear form is largest over
+a body at a column point of each group, and f <= 1 on an absorbing body
+is f <=' q everywhere.  The same evaluation decides whether a hyperplane
+{f = 1} misses an absorbing set, with the maximizing point scaled onto the
+level as the witness when it does not.
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ from .linear import (
     operator_dnorm,
     reconstruct,
 )
-from .lp import INFEASIBLE, UNBOUNDED, LinearProgram
+from .lp import UNBOUNDED
 from .order import le
-from .polytope import RealPolytope, matrix_rank
+from .polytope import GaugeBody, matrix_rank
 from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from .vectors import DVector
 
@@ -172,19 +174,29 @@ def extend_dominated(
         if span and matrix_rank(span) < len(span):
             raise DegenerateBasisError(f"dependent basis in component {l}", component=l)
         coeffs = [Fraction(c) for c in g.component(l)]
-        vals = [rdot(coeffs, vec) for vec in span]
-        P = B.component(l).gauge_body()
-        res = P.polar_max(span, vals)  # feasible: f = 0, s = 0
-        if res.status == UNBOUNDED:  # g vanishes on Y
-            full = [Fraction(0)] * n
-        elif res.value < 1:
+        full = _extend_component(B.component(l).gauge_body(), span,
+                                 [rdot(coeffs, vec) for vec in span], strict=False)
+        if full is None:
             raise DominationError(f"g exceeds the gauge on Y in component {l}", component=l)
-        else:
-            full = [c / res.value for c in res.x[:n]]
-        if P.form_max(full) > 1:
-            raise BicomplexError("extension failed its global gauge certificate")
         out.append(full)
     return DLinearFunctional.from_parts(out[0], out[1])
+
+
+def _extend_component(P: GaugeBody, span: Sequence[Sequence[Fraction]],
+                      values: Sequence[Fraction], strict: bool) -> Optional[list[Fraction]]:
+    """f*/s* from the one polar LP of P (`GaugeBody.polar_max`), certified
+    by `form_max`, or None when s* < 1, or s* = 1 and ``strict``; 0 when the
+    values vanish and the LP is unbounded."""
+    res = P.polar_max(span, values)  # feasible: f = 0, s = 0
+    if res.status == UNBOUNDED:
+        full = [Fraction(0)] * P.dim
+    elif res.value < 1 or (strict and res.value == 1):
+        return None
+    else:
+        full = [c / res.value for c in res.x[:P.dim]]
+    if P.form_max(full) > 1:
+        raise BicomplexError("extension failed its global gauge certificate")
+    return full
 
 
 # -- hyperbolic and bicomplex separation --------------------------------------
@@ -205,42 +217,6 @@ class SeparationCertificate:
     gamma: HyperbolicScalar
     sup_A: HyperbolicScalar
     trace: dict
-
-
-def _slack_point(
-    P: RealPolytope,
-    strict: bool,
-    y_count: int = 0,
-    eq: Sequence[tuple[Sequence[Real], Real]] = (),
-) -> Optional[tuple]:
-    """A point x of P that satisfies the caller's rows, or None when none does.
-
-    One LP decides whether P meets an affine variety x0 + span(M), for
-    `variety_extend_hyperplane` (a hyperplane is decided by the maximum of
-    its functional over P, another set by the extension LP of their
-    difference body).  Its variables are x (free, one per coordinate of
-    P), a common slack t (free), then y_count more free variables y.  Its
-    rows, in this order, are P's faces a.x + sigma*t <= b, with sigma = 1
-    when ``strict`` and 0 otherwise; the caller's ``eq`` rows, written over
-    (x, y); t <= 1.  It maximizes t.  When ``strict``, only t > 0 counts,
-    which puts x in the interior of P; otherwise every feasible point
-    counts.
-    """
-    dim = P.dim
-    lp = LinearProgram(dim + 1 + y_count)
-    pad = [0] * y_count
-    for hs in P.halfspaces():  # closed faces; ``strict`` asks t > 0 instead
-        lp.add_le([*map(Fraction, hs.a), 1 if strict else 0, *pad], Fraction(hs.b))
-    for row, b in eq:
-        lp.add_eq([*row[:dim], 0, *row[dim:]], b)
-    lp.add_le([0] * dim + [1] + pad, 1)
-    lp.set_maximize([0] * dim + [1] + pad)
-    res = lp.solve()
-    if res.status == INFEASIBLE:
-        return None
-    if res.status == UNBOUNDED:
-        raise BicomplexError("capped slack LP cannot be unbounded")
-    return tuple(res.x[:dim]) if res.value > 0 or not strict else None
 
 
 def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
@@ -354,15 +330,8 @@ def hyperplane_normalize(g: DLinearFunctional, c: HyperbolicScalar) -> DHyperpla
     """
     if not c.is_invertible():
         raise ZeroDivisorLevelError(f"level {c} has a zero component")
-    for l in (1, 2):
-        if all(v == 0 for v in g.component(l)):
-            raise DegenerateFunctionalError(f"zero coefficients in component {l}")
-    inv = HyperbolicScalar(_recip(c.a1), _recip(c.a2))
+    inv = HyperbolicScalar.one() / c
     return DHyperplane(DLinearFunctional(g.coeffs.scale(inv)), HyperbolicScalar.one())
-
-
-def _recip(v: Real) -> Real:
-    return 1 / Fraction(v) if isinstance(v, (int, Fraction)) else 1.0 / v
 
 
 def hyperplane_gauge_bound(B: DConvexSet, L: DHyperplane) -> DLinearFunctional:
@@ -399,39 +368,52 @@ def variety_extend_hyperplane(
 ) -> DHyperplane:
     """A hyperplane containing the variety x0 + span(basisM) with f <=' q_B.
 
-    Per component the functional is pinned to 0 on the directions, 1 at x0,
-    then extended under the gauge of B; hence L ⊆ {f = 1} exactly and
-    B ⊆ {x : f(x) <=' 1}.
+    Per component (l = 1 first) one polar LP (`GaugeBody.polar_max`) pins f
+    to 0 on the directions and s at x0 with f <= 1 on B_l, and maximizes s.
+    Its optimum is s* = 1/c for c the largest g on Y ∩ B_l, g the form that
+    is 0 on M and 1 at x0 on Y = span(M, x0): the variety meets t*B_l
+    exactly for t >= s*.  B_l is convex with 0 interior, so t*B_l lies in
+    its interior for t < 1 (Rockafellar 1970, Thm 6.1): the variety meets
+    B_l when s* < 1, or s* = 1 and B is closed, and is refused then with
+    `NotDisjointError`.  Its witness is x0 + sum_j s_j u_j = sum_k mu_k v_k
+    from the least-gauge LP along the span (`GaugeBody.least_gauge`), a
+    point of the variety in s* * B_l, so interior when s* < 1.  Otherwise
+    f = f*/s* is 1 at x0, 0 on M and at most 1/s* <= 1 on B_l, certified
+    by `form_max`; hence L ⊆ {f = 1} exactly and B ⊆ {x : f(x) <=' 1}.  A
+    dependent M raises `DegenerateBasisError` only once both components
+    miss B.  B is read through its vertices, so an unbounded H-rep B
+    raises `LPUnboundedError`, as in `extend_dominated`.
     """
     n = B.dim
     if x0.dim != n or any(u.dim != n for u in basisM):
         raise DimensionMismatch("ambient dimensions disagree")
     if not is_dabsorbing(B):
         raise NotAbsorbingError("variety extension needs an absorbing gauge")
-    rep = []
+    out, dependent = [], None
     for l in (1, 2):
         rows = [[Fraction(c) for c in u.part(l)] for u in basisM]
         point = [Fraction(c) for c in x0.part(l)]
-        if matrix_rank(rows + [point]) == matrix_rank(rows):
+        rank = matrix_rank(rows + [point])
+        if rank == matrix_rank(rows):
             raise DegenerateVarietyError(f"x0 lies in the span of M in component {l}")
-        # Disjointness of the affine variety x - sum_j s_j u_j = x0 from the set.
-        eq = [([int(j == i) for j in range(n)] + [-u[i] for u in rows], point[i])
-              for i in range(n)]
-        witness = _slack_point(B.component(l), B.open, len(rows), eq=eq)
-        if witness is not None:
+        P = B.component(l).gauge_body()
+        full = _extend_component(P, rows + [point], [0] * len(rows) + [1], strict=not B.open)
+        if full is None:
+            x = P.least_gauge(point, rows).x
+            s = x[len(x) - len(rows):]  # the span's weights follow the columns'
             raise NotDisjointError(
                 f"variety meets component {l} of the set",
                 component=l,
-                witness=witness,
+                witness=tuple(p + sum(s_j * u[c] for s_j, u in zip(s, rows))
+                              for c, p in enumerate(point)),
             )
-        sol = elim.solve([elim.integer_row([*u, 0]) for u in rows]
-                         + [elim.integer_row([*point, 1])], n)
-        if sol is None:
-            raise BicomplexError("variety seed system was inconsistent")
-        rep.append([x for x, in sol])
-    g = DLinearFunctional.from_parts(rep[0], rep[1])
-    f = extend_dominated(g, list(basisM) + [x0], B)
-    return DHyperplane(f, HyperbolicScalar.one())
+        if rank <= len(rows) and dependent is None:
+            dependent = l
+        out.append(full)
+    if dependent is not None:
+        raise DegenerateBasisError(f"dependent basis in component {dependent}",
+                                   component=dependent)
+    return DHyperplane(DLinearFunctional.from_parts(out[0], out[1]), HyperbolicScalar.one())
 
 
 # -- uniform boundedness, open/inverse mapping, closed graph -------------------

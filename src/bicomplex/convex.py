@@ -18,8 +18,9 @@ built per point.  The extension LPs read either form through
 the same `GaugeBody` epigraph (a vertex list through the one its
 `RealPolytope` memoizes).  Separation does not gauge G to decide whether A
 meets B: the extension LP's optimum is q_G(x0) in each component, and the
-gauge LP of a `DifferenceBody` runs only for the witness of an overlap
-(`meeting_points`).
+least-gauge LP of a `DifferenceBody` (`GaugeBody.least_gauge`, the solve
+every gauge and variety witness shares) runs only for the witness of an
+overlap (`meeting_points`).
 """
 
 from __future__ import annotations
@@ -229,9 +230,7 @@ class DifferenceBody(GaugeBody):
         sum nu b = x0, so a* = sum lambda a + (1 - t) a0 = sum nu b + (1 - t) b0
         = b*.  For t < 1, a0 keeps weight 1 - t > 0: a* is interior to A_l."""
         shift = [Fraction(x) for x in self._shift]
-        lp = self.gauge_lp(shift)
-        lp.set_minimize(self._weights)
-        res = lp.solve()
+        res = self.least_gauge(shift)
         (rows_a, E), (rows_b, L_b) = self._groups
         lam, nu, t = res.x[:len(rows_a)], res.x[len(rows_a):], res.value
         a_star = tuple(sum(w * (Fraction(p[c], E) - s) for w, p in zip(lam, rows_a)) + (1 - t) * a

@@ -8,7 +8,8 @@ hull fact in every dimension: H→V runs it on the cone over the halfspaces;
 V→H, `extreme_points` (in the coordinates of the affine hull) and the
 facets a vertex list is gauged by, by polarity, on the cone of valid
 inequalities.  The LPs left on a vertex list are hull membership
-(`point_in_hull`), the gauge epigraph and the extension LP over the polar
+(`point_in_hull`), the least-gauge LP on the epigraph (`least_gauge`, at a
+point or along an affine set's span) and the extension LP over the polar
 (both on `GaugeBody`).
 
 Elimination runs on integers: `matrix_rank` scales each row to integers
@@ -33,10 +34,10 @@ fact once and memoizes it:
   the facets of its vertex list), which both `origin_interior` and the
   closed-form `gauge` read, so no gauge query solves an LP;
 - its `GaugeBody` (`gauge_body`) on the integer vertex rows, which
-  `gauge_vrep` reads as the gauge epigraph and the extension LP of
-  `bicomplex.analysis` (`polar_max`) as the rows of the polar, and which
-  the `form_max` and `form_argmax` certificates evaluate by integer dots,
-  so each LP only supplies its right-hand side or its span.
+  `gauge_vrep` and a variety's witness read as the gauge epigraph and the
+  extension LP of `bicomplex.analysis` (`polar_max`) as the rows of the
+  polar, and which the `form_max` and `form_argmax` certificates evaluate
+  by integer dots, so each LP only supplies its right-hand side or its span.
 
 Membership (`contains`), absorbency and the gauge answer in the
 representation the polytope was built with, never in one an earlier query
@@ -331,7 +332,9 @@ class GaugeBody:
     in order; the t-weight is 1 on each point of the first group and 0 on
     the second, and one balance row says sum(lambda) - sum(nu) = 0.  One
     group is a V-rep polytope: every weight 1, no balance row.  Each gauge
-    LP builds the `Fraction` columns it reads; the extension LP
+    LP builds the `Fraction` columns it reads, then the free columns -u_j
+    of a span it is moved along, and one solve (`least_gauge`) minimizes
+    its t-weighted sum for every caller; the extension LP
     (`polar_max`) reads the integer rows as the rows of the body's polar,
     and a linear form is evaluated by integer dots (`group_maxima`).
     """
@@ -349,26 +352,38 @@ class GaugeBody:
         """Itself, so a body and a `RealPolytope` hand over their epigraph alike."""
         return self
 
-    def gauge_lp(self, point: Sequence[Real]) -> LinearProgram:
-        """The epigraph at a point, objective unset.
+    def gauge_lp(self, point: Sequence[Real],
+                 span: Sequence[Sequence[Real]] = ()) -> LinearProgram:
+        """The epigraph at a point, moved along a span, objective unset.
 
-        Variables are the column weights mu (nonnegative); the rows say
-        sum_k mu_k w_k = point for the columns w_k, then the balance row when
-        there is one.  So q(point) <= t holds exactly when some such mu has
-        t-weighted sum t, and the least one is the gauge.
+        Variables are the column weights mu (nonnegative), then one free s_j
+        per span vector u_j; the rows say sum_k mu_k w_k - sum_j s_j u_j =
+        point for the columns w_k, then the balance row when there is one.
+        So q(point + sum_j s_j u_j) <= t holds exactly when some such (mu, s)
+        has t-weighted sum t, and the least one is the least gauge on the
+        affine set point + span(u) (the gauge at the point for no span).
         """
-        lp = LinearProgram(len(self._weights), nonneg=True)
+        k, p = len(self._weights), len(span)
+        lp = LinearProgram(k + p, nonneg=[True] * k + [False] * p)
         for c, x in zip(range(self.dim), point):
-            lp.add_eq([Fraction(r[c], D) for rows, D in self._groups for r in rows], x)
+            lp.add_eq([*(Fraction(r[c], D) for rows, D in self._groups for r in rows),
+                       *(-u[c] for u in span)], x)
         if self._balance:
-            lp.add_eq(self._balance, 0)
+            lp.add_eq(self._balance + [0] * p, 0)
         return lp
+
+    def least_gauge(self, point: Sequence[Real],
+                    span: Sequence[Sequence[Real]] = ()) -> LPResult:
+        """The gauge LP solved for its least t: x = (mu, s), value t.  The one
+        solve behind `gauge`, `convex.DifferenceBody.meeting_points` and the
+        witness of `bicomplex.analysis.variety_extend_hyperplane`."""
+        lp = self.gauge_lp(point, span)
+        lp.set_minimize(self._weights + [0] * len(span))
+        return lp.solve()
 
     def gauge(self, point: Sequence[Real]) -> Real:
         """The least t over the epigraph at the point, inf when nothing absorbs it."""
-        lp = self.gauge_lp(point)
-        lp.set_minimize(self._weights)
-        res = lp.solve()
+        res = self.least_gauge(point)
         return res.value if res.status == OPTIMAL else inf
 
     def polar_max(self, span: Sequence[Sequence[Fraction]],

@@ -49,12 +49,12 @@ integer kernel through the real embedding: `_rref`, `complex_rank`,
 `complex_solve`, `complex_invert` and `map_from_graph` copied verbatim.
 `_overlap_witness`, `_hyperplane_disjoint_or_raise` and the LP of
 `variety_extend_hyperplane` (as `variety_disjoint_or_raise`) are the three
-hand-built disjointness LPs that the one slack-LP helper replaced, copied
+hand-built disjointness LPs that a slack-LP helper once replaced, copied
 verbatim.  Ranks, inverses, graph maps, error messages and every
-raise-or-not decision must come out the same.  Separation no longer runs an
-overlap LP (the extension LP of G decides), and `hyperplane_gauge_bound` no
-LP at all (one maximum of f per component decides), so `_overlap_witness`
-and `_hyperplane_disjoint_or_raise` are the oracles for their decisions and
+raise-or-not decision must come out the same.  Separation and the variety
+no longer run a disjointness LP (their extension LPs over the polar
+decide), and `hyperplane_gauge_bound` no LP at all (one maximum of f per
+component decides), so the three are the oracles for their decisions and
 components only; their witnesses are checked exactly instead.
 
 `VertexEpigraph` and `DifferenceEpigraph` are the two column epigraphs that
@@ -1041,7 +1041,8 @@ def _hyperplane_disjoint_or_raise(B: DConvexSet, L: DHyperplane) -> None:
 
 
 def variety_disjoint_or_raise(x0: DVector, basisM: Sequence[DVector], B: DConvexSet) -> None:
-    """The disjointness LP of `variety_extend_hyperplane`, without the extension."""
+    """The slack LP on B's faces that decided `variety_extend_hyperplane`'s
+    disjointness before its polar LP did, kept as an independent oracle."""
     n = B.dim
     for l in (1, 2):
         rows = [[Fraction(c) for c in u.part(l)] for u in basisM]

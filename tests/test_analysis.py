@@ -34,6 +34,7 @@ from bicomplex.errors import (
     DimensionMismatch,
     DominationError,
     EmptyFamilyError,
+    LPUnboundedError,
     NotAbsorbingError,
     NotAGraphError,
     NotBijectiveError,
@@ -51,7 +52,7 @@ from bicomplex.linear import (
 )
 from bicomplex.lp import LinearProgram
 from bicomplex.order import le, lt_strict
-from bicomplex.polytope import GaugeBody, RealPolytope, affine_rank
+from bicomplex.polytope import GaugeBody, Halfspace, RealPolytope, affine_rank
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from bicomplex.vectors import BCVector, DVector
 
@@ -136,6 +137,34 @@ class TestExtendDominated:
         f = extend_dominated(g, [u], B)
         assert len(solves) == 2
         assert f(u) == g(u) and not f(u).is_zero()
+
+    @pytest.mark.parametrize("x, open_flag, f_part, refusal", [
+        ((2, 0, 0), False, (F(1, 2), F(0), F(0)), None),  # misses the box: f = x1/2
+        ((1, 0, 0), False, None, (1, (F(1), F(0), F(0)))),  # touches the closed box
+        ((1, 0, 0), True, (F(1), F(0), F(0)), None),  # touches the open box's boundary
+    ])
+    def test_variety_decided_and_extended_by_the_same_lp(self, x, open_flag, f_part, refusal,
+                                                         monkeypatch):
+        """x0 + span(e2) against the vertex box [-1, 1]^3 in both components:
+        one polar LP per component decides and extends, or refuses component 1
+        with one least-gauge LP for the witness; B is never converted to facets."""
+        box = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=3)))
+        B = DConvexSet(box, box, open=open_flag)
+        x0 = DVector.from_parts(list(map(F, x)), list(map(F, x)))
+        e2 = DVector.from_parts([F(0), F(1), F(0)], [F(0), F(1), F(0)])
+        solves, facets = [], []
+        solve, enumerate_facets = LinearProgram.solve, polytope.facet_enumeration
+        monkeypatch.setattr(LinearProgram, "solve", lambda lp: solves.append(lp) or solve(lp))
+        monkeypatch.setattr(polytope, "facet_enumeration",
+                            lambda *args: facets.append(args) or enumerate_facets(*args))
+        if refusal:
+            with pytest.raises(NotDisjointError) as exc:
+                variety_extend_hyperplane(x0, [e2], B)
+            assert (exc.value.component, exc.value.witness) == refusal
+        else:
+            f = variety_extend_hyperplane(x0, [e2], B).f
+            assert f.component(1) == f.component(2) == f_part
+        assert len(solves) == 2 and facets == []
 
     def test_needs_absorbing_gauge(self):
         g = DLinearFunctional.from_parts([F(0)], [F(0)])
@@ -388,6 +417,30 @@ class TestVarietyExtension:
         direction = DVector.of(h(0, 0), h(1, 1))
         with pytest.raises(NotDisjointError):
             variety_extend_hyperplane(x0, [direction], box_pair(dim=2))
+
+    @pytest.mark.parametrize("x2, error, component", [
+        (2, DegenerateBasisError, 1),  # both components miss B
+        (F(1, 2), NotDisjointError, 2),  # only component 2 meets B
+    ])
+    def test_disjointness_precedes_dependent_basis(self, x2, error, component):
+        box = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=3)))
+        x0 = DVector.from_parts([F(2), F(0), F(0)], [F(x2), F(0), F(0)])
+        e2 = DVector.from_parts([F(0), F(1), F(0)], [F(0), F(1), F(0)])
+        with pytest.raises(error) as exc:
+            variety_extend_hyperplane(x0, [e2, e2], DConvexSet(box, box))
+        assert exc.value.component == component
+
+    @pytest.mark.parametrize("x", [F(1, 2), F(2)])
+    def test_unbounded_hrep_set_is_refused_like_extend_dominated(self, x):
+        # B = {x <= 1} is read through its vertices, which do not exist, whether
+        # the variety {x0} meets it (x0 = 1/2) or not (x0 = 2)
+        ray = RealPolytope.from_halfspaces([Halfspace((F(1),), F(1))], 1)
+        B = DConvexSet(ray, ray)
+        with pytest.raises(LPUnboundedError):
+            variety_extend_hyperplane(DVector.of(h(x, x)), [], B)
+        with pytest.raises(LPUnboundedError):
+            extend_dominated(DLinearFunctional.from_parts([F(1, 2)], [F(1, 2)]),
+                             [DVector.of(h(1, 1))], B)
 
 
 class TestUniformBoundedness:

@@ -1,8 +1,9 @@
 """The disjointness decisions against an independent float LP (HiGHS).
 
 `hyperplane_gauge_bound` decides whether {f = 1} meets an absorbing set by
-the maximum of f over the set's points, the variety check of
-`variety_extend_hyperplane` by one exact slack LP, and `separate_hyperbolic`
+the maximum of f over the set's points, `variety_extend_hyperplane` whether
+x0 + span(M) meets it by its extension's polar LP (they meet when its
+optimum is below 1, or at 1 for a closed set), and `separate_hyperbolic`
 decides the overlap of an open A with B by the extension LP over the polar
 of G = A - B + x0, whose optimum is q_G(x0) (they meet when it is below 1).
 Here `scipy.optimize.linprog` decides the same questions from the vertex

@@ -1,13 +1,15 @@
 """The complex path and the disjointness LPs against the `Fraction` reference code.
 
 Complex ranks, inverses and graph maps now run on the integer kernel through
-the real embedding X + iY -> [[X, -Y], [Y, X]], and the variety check builds
-its LP through one slack-LP helper.  Seeded instances go through both the
-library and the verbatim copies of the code they replaced
+the real embedding X + iY -> [[X, -Y], [Y, X]].  Seeded instances go through
+both the library and the verbatim copies of the code they replaced
 (``fraction_reference.py``): ranks, inverses, graph maps, error messages and
 every raise-or-not decision must agree exactly, touching sets included.
-The variety LP's columns moved, so its witness may differ: each one is
-checked by exact evaluation instead.  `hyperplane_gauge_bound` decides by
+The variety check decides by the extension's polar LP over the set's
+points, not by the reference's slack LP on its faces, and takes its witness
+from a least-gauge LP along the span: the decision and the component must
+agree, and each witness is checked by exact evaluation instead, on the
+variety and within every face (strictly when the set is open).  `hyperplane_gauge_bound` decides by
 the maximum of f over the set's points, not by the reference's LP: the
 decision and the component must agree, and each witness must lie on
 {f = 1} and within every face (strictly when the set is open).
