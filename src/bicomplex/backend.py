@@ -100,34 +100,39 @@ def rdist2(xs: Sequence[Real], ys: Sequence[Real]) -> Real:
     return total
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, with the canonical ``"-p/q"`` form read by ``int``.
-
-    Only an optional single ``-``, ASCII digits and optionally ``/`` plus
-    ASCII digits take the fast path (``int`` alone would also accept
-    spaces, ``+``, ``_`` and non-ASCII digits); every other string goes to
-    ``Fraction``'s own parser, so values and raised errors are unchanged.
+def decode_pair(obj) -> tuple[int, int]:
+    """The library's one number parser: a JSON number or ``"p/q"`` string as
+    its reduced pair (n, d), d > 0.  Only ``-?digits(/digits)?`` is read by
+    ``int`` (which alone would also take spaces, ``+``, ``_`` and non-ASCII
+    digits); other numbers and strings go to ``Fraction``, with its errors.
     """
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num.startswith("-") else num
-    if digits.isdigit() and digits.isascii():
-        if not slash:
-            return Fraction(int(num))
-        if den.isdigit() and den.isascii():
-            return Fraction(int(num), int(den))
-    return Fraction(text)
+    if type(obj) is str:
+        num, slash, den = obj.partition("/")
+        digits = num[1:] if num.startswith("-") else num
+        if digits.isdigit() and digits.isascii():
+            if not slash:
+                return int(num), 1
+            if den.isdigit() and den.isascii():
+                n, d = int(num), int(den)
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+    elif type(obj) is int:
+        return obj, 1
+    elif not isinstance(obj, (int, float, str)) or isinstance(obj, bool):
+        raise TypeError(f"not a real-number encoding: {obj!r}")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"not a finite number: {obj!r}")
+    q = Fraction(obj)
+    return q.numerator, q.denominator
 
 
 def as_real(value, backend: str = EXACT) -> Real:
     """Coerce ``value`` (number or ``"p/q"`` string) into the given backend."""
     if backend == EXACT:
-        if isinstance(value, str):
-            return _parse_fraction(value)
-        return Fraction(value)
+        return Fraction(*decode_pair(value)) if isinstance(value, str) else Fraction(value)
     if backend == FLOAT:
-        if isinstance(value, str):
-            return float(_parse_fraction(value))
-        return float(value)
+        return float(Fraction(*decode_pair(value)) if isinstance(value, str) else value)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -194,17 +199,19 @@ def encode_real(x: Real):
 
 
 def decode_real(obj, backend: str = EXACT) -> Real:
-    """A JSON number or ``"p/q"`` string in the given backend.
+    """A JSON number or ``"p/q"`` string in the given backend, read by
+    `decode_pair`; a JSON float is its own float-backend value.
 
     Values that are not finite (JSON ``NaN``, ``Infinity`` and numbers that
     overflow a float, such as ``1e400``), and exact values too large for the
     float backend, raise ``ValueError``.
     """
-    if not isinstance(obj, (int, float, str)) or isinstance(obj, bool):
-        raise TypeError(f"not a real-number encoding: {obj!r}")
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"not a finite number: {obj!r}")
-    try:
-        return as_real(obj, backend)
-    except OverflowError as exc:
-        raise ValueError(f"too large for the {backend} backend: {obj!r}") from exc
+    n, d = decode_pair(obj)
+    if backend == EXACT:
+        return Fraction(n, d)
+    if backend == FLOAT:
+        try:
+            return obj if type(obj) is float else n / d
+        except OverflowError as exc:
+            raise ValueError(f"too large for the {backend} backend: {obj!r}") from exc
+    raise ValueError(f"unknown backend {backend!r}")

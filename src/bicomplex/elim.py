@@ -14,7 +14,7 @@ Pivots take no gcd, and entries stay the size of those minors.
 
 The simplex tableau (`lp`) pivots through `pivot`.  Every other exact
 solve runs through `eliminate`, the library's one Gauss-Jordan loop:
-`rank` and `solve` here, `polytope.matrix_rank` and the starting cone of
+`rank` here, `polytope.matrix_rank` and the starting cone of
 `polytope`'s double description, and the complex ranks, inverses and graph
 solves of `bicomplex.analysis`, which eliminate the real embedding
 X + iY -> [[X, -Y], [Y, X]].
@@ -22,7 +22,6 @@ X + iY -> [[X, -Y], [Y, X]].
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from typing import Optional, Sequence
@@ -90,18 +89,3 @@ def eliminate(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix."""
     return len(eliminate(rows, len(rows[0]) if rows else 0)[2])
-
-
-def solve(rows: Sequence[Sequence[int]], width: int) -> Optional[list[list[Fraction]]]:
-    """A solution X of A X = B for the integer augmented matrix [A | B].
-
-    A is the first ``width`` columns.  Free variables are set to zero; None
-    when the system is inconsistent.
-    """
-    T, d, pivots = eliminate(rows, width)
-    if any(any(row[width:]) for row in T[len(pivots):]):
-        return None
-    X = [[Fraction(0)] * (len(T[0]) - width) for _ in range(width)]
-    for row, col in zip(T, pivots):
-        X[col] = [Fraction(v, d) for v in row[width:]]
-    return X

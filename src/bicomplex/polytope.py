@@ -8,7 +8,7 @@ hull fact in every dimension: H→V runs it on the cone over the halfspaces;
 V→H, `extreme_points` (in the coordinates of the affine hull) and the
 facets a vertex list is gauged by, by polarity, on the cone of valid
 inequalities.  The LPs left on a vertex list are hull membership
-(`point_in_hull`), the least-gauge LP on the epigraph (`least_gauge`, at a
+(`contains`), the least-gauge LP on the epigraph (`least_gauge`, at a
 point or along an affine set's span) and the extension LP over the polar
 (both on `GaugeBody`).
 
@@ -20,24 +20,24 @@ description, hull membership and the vertex order (`_vertex_order`) work on
 the points times the lcm of their denominators, in plain `int`s; only
 returned values are built as `Fraction`s.
 
-A `RealPolytope` is immutable after construction: nothing writes its
-representations except its own lazy conversions, which derive the missing
-one from the one it was built with.  It therefore computes each set-level
-fact once and memoizes it:
+A `RealPolytope` holds the representation it was built with: integer rows
+over one denominator as the exact decoder hands them over (vertex rows, or
+face rows [*a, b]), or the vertices or `Halfspace`s it was given.  Nothing
+else writes it, so each set-level fact is derived once and memoized:
 
-- the vertices (from an H-rep) and the halfspaces (from a V-rep);
-- its integer vertex rows (`integer_vertices`): the vertex list times L,
-  the lcm of its denominators, with L, which the facets of a vertex list,
-  the gauge body and `convex.difference_body`'s centroids, affine ranks
-  and shifted groups all read, so the vertices are scaled once;
-- its integer faces (`_integer_faces`, the halfspaces it was built with or
-  the facets of its vertex list), which both `origin_interior` and the
-  closed-form `gauge` read, so no gauge query solves an LP;
-- its `GaugeBody` (`gauge_body`) on the integer vertex rows, which
-  `gauge_vrep` and a variety's witness read as the gauge epigraph and the
-  extension LP of `bicomplex.analysis` (`polar_max`) as the rows of the
-  polar, and which the `form_max` and `form_argmax` certificates evaluate
-  by integer dots, so each LP only supplies its right-hand side or its span.
+- its integer vertex rows (`integer_vertices`: the vertex list times L, the
+  lcm of its denominators, and L), held, scaled from the vertex list, or
+  handed over by `vertex_enumeration` from the face rows (`_face_rows`);
+  hull membership, the facets of a vertex list, the gauge body and
+  `convex.difference_body` read them, so the vertices are scaled once;
+- `vertices()` and `halfspaces()`, built from the rows on request, or the
+  facets of a vertex list (`facet_enumeration`);
+- its integer faces (`_integer_faces`: the face rows or the vertex list's
+  facets), which `origin_interior` and the closed-form `gauge` read, so no
+  gauge query solves an LP;
+- its `GaugeBody` (`gauge_body`) on the integer vertex rows: the epigraph of
+  `gauge_vrep` and a variety's witness, the polar's rows for the extension
+  LP (`polar_max`) and the integer dots of `form_max` and `form_argmax`.
 
 Membership (`contains`), absorbency and the gauge answer in the
 representation the polytope was built with, never in one an earlier query
@@ -121,17 +121,8 @@ def affine_rank(points: Sequence[Point]) -> int:
 
 
 def point_in_hull(point: Sequence[Real], vertices: Sequence[Point]) -> bool:
-    """Exact membership of a point in the convex hull of finitely many points:
-    one feasibility LP on integer coordinates (scaling every point by the
-    same positive factor keeps the answer)."""
-    if not vertices:
-        return False
-    (p, *verts), _ = integer_points([point, *vertices])
-    lp = LinearProgram(len(verts), nonneg=True)
-    for c, x in enumerate(p):
-        lp.add_eq([v[c] for v in verts], x)
-    lp.add_eq([1] * len(verts), 1)
-    return lp.solve().status == OPTIMAL
+    """Exact membership of a point in the convex hull of finitely many points."""
+    return bool(vertices) and RealPolytope.from_vertices(vertices).contains(point)
 
 
 def _lex_argmax(points: Sequence[tuple[int, ...]], form: Sequence[int]) -> int:
@@ -179,14 +170,14 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
             common[(rest & -rest).bit_length() - 1] &= mask
             rest &= rest - 1
     keep = [i for i, c in enumerate(common) if c == 1 << i]
-    return _vertex_order([unique[i] for i in keep], [scaled[i] for i in keep])
+    return [unique[keep[i]] for i in _vertex_order([scaled[i] for i in keep])]
 
 
-def _vertex_order(vertices: Sequence[Point], scaled: Sequence[tuple[int, ...]]) -> list[Point]:
-    """Extreme points, given with their integer coordinates, in the library's
-    order: in dimensions 1 and 2 the lexicographically least first, then the
-    others counter-clockwise around it; in higher dimensions the
-    lexicographic maximizers of the probe forms, then the others as given."""
+def _vertex_order(scaled: Sequence[tuple[int, ...]]) -> list[int]:
+    """The library's order of extreme points given by integer coordinates: in
+    dimensions 1 and 2 the lexicographically least first, then the others
+    counter-clockwise around it; in higher dimensions the lexicographic
+    maximizers of the probe forms, then the others as given."""
     dim = len(scaled[0])
     if dim <= 2:
         lo = min(range(len(scaled)), key=scaled.__getitem__)
@@ -200,7 +191,7 @@ def _vertex_order(vertices: Sequence[Point], scaled: Sequence[tuple[int, ...]]) 
             if i not in order:
                 order.append(i)
         order += [i for i in range(len(scaled)) if i not in order]
-    return [vertices[i] for i in order]
+    return order
 
 
 # -- V <-> H conversion -----------------------------------------------------
@@ -293,18 +284,19 @@ def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
     return faces
 
 
-def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[Point]:
-    """Vertices of a bounded H-rep polytope, ignoring strict flags.
+def vertex_enumeration(faces: Sequence[Sequence[int]], dim: int) -> IntegerGroup:
+    """The vertices of a bounded polytope, from the integer rows [*a, b] of its
+    faces a.x <= b (strict or not), as rows over L in `_vertex_order`.
 
     The extreme rays (x, t) of the cone a.x <= b*t, t >= 0 over the set are
-    its vertices x/t (t > 0) and its directions of recession (t = 0).
+    its vertices x/t (t > 0) and its directions of recession (t = 0).  A
+    primitive ray's x/t has denominators of lcm t: L is the lcm of the t's.
     """
-    rows = [elim.integer_row([*map(Fraction, h.a), -Fraction(h.b)]) for h in halfspaces]
-    rays, _ = _cone_rays([*rows, [0] * dim + [-1]], dim + 1)
+    rays, _ = _cone_rays([*([*r[:-1], -r[-1]] for r in faces), [0] * dim + [-1]], dim + 1)
     if rays is None:  # the normals miss a direction: the set holds a line, or is empty
         lp = LinearProgram(dim)
-        for h in halfspaces:
-            lp.add_le(h.a, h.b)
+        for *a, b in faces:
+            lp.add_le(a, b)
         if lp.solve().status == OPTIMAL:
             raise LPUnboundedError("polytope is unbounded")
         raise EmptySetError("empty polytope")
@@ -312,8 +304,9 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> list[Point]
         raise EmptySetError("empty polytope")
     if not all(y[dim] for y in rays):
         raise LPUnboundedError("polytope is unbounded")
-    vertices = sorted(tuple(Fraction(v, y[dim]) for v in y[:dim]) for y in rays)
-    return _vertex_order(vertices, integer_points(vertices)[0])
+    scale = lcm(*(y[dim] for y in rays))
+    rows = sorted(tuple(v * (scale // y[dim]) for v in y[:dim]) for y in rays)
+    return [rows[i] for i in _vertex_order(rows)], scale
 
 
 # -- the gauge epigraph on columns --------------------------------------------
@@ -458,9 +451,11 @@ class RealPolytope:
     a property of the containing DConvexSet (plus per-face strict flags on
     H-rep input).  Never mutated after construction, so the memoized facts
     listed in the module docstring stay valid; `has_vrep` reports whether
-    vertices are held so far, `built_from_vertices` which representation it
-    was constructed with (a V-rep when given both).
+    vertices (or their integer rows) are held so far, `built_from_vertices`
+    which representation it was constructed with (a V-rep when given both).
     """
+
+    _vertices = _halfspaces = _integer_vertices = _faces = _gauge_body = _gauge_faces = None
 
     def __init__(self, dim: int, vertices: Optional[Sequence[Point]] = None,
                  halfspaces: Optional[Sequence[Halfspace]] = None):
@@ -474,23 +469,33 @@ class RealPolytope:
             for v in vertices:
                 if len(v) != dim:
                     raise DimensionMismatch("vertex length != dim")
+            self._vertices = tuple(tuple(v) for v in vertices)
         if halfspaces is not None:
             for h in halfspaces:
                 if len(h.a) != dim:
                     raise DimensionMismatch("halfspace normal length != dim")
+            self._halfspaces = tuple(halfspaces)
         self.dim = dim
-        self._vertices = tuple(tuple(v) for v in vertices) if vertices is not None else None
-        self._halfspaces = tuple(halfspaces) if halfspaces is not None else None
         self._built_from_vertices = vertices is not None
-        self._integer_vertices: Optional[IntegerGroup] = None
-        self._gauge_body: Optional[GaugeBody] = None
-        self._gauge_faces: Optional[tuple[bool, list[tuple[list[int], int]]]] = None
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Point]) -> RealPolytope:
         if not vertices:
             raise EmptySetError("V-rep must be nonempty")
         return cls(len(vertices[0]), vertices=vertices)
+
+    @classmethod
+    def from_integer_rows(cls, dim: int, vertices: Optional[IntegerGroup] = None,
+                          faces: Optional[IntegerGroup] = None,
+                          strict: Sequence[bool] = ()) -> RealPolytope:
+        """The vertex list R/L, or the faces a.x <= b (< b where strict) whose
+        rows [*a, b] are R/L, held as the integer rows (R, L)."""
+        if dim < 1:
+            raise DimensionMismatch("dim must be >= 1")
+        P = cls.__new__(cls)
+        P.dim, P._built_from_vertices = dim, vertices is not None
+        P._integer_vertices, P._faces, P._strict = vertices, faces, tuple(strict)
+        return P
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Halfspace], dim: int) -> RealPolytope:
@@ -515,7 +520,7 @@ class RealPolytope:
     # -- representations ----------------------------------------------
 
     def has_vrep(self) -> bool:
-        return self._vertices is not None
+        return self._vertices is not None or self._integer_vertices is not None
 
     def built_from_vertices(self) -> bool:
         return self._built_from_vertices
@@ -523,29 +528,48 @@ class RealPolytope:
     def __repr__(self) -> str:
         """The representation it was built with, whatever has been derived since."""
         if self._built_from_vertices:
-            return f"RealPolytope({self.dim}, vertices={self._vertices!r})"
-        return f"RealPolytope({self.dim}, halfspaces={self._halfspaces!r})"
+            return f"RealPolytope({self.dim}, vertices={self.vertices()!r})"
+        return f"RealPolytope({self.dim}, halfspaces={self.halfspaces()!r})"
 
     def vertices(self) -> tuple[Point, ...]:
         if self._vertices is None:
-            self._vertices = tuple(vertex_enumeration(self._halfspaces, self.dim))
+            rows, scale = self.integer_vertices()
+            self._vertices = tuple(tuple(Fraction(x, scale) for x in r) for r in rows)
         return self._vertices
 
     def halfspaces(self) -> tuple[Halfspace, ...]:
-        if self._halfspaces is None:
-            self._halfspaces = tuple(facet_enumeration(self._vertices, self.dim))
+        if self._halfspaces is None and self._built_from_vertices:
+            self._halfspaces = tuple(facet_enumeration(self.vertices(), self.dim))
+        elif self._halfspaces is None:
+            rows, scale = self._faces
+            self._halfspaces = tuple(
+                Halfspace(tuple(Fraction(x, scale) for x in r[:-1]), Fraction(r[-1], scale), s)
+                for r, s in zip(rows, self._strict))
         return self._halfspaces
+
+    def _face_rows(self) -> list[tuple[int, ...]]:
+        """The rows [*a, b] of its halfspaces over one denominator, computed once."""
+        if self._faces is None:
+            self._faces = integer_points([(*h.a, h.b) for h in self._halfspaces])
+        return self._faces[0]
 
     # -- queries --------------------------------------------------------
 
     def contains(self, point: Sequence[Real]) -> bool:
-        """Closed membership, except that strict H-rep faces stay strict;
-        decided in the representation it was built with."""
+        """Closed membership, except that strict H-rep faces stay strict; decided
+        in the representation it was built with (a vertex list by one LP on its rows)."""
         if len(point) != self.dim:
             raise DimensionMismatch("point length != dim")
-        if self._built_from_vertices:
-            return point_in_hull(point, self._vertices)
-        return all(h.holds(point) for h in self._halfspaces)
+        if not self._built_from_vertices:
+            return all(h.holds(point) for h in self.halfspaces())
+        rows, D = self.integer_vertices()
+        (p,), M = integer_points([point])
+        scale = lcm(D, M)
+        lp = LinearProgram(len(rows), nonneg=True)
+        for c, x in enumerate(p):
+            lp.add_eq([r[c] * (scale // D) for r in rows], x * (scale // M))
+        lp.add_eq([1] * len(rows), 1)
+        return lp.solve().status == OPTIMAL
 
     def interior_contains(self, point: Sequence[Real]) -> bool:
         """Membership in the interior of the closure."""
@@ -561,20 +585,20 @@ class RealPolytope:
     def translate(self, shift: Sequence[Real]) -> RealPolytope:
         """The polytope moved by ``shift``, in the representation it was built with."""
         if self._built_from_vertices:
-            verts = [tuple(x + s for x, s in zip(v, shift)) for v in self._vertices]
+            verts = [tuple(x + s for x, s in zip(v, shift)) for v in self.vertices()]
             return RealPolytope(self.dim, vertices=verts)
         faces = [
-            Halfspace(h.a, h.b + rdot(h.a, shift), h.strict) for h in self._halfspaces
+            Halfspace(h.a, h.b + rdot(h.a, shift), h.strict) for h in self.halfspaces()
         ]
         return RealPolytope(self.dim, halfspaces=faces)
 
     # -- gauges -----------------------------------------------------------
 
-    def _integer_faces(self) -> tuple[bool, list[tuple[list[int], int]]]:
+    def _integer_faces(self) -> tuple[bool, list[tuple[Sequence[int], int]]]:
         """Whether 0 is interior (every b > 0), and the faces a.x <= b scaled to
-        integers (a, b), computed once: the halfspaces it was built with (none
-        unless all are exact), or the facets (L*a).x <= beta of its vertex
-        list, from the rays (a, beta) that `facet_enumeration` reads."""
+        integers (a, b), computed once: the `_face_rows` (none unless all are
+        exact), or the facets (L*a).x <= beta of its vertex list, from the
+        rays (a, beta) that `facet_enumeration` reads."""
         if self._gauge_faces is None:
             if self._built_from_vertices:
                 pts, scale = self.integer_vertices()
@@ -582,12 +606,12 @@ class RealPolytope:
                 faces = [([scale * v for v in a], beta) for *a, beta in rays or ()]
                 spans = rays is not None  # else the vertices are flat: 0 is not interior
                 self._gauge_faces = (spans and all(b > 0 for _, b in faces), faces)
+            elif self._halfspaces is None or all(
+                    is_exact(h.b) and all(map(is_exact, h.a)) for h in self._halfspaces):
+                rows = self._face_rows()
+                self._gauge_faces = (all(r[-1] > 0 for r in rows), [(r[:-1], r[-1]) for r in rows])
             else:
-                hs = self._halfspaces
-                exact = all(is_exact(h.b) and all(map(is_exact, h.a)) for h in hs)
-                rows = [elim.integer_row([*h.a, h.b]) for h in hs] if exact else []
-                self._gauge_faces = (all(rlt(0, h.b) for h in hs),
-                                     [(row[:-1], row[-1]) for row in rows])
+                self._gauge_faces = (all(rlt(0, h.b) for h in self._halfspaces), [])
         return self._gauge_faces
 
     def gauge(self, point: Sequence[Real]) -> Real:
@@ -613,20 +637,14 @@ class RealPolytope:
                 if n * den > num * b:
                     num, den = n, b
             return Fraction(num, den * L) if num or vrep else 0
-        best: Real = 0
-        for h in self._halfspaces:
-            val = rdiv(rdot(h.a, point), h.b)
-            if val > best:
-                best = val
-        return best
+        return max([0, *(rdiv(rdot(h.a, point), h.b) for h in self.halfspaces())])
 
     def integer_vertices(self) -> IntegerGroup:
         """(R, L): the vertex list times L, the lcm of its denominators, as
-        integer rows, computed once (an H-rep polytope converts to vertices
-        first).  Read only: the faces of a vertex list, the gauge body and
-        the centroids and shifts of `convex.difference_body` share it."""
+        integer rows (see the module docstring), computed once.  Read only."""
         if self._integer_vertices is None:
-            self._integer_vertices = integer_points(self.vertices())
+            self._integer_vertices = (integer_points(self._vertices) if self._built_from_vertices
+                                      else vertex_enumeration(self._face_rows(), self.dim))
         return self._integer_vertices
 
     def gauge_body(self) -> GaugeBody:

@@ -3,13 +3,18 @@
 Exact rationals travel as "p/q" strings, everything else as plain JSON
 numbers, so certificate files round-trip without precision loss.  All
 decoders validate shape and raise :class:`SchemaError` with a path hint;
-they never partially construct objects.
+they never partially construct objects.  In the exact backend a polytope's
+numbers become reduced pairs (`backend.decode_pair`), then the integer rows
+of its vertices or faces [*a, b] over the lcm of their denominators.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from math import lcm
+
 from .analysis import DHyperplane, SeparationCertificate
-from .backend import EXACT, decode_real, encode_real
+from .backend import EXACT, decode_pair, decode_real, encode_real
 from .convex import DConvexSet
 from .errors import BicomplexError, SchemaError
 from .linear import BCLinearFunctional, BCLinearMap, DLinearFunctional
@@ -22,6 +27,14 @@ from .vectors import BCVector, DVector
 def _real(obj, where: str, backend: str):
     try:
         return decode_real(obj, backend)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{where}: bad number {obj!r}") from exc
+
+
+def _pair(obj, where: str) -> tuple[int, int]:
+    """The exact reduced pair (n, d) of a number, refused as `_real` refuses it."""
+    try:
+        return decode_pair(obj)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}: bad number {obj!r}") from exc
 
@@ -156,43 +169,51 @@ def encode_polytope(P: RealPolytope) -> dict:
     }
 
 
+def _integer_rows(rows: list[list[tuple[int, int]]]) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of reduced pairs (n, d) as integers n*(L/d) over L, the lcm of every d."""
+    scale = lcm(*(d for row in rows for _, d in row))
+    return [tuple(n * (scale // d) for n, d in row) for row in rows], scale
+
+
 def decode_polytope(obj, backend: str = EXACT, where: str = "polytope") -> RealPolytope:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     if "vertices" in obj and "halfspaces" in obj:
         raise SchemaError(f"{where}: need either vertices or halfspaces, not both")
+    exact = backend == EXACT
+    number = _pair if exact else partial(_real, backend=backend)
     if "vertices" in obj:
         verts = _expect_list(obj["vertices"], f"{where}.vertices")
         if not verts:
             raise SchemaError(f"{where}: no vertices")
-        points = []
-        for i, v in enumerate(verts):
-            row = _expect_list(v, f"{where}.vertices[{i}]")
-            points.append(tuple(_real(c, f"{where}.vertices[{i}]", backend) for c in row))
+        points = [[number(c, f"{where}.vertices[{i}]")
+                   for c in _expect_list(v, f"{where}.vertices[{i}]")] for i, v in enumerate(verts)]
         if any(len(p) != len(points[0]) for p in points):
             raise SchemaError(f"{where}: mixed vertex dimensions")
-        return RealPolytope.from_vertices(points)
+        if exact:
+            return RealPolytope.from_integer_rows(len(points[0]), vertices=_integer_rows(points))
+        return RealPolytope.from_vertices([tuple(p) for p in points])
     if "halfspaces" in obj:
         rows = _expect_list(obj["halfspaces"], f"{where}.halfspaces")
-        faces = []
-        dim = None
+        faces, flags = [], []
         for i, h in enumerate(rows):
-            d = _expect_dict(h, ("a", "b"), f"{where}.halfspaces[{i}]")
-            a = tuple(
-                _real(c, f"{where}.halfspaces[{i}].a", backend)
-                for c in _expect_list(d["a"], f"{where}.halfspaces[{i}].a")
-            )
-            if dim is None:
-                dim = len(a)
-            elif len(a) != dim:
+            at = f"{where}.halfspaces[{i}]"
+            d = _expect_dict(h, ("a", "b"), at)
+            a = [number(c, f"{at}.a") for c in _expect_list(d["a"], f"{at}.a")]
+            if faces and len(a) != len(faces[0]) - 1:
                 raise SchemaError(f"{where}: mixed halfspace dimensions")
             strict = d.get("strict", False)
             if not isinstance(strict, bool):
-                raise SchemaError(f"{where}.halfspaces[{i}].strict: expected a boolean")
-            faces.append(Halfspace(a, _real(d["b"], f"{where}.halfspaces[{i}].b", backend), strict))
-        if dim is None:
+                raise SchemaError(f"{at}.strict: expected a boolean")
+            faces.append([*a, number(d["b"], f"{at}.b")])
+            flags.append(strict)
+        if not faces:
             raise SchemaError(f"{where}: empty halfspace list")
-        return RealPolytope.from_halfspaces(faces, dim)
+        dim = len(faces[0]) - 1
+        if exact:
+            return RealPolytope.from_integer_rows(dim, faces=_integer_rows(faces), strict=flags)
+        return RealPolytope(dim, halfspaces=[Halfspace(tuple(f[:-1]), f[-1], s)
+                                             for f, s in zip(faces, flags)])
     raise SchemaError(f"{where}: need either vertices or halfspaces")
 
 

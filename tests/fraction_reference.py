@@ -95,6 +95,13 @@ before it built its quotient as one `Fraction`.  They run on the library's
 scalar operators, one ring operation per term.  Values, types, reprs and
 float bits must come out the same, and so must raised errors.  This
 module's other references use this `rdiv`, not the library's.
+
+`_parse_fraction`, `as_real`, `decode_real`, `_real` and `decode_polytope`
+are the wire decoders before every number was read into a reduced integer
+pair and a set into integer rows, copied verbatim: one `Fraction` (or
+float) per coordinate, and a set built by `RealPolytope.from_vertices` or
+`from_halfspaces`.  Values, types, reprs and every `SchemaError` message
+must come out the same.
 """
 
 from __future__ import annotations
@@ -106,7 +113,7 @@ from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
 from bicomplex.analysis import DHyperplane
-from bicomplex.backend import EPSILON, Real, rdot
+from bicomplex.backend import EPSILON, EXACT, FLOAT, Real, rdot
 from bicomplex.convex import DConvexSet, is_dabsorbing
 from bicomplex.errors import (
     BicomplexError,
@@ -118,6 +125,7 @@ from bicomplex.errors import (
     NotAbsorbingError,
     NotAGraphError,
     NotDisjointError,
+    SchemaError,
 )
 from bicomplex.linear import BCLinearMap, DLinearFunctional
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPResult
@@ -131,6 +139,7 @@ from bicomplex.polytope import (
     matrix_rank,
 )
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar, _as_complex
+from bicomplex.serialize import _expect_dict, _expect_list
 from bicomplex.vectors import BCVector, DVector
 
 
@@ -1269,3 +1278,101 @@ def dmetric_bc(x: BCVector, y: BCVector) -> HyperbolicScalar:
         sq1 += d.z1.abs2()
         sq2 += d.z2.abs2()
     return HyperbolicScalar(rsqrt(sq1), rsqrt(sq2))
+
+
+# -- the wire decoders before integer pairs ---------------------------------------
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, with the canonical ``"-p/q"`` form read by ``int``.
+
+    Only an optional single ``-``, ASCII digits and optionally ``/`` plus
+    ASCII digits take the fast path (``int`` alone would also accept
+    spaces, ``+``, ``_`` and non-ASCII digits); every other string goes to
+    ``Fraction``'s own parser, so values and raised errors are unchanged.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith("-") else num
+    if digits.isdigit() and digits.isascii():
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit() and den.isascii():
+            return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
+def as_real(value, backend: str = EXACT) -> Real:
+    """Coerce ``value`` (number or ``"p/q"`` string) into the given backend."""
+    if backend == EXACT:
+        if isinstance(value, str):
+            return _parse_fraction(value)
+        return Fraction(value)
+    if backend == FLOAT:
+        if isinstance(value, str):
+            return float(_parse_fraction(value))
+        return float(value)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def decode_real(obj, backend: str = EXACT) -> Real:
+    """A JSON number or ``"p/q"`` string in the given backend.
+
+    Values that are not finite (JSON ``NaN``, ``Infinity`` and numbers that
+    overflow a float, such as ``1e400``), and exact values too large for the
+    float backend, raise ``ValueError``.
+    """
+    if not isinstance(obj, (int, float, str)) or isinstance(obj, bool):
+        raise TypeError(f"not a real-number encoding: {obj!r}")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"not a finite number: {obj!r}")
+    try:
+        return as_real(obj, backend)
+    except OverflowError as exc:
+        raise ValueError(f"too large for the {backend} backend: {obj!r}") from exc
+
+
+def _real(obj, where: str, backend: str):
+    try:
+        return decode_real(obj, backend)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{where}: bad number {obj!r}") from exc
+
+
+def decode_polytope(obj, backend: str = EXACT, where: str = "polytope") -> RealPolytope:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if "vertices" in obj and "halfspaces" in obj:
+        raise SchemaError(f"{where}: need either vertices or halfspaces, not both")
+    if "vertices" in obj:
+        verts = _expect_list(obj["vertices"], f"{where}.vertices")
+        if not verts:
+            raise SchemaError(f"{where}: no vertices")
+        points = []
+        for i, v in enumerate(verts):
+            row = _expect_list(v, f"{where}.vertices[{i}]")
+            points.append(tuple(_real(c, f"{where}.vertices[{i}]", backend) for c in row))
+        if any(len(p) != len(points[0]) for p in points):
+            raise SchemaError(f"{where}: mixed vertex dimensions")
+        return RealPolytope.from_vertices(points)
+    if "halfspaces" in obj:
+        rows = _expect_list(obj["halfspaces"], f"{where}.halfspaces")
+        faces = []
+        dim = None
+        for i, h in enumerate(rows):
+            d = _expect_dict(h, ("a", "b"), f"{where}.halfspaces[{i}]")
+            a = tuple(
+                _real(c, f"{where}.halfspaces[{i}].a", backend)
+                for c in _expect_list(d["a"], f"{where}.halfspaces[{i}].a")
+            )
+            if dim is None:
+                dim = len(a)
+            elif len(a) != dim:
+                raise SchemaError(f"{where}: mixed halfspace dimensions")
+            strict = d.get("strict", False)
+            if not isinstance(strict, bool):
+                raise SchemaError(f"{where}.halfspaces[{i}].strict: expected a boolean")
+            faces.append(Halfspace(a, _real(d["b"], f"{where}.halfspaces[{i}].b", backend), strict))
+        if dim is None:
+            raise SchemaError(f"{where}: empty halfspace list")
+        return RealPolytope.from_halfspaces(faces, dim)
+    raise SchemaError(f"{where}: need either vertices or halfspaces")

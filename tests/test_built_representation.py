@@ -18,7 +18,7 @@ from bicomplex.backend import FLOAT
 from bicomplex.cli import cmd_separate
 from bicomplex.convex import minkowski_gauge
 from bicomplex.errors import EmptySetError
-from bicomplex.polytope import Halfspace, RealPolytope, vertex_enumeration
+from bicomplex.polytope import Halfspace, RealPolytope
 from bicomplex.serialize import decode_dconvex
 from bicomplex.vectors import DVector
 
@@ -38,7 +38,7 @@ def _empty_faces(dim: int) -> list[dict]:
 def test_zero_normal_face_empties_the_set(dim):
     faces = [Halfspace(tuple(h["a"]), h["b"]) for h in _empty_faces(dim)]
     with pytest.raises(EmptySetError):
-        vertex_enumeration(faces, dim)
+        RealPolytope.from_halfspaces(faces, dim).vertices()
 
 
 def test_empty_hrep_set_is_refused_alike_in_one_and_two_dimensions(tmp_path):

@@ -19,7 +19,7 @@ import fraction_reference as ref
 from bicomplex import generators as gen
 from bicomplex.errors import BicomplexError
 from bicomplex.lp import LinearProgram
-from bicomplex.polytope import RealPolytope, extreme_points, facet_enumeration, vertex_enumeration
+from bicomplex.polytope import RealPolytope, extreme_points, facet_enumeration
 
 F = Fraction
 
@@ -65,7 +65,7 @@ def test_vertex_enumeration_keeps_the_old_vertex_order():
             continue
         if rng.getrandbits(1):
             rng.shuffle(faces)
-        got = vertex_enumeration(faces, dim)
+        got = RealPolytope.from_halfspaces(faces, dim).vertices()
         want = ref.hull_extreme_points(sorted(map(tuple, got)))
         assert _typed(got) == _typed(want)
         if dim <= 3:
@@ -113,7 +113,7 @@ def test_hull_facts_solve_no_lp(monkeypatch):
             faces = facet_enumeration(pts, dim)
         except BicomplexError:  # flat: no facets to enumerate vertices from
             continue
-        assert vertex_enumeration(faces, dim)
+        assert RealPolytope.from_halfspaces(faces, dim).vertices()
         spanning += 1
     assert spanning > 40
     for dim, verts in _origin_cases():

@@ -17,7 +17,7 @@ import pytest
 np = pytest.importorskip("numpy")
 spatial = pytest.importorskip("scipy.spatial")
 
-from bicomplex.polytope import affine_rank, facet_enumeration, vertex_enumeration  # noqa: E402
+from bicomplex.polytope import RealPolytope, affine_rank, facet_enumeration  # noqa: E402
 
 F = Fraction
 
@@ -53,4 +53,4 @@ def test_conversions_match_qhull(dim):
             assert all(sum(a * x for a, x in zip(h.a, p)) <= h.b for p in pts)
             on = [p for p in pts if sum(a * x for a, x in zip(h.a, p)) == h.b]
             assert affine_rank(on) == dim - 1
-        assert set(vertex_enumeration(facets, dim)) == {pts[i] for i in hull.vertices}
+        assert set(RealPolytope.from_halfspaces(facets, dim).vertices()) == {pts[i] for i in hull.vertices}

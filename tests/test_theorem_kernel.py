@@ -26,7 +26,6 @@ from random import Random
 import pytest
 
 import fraction_reference as ref
-from bicomplex import elim
 from bicomplex import generators as gen
 from bicomplex.analysis import (
     complex_invert,
@@ -77,34 +76,6 @@ def test_complex_rank_and_inverse_match_fraction_gauss_jordan():
         assert repr(got) == repr(want), square  # types too: Fraction, never int
         seen["singular" if got is None else "inverted"] += 1
     assert seen["singular"] > 100 and seen["inverted"] > 500
-
-
-def test_real_solve_matches_fraction_gauss_jordan():
-    """elim.solve on [A | B]: free variables at zero, None when inconsistent."""
-    rng = Random("theorem-kernel:solve")
-    seen = Counter()
-    for _ in range(600):
-        k, n, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 2)
-        A = [[_rational(rng) for _ in range(n)] for _ in range(k)]
-        B = [[_rational(rng) for _ in range(cols)] for _ in range(k)]
-        if k >= 3 and rng.random() < 0.5:  # a dependent row, consistent or not
-            c = _rational(rng)
-            A[-1] = [c * x + y for x, y in zip(A[0], A[1])]
-            if rng.random() < 0.5:
-                B[-1] = [c * x + y for x, y in zip(B[0], B[1])]
-        got = elim.solve([elim.integer_row([*a, *b]) for a, b in zip(A, B)], n)
-        want = []
-        for j in range(cols):
-            sol = ref.complex_solve([[ComplexScalar(v) for v in a] for a in A],
-                                    [ComplexScalar(b[j]) for b in B])
-            want.append(None if sol is None else [z.re for z in sol])
-        if None in want:  # one inconsistent column makes the system inconsistent
-            assert got is None
-            seen["inconsistent"] += 1
-        else:
-            assert [[row[j] for row in got] for j in range(cols)] == want
-            seen["solved"] += 1
-    assert seen["inconsistent"] > 50 and seen["solved"] > 300
 
 
 def _redundant(rng: Random, vectors: list) -> list:
