@@ -31,7 +31,9 @@ gauge LP at x0 solved, whose weights give a common point.  The same LP
 decides whether an affine variety x0 + span(M) misses B: its optimum is
 the least t at which the variety meets t*B_l, and only a meeting variety
 solves the least-gauge LP along the span, for a common point.  So no
-theorem engine converts a V-rep set to facets.  A bound f <=' q is
+theorem engine builds a halfspace list for a V-rep set: its absorbency test
+reads the facet rays of each component's vertex rows, found once by
+`polytope._cone_rays` and memoized in `_integer_faces`.  A bound f <=' q is
 certified by plain evaluation (`form_max`): a linear form is largest over
 a body at a column point of each group, and f <= 1 on an absorbing body
 is f <=' q everywhere.  The same evaluation decides whether a hyperplane
@@ -155,8 +157,9 @@ def extend_dominated(
     duality; Schrijver 1986, ch. 7).  When g vanishes on Y the LP is
     unbounded and the component is 0.  The LP reads the points of
     `B.component(l).gauge_body()`: B's vertices, so an H-rep B is converted
-    once (an unbounded one raises) and a V-rep B is never converted to
-    facets; or the two groups of a `DifferenceBody` pair from
+    once (an unbounded one raises), and a V-rep B gets no halfspace list
+    (only `is_dabsorbing`'s facet rays, memoized); or the two groups of a
+    `DifferenceBody` pair from
     `difference_body`.  The global bound of the result is certified by
     plain evaluation before returning: f <=' q_B everywhere iff the maximum
     of f over each component (`form_max`) is at most 1.  The body keeps

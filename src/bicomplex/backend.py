@@ -127,15 +127,6 @@ def decode_pair(obj) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def as_real(value, backend: str = EXACT) -> Real:
-    """Coerce ``value`` (number or ``"p/q"`` string) into the given backend."""
-    if backend == EXACT:
-        return Fraction(*decode_pair(value)) if isinstance(value, str) else Fraction(value)
-    if backend == FLOAT:
-        return float(Fraction(*decode_pair(value)) if isinstance(value, str) else value)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def req(a: Real, b: Real) -> bool:
     """Equality: exact when both operands are exact, ε-tolerant otherwise."""
     if is_exact(a) and is_exact(b):

@@ -57,7 +57,9 @@ class GaugeValue:
     q2: Real
 
     def is_finite(self) -> bool:
-        return self.q1 != inf and self.q2 != inf
+        """Only a float can be inf, so exact components are never compared with it."""
+        return not (type(self.q1) is float and self.q1 == inf
+                    or type(self.q2) is float and self.q2 == inf)
 
     def hyper(self) -> HyperbolicScalar:
         if not self.is_finite():

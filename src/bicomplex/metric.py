@@ -209,15 +209,11 @@ def _point_outside_rect(
     return None
 
 
-def baire_witness(
-    cover: Sequence[RectSet],
-    bounding: RectSet | None = None,
-) -> tuple[int, DBall]:
+def baire_witness(cover: Sequence[RectSet], bounding: RectSet) -> tuple[int, DBall]:
     """An index n and a ball contained in cover[n], by nested shrinking.
 
     Precondition (checked exactly): the rectangles cover the bounding box
-    with no overflow.  When bounding is omitted it is taken to be the
-    bounding box of the union.  The procedure walks the finite family: at
+    with no overflow.  The procedure walks the finite family: at
     stage n it searches the current half-ball for a point avoiding cover[n];
     if none exists that half-ball lies inside cover[n] and is returned,
     otherwise the ball shrinks around the found point with radius below
@@ -228,11 +224,6 @@ def baire_witness(
     cover = list(cover)
     if not cover:
         raise EmptyInputError("empty cover")
-    if bounding is None:
-        bounding = RectSet(
-            (min(F.c1[0] for F in cover), max(F.c1[1] for F in cover)),
-            (min(F.c2[0] for F in cover), max(F.c2[1] for F in cover)),
-        )
     if bounding.c1[0] >= bounding.c1[1] or bounding.c2[0] >= bounding.c2[1]:
         raise ValueError("bounding rectangle must have nonempty interior")
     check_exact_cover(cover, bounding)

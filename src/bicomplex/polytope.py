@@ -445,14 +445,14 @@ class GaugeBody:
 
 
 class RealPolytope:
-    """A polytope with V-rep and/or H-rep, converting lazily.
+    """A polytope built from a V-rep or an H-rep (never both), converting lazily.
 
     The stored representations always describe the closed set; openness is
     a property of the containing DConvexSet (plus per-face strict flags on
     H-rep input).  Never mutated after construction, so the memoized facts
     listed in the module docstring stay valid; `has_vrep` reports whether
     vertices (or their integer rows) are held so far, `built_from_vertices`
-    which representation it was constructed with (a V-rep when given both).
+    which representation it was constructed with.
     """
 
     _vertices = _halfspaces = _integer_vertices = _faces = _gauge_body = _gauge_faces = None
@@ -463,6 +463,8 @@ class RealPolytope:
             raise DimensionMismatch("dim must be >= 1")
         if vertices is None and halfspaces is None:
             raise EmptySetError("polytope needs at least one representation")
+        if vertices is not None and halfspaces is not None:
+            raise ValueError("polytope needs either vertices or halfspaces, not both")
         if vertices is not None:
             if not vertices:
                 raise EmptySetError("V-rep must be nonempty")
@@ -470,7 +472,7 @@ class RealPolytope:
                 if len(v) != dim:
                     raise DimensionMismatch("vertex length != dim")
             self._vertices = tuple(tuple(v) for v in vertices)
-        if halfspaces is not None:
+        else:
             for h in halfspaces:
                 if len(h.a) != dim:
                     raise DimensionMismatch("halfspace normal length != dim")

@@ -41,20 +41,23 @@ class ComplexScalar:
     im: Real = 0
 
     def __add__(self, other) -> ComplexScalar:
-        other = _as_complex(other)
+        if (other := _as_complex(other)) is NotImplemented:
+            return other
         return ComplexScalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> ComplexScalar:
-        other = _as_complex(other)
+        if (other := _as_complex(other)) is NotImplemented:
+            return other
         return ComplexScalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> ComplexScalar:
-        return _as_complex(other) - self
+        return NotImplemented if (other := _as_complex(other)) is NotImplemented else other - self
 
     def __mul__(self, other) -> ComplexScalar:
-        other = _as_complex(other)
+        if (other := _as_complex(other)) is NotImplemented:
+            return other
         a, b, c, d = self.re, self.im, other.re, other.im
         if fraction_operands(a, b, c, d):
             re, im, den = _product_terms(a, b, c, d)
@@ -64,7 +67,8 @@ class ComplexScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> ComplexScalar:
-        other = _as_complex(other)
+        if (other := _as_complex(other)) is NotImplemented:
+            return other
         d = other.abs2()
         if _real_is_zero(d):
             raise ZeroDivisionError("complex division by zero")
@@ -184,26 +188,30 @@ class HyperbolicScalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> HyperbolicScalar:
-        other = _as_hyperbolic(other)
+        if (other := _as_hyperbolic(other)) is NotImplemented:
+            return other
         return HyperbolicScalar(self.a1 + other.a1, self.a2 + other.a2)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> HyperbolicScalar:
-        other = _as_hyperbolic(other)
+        if (other := _as_hyperbolic(other)) is NotImplemented:
+            return other
         return HyperbolicScalar(self.a1 - other.a1, self.a2 - other.a2)
 
     def __rsub__(self, other) -> HyperbolicScalar:
-        return _as_hyperbolic(other) - self
+        return NotImplemented if (other := _as_hyperbolic(other)) is NotImplemented else other - self
 
     def __mul__(self, other) -> HyperbolicScalar:
-        other = _as_hyperbolic(other)
+        if (other := _as_hyperbolic(other)) is NotImplemented:
+            return other
         return HyperbolicScalar(self.a1 * other.a1, self.a2 * other.a2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> HyperbolicScalar:
-        other = _as_hyperbolic(other)
+        if (other := _as_hyperbolic(other)) is NotImplemented:
+            return other
         z1, z2 = _real_is_zero(other.a1), _real_is_zero(other.a2)
         if z1 and z2:
             raise ZeroError("division by hyperbolic zero")
@@ -306,20 +314,23 @@ class BicomplexScalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> BicomplexScalar:
-        other = _as_bicomplex(other)
+        if (other := _as_bicomplex(other)) is NotImplemented:
+            return other
         return BicomplexScalar(self.z1 + other.z1, self.z2 + other.z2)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> BicomplexScalar:
-        other = _as_bicomplex(other)
+        if (other := _as_bicomplex(other)) is NotImplemented:
+            return other
         return BicomplexScalar(self.z1 - other.z1, self.z2 - other.z2)
 
     def __rsub__(self, other) -> BicomplexScalar:
-        return _as_bicomplex(other) - self
+        return NotImplemented if (other := _as_bicomplex(other)) is NotImplemented else other - self
 
     def __mul__(self, other) -> BicomplexScalar:
-        other = _as_bicomplex(other)
+        if (other := _as_bicomplex(other)) is NotImplemented:
+            return other
         return BicomplexScalar(self.z1 * other.z1, self.z2 * other.z2)
 
     __rmul__ = __mul__
@@ -341,10 +352,8 @@ def _as_bicomplex(v) -> BicomplexScalar:
         return v
     if isinstance(v, HyperbolicScalar):
         return v.to_bicomplex()
-    if isinstance(v, ComplexScalar):
+    if isinstance(v, (ComplexScalar, int, Fraction, float)):
         return BicomplexScalar.from_complex(v)
-    if isinstance(v, (int, Fraction, float)):
-        return BicomplexScalar.from_complex(ComplexScalar(v))
     return NotImplemented
 
 

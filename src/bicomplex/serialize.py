@@ -3,9 +3,12 @@
 Exact rationals travel as "p/q" strings, everything else as plain JSON
 numbers, so certificate files round-trip without precision loss.  All
 decoders validate shape and raise :class:`SchemaError` with a path hint;
-they never partially construct objects.  In the exact backend a polytope's
-numbers become reduced pairs (`backend.decode_pair`), then the integer rows
-of its vertices or faces [*a, b] over the lcm of their denominators.
+they never partially construct objects.  Every decoder reads numbers
+exactly, except the four on the `gauge --backend float` path (sets,
+polytopes, points and hyperbolic scalars), which take a ``backend``.  In the
+exact backend a polytope's numbers become reduced pairs
+(`backend.decode_pair`), then the integer rows of its vertices or faces
+[*a, b] over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -54,13 +57,13 @@ def _expect_list(obj, where: str) -> list:
     return obj
 
 
-def _decode_entries(obj, key: str, noun: str, decode, backend: str, where: str) -> tuple:
+def _decode_entries(obj, key: str, noun: str, decode, where: str) -> tuple:
     """Decode every entry of the non-empty list obj[key]."""
     d = _expect_dict(obj, (key,), where)
     entries = _expect_list(d[key], f"{where}.{key}")
     if not entries:
         raise SchemaError(f"{where}: empty {noun} list")
-    return tuple(decode(c, backend, f"{where}.{key}[{i}]") for i, c in enumerate(entries))
+    return tuple(decode(c, where=f"{where}.{key}[{i}]") for i, c in enumerate(entries))
 
 
 # -- scalars ------------------------------------------------------------------
@@ -70,7 +73,7 @@ def encode_hyperbolic(h: HyperbolicScalar) -> dict:
     return {"e1": encode_real(h.a1), "e2": encode_real(h.a2)}
 
 
-def decode_hyperbolic(obj, backend: str = EXACT, where: str = "hyperbolic") -> HyperbolicScalar:
+def decode_hyperbolic(obj, backend: str = EXACT, *, where: str = "hyperbolic") -> HyperbolicScalar:
     d = _expect_dict(obj, ("e1", "e2"), where)
     return HyperbolicScalar(_real(d["e1"], where, backend), _real(d["e2"], where, backend))
 
@@ -79,20 +82,20 @@ def encode_complex(z: ComplexScalar) -> dict:
     return {"re": encode_real(z.re), "im": encode_real(z.im)}
 
 
-def decode_complex(obj, backend: str = EXACT, where: str = "complex") -> ComplexScalar:
+def decode_complex(obj, *, where: str = "complex") -> ComplexScalar:
     d = _expect_dict(obj, ("re", "im"), where)
-    return ComplexScalar(_real(d["re"], where, backend), _real(d["im"], where, backend))
+    return ComplexScalar(_real(d["re"], where, EXACT), _real(d["im"], where, EXACT))
 
 
 def encode_bicomplex(Z: BicomplexScalar) -> dict:
     return {"z1": encode_complex(Z.z1), "z2": encode_complex(Z.z2)}
 
 
-def decode_bicomplex(obj, backend: str = EXACT, where: str = "bicomplex") -> BicomplexScalar:
+def decode_bicomplex(obj, *, where: str = "bicomplex") -> BicomplexScalar:
     d = _expect_dict(obj, ("z1", "z2"), where)
     return BicomplexScalar(
-        decode_complex(d["z1"], backend, f"{where}.z1"),
-        decode_complex(d["z2"], backend, f"{where}.z2"),
+        decode_complex(d["z1"], where=f"{where}.z1"),
+        decode_complex(d["z2"], where=f"{where}.z2"),
     )
 
 
@@ -103,41 +106,42 @@ def encode_dvector(x: DVector) -> dict:
     return {"coords": [encode_hyperbolic(h) for h in x.coords]}
 
 
-def decode_dvector(obj, backend: str = EXACT, where: str = "dvector") -> DVector:
-    return DVector(_decode_entries(obj, "coords", "coordinate", decode_hyperbolic, backend, where))
+def decode_dvector(obj, backend: str = EXACT, *, where: str = "dvector") -> DVector:
+    decode = partial(decode_hyperbolic, backend=backend)
+    return DVector(_decode_entries(obj, "coords", "coordinate", decode, where))
 
 
 def encode_bcvector(x: BCVector) -> dict:
     return {"coords": [encode_bicomplex(Z) for Z in x.coords]}
 
 
-def decode_bcvector(obj, backend: str = EXACT, where: str = "bcvector") -> BCVector:
-    return BCVector(_decode_entries(obj, "coords", "coordinate", decode_bicomplex, backend, where))
+def decode_bcvector(obj, *, where: str = "bcvector") -> BCVector:
+    return BCVector(_decode_entries(obj, "coords", "coordinate", decode_bicomplex, where))
 
 
 def encode_dfunctional(f: DLinearFunctional) -> dict:
     return {"coeffs": [encode_hyperbolic(h) for h in f.coeffs.coords]}
 
 
-def decode_dfunctional(obj, backend: str = EXACT, where: str = "functional") -> DLinearFunctional:
+def decode_dfunctional(obj, *, where: str = "functional") -> DLinearFunctional:
     return DLinearFunctional(DVector(
-        _decode_entries(obj, "coeffs", "coefficient", decode_hyperbolic, backend, where)))
+        _decode_entries(obj, "coeffs", "coefficient", decode_hyperbolic, where)))
 
 
 def encode_bcfunctional(h: BCLinearFunctional) -> dict:
     return {"coeffs": [encode_bicomplex(Z) for Z in h.coeffs.coords]}
 
 
-def decode_bcfunctional(obj, backend: str = EXACT, where: str = "functional") -> BCLinearFunctional:
+def decode_bcfunctional(obj, *, where: str = "functional") -> BCLinearFunctional:
     return BCLinearFunctional(BCVector(
-        _decode_entries(obj, "coeffs", "coefficient", decode_bicomplex, backend, where)))
+        _decode_entries(obj, "coeffs", "coefficient", decode_bicomplex, where)))
 
 
 def encode_map(T: BCLinearMap) -> dict:
     return {"rows": [[encode_bicomplex(e) for e in row] for row in T.matrix]}
 
 
-def decode_map(obj, backend: str = EXACT, where: str = "map") -> BCLinearMap:
+def decode_map(obj, *, where: str = "map") -> BCLinearMap:
     d = _expect_dict(obj, ("rows",), where)
     rows = _expect_list(d["rows"], f"{where}.rows")
     if not rows:
@@ -146,7 +150,7 @@ def decode_map(obj, backend: str = EXACT, where: str = "map") -> BCLinearMap:
     for r, row in enumerate(rows):
         entries = _expect_list(row, f"{where}.rows[{r}]")
         decoded.append(tuple(
-            decode_bicomplex(e, backend, f"{where}.rows[{r}][{c}]") for c, e in enumerate(entries)
+            decode_bicomplex(e, where=f"{where}.rows[{r}][{c}]") for c, e in enumerate(entries)
         ))
     width = len(decoded[0])
     if width == 0 or any(len(row) != width for row in decoded):
@@ -175,7 +179,7 @@ def _integer_rows(rows: list[list[tuple[int, int]]]) -> tuple[list[tuple[int, ..
     return [tuple(n * (scale // d) for n, d in row) for row in rows], scale
 
 
-def decode_polytope(obj, backend: str = EXACT, where: str = "polytope") -> RealPolytope:
+def decode_polytope(obj, backend: str = EXACT, *, where: str = "polytope") -> RealPolytope:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     if "vertices" in obj and "halfspaces" in obj:
@@ -221,15 +225,15 @@ def encode_dconvex(S: DConvexSet) -> dict:
     return {"p1": encode_polytope(S.p1), "p2": encode_polytope(S.p2), "open": S.open}
 
 
-def decode_dconvex(obj, backend: str = EXACT, where: str = "set") -> DConvexSet:
+def decode_dconvex(obj, backend: str = EXACT, *, where: str = "set") -> DConvexSet:
     d = _expect_dict(obj, ("p1", "p2"), where)
     open_flag = d.get("open", False)
     if not isinstance(open_flag, bool):
         raise SchemaError(f"{where}.open: expected a boolean")
     try:
         return DConvexSet(
-            decode_polytope(d["p1"], backend, f"{where}.p1"),
-            decode_polytope(d["p2"], backend, f"{where}.p2"),
+            decode_polytope(d["p1"], backend, where=f"{where}.p1"),
+            decode_polytope(d["p2"], backend, where=f"{where}.p2"),
             open=open_flag,
         )
     except SchemaError:
@@ -245,14 +249,14 @@ def encode_rectset(R: RectSet) -> dict:
     }
 
 
-def decode_rectset(obj, backend: str = EXACT, where: str = "rect") -> RectSet:
+def decode_rectset(obj, *, where: str = "rect") -> RectSet:
     d = _expect_dict(obj, ("c1", "c2"), where)
     out = []
     for key in ("c1", "c2"):
         pair = _expect_list(d[key], f"{where}.{key}")
         if len(pair) != 2:
             raise SchemaError(f"{where}.{key}: expected [lo, hi]")
-        out.append((_real(pair[0], f"{where}.{key}", backend), _real(pair[1], f"{where}.{key}", backend)))
+        out.append((_real(pair[0], f"{where}.{key}", EXACT), _real(pair[1], f"{where}.{key}", EXACT)))
     try:
         return RectSet(out[0], out[1])
     except ValueError as exc:
@@ -266,12 +270,12 @@ def encode_cover(cover: list[RectSet], bounding: RectSet) -> dict:
     }
 
 
-def decode_cover(obj, backend: str = EXACT) -> tuple[list[RectSet], RectSet]:
+def decode_cover(obj) -> tuple[list[RectSet], RectSet]:
     """A cover file: {"bounding": RectSet, "cover": [RectSet, ...]}."""
     d = _expect_dict(obj, ("bounding", "cover"), "cover file")
     rects = _expect_list(d["cover"], "cover file.cover")
-    cover = [decode_rectset(r, backend, f"cover[{i}]") for i, r in enumerate(rects)]
-    return cover, decode_rectset(d["bounding"], backend, "bounding")
+    cover = [decode_rectset(r, where=f"cover[{i}]") for i, r in enumerate(rects)]
+    return cover, decode_rectset(d["bounding"], where="bounding")
 
 
 # -- certificates and hyperplanes ----------------------------------------------
@@ -296,22 +300,22 @@ def encode_certificate(cert: SeparationCertificate) -> dict:
     }
 
 
-def decode_certificate(obj, backend: str = EXACT) -> SeparationCertificate:
+def decode_certificate(obj) -> SeparationCertificate:
     """A schema-3 certificate; any other document is a schema error."""
     d = _expect_dict(obj, ("schema", "f", "gamma", "sup_A", "trace"), "certificate")
     if d["schema"] != CERTIFICATE_SCHEMA:
         raise SchemaError(f"certificate: unsupported schema {d['schema']!r}")
     t = _expect_dict(d["trace"], ("x0", "qg_x0", "a0", "b0"), "certificate.trace")
     trace = {
-        "x0": decode_dvector(t["x0"], backend, "trace.x0"),
-        "qg_x0": decode_hyperbolic(t["qg_x0"], backend, "trace.qg_x0"),
-        "a0": decode_dvector(t["a0"], backend, "trace.a0"),
-        "b0": decode_dvector(t["b0"], backend, "trace.b0"),
+        "x0": decode_dvector(t["x0"], where="trace.x0"),
+        "qg_x0": decode_hyperbolic(t["qg_x0"], where="trace.qg_x0"),
+        "a0": decode_dvector(t["a0"], where="trace.a0"),
+        "b0": decode_dvector(t["b0"], where="trace.b0"),
     }
     return SeparationCertificate(
-        decode_dfunctional(d["f"], backend, "certificate.f"),
-        decode_hyperbolic(d["gamma"], backend, "certificate.gamma"),
-        decode_hyperbolic(d["sup_A"], backend, "certificate.sup_A"),
+        decode_dfunctional(d["f"], where="certificate.f"),
+        decode_hyperbolic(d["gamma"], where="certificate.gamma"),
+        decode_hyperbolic(d["sup_A"], where="certificate.sup_A"),
         trace,
     )
 
@@ -320,9 +324,9 @@ def encode_hyperplane(L: DHyperplane) -> dict:
     return {"f": encode_dfunctional(L.f), "c": encode_hyperbolic(L.c)}
 
 
-def decode_hyperplane(obj, backend: str = EXACT) -> DHyperplane:
+def decode_hyperplane(obj) -> DHyperplane:
     d = _expect_dict(obj, ("f", "c"), "hyperplane")
     return DHyperplane(
-        decode_dfunctional(d["f"], backend, "hyperplane.f"),
-        decode_hyperbolic(d["c"], backend, "hyperplane.c"),
+        decode_dfunctional(d["f"], where="hyperplane.f"),
+        decode_hyperbolic(d["c"], where="hyperplane.c"),
     )

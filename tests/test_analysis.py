@@ -147,7 +147,7 @@ class TestExtendDominated:
                                                          monkeypatch):
         """x0 + span(e2) against the vertex box [-1, 1]^3 in both components:
         one polar LP per component decides and extends, or refuses component 1
-        with one least-gauge LP for the witness; B is never converted to facets."""
+        with one least-gauge LP for the witness; no halfspace list is built for B."""
         box = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=3)))
         B = DConvexSet(box, box, open=open_flag)
         x0 = DVector.from_parts(list(map(F, x)), list(map(F, x)))
@@ -359,7 +359,7 @@ class TestHyperplane:
     def test_one_exact_pass_decides_without_lp_or_facets(self, open_flag, monkeypatch):
         """A vertex box whose largest value of f is exactly 1 at (1, 1): the
         closed box touches {f = 1} there and is refused with that vertex,
-        the open one misses it.  Neither solves an LP or finds a facet."""
+        the open one misses it.  Neither solves an LP or builds a halfspace list."""
         solves, facets = [], []
         solve, enumerate_facets = LinearProgram.solve, polytope.facet_enumeration
         monkeypatch.setattr(LinearProgram, "solve", lambda lp: solves.append(lp) or solve(lp))
@@ -376,6 +376,28 @@ class TestHyperplane:
                 hyperplane_gauge_bound(B, L)
             assert (exc.value.component, exc.value.witness) == (1, (F(1), F(1)))
         assert solves == [] and facets == []
+
+    def test_vertex_list_rays_found_once_per_component(self, monkeypatch):
+        """The gauge bound, then the variety extension, on one vertex-list B:
+        each engine's absorbency test reads the facet rays of each component's
+        vertex rows, which `_cone_rays` finds once and `_integer_faces`
+        memoizes.  No halfspace list is built."""
+        rays, facets = [], []
+        cone_rays, enumerate_facets = polytope._cone_rays, polytope.facet_enumeration
+        monkeypatch.setattr(polytope, "_cone_rays", lambda *args: rays.append(args) or cone_rays(*args))
+        monkeypatch.setattr(polytope, "facet_enumeration",
+                            lambda *args: facets.append(args) or enumerate_facets(*args))
+        square = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=2)))
+        triangle = RealPolytope.from_vertices([(F(-1), F(-1)), (F(2), F(-1)), (F(-1), F(2))])
+        B = DConvexSet(square, triangle)
+        L = DHyperplane(DLinearFunctional.from_parts([F(1, 4), F(0)], [F(0), F(1, 4)]),
+                        HyperbolicScalar.one())
+        assert hyperplane_gauge_bound(B, L).component(2) == (F(0), F(1, 4))
+        x0 = DVector.from_parts([F(3), F(0)], [F(3), F(0)])
+        e2 = DVector.from_parts([F(0), F(1)], [F(0), F(1)])
+        assert variety_extend_hyperplane(x0, [e2], B).f.component(1) == (F(1, 3), F(0))
+        assert len(rays) == 2 and facets == []
+        assert square._halfspaces is None and triangle._halfspaces is None
 
     def test_crossing_level_raises(self):
         L = DHyperplane(DLinearFunctional.from_parts([F(1)], [F(1)]), h(F(1, 2), F(1, 2)))

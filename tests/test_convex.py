@@ -184,3 +184,14 @@ class TestGaugeValue:
         assert GaugeValue(Fraction(1), Fraction(2)).hyper() == HyperbolicScalar(
             Fraction(1), Fraction(2)
         )
+
+    def test_is_finite_compares_no_exact_component_with_inf(self, monkeypatch):
+        compared = []
+        eq = Fraction.__eq__
+        monkeypatch.setattr(Fraction, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
+        for q in (Fraction(1, 3), Fraction(0), 2, 0, 1.5):
+            assert GaugeValue(q, Fraction(5)).is_finite() and GaugeValue(7, q).is_finite()
+        for q in (Fraction(1, 3), 2, 1.5):
+            assert not GaugeValue(q, float("inf")).is_finite()
+            assert not GaugeValue(float("inf"), q).is_finite()
+        assert compared == []

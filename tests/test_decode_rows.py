@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from bicomplex import generators as gen
-from bicomplex.backend import EXACT, FLOAT, as_real, decode_pair, decode_real
+from bicomplex.backend import EXACT, FLOAT, decode_pair, decode_real
 from bicomplex.convex import DConvexSet, minkowski_gauge
 from bicomplex.errors import BicomplexError, SchemaError
 from bicomplex.polytope import Halfspace, RealPolytope, integer_points
@@ -277,8 +277,6 @@ def test_parser_matches_the_fraction_parser(x):
     for backend in (EXACT, FLOAT):
         assert _result(lambda v: decode_real(v, backend), x) == _result(
             lambda v: ref.decode_real(v, backend), x)
-        assert _result(lambda v: as_real(v, backend), x) == _result(
-            lambda v: ref.as_real(v, backend), x)
     want = _result(lambda v: ref.decode_real(v, EXACT), x)
     got = _result(decode_pair, x)
     if isinstance(want[0], Fraction):

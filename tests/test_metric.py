@@ -117,6 +117,10 @@ class TestCovers:
         assert B.contains(w)
         assert not any(r.contains(w) for r in rects)
 
+    def test_bounding_box_is_required(self):
+        with pytest.raises(TypeError):
+            baire_witness(self.quadrants())
+
     def test_exact_cover_check_passes(self):
         check_exact_cover(self.quadrants(), self.bounding())
 

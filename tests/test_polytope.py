@@ -95,6 +95,14 @@ class TestRepresentations:
         with pytest.raises(EmptySetError):
             RealPolytope.from_vertices([])
 
+    def test_both_representations_rejected(self):
+        # the box (±1, ±1) with unchecked faces |x_i| <= 10 would answer
+        # contains((5, 0)) from the vertices and interior_contains from the faces
+        square = [fr(x, y) for x in (-1, 1) for y in (-1, 1)]
+        faces = [Halfspace(fr(*a), Fraction(10)) for a in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        with pytest.raises(ValueError, match="not both"):
+            RealPolytope(2, vertices=square, halfspaces=faces)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_translate_keeps_the_built_representation(self, dim):
         faces = [Halfspace(tuple(Fraction(s if i == c else 0) for i in range(dim)), Fraction(c + 1, 2),

@@ -1,5 +1,6 @@
 """Scalar algebra: constructors, products, conjugations, moduli, inverses."""
 
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -233,6 +234,44 @@ class TestHyperbolic:
         a = HyperbolicScalar(Fraction(2), Fraction(-1))
         b = HyperbolicScalar(Fraction(1, 2), Fraction(3))
         assert (a * b).to_bicomplex() == bc_mul(a.to_bicomplex(), b.to_bicomplex())
+
+
+class TestForeignOperands:
+    """An operand a scalar cannot coerce gets `NotImplemented`, so Python
+    tries the other operand's reflected method, or raises `TypeError`."""
+
+    def test_hyperbolic_plus_string_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            HyperbolicScalar(1, 1) + "x"
+
+    def test_string_minus_hyperbolic_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            "x" - HyperbolicScalar(1, 1)
+
+    def test_hyperbolic_times_bicomplex_is_the_bicomplex_product(self):
+        assert HyperbolicScalar(1, 1) * BicomplexScalar.one() == BicomplexScalar.one()
+        a, Z = HyperbolicScalar(Fraction(2), Fraction(-1, 3)), bc(1, 2, 3, 4)
+        assert a * Z == Z * a == bc_mul(a.to_bicomplex(), Z)
+        assert a - Z == a.to_bicomplex() - Z and a + Z == Z + a
+
+    def test_reflected_subtraction_is_the_coerced_difference(self):
+        # a number minus a scalar has the bits of the coerced difference, signed zeros included
+        reals = [0, 3, Fraction(-5, 7), 0.0, -0.0, 2.5, -1e-300]
+        for r in reals:
+            for a in reals:
+                for b in reals:
+                    for x, coerced in ((ComplexScalar(a, b), ComplexScalar(r)),
+                                       (HyperbolicScalar(a, b), HyperbolicScalar(r, r)),
+                                       (BicomplexScalar(ComplexScalar(a, b), ComplexScalar(b, a)),
+                                        BicomplexScalar.from_complex(r))):
+                        assert repr(r - x) == repr(coerced - x)
+
+    @pytest.mark.parametrize("x", [ComplexScalar(1, 2), HyperbolicScalar(1, 1), bc(1, 2, 3, 4)])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_every_operator_refuses_a_foreign_operand(self, x, op):
+        for left, right in ((x, "x"), ("x", x), (x, None), (None, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 class TestExactness:

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from bicomplex.analysis import extend_dominated, separate_hyperbolic
-from bicomplex.backend import EXACT, FLOAT, as_real
+from bicomplex.backend import EXACT, FLOAT, decode_real
 from bicomplex.convex import DConvexSet
 from bicomplex.errors import SchemaError
 from bicomplex.generators import (
@@ -108,8 +108,8 @@ class TestScalarCodecs:
                 return type(exc)
             return value, type(value)
 
-        assert outcome(as_real) == outcome(Fraction)
-        assert outcome(lambda t: as_real(t, FLOAT)) == outcome(lambda t: float(Fraction(t)))
+        assert outcome(decode_real) == outcome(Fraction)
+        assert outcome(lambda t: decode_real(t, FLOAT)) == outcome(lambda t: float(Fraction(t)))
 
 
 class TestVectorAndMapCodecs:
@@ -289,3 +289,43 @@ class TestCertificateCodecs:
         )
         got = decode_hyperplane(through_json(encode_hyperplane(L)))
         assert got == L
+
+
+class TestBackendParameters:
+    """Only the decoders on the `gauge --backend float` path take a backend,
+    and every decoder takes `where` by keyword, so a stale positional backend
+    raises instead of being read."""
+
+    def test_exact_decoders_refuse_a_positional_backend(self):
+        rng = Random("stale-backend")
+        z = rand_bicomplex(rng)
+        cover, bounding = rand_cover(rng)
+        L = DHyperplane(DLinearFunctional.from_parts([F(1, 2)], [F(3)]), HyperbolicScalar(F(1), F(1)))
+        cases = [
+            (decode_complex, encode_complex(z.z1)),
+            (decode_bicomplex, encode_bicomplex(z)),
+            (decode_bcvector, encode_bcvector(rand_bcvector(rng, 2))),
+            (decode_dfunctional, encode_dfunctional(rand_dfunctional(rng, 2))),
+            (decode_bcfunctional, encode_bcfunctional(rand_bcfunctional(rng, 2))),
+            (decode_map, encode_map(rand_bcmap(rng, 2, 2))),
+            (decode_rectset, encode_rectset(bounding)),
+            (decode_cover, encode_cover(cover, bounding)),
+            (decode_certificate, encode_certificate(TestCertificateCodecs().build_cert())),
+            (decode_hyperplane, encode_hyperplane(L)),
+        ]
+        for decode, doc in cases:
+            decode(through_json(doc))
+            with pytest.raises(TypeError):
+                decode(through_json(doc), EXACT)
+
+    def test_gauge_path_decoders_take_a_backend_and_where_by_keyword(self):
+        h = {"e1": "1/2", "e2": 1}
+        square = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+        assert decode_hyperbolic(h, FLOAT, where="h") == HyperbolicScalar(0.5, 1.0)
+        assert decode_dvector({"coords": [h]}, FLOAT).coords == (HyperbolicScalar(0.5, 1.0),)
+        assert decode_polytope(square, FLOAT).vertices()[0] == (-1.0, -1.0)
+        assert decode_dconvex({"p1": square, "p2": square}, FLOAT).p1.dim == 2
+        for decode, doc in ((decode_hyperbolic, h), (decode_dvector, {"coords": [h]}),
+                            (decode_polytope, square), (decode_dconvex, {"p1": square, "p2": square})):
+            with pytest.raises(TypeError):
+                decode(doc, EXACT, "where")
