@@ -12,7 +12,10 @@ entry of T is d times an entry of B^-1 A for the current basis B of the
 starting integer matrix A, and d = |det B|, so it is an integer minor of A.
 Pivots take no gcd, and entries stay the size of those minors.
 
-The simplex tableau (`lp`) pivots through `pivot`.  Every other exact
+The simplex (`lp`) pivots through `pivot` on a dictionary that stores only
+its nonbasic columns: a basic column is d times a unit vector, so after
+each pivot `lp` writes the leaving variable's column into the entering
+one's slot from the entries the pivot read.  Every other exact
 solve runs through `eliminate`, the library's one Gauss-Jordan loop:
 `rank` here, `polytope.matrix_rank` and the starting cone of
 `polytope`'s double description, and the complex ranks, inverses and graph
@@ -30,6 +33,8 @@ from typing import Optional, Sequence
 def integer_row(values: Sequence[Rational]) -> list[int]:
     """The rationals scaled by the lcm of their denominators (same direction)."""
     scale = lcm(*(v.denominator for v in values))
+    if scale == 1:
+        return [v.numerator for v in values]
     return [v.numerator * (scale // v.denominator) for v in values]
 
 

@@ -394,7 +394,9 @@ class GaugeBody:
         with any s is feasible then, and a ray of the LP keeps f <= 0 on an
         absorbing body, so its f is 0 and s*values_j = 0.
 
-        Each point row is handed over as the group's integer row R times D:
+        Every row is handed over as integers.  A span row is scaled by the
+        lcm of its denominators, as `LinearProgram.solve` scales each row
+        itself.  A point row is the group's integer row R times D:
         f.R + D*beta <= D, f.R' - D'*beta <= 0, or f.R <= D for one group.
         A positive factor on an inequality with a nonnegative right-hand
         side only rescales its slack, which starts basic: the signs of the
@@ -404,7 +406,7 @@ class GaugeBody:
         n, two = self.dim, len(self._groups) == 2
         lp = LinearProgram(n + 1 + two)
         for u, v in zip(span, values):
-            lp.add_eq([*u, -v] + [0] * two, 0)
+            lp.add_eq(elim.integer_row([*u, -v]) + [0] * two, 0)
         for (rows, D), top, sign in zip(self._groups, (1, 0), (1, -1)):
             beta = [sign * D] * two
             for r in rows:

@@ -281,9 +281,11 @@ class BicomplexScalar:
 
     @classmethod
     def from_complex(cls, z) -> BicomplexScalar:
-        """Embed a C(i) number (z1 = z2 = z)."""
-        z = _as_complex(z)
-        return cls(z, z)
+        """Embed a C(i) number (z1 = z2 = z); TypeError for anything else."""
+        w = _as_complex(z)
+        if w is NotImplemented:
+            raise TypeError(f"cannot interpret {z!r} as a complex scalar")
+        return cls(w, w)
 
     @classmethod
     def from_quad(cls, g1: Real, g2: Real, g3: Real, g4: Real) -> BicomplexScalar:

@@ -57,10 +57,14 @@ class DVector:
         raise ValueError("component must be 1 or 2")
 
     def __add__(self, other: DVector) -> DVector:
+        if not isinstance(other, DVector):
+            return NotImplemented
         _check_dims(self, other)
         return DVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: DVector) -> DVector:
+        if not isinstance(other, DVector):
+            return NotImplemented
         _check_dims(self, other)
         return DVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
@@ -119,10 +123,14 @@ class BCVector:
         return tuple(c.z2 for c in self.coords)
 
     def __add__(self, other: BCVector) -> BCVector:
+        if not isinstance(other, BCVector):
+            return NotImplemented
         _check_dims(self, other)
         return BCVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: BCVector) -> BCVector:
+        if not isinstance(other, BCVector):
+            return NotImplemented
         _check_dims(self, other)
         return BCVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 

@@ -3,8 +3,9 @@
 Seeded random instances go through both the library and the reference
 routines in ``fraction_reference.py`` (the `Fraction` Gauss-Jordan code the
 kernel replaced).  Everything must agree exactly: LP statuses, solutions,
-values and final bases; ranks; V<->H conversions in
-dimensions 1-3, in order and with their types, or the same refusal.
+values and final bases, on random and on polar-shaped LPs; ranks; V<->H
+conversions in dimensions 1-3, in order and with their types, or the same
+refusal.  The simplex's tableau must hold only its nonbasic columns.
 """
 
 from collections import Counter
@@ -14,7 +15,8 @@ from random import Random
 import pytest
 
 import fraction_reference as ref
-from bicomplex import elim, lp as lp_module
+from bicomplex import elim, generators as gen, lp as lp_module
+from bicomplex.convex import difference_body
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 from bicomplex.errors import BicomplexError
 from bicomplex.polytope import (
@@ -96,6 +98,94 @@ def test_random_lps_match_fraction_simplex(negative_pivots):
     assert seen[OPTIMAL] > 100 and seen[INFEASIBLE] > 100 and seen[UNBOUNDED] > 100
     assert seen["dead row"] > 20
     assert negative_pivots["negative"] > 20
+
+
+def _polar_lp_spec(rng: Random) -> dict:
+    """An LP shaped like `GaugeBody.polar_max`: free f (one per coordinate),
+    s and, for two point groups, beta; one zero-rhs equality f.u = s*v;
+    f.p + D*beta <= D at each integer point p of the first group and
+    f.q - D'*beta <= 0 at each q of the second; maximise s."""
+    dim, two = rng.randint(1, 3), rng.random() < 0.7
+    u = [_rational(rng) for _ in range(dim)]
+    v = F(0) if rng.random() < 0.1 else _rational(rng)
+    rows = [("eq", [*u, -v] + [0] * two, 0)]
+    for top, sign in ((1, 1), (0, -1))[:1 + two]:
+        D = rng.randint(1, 6)
+        for _ in range(rng.randint(1, 6)):
+            rows.append(("le", [rng.randint(-9, 9) for _ in range(dim)] + [0] + [sign * D] * two,
+                         top * D))
+    return {"n": dim + 1 + two, "nonneg": [False] * (dim + 1 + two), "rows": rows,
+            "sense": "max", "objective": [0] * dim + [1] + [0] * two}
+
+
+def test_polar_shaped_lps_match_fraction_simplex():
+    rng = Random("elim:polar")
+    seen = Counter()
+    for _ in range(600):
+        spec = _polar_lp_spec(rng)
+        got = _build(LinearProgram, spec).solve()
+        want = _build(ref.FractionLinearProgram, spec).solve()
+        assert (got.status, got.x, got.value, got.basis) == (
+            want.status, want.x, want.value, want.basis), spec
+        assert got.x is None or all(type(v) is Fraction for v in got.x)
+        seen[got.status] += 1
+    assert seen[OPTIMAL] > 100 and seen[UNBOUNDED] > 100
+
+
+@pytest.fixture
+def pivot_widths(monkeypatch):
+    """(columns, rows) of every tableau the simplex pivots, rhs column included."""
+    seen = []
+
+    def recording_pivot(rows, d, r, c, z=None):
+        seen.append((len(rows[0]), len(rows)))
+        return elim.pivot(rows, d, r, c, z)
+
+    monkeypatch.setattr(lp_module, "pivot", recording_pivot)
+    return seen
+
+
+def _nonbasic_widths(spec: dict, rows: int) -> tuple[int, int]:
+    """The widths a nonbasic-only tableau of the spec with ``rows`` rows can have.
+
+    One slot per nonbasic variable, a free pair counting once, plus the rhs.
+    While the artificials are in play that is the user variables plus the
+    slacks of the <= rows negated for a negative rhs; after phase 1 it is
+    the user variables plus all slacks less the rows left.
+    """
+    n = spec["n"]
+    le = [(kind, rhs) for kind, _, rhs in spec["rows"] if kind != "eq"]
+    negative = sum(1 for kind, rhs in le if (rhs < 0 if kind == "le" else rhs > 0))
+    return n + negative + 1, n + len(le) - rows + 1
+
+
+def test_tableau_holds_only_nonbasic_columns(pivot_widths):
+    rng = Random("elim:width")
+    pivots = 0
+    for _ in range(400):
+        spec = _random_lp_spec(rng) if rng.random() < 0.5 else _polar_lp_spec(rng)
+        pivot_widths.clear()
+        _build(LinearProgram, spec).solve()
+        for width, rows in pivot_widths:
+            assert width in _nonbasic_widths(spec, rows) and rows <= len(spec["rows"]), spec
+        pivots += len(pivot_widths)
+    assert pivots > 1000
+
+
+def test_three_dimensional_polar_lp_width(pivot_widths):
+    """A 3-D two-group polar LP (a difference body's first component):
+    f (3), s and beta are 5 free variables and no <= row has a negative rhs,
+    so the tableau is 5 slots and the rhs while the span row's artificial is
+    in play, and 4 slots and the rhs once it has left the basis and is
+    dropped.  The split standard form would carry 10 columns for the free
+    variables, one per slack and one for the artificial."""
+    A, B = gen.rand_separation_instance(Random("elim:width-3d"), 3)
+    G, a0, b0 = difference_body(A, B)
+    body = G.component(1)
+    assert body.polar_max([[F(x) for x in (b0 - a0).part(1)]], [1]).status == OPTIMAL
+    points = sum(len(rows) for rows, _ in body._groups)
+    assert pivot_widths and {width for width, _ in pivot_widths} == {6, 5}
+    assert all(rows == points + 1 for _, rows in pivot_widths)
 
 
 def test_degenerate_tie_breaks_by_basis_index():

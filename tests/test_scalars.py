@@ -266,6 +266,16 @@ class TestForeignOperands:
                                         BicomplexScalar.from_complex(r))):
                         assert repr(r - x) == repr(coerced - x)
 
+    @pytest.mark.parametrize("z", ["x", None, HyperbolicScalar(1, 1), bc(1, 2, 3, 4)])
+    def test_from_complex_refuses_what_is_not_complex(self, z):
+        with pytest.raises(TypeError):
+            BicomplexScalar.from_complex(z)
+
+    def test_from_complex_embeds_numbers(self):
+        for z in (3, Fraction(-2, 5), 0.5, ComplexScalar(1, 2)):
+            w = z if isinstance(z, ComplexScalar) else ComplexScalar(z)
+            assert BicomplexScalar.from_complex(z) == BicomplexScalar(w, w)
+
     @pytest.mark.parametrize("x", [ComplexScalar(1, 2), HyperbolicScalar(1, 1), bc(1, 2, 3, 4)])
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
     def test_every_operator_refuses_a_foreign_operand(self, x, op):

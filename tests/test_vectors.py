@@ -79,3 +79,31 @@ class TestBCVector:
         assert one.times_j().coords[0] == j
         # i then i = -1
         assert one.times_i().times_i().coords[0] == -BicomplexScalar.one()
+
+
+class TestForeignOperands:
+    """A vector adds and subtracts only a vector of its own class; anything
+    else gets `NotImplemented`, so Python raises `TypeError`."""
+
+    @pytest.mark.parametrize("x", [DVector.of(h(1, 1)), BCVector.of(BicomplexScalar.one())])
+    @pytest.mark.parametrize("other", ["s", None, 1, h(1, 1), BicomplexScalar.one()])
+    def test_foreign_operand_is_a_type_error(self, x, other):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left - right
+
+    def test_other_vector_class_is_a_type_error(self):
+        x, y = DVector.of(h(1, 1)), BCVector.of(BicomplexScalar.one())
+        for left, right in ((x, y), (y, x)):
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left - right
+
+    def test_dimension_mismatch_still_raises(self):
+        with pytest.raises(DimensionMismatch):
+            BCVector.zero(1) - BCVector.zero(2)
+        with pytest.raises(DimensionMismatch):
+            DVector.zero(2) - DVector.zero(1)
