@@ -10,7 +10,10 @@ On exact operands the comparisons cross-multiply the public
 ``numerator``/``denominator`` instead of dispatching through ``Fraction``'s
 operators, and `fraction_operands` tells when a result may be built as one
 ``Fraction`` from integers: as with the operators, a result is an ``int``
-only when every operand is one.  ``bool`` and ``float`` are not exact.
+only when every operand is one.  ``bool`` and ``float`` are not exact;
+other subclasses of ``int`` and ``Fraction`` are.  `req`, `rle` and `rlt`
+test ``type(x) is Fraction or type(x) is int`` inline and call `is_exact`
+only for any other type.
 
 The exact dot kernel serves every sum of products in the library: `rdot`
 (Σ x·y) and `rdist2` (Σ (x − y)²) hand their integer terms to one
@@ -129,21 +132,27 @@ def decode_pair(obj) -> tuple[int, int]:
 
 def req(a: Real, b: Real) -> bool:
     """Equality: exact when both operands are exact, ε-tolerant otherwise."""
-    if is_exact(a) and is_exact(b):
+    ta, tb = type(a), type(b)
+    if ((ta is Fraction or ta is int or is_exact(a))
+            and (tb is Fraction or tb is int or is_exact(b))):
         return a.numerator * b.denominator == b.numerator * a.denominator
     return abs(a - b) <= EPSILON
 
 
 def rle(a: Real, b: Real) -> bool:
     """a ≤ b, treating ε-close floats as equal."""
-    if is_exact(a) and is_exact(b):
+    ta, tb = type(a), type(b)
+    if ((ta is Fraction or ta is int or is_exact(a))
+            and (tb is Fraction or tb is int or is_exact(b))):
         return a.numerator * b.denominator <= b.numerator * a.denominator
     return a <= b + EPSILON
 
 
 def rlt(a: Real, b: Real) -> bool:
     """a < b strictly; ε-close float values do not count as strict."""
-    if is_exact(a) and is_exact(b):
+    ta, tb = type(a), type(b)
+    if ((ta is Fraction or ta is int or is_exact(a))
+            and (tb is Fraction or tb is int or is_exact(b))):
         return a.numerator * b.denominator < b.numerator * a.denominator
     return a < b - EPSILON
 

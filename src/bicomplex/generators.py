@@ -8,6 +8,7 @@ up to 4) to keep the exact LPs fast and the failure records readable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from random import Random
 
 from .convex import DConvexSet
@@ -18,8 +19,22 @@ from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from .vectors import BCVector, DVector
 
 
+@cache
+def _fraction_table(lo: int, hi: int, den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(k, den) for k in range(lo * den, hi * den + 1))
+
+
 def rand_fraction(rng: Random, lo: int = -4, hi: int = 4, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(lo * den, hi * den), den)
+    """k/den for k uniform in [lo·den, hi·den], drawn from a table built once.
+
+    ``choice`` on the table makes the one ``_randbelow(hi·den − lo·den + 1)``
+    draw that ``randint(lo·den, hi·den)`` makes, so the rng stream and the
+    value are those of ``Fraction(rng.randint(lo * den, hi * den), den)``.
+    The table holds all hi·den − lo·den + 1 values and is kept for the life
+    of the process, one per bounds drawn with: this is for small ranges (the
+    generators use eight, of at most 33 values).
+    """
+    return rng.choice(_fraction_table(lo, hi, den))
 
 
 def rand_nonzero_fraction(rng: Random, lo: int = -4, hi: int = 4, den: int = 4) -> Fraction:

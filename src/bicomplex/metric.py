@@ -137,18 +137,26 @@ def check_exact_cover(cover: Sequence[RectSet], bounding: RectSet) -> None:
     covered iff its center is (closed rectangles cannot partially cover an
     open cell of their own arrangement), and the grid lines are then covered
     by closedness.  Equality additionally requires no rectangle to overflow
-    the bounding box.
+    the bounding box; the witness of an overflow lies in the rectangle,
+    outside the box on the overflowing axis.
+
+    Each rectangle marks the cells whose centers it contains, tested by
+    `rle` as `RectSet.contains` tests them but with one scan of the x
+    centers and one of the y centers per rectangle, not one test per cell; a
+    grid row is a bitset of y indices.  The rows are scanned in (x, y) order
+    and the first unmarked center is the witness.  The scans are linear, not
+    bisections: `rle` is not monotone along the sorted centers when a cover
+    mixes exact and float coordinates within `EPSILON` of each other.
     """
     for F in cover:
         for l in (1, 2):
             lo, hi = F.interval(l)
             blo, bhi = bounding.interval(l)
             if lo < blo or hi > bhi:
-                mid1 = F.c1[0] if l == 1 else (lo if lo < blo else hi)
-                mid2 = (lo if lo < blo else hi) if l == 2 else F.c2[0]
+                out = lo if lo < blo else hi
                 raise NotACoverError(
                     "rectangle overflows the bounding box",
-                    witness=HyperbolicScalar(mid1, mid2),
+                    witness=HyperbolicScalar(out, F.c2[0]) if l == 1 else HyperbolicScalar(F.c1[0], out),
                 )
     xs = [bounding.c1[0], bounding.c1[1]]
     ys = [bounding.c2[0], bounding.c2[1]]
@@ -157,13 +165,22 @@ def check_exact_cover(cover: Sequence[RectSet], bounding: RectSet) -> None:
         ys.extend(F.c2)
     blo1, bhi1 = bounding.c1
     blo2, bhi2 = bounding.c2
-    xs = [v for v in xs if blo1 <= v <= bhi1]
-    ys = [v for v in ys if blo2 <= v <= bhi2]
-    for cx in _centers(xs):
-        for cy in _centers(ys):
-            p = HyperbolicScalar(cx, cy)
-            if not any(F.contains(p) for F in cover):
-                raise NotACoverError("uncovered point", witness=p)
+    cxs = _centers([v for v in xs if blo1 <= v <= bhi1])
+    cys = _centers([v for v in ys if blo2 <= v <= bhi2])
+    covered = [0] * len(cxs)  # bit j of covered[i]: center (cxs[i], cys[j]) lies in a rectangle
+    for F in cover:
+        (lo1, hi1), (lo2, hi2) = F.c1, F.c2
+        cols = sum(1 << j for j, cy in enumerate(cys) if rle(lo2, cy) and rle(cy, hi2))
+        if cols:
+            for i, cx in enumerate(cxs):
+                if rle(lo1, cx) and rle(cx, hi1):
+                    covered[i] |= cols
+    full = (1 << len(cys)) - 1
+    for cx, bits in zip(cxs, covered):
+        missing = full & ~bits
+        if missing:
+            j = (missing & -missing).bit_length() - 1  # the lowest unmarked y index
+            raise NotACoverError("uncovered point", witness=HyperbolicScalar(cx, cys[j]))
 
 
 def _interval_distance(v: Real, lo: Real, hi: Real) -> Real:

@@ -14,6 +14,12 @@ build each component as one ``Fraction`` (one gcd) instead of a chain of
 ``Fraction`` operations; a component is an ``int`` exactly when every
 operand is, as with the plain operators.  `complex_dot`, a sum of complex
 products, sums the same integer terms in `backend.fraction_sum`.
+
+The three scalar classes are frozen, slotted dataclasses whose ``__init__``
+is written in the class body (``dataclass`` keeps it): it stores each field
+through its slot descriptor, ``ComplexScalar.re.__set__`` and so on, which
+costs about a third of the generated chain of ``object.__setattr__`` calls.
+Assignment after construction still raises ``FrozenInstanceError``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ class ComplexScalar:
 
     re: Real
     im: Real = 0
+
+    def __init__(self, re: Real, im: Real = 0) -> None:
+        _set_re(self, re)
+        _set_im(self, im)
 
     def __add__(self, other) -> ComplexScalar:
         if (other := _as_complex(other)) is NotImplemented:
@@ -96,6 +106,9 @@ class ComplexScalar:
         return ComplexScalar(-self.im, self.re)
 
 
+_set_re, _set_im = ComplexScalar.re.__set__, ComplexScalar.im.__set__
+
+
 def _product_terms(a, b, c, d) -> tuple[int, int, int]:
     """(a + bi)(c + di) on exact operands: the real and imaginary
     numerators over their common denominator."""
@@ -143,6 +156,10 @@ class HyperbolicScalar:
 
     a1: Real
     a2: Real
+
+    def __init__(self, a1: Real, a2: Real) -> None:
+        _set_a1(self, a1)
+        _set_a2(self, a2)
 
     # -- constructors -------------------------------------------------
 
@@ -242,6 +259,9 @@ class HyperbolicScalar:
         return req(self.a1, other.a1) and req(self.a2, other.a2)
 
 
+_set_a1, _set_a2 = HyperbolicScalar.a1.__set__, HyperbolicScalar.a2.__set__
+
+
 def _as_hyperbolic(v) -> HyperbolicScalar:
     if isinstance(v, HyperbolicScalar):
         return v
@@ -256,6 +276,10 @@ class BicomplexScalar:
 
     z1: ComplexScalar
     z2: ComplexScalar
+
+    def __init__(self, z1: ComplexScalar, z2: ComplexScalar) -> None:
+        _set_z1(self, z1)
+        _set_z2(self, z2)
 
     # -- constructors -------------------------------------------------
 
@@ -347,6 +371,9 @@ class BicomplexScalar:
 
     def is_invertible(self) -> bool:
         return not (self.z1.is_zero() or self.z2.is_zero())
+
+
+_set_z1, _set_z2 = BicomplexScalar.z1.__set__, BicomplexScalar.z2.__set__
 
 
 def _as_bicomplex(v) -> BicomplexScalar:

@@ -1,11 +1,15 @@
 """Scalar algebra: constructors, products, conjugations, moduli, inverses."""
 
+import copy
+import dataclasses
 import operator
+import pickle
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from bicomplex.backend import req, rle, rlt
 from bicomplex.errors import NullConeError, ZeroError
 from bicomplex.generators import rand_bicomplex, rand_invertible_bicomplex
 from bicomplex.scalars import (
@@ -294,3 +298,108 @@ class TestExactness:
         Z = bc_real(1, 2)
         assert isinstance(Z.w1.re, Fraction)
         assert Z.w1.re == Fraction(3, 2)
+
+
+# Scalars as the previous `dataclass`-generated `__init__` built them, with the
+# repr and the protocol-2 pickle bytes it gave.
+_PINNED = [
+    (ComplexScalar(Fraction(1, 2), -3),
+     "ComplexScalar(re=Fraction(1, 2), im=-3)",
+     b"\x80\x02cbicomplex.scalars\nComplexScalar\nq\x00)\x81q\x01]q\x02(cfractions\nFraction\nq"
+     b"\x03K\x01K\x02\x86q\x04Rq\x05J\xfd\xff\xff\xffeb."),
+    (HyperbolicScalar(2, Fraction(-1, 3)),
+     "HyperbolicScalar(a1=2, a2=Fraction(-1, 3))",
+     b"\x80\x02cbicomplex.scalars\nHyperbolicScalar\nq\x00)\x81q\x01]q\x02(K\x02cfractions\nFraction"
+     b"\nq\x03J\xff\xff\xff\xffK\x03\x86q\x04Rq\x05eb."),
+    (BicomplexScalar(ComplexScalar(1), ComplexScalar(0, Fraction(5, 4))),
+     "BicomplexScalar(z1=ComplexScalar(re=1, im=0), z2=ComplexScalar(re=0, im=Fraction(5, 4)))",
+     b"\x80\x02cbicomplex.scalars\nBicomplexScalar\nq\x00)\x81q\x01]q\x02(cbicomplex.scalars\nComplex"
+     b"Scalar\nq\x03)\x81q\x04]q\x05(K\x01K\x00ebh\x03)\x81q\x06]q\x07(K\x00cfractions\nFraction\nq"
+     b"\x08K\x05K\x04\x86q\tRq\nebeb."),
+]
+_FIELDS = {ComplexScalar: ("re", "im"), HyperbolicScalar: ("a1", "a2"), BicomplexScalar: ("z1", "z2")}
+
+
+class TestFrozenDataclass:
+    """The scalars build through their slots and stay frozen dataclasses."""
+
+    @pytest.mark.parametrize("x, text, data", _PINNED)
+    def test_repr_eq_hash_and_fields(self, x, text, data):
+        cls, names = type(x), _FIELDS[type(x)]
+        values = tuple(getattr(x, n) for n in names)
+        assert repr(x) == text
+        assert tuple(f.name for f in dataclasses.fields(x)) == names
+        assert dataclasses.astuple(x) == dataclasses.astuple(cls(*values))
+        assert x == cls(*values) == cls(**dict(zip(names, values)))
+        assert hash(x) == hash(values)
+        assert x != cls(*values[::-1])
+        assert not hasattr(x, "__dict__")
+
+    @pytest.mark.parametrize("x, text, data", _PINNED)
+    def test_frozen(self, x, text, data):
+        for name in _FIELDS[type(x)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+            x.other = 0
+        assert repr(x) == text
+
+    @pytest.mark.parametrize("x, text, data", _PINNED)
+    def test_replace_copy_and_pickle(self, x, text, data):
+        first, second = _FIELDS[type(x)]
+        swapped = dataclasses.replace(x, **{first: getattr(x, second)})
+        assert type(swapped) is type(x) and getattr(swapped, first) == getattr(x, second)
+        assert dataclasses.replace(x) == x
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(data),
+                  *(pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(y) is type(x) and y == x and repr(y) == text
+
+    def test_complex_defaults_to_an_int_zero_imaginary_part(self):
+        for z in (ComplexScalar(Fraction(3, 2)), ComplexScalar(re=Fraction(3, 2))):
+            assert z.im == 0 and type(z.im) is int
+        assert ComplexScalar(re=1, im=2) == ComplexScalar(1, 2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ComplexScalar(),
+        lambda: ComplexScalar(1, 2, 3),
+        lambda: ComplexScalar(1, real=2),
+        lambda: HyperbolicScalar(1),
+        lambda: HyperbolicScalar(a2=1),
+        lambda: BicomplexScalar(ComplexScalar(1)),
+        lambda: BicomplexScalar(z1=ComplexScalar(1), z2=ComplexScalar(1), z3=ComplexScalar(1)),
+    ])
+    def test_wrong_arguments_raise_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+class TestComparisonTypes:
+    """`req`, `rle` and `rlt` are exact on ``int``, `Fraction` and their
+    subclasses other than ``bool``, and ε-tolerant once an operand is a
+    ``bool`` or a ``float``."""
+
+    tiny = Fraction(1, 10**12)  # far inside EPSILON
+
+    def test_bool_and_float_are_inexact(self):
+        for one in (True, 1.0):
+            assert req(one, 1 + self.tiny) and req(1 + self.tiny, one)
+            assert rle(1 + self.tiny, one)
+            assert not rlt(one, 1 + self.tiny)
+            assert not rlt(1 - self.tiny, one)
+
+    def test_int_subclass_and_exact_types_are_exact(self):
+        for one in (1, _Int(1), Fraction(1), _Fraction(1)):
+            assert not req(one, 1 + self.tiny) and not req(1 + self.tiny, one)
+            assert not rle(1 + self.tiny, one) and rle(one, 1 + self.tiny)
+            assert rlt(one, 1 + self.tiny) and rlt(1 - self.tiny, one)
+            assert req(one, Fraction(2, 2)) and rle(one, one) and not rlt(one, one)
