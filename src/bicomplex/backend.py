@@ -107,7 +107,9 @@ def decode_pair(obj) -> tuple[int, int]:
     """The library's one number parser: a JSON number or ``"p/q"`` string as
     its reduced pair (n, d), d > 0.  Only ``-?digits(/digits)?`` is read by
     ``int`` (which alone would also take spaces, ``+``, ``_`` and non-ASCII
-    digits); other numbers and strings go to ``Fraction``, with its errors.
+    digits); a finite float is its ``as_integer_ratio()``, which is what
+    ``Fraction`` reads it by; other numbers and strings go to ``Fraction``,
+    with its errors.
     """
     if type(obj) is str:
         num, slash, den = obj.partition("/")
@@ -119,13 +121,15 @@ def decode_pair(obj) -> tuple[int, int]:
                 n, d = int(num), int(den)
                 if d:
                     g = gcd(n, d)
-                    return n // g, d // g
+                    return (n, d) if g == 1 else (n // g, d // g)
     elif type(obj) is int:
         return obj, 1
     elif not isinstance(obj, (int, float, str)) or isinstance(obj, bool):
         raise TypeError(f"not a real-number encoding: {obj!r}")
     elif isinstance(obj, float) and not math.isfinite(obj):
         raise ValueError(f"not a finite number: {obj!r}")
+    elif type(obj) is float:
+        return obj.as_integer_ratio()
     q = Fraction(obj)
     return q.numerator, q.denominator
 

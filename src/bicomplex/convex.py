@@ -43,7 +43,7 @@ from .polytope import (
     RealPolytope,
     extreme_points,
     integer_affine_rank,
-    integer_points,
+    integer_point,
 )
 from .scalars import HyperbolicScalar
 from .vectors import DVector
@@ -216,7 +216,7 @@ class DifferenceBody(GaugeBody):
             raise DimensionMismatch("difference body parts differ in dimension")
         self._shift = x0_l
         (rows_a, L_a), (rows_b, L_b) = A_l.integer_vertices(), B_l.integer_vertices()
-        (X,), L_x = integer_points([x0_l])
+        X, L_x = integer_point(x0_l)
         E = lcm(L_a, L_x)
         ka, kx = E // L_a, E // L_x
         shift = [x * kx for x in X]

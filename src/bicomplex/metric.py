@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .backend import Real, fraction_operands, rdist2, rdiv, rle, rsqrt
+from .backend import Real, fraction_operands, rdist2, rdiv, rle, rlt, rsqrt
 from .errors import DimensionMismatch, EmptyInputError, NotACoverError
 from .order import lt_strict
 from .scalars import HyperbolicScalar
@@ -137,8 +137,10 @@ def check_exact_cover(cover: Sequence[RectSet], bounding: RectSet) -> None:
     covered iff its center is (closed rectangles cannot partially cover an
     open cell of their own arrangement), and the grid lines are then covered
     by closedness.  Equality additionally requires no rectangle to overflow
-    the bounding box; the witness of an overflow lies in the rectangle,
-    outside the box on the overflowing axis.
+    the bounding box, tested by `rlt` as `RectSet.contains` reads the box:
+    a float edge within `EPSILON` of it does not overflow.  The witness of
+    an overflow lies in the rectangle, outside the box on the overflowing
+    axis.
 
     Each rectangle marks the cells whose centers it contains, tested by
     `rle` as `RectSet.contains` tests them but with one scan of the x
@@ -152,8 +154,8 @@ def check_exact_cover(cover: Sequence[RectSet], bounding: RectSet) -> None:
         for l in (1, 2):
             lo, hi = F.interval(l)
             blo, bhi = bounding.interval(l)
-            if lo < blo or hi > bhi:
-                out = lo if lo < blo else hi
+            if rlt(lo, blo) or rlt(bhi, hi):
+                out = lo if rlt(lo, blo) else hi
                 raise NotACoverError(
                     "rectangle overflows the bounding box",
                     witness=HyperbolicScalar(out, F.c2[0]) if l == 1 else HyperbolicScalar(F.c1[0], out),

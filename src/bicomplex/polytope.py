@@ -104,6 +104,27 @@ def integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]
     return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts], scale
 
 
+def integer_point(point: Sequence[Real], exact_only: bool = False) -> Optional[tuple[list[int], int]]:
+    """One point as integers X over L, the lcm of its denominators, in one pass:
+    the row and scale of `integer_points([point])`.  A coordinate that is not
+    exact (a float) is read as its exact value, or makes the answer None when
+    `exact_only` is set.  L grows as the denominators come, and the integers
+    taken so far are rescaled when it does."""
+    X, L = [], 1
+    for x in point:
+        if type(x) is not Fraction and type(x) is not int:
+            if exact_only and not is_exact(x):
+                return None
+            x = Fraction(x)
+        d = x.denominator
+        if L % d:
+            k = d // gcd(L, d)
+            X = [v * k for v in X]
+            L *= k
+        X.append(x.numerator * (L // d))
+    return X, L
+
+
 def integer_affine_rank(pts: Sequence[tuple[int, ...]]) -> int:
     """Dimension of the affine hull of nonempty integer points."""
     base = pts[0]
@@ -424,7 +445,7 @@ class GaugeBody:
         """
         key = tuple(coeffs)
         if self._last_maxima is None or self._last_maxima[0] != key:
-            (C,), M = integer_points([key])
+            C, M = integer_point(key)
             self._last_maxima = key, [Fraction(max(sum(map(mul, C, r)) for r in rows), M * D)
                                       for rows, D in self._groups]
         return list(self._last_maxima[1])
@@ -433,7 +454,7 @@ class GaugeBody:
         """The maximum of an exact linear form over a one-group body (a
         polytope's vertices) and the first point that attains it."""
         rows, D = self._groups[0]
-        (C,), M = integer_points([coeffs])
+        C, M = integer_point(coeffs)
         values = [sum(map(mul, C, r)) for r in rows]
         top = max(values)
         return Fraction(top, M * D), tuple(Fraction(x, D) for x in rows[values.index(top)])
@@ -567,7 +588,7 @@ class RealPolytope:
         if not self._built_from_vertices:
             return all(h.holds(point) for h in self.halfspaces())
         rows, D = self.integer_vertices()
-        (p,), M = integer_points([point])
+        p, M = integer_point(point)
         scale = lcm(D, M)
         lp = LinearProgram(len(rows), nonneg=True)
         for c, x in enumerate(p):
@@ -622,19 +643,21 @@ class RealPolytope:
         """Closed-form gauge max(0, max_i (a_i·x)/b_i) on `_integer_faces`; needs
         all b_i > 0 (Rockafellar, "Convex Analysis", Sections 14-15).
 
-        For an exact point x = X/L (X integer, L > 0) each face value is
-        (a·X)/(b·L) with integer a, b > 0: the largest is found by
-        cross-multiplying and divided out once.  A vertex list reads any point
-        exactly and returns a `Fraction`, as `gauge_vrep` does; halfspaces take
-        float points or faces through `rdiv`, and return the plain int 0 when
-        no face value is positive.
+        The point is scaled to integers x = X/L (L > 0) in one pass
+        (`integer_point`), which also tells whether it is exact.  Each face
+        value is then (a·X)/(b·L) with integer a, b > 0: the largest is found
+        by cross-multiplying and divided out once.  A vertex list reads any
+        point exactly and returns a `Fraction`, as `gauge_vrep` does;
+        halfspaces take float points or faces through `rdiv`, and return the
+        plain int 0 when no face value is positive.
         """
         absorbing, faces = self._integer_faces()
         if not absorbing:
             raise NotAbsorbingError("gauge formula requires 0 in the interior")
         vrep = self._built_from_vertices
-        if faces and (vrep or all(map(is_exact, point))):
-            (X,), L = integer_points([point])
+        scaled = integer_point(point, exact_only=not vrep) if faces else None
+        if scaled is not None:
+            X, L = scaled
             num, den = 0, 1
             for a, b in faces:
                 n = sum(map(mul, a, X))

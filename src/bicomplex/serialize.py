@@ -8,11 +8,20 @@ exactly, except the four on the `gauge --backend float` path (sets,
 polytopes, points and hyperbolic scalars), which take a ``backend``.  In the
 exact backend a polytope's numbers become reduced pairs
 (`backend.decode_pair`), then the integer rows of its vertices or faces
-[*a, b] over the lcm of their denominators.
+[*a, b] over the lcm of their denominators.  Points, functionals and
+hyperbolic scalars share one loop (`_hyperbolics`), which reads each
+component once: `decode_pair` and one `Fraction` in the exact backend,
+`decode_real` in the float one.
+
+Below a set's two components, a path hint is handed down in parts,
+``where`` and a format filled with the indices (``".vertices[{}]", i``),
+and joined only when a decoder raises: decoding builds no location string
+per number, coordinate, vertex, face or entry.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from math import lcm
 
@@ -26,44 +35,59 @@ from .polytope import Halfspace, RealPolytope
 from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from .vectors import BCVector, DVector
 
+# what `decode_pair` and `decode_real` raise for a value that is not a number
+_BAD_NUMBER = (TypeError, ValueError, ZeroDivisionError)
 
-def _real(obj, where: str, backend: str):
+
+def _where(where: str, fmt: str, args: tuple) -> str:
+    """The path hint where + fmt.format(*args), built only for a message."""
+    return where + fmt.format(*args)
+
+
+def _number(obj, read, where: str, fmt: str = "", *args):
+    """read(obj), a value that is not a number refused with its path hint."""
     try:
-        return decode_real(obj, backend)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: bad number {obj!r}") from exc
+        return read(obj)
+    except _BAD_NUMBER as exc:
+        raise SchemaError(f"{_where(where, fmt, args)}: bad number {obj!r}") from exc
 
 
-def _pair(obj, where: str) -> tuple[int, int]:
-    """The exact reduced pair (n, d) of a number, refused as `_real` refuses it."""
+def _numbers(values, read, where: str, fmt: str = "", *args) -> list:
+    """The JSON array values read number by number, refused as `_expect_list`
+    and `_number` refuse it."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{_where(where, fmt, args)}: expected an array")
+    out = []
     try:
-        return decode_pair(obj)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: bad number {obj!r}") from exc
+        for v in values:
+            out.append(read(v))
+    except _BAD_NUMBER as exc:  # values[len(out)] is the one read refused
+        raise SchemaError(f"{_where(where, fmt, args)}: bad number {values[len(out)]!r}") from exc
+    return out
 
 
-def _expect_dict(obj, keys: tuple[str, ...], where: str) -> dict:
+def _expect_dict(obj, keys: tuple[str, ...], where: str, fmt: str = "", *args) -> dict:
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise SchemaError(f"{where}: missing keys {missing}")
+        raise SchemaError(f"{_where(where, fmt, args)}: expected an object")
+    for key in keys:
+        if key not in obj:
+            missing = [k for k in keys if k not in obj]
+            raise SchemaError(f"{_where(where, fmt, args)}: missing keys {missing}")
     return obj
 
 
-def _expect_list(obj, where: str) -> list:
+def _expect_list(obj, where: str, fmt: str = "", *args) -> list:
     if not isinstance(obj, list):
-        raise SchemaError(f"{where}: expected an array")
+        raise SchemaError(f"{_where(where, fmt, args)}: expected an array")
     return obj
 
 
-def _decode_entries(obj, key: str, noun: str, decode, where: str) -> tuple:
-    """Decode every entry of the non-empty list obj[key]."""
-    d = _expect_dict(obj, (key,), where)
-    entries = _expect_list(d[key], f"{where}.{key}")
+def _entries(obj, key: str, noun: str, where: str) -> list:
+    """The non-empty list obj[key]."""
+    entries = _expect_list(_expect_dict(obj, (key,), where)[key], where, ".{}", key)
     if not entries:
         raise SchemaError(f"{where}: empty {noun} list")
-    return tuple(decode(c, where=f"{where}.{key}[{i}]") for i, c in enumerate(entries))
+    return entries
 
 
 # -- scalars ------------------------------------------------------------------
@@ -73,30 +97,61 @@ def encode_hyperbolic(h: HyperbolicScalar) -> dict:
     return {"e1": encode_real(h.a1), "e2": encode_real(h.a2)}
 
 
+def _hyperbolics(objs, backend: str, where: str, fmt: str) -> list[HyperbolicScalar]:
+    """Each of objs as a hyperbolic scalar, in one loop; the path hint of
+    objs[i] is where + fmt.format(i).  The backend picks the number decoder
+    once: `decode_pair` and one `Fraction` per component when exact, else
+    `decode_real`."""
+    exact = backend == EXACT
+    out = []
+    for i, obj in enumerate(objs):
+        d = _expect_dict(obj, ("e1", "e2"), where, fmt, i)
+        e1, e2 = d["e1"], d["e2"]
+        try:
+            if exact:
+                (n1, d1), (n2, d2) = decode_pair(e1), decode_pair(e2)
+                a1, a2 = Fraction(n1, d1), Fraction(n2, d2)
+            else:
+                a1, a2 = decode_real(e1, backend), decode_real(e2, backend)
+        except _BAD_NUMBER:  # read again one by one, so the first bad one is named
+            read = partial(decode_real, backend=backend)
+            _number(e1, read, where, fmt, i)
+            _number(e2, read, where, fmt, i)
+            raise
+        out.append(HyperbolicScalar(a1, a2))
+    return out
+
+
 def decode_hyperbolic(obj, backend: str = EXACT, *, where: str = "hyperbolic") -> HyperbolicScalar:
-    d = _expect_dict(obj, ("e1", "e2"), where)
-    return HyperbolicScalar(_real(d["e1"], where, backend), _real(d["e2"], where, backend))
+    return _hyperbolics((obj,), backend, where, "")[0]
 
 
 def encode_complex(z: ComplexScalar) -> dict:
     return {"re": encode_real(z.re), "im": encode_real(z.im)}
 
 
+def _complex(obj, where: str, fmt: str = "", *args) -> ComplexScalar:
+    d = _expect_dict(obj, ("re", "im"), where, fmt, *args)
+    return ComplexScalar(_number(d["re"], decode_real, where, fmt, *args),
+                         _number(d["im"], decode_real, where, fmt, *args))
+
+
 def decode_complex(obj, *, where: str = "complex") -> ComplexScalar:
-    d = _expect_dict(obj, ("re", "im"), where)
-    return ComplexScalar(_real(d["re"], where, EXACT), _real(d["im"], where, EXACT))
+    return _complex(obj, where)
 
 
 def encode_bicomplex(Z: BicomplexScalar) -> dict:
     return {"z1": encode_complex(Z.z1), "z2": encode_complex(Z.z2)}
 
 
+def _bicomplex(obj, where: str, fmt: str = "", *args) -> BicomplexScalar:
+    d = _expect_dict(obj, ("z1", "z2"), where, fmt, *args)
+    return BicomplexScalar(_complex(d["z1"], where, fmt + ".z1", *args),
+                           _complex(d["z2"], where, fmt + ".z2", *args))
+
+
 def decode_bicomplex(obj, *, where: str = "bicomplex") -> BicomplexScalar:
-    d = _expect_dict(obj, ("z1", "z2"), where)
-    return BicomplexScalar(
-        decode_complex(d["z1"], where=f"{where}.z1"),
-        decode_complex(d["z2"], where=f"{where}.z2"),
-    )
+    return _bicomplex(obj, where)
 
 
 # -- vectors and functionals ---------------------------------------------------
@@ -107,16 +162,22 @@ def encode_dvector(x: DVector) -> dict:
 
 
 def decode_dvector(obj, backend: str = EXACT, *, where: str = "dvector") -> DVector:
-    decode = partial(decode_hyperbolic, backend=backend)
-    return DVector(_decode_entries(obj, "coords", "coordinate", decode, where))
+    coords = _entries(obj, "coords", "coordinate", where)
+    return DVector(tuple(_hyperbolics(coords, backend, where, ".coords[{}]")))
 
 
 def encode_bcvector(x: BCVector) -> dict:
     return {"coords": [encode_bicomplex(Z) for Z in x.coords]}
 
 
+def _bicomplexes(obj, key: str, noun: str, where: str) -> tuple[BicomplexScalar, ...]:
+    """Decode every entry of the non-empty list obj[key]."""
+    return tuple(_bicomplex(c, where, ".{}[{}]", key, i)
+                 for i, c in enumerate(_entries(obj, key, noun, where)))
+
+
 def decode_bcvector(obj, *, where: str = "bcvector") -> BCVector:
-    return BCVector(_decode_entries(obj, "coords", "coordinate", decode_bicomplex, where))
+    return BCVector(_bicomplexes(obj, "coords", "coordinate", where))
 
 
 def encode_dfunctional(f: DLinearFunctional) -> dict:
@@ -124,8 +185,8 @@ def encode_dfunctional(f: DLinearFunctional) -> dict:
 
 
 def decode_dfunctional(obj, *, where: str = "functional") -> DLinearFunctional:
-    return DLinearFunctional(DVector(
-        _decode_entries(obj, "coeffs", "coefficient", decode_hyperbolic, where)))
+    coeffs = _entries(obj, "coeffs", "coefficient", where)
+    return DLinearFunctional(DVector(tuple(_hyperbolics(coeffs, EXACT, where, ".coeffs[{}]"))))
 
 
 def encode_bcfunctional(h: BCLinearFunctional) -> dict:
@@ -133,8 +194,7 @@ def encode_bcfunctional(h: BCLinearFunctional) -> dict:
 
 
 def decode_bcfunctional(obj, *, where: str = "functional") -> BCLinearFunctional:
-    return BCLinearFunctional(BCVector(
-        _decode_entries(obj, "coeffs", "coefficient", decode_bicomplex, where)))
+    return BCLinearFunctional(BCVector(_bicomplexes(obj, "coeffs", "coefficient", where)))
 
 
 def encode_map(T: BCLinearMap) -> dict:
@@ -143,14 +203,14 @@ def encode_map(T: BCLinearMap) -> dict:
 
 def decode_map(obj, *, where: str = "map") -> BCLinearMap:
     d = _expect_dict(obj, ("rows",), where)
-    rows = _expect_list(d["rows"], f"{where}.rows")
+    rows = _expect_list(d["rows"], where, ".rows")
     if not rows:
         raise SchemaError(f"{where}: empty matrix")
     decoded = []
     for r, row in enumerate(rows):
-        entries = _expect_list(row, f"{where}.rows[{r}]")
+        entries = _expect_list(row, where, ".rows[{}]", r)
         decoded.append(tuple(
-            decode_bicomplex(e, where=f"{where}.rows[{r}][{c}]") for c, e in enumerate(entries)
+            _bicomplex(e, where, ".rows[{}][{}]", r, c) for c, e in enumerate(entries)
         ))
     width = len(decoded[0])
     if width == 0 or any(len(row) != width for row in decoded):
@@ -175,8 +235,8 @@ def encode_polytope(P: RealPolytope) -> dict:
 
 def _integer_rows(rows: list[list[tuple[int, int]]]) -> tuple[list[tuple[int, ...]], int]:
     """Rows of reduced pairs (n, d) as integers n*(L/d) over L, the lcm of every d."""
-    scale = lcm(*(d for row in rows for _, d in row))
-    return [tuple(n * (scale // d) for n, d in row) for row in rows], scale
+    scale = lcm(*[d for row in rows for _, d in row])
+    return [tuple([n * (scale // d) for n, d in row]) for row in rows], scale
 
 
 def decode_polytope(obj, backend: str = EXACT, *, where: str = "polytope") -> RealPolytope:
@@ -185,31 +245,30 @@ def decode_polytope(obj, backend: str = EXACT, *, where: str = "polytope") -> Re
     if "vertices" in obj and "halfspaces" in obj:
         raise SchemaError(f"{where}: need either vertices or halfspaces, not both")
     exact = backend == EXACT
-    number = _pair if exact else partial(_real, backend=backend)
+    read = decode_pair if exact else partial(decode_real, backend=backend)
     if "vertices" in obj:
-        verts = _expect_list(obj["vertices"], f"{where}.vertices")
+        verts = _expect_list(obj["vertices"], where, ".vertices")
         if not verts:
             raise SchemaError(f"{where}: no vertices")
-        points = [[number(c, f"{where}.vertices[{i}]")
-                   for c in _expect_list(v, f"{where}.vertices[{i}]")] for i, v in enumerate(verts)]
+        points = [_numbers(v, read, where, ".vertices[{}]", i) for i, v in enumerate(verts)]
         if any(len(p) != len(points[0]) for p in points):
             raise SchemaError(f"{where}: mixed vertex dimensions")
         if exact:
             return RealPolytope.from_integer_rows(len(points[0]), vertices=_integer_rows(points))
         return RealPolytope.from_vertices([tuple(p) for p in points])
     if "halfspaces" in obj:
-        rows = _expect_list(obj["halfspaces"], f"{where}.halfspaces")
+        rows = _expect_list(obj["halfspaces"], where, ".halfspaces")
         faces, flags = [], []
         for i, h in enumerate(rows):
-            at = f"{where}.halfspaces[{i}]"
-            d = _expect_dict(h, ("a", "b"), at)
-            a = [number(c, f"{at}.a") for c in _expect_list(d["a"], f"{at}.a")]
-            if faces and len(a) != len(faces[0]) - 1:
+            d = _expect_dict(h, ("a", "b"), where, ".halfspaces[{}]", i)
+            face = _numbers(d["a"], read, where, ".halfspaces[{}].a", i)
+            if faces and len(face) != len(faces[0]) - 1:
                 raise SchemaError(f"{where}: mixed halfspace dimensions")
             strict = d.get("strict", False)
             if not isinstance(strict, bool):
-                raise SchemaError(f"{at}.strict: expected a boolean")
-            faces.append([*a, number(d["b"], f"{at}.b")])
+                raise SchemaError(f"{where}.halfspaces[{i}].strict: expected a boolean")
+            face.append(_number(d["b"], read, where, ".halfspaces[{}].b", i))
+            faces.append(face)
             flags.append(strict)
         if not faces:
             raise SchemaError(f"{where}: empty halfspace list")
@@ -249,18 +308,24 @@ def encode_rectset(R: RectSet) -> dict:
     }
 
 
-def decode_rectset(obj, *, where: str = "rect") -> RectSet:
-    d = _expect_dict(obj, ("c1", "c2"), where)
+def _rectset(obj, where: str, fmt: str = "", *args) -> RectSet:
+    d = _expect_dict(obj, ("c1", "c2"), where, fmt, *args)
+    fmt_key = fmt + ".{}"
     out = []
     for key in ("c1", "c2"):
-        pair = _expect_list(d[key], f"{where}.{key}")
+        pair = _expect_list(d[key], where, fmt_key, *args, key)
         if len(pair) != 2:
-            raise SchemaError(f"{where}.{key}: expected [lo, hi]")
-        out.append((_real(pair[0], f"{where}.{key}", EXACT), _real(pair[1], f"{where}.{key}", EXACT)))
+            raise SchemaError(f"{_where(where, fmt_key, (*args, key))}: expected [lo, hi]")
+        out.append((_number(pair[0], decode_real, where, fmt_key, *args, key),
+                    _number(pair[1], decode_real, where, fmt_key, *args, key)))
     try:
         return RectSet(out[0], out[1])
     except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        raise SchemaError(f"{_where(where, fmt, args)}: {exc}") from exc
+
+
+def decode_rectset(obj, *, where: str = "rect") -> RectSet:
+    return _rectset(obj, where)
 
 
 def encode_cover(cover: list[RectSet], bounding: RectSet) -> dict:
@@ -274,7 +339,7 @@ def decode_cover(obj) -> tuple[list[RectSet], RectSet]:
     """A cover file: {"bounding": RectSet, "cover": [RectSet, ...]}."""
     d = _expect_dict(obj, ("bounding", "cover"), "cover file")
     rects = _expect_list(d["cover"], "cover file.cover")
-    cover = [decode_rectset(r, where=f"cover[{i}]") for i, r in enumerate(rects)]
+    cover = [_rectset(r, "cover", "[{}]", i) for i, r in enumerate(rects)]
     return cover, decode_rectset(d["bounding"], where="bounding")
 
 

@@ -102,12 +102,19 @@ pair and a set into integer rows, copied verbatim: one `Fraction` (or
 float) per coordinate, and a set built by `RealPolytope.from_vertices` or
 `from_halfspaces`.  Values, types, reprs and every `SchemaError` message
 must come out the same.
+`_expect_dict`, `_expect_list`, `_decode_entries` and the decoders of
+scalars, vectors, functionals, maps, rectangles and covers are the
+serializers that built every path hint eagerly, an f-string per entry,
+before hints were joined only to raise; copied verbatim, on this module's
+`_real`.  Values, types, reprs and every `SchemaError` message must come
+out the same.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
@@ -127,7 +134,8 @@ from bicomplex.errors import (
     NotDisjointError,
     SchemaError,
 )
-from bicomplex.linear import BCLinearMap, DLinearFunctional
+from bicomplex.linear import BCLinearFunctional, BCLinearMap, DLinearFunctional
+from bicomplex.metric import RectSet
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPResult
 from bicomplex.polytope import (
     Halfspace,
@@ -139,7 +147,6 @@ from bicomplex.polytope import (
     matrix_rank,
 )
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar, _as_complex
-from bicomplex.serialize import _expect_dict, _expect_list
 from bicomplex.vectors import BCVector, DVector
 
 
@@ -1376,3 +1383,106 @@ def decode_polytope(obj, backend: str = EXACT, where: str = "polytope") -> RealP
             raise SchemaError(f"{where}: empty halfspace list")
         return RealPolytope.from_halfspaces(faces, dim)
     raise SchemaError(f"{where}: need either vertices or halfspaces")
+
+
+# -- the decoders with eager path hints --------------------------------------------
+
+
+def _expect_dict(obj, keys: tuple[str, ...], where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise SchemaError(f"{where}: missing keys {missing}")
+    return obj
+
+
+def _expect_list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{where}: expected an array")
+    return obj
+
+
+def _decode_entries(obj, key: str, noun: str, decode, where: str) -> tuple:
+    """Decode every entry of the non-empty list obj[key]."""
+    d = _expect_dict(obj, (key,), where)
+    entries = _expect_list(d[key], f"{where}.{key}")
+    if not entries:
+        raise SchemaError(f"{where}: empty {noun} list")
+    return tuple(decode(c, where=f"{where}.{key}[{i}]") for i, c in enumerate(entries))
+
+
+def decode_hyperbolic(obj, backend: str = EXACT, *, where: str = "hyperbolic") -> HyperbolicScalar:
+    d = _expect_dict(obj, ("e1", "e2"), where)
+    return HyperbolicScalar(_real(d["e1"], where, backend), _real(d["e2"], where, backend))
+
+
+def decode_complex(obj, *, where: str = "complex") -> ComplexScalar:
+    d = _expect_dict(obj, ("re", "im"), where)
+    return ComplexScalar(_real(d["re"], where, EXACT), _real(d["im"], where, EXACT))
+
+
+def decode_bicomplex(obj, *, where: str = "bicomplex") -> BicomplexScalar:
+    d = _expect_dict(obj, ("z1", "z2"), where)
+    return BicomplexScalar(
+        decode_complex(d["z1"], where=f"{where}.z1"),
+        decode_complex(d["z2"], where=f"{where}.z2"),
+    )
+
+
+def decode_dvector(obj, backend: str = EXACT, *, where: str = "dvector") -> DVector:
+    decode = partial(decode_hyperbolic, backend=backend)
+    return DVector(_decode_entries(obj, "coords", "coordinate", decode, where))
+
+
+def decode_bcvector(obj, *, where: str = "bcvector") -> BCVector:
+    return BCVector(_decode_entries(obj, "coords", "coordinate", decode_bicomplex, where))
+
+
+def decode_dfunctional(obj, *, where: str = "functional") -> DLinearFunctional:
+    return DLinearFunctional(DVector(
+        _decode_entries(obj, "coeffs", "coefficient", decode_hyperbolic, where)))
+
+
+def decode_bcfunctional(obj, *, where: str = "functional") -> BCLinearFunctional:
+    return BCLinearFunctional(BCVector(
+        _decode_entries(obj, "coeffs", "coefficient", decode_bicomplex, where)))
+
+
+def decode_map(obj, *, where: str = "map") -> BCLinearMap:
+    d = _expect_dict(obj, ("rows",), where)
+    rows = _expect_list(d["rows"], f"{where}.rows")
+    if not rows:
+        raise SchemaError(f"{where}: empty matrix")
+    decoded = []
+    for r, row in enumerate(rows):
+        entries = _expect_list(row, f"{where}.rows[{r}]")
+        decoded.append(tuple(
+            decode_bicomplex(e, where=f"{where}.rows[{r}][{c}]") for c, e in enumerate(entries)
+        ))
+    width = len(decoded[0])
+    if width == 0 or any(len(row) != width for row in decoded):
+        raise SchemaError(f"{where}: ragged or empty rows")
+    return BCLinearMap(tuple(decoded))
+
+
+def decode_rectset(obj, *, where: str = "rect") -> RectSet:
+    d = _expect_dict(obj, ("c1", "c2"), where)
+    out = []
+    for key in ("c1", "c2"):
+        pair = _expect_list(d[key], f"{where}.{key}")
+        if len(pair) != 2:
+            raise SchemaError(f"{where}.{key}: expected [lo, hi]")
+        out.append((_real(pair[0], f"{where}.{key}", EXACT), _real(pair[1], f"{where}.{key}", EXACT)))
+    try:
+        return RectSet(out[0], out[1])
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def decode_cover(obj) -> tuple[list[RectSet], RectSet]:
+    """A cover file: {"bounding": RectSet, "cover": [RectSet, ...]}."""
+    d = _expect_dict(obj, ("bounding", "cover"), "cover file")
+    rects = _expect_list(d["cover"], "cover file.cover")
+    cover = [decode_rectset(r, where=f"cover[{i}]") for i, r in enumerate(rects)]
+    return cover, decode_rectset(d["bounding"], where="bounding")

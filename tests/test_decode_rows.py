@@ -18,6 +18,15 @@ vertices and the `Halfspace`s are built only on request.
 * On arbitrary JSON-like values the parser gives the reference's value and
   type, or raises the same error (the same `SchemaError` message through
   the decoders).
+* Path hints are joined only to raise: on arbitrary JSON-like documents,
+  shaped like each decoder's input or not, every decoder gives the value
+  (repr, so types too) or the `SchemaError` message of the reference
+  decoders, which build every hint eagerly.
+* The closed-form gauge scales each point to integers in one pass
+  (`polytope.integer_point`): its values and types equal a reference
+  through `rdiv` on int, `Fraction`, float and mixed points, and decoding
+  and gauging a point builds one `Fraction` per coordinate and per
+  `Fraction` result component and calls `integer_points` zero times.
 """
 
 import json
@@ -31,10 +40,12 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from bicomplex import generators as gen
-from bicomplex.backend import EXACT, FLOAT, decode_pair, decode_real
+from bicomplex import polytope
+from bicomplex import serialize
+from bicomplex.backend import EXACT, FLOAT, decode_pair, decode_real, rdiv, rdot
 from bicomplex.convex import DConvexSet, minkowski_gauge
 from bicomplex.errors import BicomplexError, SchemaError
-from bicomplex.polytope import Halfspace, RealPolytope, integer_points
+from bicomplex.polytope import Halfspace, RealPolytope, integer_point, integer_points
 from bicomplex.serialize import (
     decode_dconvex,
     decode_dvector,
@@ -311,6 +322,14 @@ def test_decoders_give_the_same_value_or_schema_error(x, backend):
     ({"vertices": [["1/0"]]}, "polytope.vertices[0]: bad number '1/0'"),
     ({"halfspaces": [{"a": ["1/0"], "b": 1}]}, "polytope.halfspaces[0].a: bad number '1/0'"),
     ({"halfspaces": [{"a": [1], "b": "1/0"}]}, "polytope.halfspaces[0].b: bad number '1/0'"),
+    ({"vertices": [[1, 2], [3, "x"]]}, "polytope.vertices[1]: bad number 'x'"),
+    ({"vertices": [[1, 2], 3]}, "polytope.vertices[1]: expected an array"),
+    ({"halfspaces": [{"a": [1], "b": 1}, {"a": [1, None], "b": 1}]}, "polytope.halfspaces[1].a: bad number None"),
+    ({"halfspaces": [{"a": [1], "b": 1}, {"a": [2], "b": 1.5}, {"a": [1], "b": [1]}]},
+     "polytope.halfspaces[2].b: bad number [1]"),
+    ({"halfspaces": [{"a": [1], "b": 1}, {"a": 1, "b": 1}]}, "polytope.halfspaces[1].a: expected an array"),
+    ({"halfspaces": [{"a": [1], "b": 1}, {"b": 1}]}, "polytope.halfspaces[1]: missing keys ['a']"),
+    ({"halfspaces": {"a": [1], "b": 1}}, "polytope.halfspaces: expected an array"),
 ])
 def test_schema_error_messages_are_pinned(doc, message):
     for decode in (decode_polytope, ref.decode_polytope):
@@ -330,3 +349,198 @@ def test_zero_dimensional_sets_are_refused_alike(component):
     with pytest.raises(BicomplexError) as old:
         ref.decode_polytope(component)
     assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+
+
+# -- path hints joined only to raise ---------------------------------------------------
+
+
+NUMBERS = st.one_of(
+    st.fractions(max_denominator=12).map(str),
+    st.integers(-5, 5),
+    st.sampled_from([0.5, -0.25, 2.0, "3/6", "-4/2", "0"]),
+)
+KEYS = st.sampled_from(["e1", "e2", "coords", "coeffs", "re", "im", "z1", "z2", "rows", "a", "b",
+                        "strict", "vertices", "halfspaces", "c1", "c2", "cover", "bounding", "x"])
+JSON = st.recursive(
+    st.one_of(VALUES, NUMBERS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(KEYS, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _shaped(strategy):
+    """Mostly the shape a decoder wants, sometimes any JSON-like value."""
+    return st.one_of(strategy, strategy, strategy, JSON)
+
+
+NUMBERISH = st.one_of(NUMBERS, NUMBERS, NUMBERS, VALUES)
+HYPERBOLIC = _shaped(st.fixed_dictionaries({"e1": NUMBERISH, "e2": NUMBERISH}))
+COMPLEX = _shaped(st.fixed_dictionaries({"re": NUMBERISH, "im": NUMBERISH}))
+BICOMPLEX = _shaped(st.fixed_dictionaries({"z1": COMPLEX, "z2": COMPLEX}))
+
+
+def _listed(key: str, entry):
+    return _shaped(st.fixed_dictionaries({key: _shaped(st.lists(entry, max_size=3))}))
+
+
+POLYTOPES = st.one_of(
+    _listed("vertices", _shaped(st.lists(NUMBERISH, min_size=1, max_size=3))),
+    _listed("halfspaces", _shaped(st.fixed_dictionaries(
+        {"a": _shaped(st.lists(NUMBERISH, min_size=1, max_size=3)), "b": NUMBERISH},
+        optional={"strict": _shaped(st.booleans())}))),
+)
+RECT = _shaped(st.fixed_dictionaries({"c1": _shaped(st.lists(NUMBERISH, min_size=2, max_size=2)),
+                                      "c2": _shaped(st.lists(NUMBERISH, min_size=2, max_size=2))}))
+
+
+def _same_outcome(new, old, doc):
+    """The same repr, or the same exception class and message."""
+    assert _result(lambda d: repr(new(d)), doc) == _result(lambda d: repr(old(d)), doc)
+
+
+@SETTINGS
+@given(HYPERBOLIC, st.sampled_from([EXACT, FLOAT, "fixed"]))
+def test_hyperbolic_decoder_matches_the_eager_reference(doc, backend):
+    _same_outcome(lambda d: decode_hyperbolic(d, backend, where="h"),
+                  lambda d: ref.decode_hyperbolic(d, backend, where="h"), doc)
+
+
+@SETTINGS
+@given(_listed("coords", HYPERBOLIC), st.sampled_from([EXACT, FLOAT]))
+def test_point_decoder_matches_the_eager_reference(doc, backend):
+    _same_outcome(lambda d: decode_dvector(d, backend, where="point"),
+                  lambda d: ref.decode_dvector(d, backend, where="point"), doc)
+
+
+@SETTINGS
+@given(POLYTOPES, st.sampled_from([EXACT, FLOAT]))
+def test_polytope_decoder_matches_the_eager_reference(doc, backend):
+    _same_outcome(lambda d: decode_polytope(d, backend, where="set.p1"),
+                  lambda d: ref.decode_polytope(d, backend, where="set.p1"), doc)
+
+
+@SETTINGS
+@given(_listed("coeffs", HYPERBOLIC), _listed("coords", BICOMPLEX), _listed("coeffs", BICOMPLEX))
+def test_functional_and_vector_decoders_match_the_eager_reference(hyperbolic, coords, coeffs):
+    _same_outcome(serialize.decode_dfunctional, ref.decode_dfunctional, hyperbolic)
+    _same_outcome(serialize.decode_bcvector, ref.decode_bcvector, coords)
+    _same_outcome(serialize.decode_bcfunctional, ref.decode_bcfunctional, coeffs)
+    _same_outcome(serialize.decode_complex, ref.decode_complex, coords)
+
+
+@SETTINGS
+@given(_listed("rows", _shaped(st.lists(BICOMPLEX, max_size=2))), RECT,
+       _shaped(st.fixed_dictionaries({"bounding": RECT, "cover": _shaped(st.lists(RECT, max_size=3))})))
+def test_map_and_cover_decoders_match_the_eager_reference(matrix, rect, cover):
+    _same_outcome(serialize.decode_map, ref.decode_map, matrix)
+    _same_outcome(serialize.decode_rectset, ref.decode_rectset, rect)
+    _same_outcome(serialize.decode_cover, ref.decode_cover, cover)
+
+
+@pytest.mark.parametrize("decode, doc, message", [
+    (decode_dvector, {"coords": [{"e1": 1, "e2": 1}, {"e1": 1, "e2": "x"}]}, "point.coords[1]: bad number 'x'"),
+    (decode_dvector, {"coords": [{"e1": None, "e2": "x"}]}, "point.coords[0]: bad number None"),
+    (decode_dvector, {"coords": [{"e1": 1}]}, "point.coords[0]: missing keys ['e2']"),
+    (decode_dvector, {"coords": [[1, 2]]}, "point.coords[0]: expected an object"),
+    (decode_dvector, {"coords": {}}, "point.coords: expected an array"),
+    (decode_dvector, {"coords": []}, "point: empty coordinate list"),
+    (serialize.decode_map, {"rows": [[{"z1": {"re": 1, "im": 1}, "z2": {"re": 1, "im": "1/0"}}]]},
+     "point.rows[0][0].z2: bad number '1/0'"),
+    (serialize.decode_bcfunctional, {"coeffs": [{"z1": {"re": 1}, "z2": {}}]},
+     "point.coeffs[0].z1: missing keys ['im']"),
+])
+def test_path_hints_are_pinned(decode, doc, message):
+    with pytest.raises(SchemaError) as info:
+        decode(doc, where="point")
+    assert str(info.value) == message
+
+
+def test_cover_path_hints_are_pinned():
+    rect = {"c1": [0, 1], "c2": [0, 1]}
+    for doc, message in [
+        ({"bounding": rect, "cover": [rect, {"c1": [0, "x"], "c2": [0, 1]}]}, "cover[1].c1: bad number 'x'"),
+        ({"bounding": rect, "cover": [{"c1": [0, 1], "c2": [1]}]}, "cover[0].c2: expected [lo, hi]"),
+        ({"bounding": rect, "cover": [{"c1": [1, 0], "c2": [0, 1]}]}, "cover[0]: interval must have lo <= hi"),
+        ({"bounding": {"c1": [0, 1], "c2": 3}, "cover": []}, "bounding.c2: expected an array"),
+    ]:
+        for decode in (serialize.decode_cover, ref.decode_cover):
+            with pytest.raises(SchemaError) as info:
+                decode(doc)
+            assert str(info.value) == message
+
+
+# -- the closed-form gauge on one-pass integer points ----------------------------------------
+
+
+def _reference_gauge(P: RealPolytope, point):
+    """max(0, max_i a_i·x / b_i) through `rdiv` on the halfspaces (a vertex
+    list's facets): a vertex list reads the point exactly and its zero is
+    `Fraction(0)`, a halfspace list's zero is the int 0."""
+    if P.built_from_vertices():
+        x = [Fraction(c) for c in point]
+        return max([Fraction(0), *(rdiv(rdot(h.a, x), h.b) for h in P.halfspaces())])
+    return max([0, *(rdiv(rdot(h.a, point), h.b) for h in P.halfspaces())])
+
+
+GAUGE_SETS = {
+    "vertices-1d": {"vertices": [["-1/2"], [2]]},
+    "vertices-2d": {"vertices": [[-1, -1], [3, "-1/3"], ["1/2", 2]]},
+    "vertices-3d": {"vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["-1/3", "-1/3", "-1/3"]]},
+    "halfspaces-2d": {"halfspaces": [{"a": [1, 0], "b": 2}, {"a": [-1, 0], "b": "1/2"},
+                                     {"a": [0, "3/2"], "b": 1}, {"a": [0, -1], "b": 3, "strict": True}]},
+    "halfspaces-unbounded": {"halfspaces": [{"a": [1, 0], "b": 1}, {"a": [0, 1], "b": "2/3"}]},
+    "halfspaces-float": {"halfspaces": [{"a": [1.0, 0], "b": 0.5}, {"a": [-1, 0], "b": 1},
+                                        {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0.25}]},
+}
+GAUGE_POINTS = [
+    (0, 0, 0), (Fraction(0), Fraction(0), Fraction(0)), (0.0, 0.0, 0.0),
+    (1, 2, 3), (-2, -5, -1), (Fraction(1, 3), Fraction(-5, 7), Fraction(2)),
+    (Fraction(-7, 4), Fraction(1, 6), Fraction(-1, 10)), (0.75, -0.5, 1.25), (-3.5, -0.125, -2.0),
+    (Fraction(1, 2), 0.25, 1), (1, Fraction(-2, 3), 0.5), (-1.5, 2, Fraction(3, 8)),
+]
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_SETS))
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_gauge_values_and_types_match_the_rdiv_reference(name, backend):
+    P = decode_polytope(GAUGE_SETS[name], backend)
+    seen = set()
+    for point in GAUGE_POINTS:
+        x = point[:P.dim]
+        got, want = P.gauge(x), _reference_gauge(P, x)
+        assert (got, type(got)) == (want, type(want)), (name, x)
+        seen.add((type(got).__name__, got > 0))
+    if name == "halfspaces-unbounded" and backend == EXACT:
+        assert {("int", False), ("Fraction", True), ("float", True)} <= seen
+    if name.startswith("vertices"):
+        assert {t for t, _ in seen} == {"Fraction"} and ("Fraction", False) in seen
+
+
+@pytest.mark.parametrize("point", [(1, Fraction(-2, 3), 7), (Fraction(3, 4), Fraction(5, 6), Fraction(-1, 9)),
+                                   (0.5, Fraction(1, 3), -2), (), (Fraction(4, 2),), (True, 3)])
+def test_integer_point_is_integer_points_of_one_point(point):
+    (X,), L = integer_points([point])
+    assert integer_point(point) == (list(X), L)
+    exact = all(type(x) in (int, Fraction) for x in point)
+    assert integer_point(point, exact_only=True) == ((list(X), L) if exact else None)
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_SETS))
+def test_decoding_and_gauging_a_point_builds_one_fraction_per_number(monkeypatch, name):
+    """One `Fraction` per coordinate of the decoded point, one per result
+    component that is a `Fraction`, and no `integer_points` call."""
+    P = decode_polytope(GAUGE_SETS[name])
+    S = DConvexSet(P, P)
+    minkowski_gauge(S, decode_dvector(encode_dvector(gen.rand_dvector(Random(0), P.dim))))
+    for point in GAUGE_POINTS:
+        x = point[:P.dim]
+        doc = json.loads(json.dumps({"coords": [{"e1": serialize.encode_real(c), "e2": serialize.encode_real(-c)}
+                                                for c in x]}))
+        built, scaled = [], []
+        _counting(monkeypatch, Fraction, "__new__", built)
+        monkeypatch.setattr(polytope, "integer_points", lambda *a: scaled.append(a))
+        q = minkowski_gauge(S, decode_dvector(doc))
+        monkeypatch.undo()
+        fractions = sum(type(c) is Fraction for c in (q.q1, q.q2))
+        assert scaled == []
+        assert len(built) == 2 * P.dim + fractions, (name, x, q)

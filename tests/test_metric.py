@@ -144,14 +144,17 @@ def _cover_verdict(cover, bounding):
 
 def _brute_force_verdict(cover, bounding):
     """Every grid-cell center against every rectangle, with plain comparisons
-    (ε-tolerant once a float is involved, as `rle` is)."""
+    (ε-tolerant once a float is involved, as `rle` and `rlt` are)."""
     def le(a, b):
         return a <= b + EPSILON if isinstance(a, float) or isinstance(b, float) else a <= b
 
+    def lt(a, b):
+        return a < b - EPSILON if isinstance(a, float) or isinstance(b, float) else a < b
+
     for F in cover:
         for l, (lo, hi), (blo, bhi) in ((1, F.c1, bounding.c1), (2, F.c2, bounding.c2)):
-            if lo < blo or hi > bhi:
-                out = lo if lo < blo else hi
+            if lt(lo, blo) or lt(bhi, hi):
+                out = lo if lt(lo, blo) else hi
                 witness = HyperbolicScalar(out, F.c2[0]) if l == 1 else HyperbolicScalar(F.c1[0], out)
                 return "rectangle overflows the bounding box", witness
 
@@ -217,6 +220,45 @@ class TestCoverGrid:
         w = info.value.witness
         assert w == HyperbolicScalar(*witness)
         assert F.contains(w) and not self.BOX.contains(w)
+
+    @pytest.mark.parametrize("c1, c2", [
+        ((0, 1 + 1e-12), (0, 1)),
+        ((-1e-12, 1), (0, 1)),
+        ((0, 1), (0, 1 + 1e-12)),
+        ((0.0, 1.0), (-1e-12, 1.0)),
+    ])
+    def test_float_edge_within_epsilon_of_the_box_does_not_overflow(self, c1, c2):
+        # the box reads such an edge as on it (`RectSet.contains` is ε-tolerant),
+        # so the rectangle covers the box exactly as the cover check reads it
+        box = RectSet((0, 1), (0, 1))
+        F = RectSet(c1, c2)
+        assert box.contains(HyperbolicScalar(c1[1], c2[0])) and box.contains(HyperbolicScalar(c1[0], c2[1]))
+        check_exact_cover([F], box)
+
+    @pytest.mark.parametrize("c1, c2, witness", [
+        ((0, 1 + 1e-6), (0, 1), (1 + 1e-6, 0)),
+        ((-1e-6, 1), (0, 1), (-1e-6, 0)),
+        ((0, 1), (0, 1 + 1e-6), (0, 1 + 1e-6)),
+        ((0, 1), (-1e-6, 1), (0, -1e-6)),
+    ])
+    def test_float_overflow_beyond_epsilon_is_refused(self, c1, c2, witness):
+        box = RectSet((0, 1), (0, 1))
+        F = RectSet(c1, c2)
+        with pytest.raises(NotACoverError, match="overflows") as info:
+            check_exact_cover([F], box)
+        w = info.value.witness
+        assert w == HyperbolicScalar(*witness)
+        assert F.contains(w) and not box.contains(w)
+
+    def test_exact_overflow_has_no_tolerance(self):
+        tiny = Fraction(1, 10**12)
+        box = RectSet((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
+        for F in (RectSet((Fraction(0), 1 + tiny), (Fraction(0), Fraction(1))),
+                  RectSet((Fraction(0), Fraction(1)), (-tiny, Fraction(1)))):
+            with pytest.raises(NotACoverError, match="overflows") as info:
+                check_exact_cover([F], box)
+            assert F.contains(info.value.witness) and not box.contains(info.value.witness)
+        check_exact_cover([RectSet((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))], box)
 
     def test_matches_the_brute_force_check_on_random_covers(self):
         verdicts = {"covered": 0, "uncovered point": 0, "rectangle overflows the bounding box": 0}
