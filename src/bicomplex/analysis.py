@@ -45,10 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from . import elim
-from .backend import Real, rdot
+from .backend import Real
 from .convex import DConvexSet, difference_body, is_dabsorbing
 from .errors import (
     BicomplexError,
@@ -76,7 +77,7 @@ from .linear import (
 )
 from .lp import UNBOUNDED
 from .order import le
-from .polytope import GaugeBody, matrix_rank
+from .polytope import GaugeBody, integer_point, matrix_rank
 from .scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar
 from .vectors import DVector
 
@@ -173,12 +174,15 @@ def extend_dominated(
         raise NotAbsorbingError("extension gauge needs an absorbing set")
     out: list[list[Fraction]] = []
     for l in (1, 2):
-        span = [[Fraction(c) for c in u.part(l)] for u in basisY]
-        if span and matrix_rank(span) < len(span):
+        # each u_j = U_j/L_j is handed over as its integer row U_j with the
+        # value g(u_j)*L_j = C.U_j/M for g_l = C/M: the polar LP's rows are
+        # the same once scaled to integers
+        span = [integer_point(u.part(l))[0] for u in basisY]
+        if span and elim.rank(span) < len(span):
             raise DegenerateBasisError(f"dependent basis in component {l}", component=l)
-        coeffs = [Fraction(c) for c in g.component(l)]
+        C, M = integer_point(g.component(l))
         full = _extend_component(B.component(l).gauge_body(), span,
-                                 [rdot(coeffs, vec) for vec in span], strict=False)
+                                 [Fraction(sum(map(mul, C, U)), M) for U in span], strict=False)
         if full is None:
             raise DominationError(f"g exceeds the gauge on Y in component {l}", component=l)
         out.append(full)
@@ -189,14 +193,17 @@ def _extend_component(P: GaugeBody, span: Sequence[Sequence[Fraction]],
                       values: Sequence[Fraction], strict: bool) -> Optional[list[Fraction]]:
     """f*/s* from the one polar LP of P (`GaugeBody.polar_max`), certified
     by `form_max`, or None when s* < 1, or s* = 1 and ``strict``; 0 when the
-    values vanish and the LP is unbounded."""
+    values vanish and the LP is unbounded.  With s* = p/q and f* = X/L as
+    integers, f*/s* is X*q/(L*p), one `Fraction` per coordinate."""
     res = P.polar_max(span, values)  # feasible: f = 0, s = 0
     if res.status == UNBOUNDED:
         full = [Fraction(0)] * P.dim
-    elif res.value < 1 or (strict and res.value == 1):
-        return None
     else:
-        full = [c / res.value for c in res.x[:P.dim]]
+        p, q = res.value.numerator, res.value.denominator
+        if p < q or (strict and p == q):
+            return None
+        X, L = integer_point(res.x[:P.dim])
+        full = [Fraction(x * q, L * p) for x in X]
     if P.form_max(full) > 1:
         raise BicomplexError("extension failed its global gauge certificate")
     return full
@@ -255,14 +262,15 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     if A.dim != B.dim:
         raise DimensionMismatch("sets live in different dimensions")
     G, a0, b0 = difference_body(A, B)
-    x0 = b0 - a0
+    x0 = DVector.from_parts(G.p1.shift, G.p2.shift)
     # Seed functional: any ambient representative with g(x0) = 1 per
-    # component, or 0 where x0_l = 0 (the centroids coincide).
+    # component, or 0 where x0_l = 0 (the centroids coincide).  For x0_l =
+    # X/L it is x0_l/|x0_l|^2 = X*L/|X|^2, one `Fraction` per coordinate.
+    shifts = [integer_point(G.component(l).shift) for l in (1, 2)]
     rep = []
-    for l in (1, 2):
-        part = [Fraction(c) for c in x0.part(l)]
-        norm_sq = sum(c * c for c in part)
-        rep.append([c / norm_sq for c in part] if norm_sq else part)
+    for l, (X, L) in zip((1, 2), shifts):
+        norm = sum(x * x for x in X)
+        rep.append([Fraction(x * L, norm) for x in X] if norm else G.component(l).shift)
     g = DLinearFunctional.from_parts(rep[0], rep[1])
     try:
         f = extend_dominated(g, [x0], G)
@@ -273,14 +281,24 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
             raise BicomplexError(f"gauge weights gave no common point in component {l}")
         raise NotDisjointError(f"components {l} of A and B intersect",
                                component=l, witness=a_star) from None
-    (mA1, mB1), (mA2, mB2) = (G.component(l).group_maxima(f.component(l)) for l in (1, 2))
-    gamma = HyperbolicScalar(-mB1, -mB2)
-    sup_A = HyperbolicScalar(mA1, mA2) - f(x0)
+    # the extrema from the group maxima m_A = a/d_A and m_B = b/d_B and from
+    # f_l(x0_l) = C.X/(M*L) for f_l = C/M, each one `Fraction` of integers
+    lows, sups, inverses = [], [], []
+    for l, (X, L) in zip((1, 2), shifts):
+        coeffs = f.component(l)
+        m_A, m_B = G.component(l).group_maxima(coeffs)
+        (a, d_A), (b, d_B) = (m_A.numerator, m_A.denominator), (m_B.numerator, m_B.denominator)
+        C, M = integer_point(coeffs)
+        fx0, den = sum(map(mul, C, X)), M * L
+        lows.append(-m_B)
+        sups.append(Fraction(a * den - fx0 * d_A, d_A * den))  # m_A - f_l(x0_l)
+        inverses.append((d_A * d_B, a * d_B + b * d_A))  # 1/(m_A + m_B)
+    gamma, sup_A = HyperbolicScalar(*lows), HyperbolicScalar(*sups)
     if not le(sup_A, gamma):
         raise BicomplexError(f"f exceeds gamma={gamma} on A's closure (sup {sup_A})")
     if not all(any(f.component(l)) for l in (1, 2)):
         raise BicomplexError("separating functional is constant in a component")
-    qg_x0 = HyperbolicScalar(1 / (mA1 + mB1), 1 / (mA2 + mB2))
+    qg_x0 = HyperbolicScalar(*(Fraction(n, d) for n, d in inverses))
     trace = {"x0": x0, "qg_x0": qg_x0, "a0": a0, "b0": b0}
     return SeparationCertificate(f, gamma, sup_A, trace)
 

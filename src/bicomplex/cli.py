@@ -24,6 +24,16 @@ Three subcommands:
 
 Reports are byte-identical across runs with the same flags, except for the
 ``wall_time_s`` fields.
+
+Every JSON record (a certificate or refusal of ``separate``, a report of
+``verify`` on stdout or in ``--report``) is written by `_dumps`, which
+spells out ``json.dumps(document, indent=2)`` byte for byte: two-space
+indents, ``","`` between items and ``": "`` after keys, strings through
+``json.encoder.encode_basestring_ascii``.  With ``indent`` set, ``json``
+only has its pure-Python encoder; `_dumps` writes the plain types of a record
+(``str`` keys, strings, lists and tuples, ints, floats, booleans and
+``None``) in one recursive pass and hands any other document to
+``json.dumps`` whole.
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ import argparse
 import importlib.util
 import json
 import sys
+from json.encoder import encode_basestring_ascii
+from math import inf
 from types import ModuleType
 from typing import Optional
 
@@ -115,6 +127,82 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# -- JSON records ---------------------------------------------------------------
+
+
+class _Unwritable(Exception):
+    """A value `_parts` leaves to ``json.dumps``."""
+
+
+def _float(x: float) -> str:
+    """A float as ``json`` spells it (``allow_nan`` on)."""
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _parts(obj, out: list, indent: str) -> None:
+    """Append the pieces of obj's ``indent=2`` text to out; ``indent`` is a
+    newline and the current indentation."""
+    t = type(obj)
+    if t is str:
+        out.append(encode_basestring_ascii(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise _Unwritable
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _parts(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _parts(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif t is int:
+        out.append(int.__repr__(obj))  # ValueError past the digit limit, as in json
+    elif t is float:
+        out.append(_float(obj))
+    else:
+        raise _Unwritable
+
+
+def _dumps(document) -> str:
+    """``json.dumps(document, indent=2)``, the same text or the same error.
+    A document `_parts` cannot write (a key that is not a ``str``, a type
+    it does not know, a cycle) goes to ``json.dumps`` whole."""
+    out: list[str] = []
+    try:
+        _parts(document, out, "\n")
+    except (_Unwritable, RecursionError):
+        return json.dumps(document, indent=2)
+    return "".join(out)
+
+
 # -- verify -----------------------------------------------------------------------
 
 
@@ -131,14 +219,15 @@ def cmd_verify(suite: str, seed: int, cases: int, backend: str,
         "ok": all(r.ok for r in reports),
         "suites": [r.as_dict() for r in reports],
     }
+    text = _dumps(document) + "\n" if report is not None or fmt == "json" else ""
     if report is not None:
         try:
-            _write(report, json.dumps(document, indent=2) + "\n")
+            _write(report, text)
         except OSError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
     if fmt == "json":
-        out.write(json.dumps(document, indent=2) + "\n")
+        out.write(text)
     else:
         for r in reports:
             out.write(r.text() + "\n")
@@ -171,7 +260,7 @@ def _write(path: str, text: str) -> None:
 def _emit(document: dict, output: Optional[str], out, err, code: int) -> int:
     """Write the record to the output file, else to ``out``, and return
     ``code``; 2 when the output file cannot be written."""
-    text = json.dumps(document, indent=2) + "\n"
+    text = _dumps(document) + "\n"
     if output is None:
         out.write(text)
         return code

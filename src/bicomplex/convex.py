@@ -12,11 +12,13 @@ A's and B's vertices alone.  `difference_body` picks the base points itself
 (the centroids of the vertex lists), so 0 is interior to G by construction
 and no facet of A or B is read.  Centroids, affine ranks and both point
 groups come from the integer vertex rows each `RealPolytope` holds once
-(`integer_vertices`): a centroid is column sums over k*L, and A's rows are
-shifted by x0 on the lcm of the two denominators, so no `Fraction` is
-built per point.  The extension LPs read either form through
-the same `GaugeBody` epigraph (a vertex list through the one its
-`RealPolytope` memoizes).  Separation does not gauge G to decide whether A
+(`integer_vertices`): a centroid is column sums over k*L, each coordinate of
+x0 = b0 - a0 is one `Fraction` of the centroids' integers, and A's rows are
+shifted by x0 on the lcm of the two denominators, so no `Fraction` is built
+per point.  Each body keeps its x0_l (`DifferenceBody.shift`), which
+`analysis.separate_hyperbolic` reads rather than subtracting again.  The
+extension LPs read either form through the same `GaugeBody` epigraph (a
+vertex list through the one its `RealPolytope` memoizes).  Separation does not gauge G to decide whether A
 meets B: the extension LP's optimum is q_G(x0) in each component, and the
 least-gauge LP of a `DifferenceBody` (`GaugeBody.least_gauge`, the solve
 every gauge and variety witness shares) runs only for the witness of an
@@ -28,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
+from operator import mul
 from typing import Sequence
 
-from .backend import Real
+from .backend import Real, fraction_sum
 from .errors import (
     DimensionMismatch,
     EmptyInputError,
@@ -214,9 +217,9 @@ class DifferenceBody(GaugeBody):
     def __init__(self, A_l: RealPolytope, B_l: RealPolytope, x0_l: Sequence[Real]):
         if A_l.dim != B_l.dim or len(x0_l) != A_l.dim:
             raise DimensionMismatch("difference body parts differ in dimension")
-        self._shift = x0_l
+        self.shift = tuple(x0_l)  # x0_l, read by `analysis.separate_hyperbolic`
         (rows_a, L_a), (rows_b, L_b) = A_l.integer_vertices(), B_l.integer_vertices()
-        X, L_x = integer_point(x0_l)
+        X, L_x = self._integer_shift = integer_point(x0_l)
         E = lcm(L_a, L_x)
         ka, kx = E // L_a, E // L_x
         shift = [x * kx for x in X]
@@ -230,15 +233,27 @@ class DifferenceBody(GaugeBody):
         """(a*, b*) from the gauge LP at x0_l = b0_l - a0_l: t = q(x0_l) and
         weights lambda on A_l + x0_l, nu on -B_l with sum lambda (a + x0) -
         sum nu b = x0, so a* = sum lambda a + (1 - t) a0 = sum nu b + (1 - t) b0
-        = b*.  For t < 1, a0 keeps weight 1 - t > 0: a* is interior to A_l."""
-        shift = [Fraction(x) for x in self._shift]
-        res = self.least_gauge(shift)
+        = b*.  For t < 1, a0 keeps weight 1 - t > 0: a* is interior to A_l.
+
+        The weights are read as integers W over L_w, so each coordinate is a
+        few integer dots over the group rows and one `Fraction`: a*_c =
+        sum_i W_i R_ic/(L_w E) - (sum_i W_i) X_c/(L_w L_x) + (1 - t) a0_c with
+        A's shifted rows R over E and x0_l = X/L_x, and b*_c = -sum_j W_j
+        R'_jc/(L_w L_b) + (1 - t) b0_c with B's negated rows R' over L_b."""
+        res = self.least_gauge(self.shift)
         (rows_a, E), (rows_b, L_b) = self._groups
-        lam, nu, t = res.x[:len(rows_a)], res.x[len(rows_a):], res.value
-        a_star = tuple(sum(w * (Fraction(p[c], E) - s) for w, p in zip(lam, rows_a)) + (1 - t) * a
-                       for c, (s, a) in enumerate(zip(shift, a0_l)))
-        b_star = tuple(sum(-w * Fraction(p[c], L_b) for w, p in zip(nu, rows_b)) + (1 - t) * b
-                       for c, b in enumerate(b0_l))
+        X, L_x = self._integer_shift
+        W, L_w = integer_point(res.x)
+        lam, nu = W[:len(rows_a)], W[len(rows_a):]
+        (A0, La), (B0, Lb) = integer_point(a0_l), integer_point(b0_l)
+        tn, td = res.value.numerator, res.value.denominator
+        rest = td - tn  # 1 - t over td
+        weight = sum(lam)
+        a_star = tuple(fraction_sum(((sum(map(mul, lam, column)), L_w * E),
+                                     (-weight * x, L_w * L_x), (rest * a, td * La)))
+                       for column, x, a in zip(zip(*rows_a), X, A0))
+        b_star = tuple(fraction_sum(((-sum(map(mul, nu, column)), L_w * L_b), (rest * b, td * Lb)))
+                       for column, b in zip(zip(*rows_b), B0))
         return a_star, b_star
 
 
@@ -261,7 +276,9 @@ def difference_body(A: DConvexSet, B: DConvexSet) -> tuple[DConvexSet, DVector, 
     lies in B; then 0 is interior to G with no LP and no facet.  A
     lower-dimensional component of A raises `EmptyInteriorError`.  The
     centroids, the affine rank and both point groups of each body are read
-    from the integer vertex rows each polytope holds once.
+    from the integer vertex rows each polytope holds once, and each
+    coordinate of x0 = b0 - a0 is one `Fraction` of the centroids' integers
+    (`backend.fraction_sum`).
     """
     if A.dim != B.dim:
         raise DimensionMismatch("set dims differ")
@@ -273,9 +290,8 @@ def difference_body(A: DConvexSet, B: DConvexSet) -> tuple[DConvexSet, DVector, 
             )
     a0 = DVector.from_parts(_centroid(A.p1), _centroid(A.p2))
     b0 = DVector.from_parts(_centroid(B.p1), _centroid(B.p2))
-    x0 = b0 - a0
-    G = DConvexSet(
-        *(DifferenceBody(A.component(l), B.component(l), x0.part(l)) for l in (1, 2)),
-        open=A.open,
-    )
+    x0 = [tuple(fraction_sum(((b.numerator, b.denominator), (-a.numerator, a.denominator)))
+                for a, b in zip(a0.part(l), b0.part(l))) for l in (1, 2)]
+    G = DConvexSet(*(DifferenceBody(A.component(l), B.component(l), x0[l - 1]) for l in (1, 2)),
+                   open=A.open)
     return G, a0, b0

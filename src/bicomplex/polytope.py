@@ -54,7 +54,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import elim
-from .backend import Real, is_exact, rdiv, rdot, rle, rlt
+from .backend import Real, fraction_sum, is_exact, rdiv, rdot, rle, rlt
 from .errors import (
     DimensionMismatch,
     EmptySetError,
@@ -460,8 +460,9 @@ class GaugeBody:
         return Fraction(top, M * D), tuple(Fraction(x, D) for x in rows[values.index(top)])
 
     def form_max(self, coeffs: Sequence[Real]) -> Fraction:
-        """The maximum of an exact linear form over the body: its group maxima summed."""
-        return sum(self.group_maxima(coeffs))
+        """The maximum of an exact linear form over the body: its group maxima
+        summed on integers (`backend.fraction_sum`), one `Fraction`."""
+        return fraction_sum((m.numerator, m.denominator) for m in self.group_maxima(coeffs))
 
 
 # -- the polytope type ------------------------------------------------------

@@ -13,10 +13,10 @@ hyperbolic scalars share one loop (`_hyperbolics`), which reads each
 component once: `decode_pair` and one `Fraction` in the exact backend,
 `decode_real` in the float one.
 
-Below a set's two components, a path hint is handed down in parts,
-``where`` and a format filled with the indices (``".vertices[{}]", i``),
-and joined only when a decoder raises: decoding builds no location string
-per number, coordinate, vertex, face or entry.
+From a set down, a path hint is handed down in parts, ``where`` and a
+format filled with the indices (``".p1.vertices[{}]", i``), and joined only
+when a decoder raises: decoding builds no location string per component,
+number, coordinate, vertex, face or entry.
 """
 
 from __future__ import annotations
@@ -239,45 +239,53 @@ def _integer_rows(rows: list[list[tuple[int, int]]]) -> tuple[list[tuple[int, ..
     return [tuple([n * (scale // d) for n, d in row]) for row in rows], scale
 
 
-def decode_polytope(obj, backend: str = EXACT, *, where: str = "polytope") -> RealPolytope:
+def _polytope(obj, backend: str, where: str, fmt: str = "") -> RealPolytope:
+    """A polytope whose path hint is where + fmt (a set's component, ".p1")."""
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
+        raise SchemaError(f"{_where(where, fmt, ())}: expected an object")
     if "vertices" in obj and "halfspaces" in obj:
-        raise SchemaError(f"{where}: need either vertices or halfspaces, not both")
+        raise SchemaError(f"{_where(where, fmt, ())}: need either vertices or halfspaces, not both")
     exact = backend == EXACT
     read = decode_pair if exact else partial(decode_real, backend=backend)
     if "vertices" in obj:
-        verts = _expect_list(obj["vertices"], where, ".vertices")
+        verts = _expect_list(obj["vertices"], where, fmt + ".vertices")
         if not verts:
-            raise SchemaError(f"{where}: no vertices")
-        points = [_numbers(v, read, where, ".vertices[{}]", i) for i, v in enumerate(verts)]
+            raise SchemaError(f"{_where(where, fmt, ())}: no vertices")
+        row = fmt + ".vertices[{}]"
+        points = [_numbers(v, read, where, row, i) for i, v in enumerate(verts)]
         if any(len(p) != len(points[0]) for p in points):
-            raise SchemaError(f"{where}: mixed vertex dimensions")
+            raise SchemaError(f"{_where(where, fmt, ())}: mixed vertex dimensions")
         if exact:
             return RealPolytope.from_integer_rows(len(points[0]), vertices=_integer_rows(points))
         return RealPolytope.from_vertices([tuple(p) for p in points])
     if "halfspaces" in obj:
-        rows = _expect_list(obj["halfspaces"], where, ".halfspaces")
+        rows = _expect_list(obj["halfspaces"], where, fmt + ".halfspaces")
+        row = fmt + ".halfspaces[{}]"
+        row_a, row_b = row + ".a", row + ".b"
         faces, flags = [], []
         for i, h in enumerate(rows):
-            d = _expect_dict(h, ("a", "b"), where, ".halfspaces[{}]", i)
-            face = _numbers(d["a"], read, where, ".halfspaces[{}].a", i)
+            d = _expect_dict(h, ("a", "b"), where, row, i)
+            face = _numbers(d["a"], read, where, row_a, i)
             if faces and len(face) != len(faces[0]) - 1:
-                raise SchemaError(f"{where}: mixed halfspace dimensions")
+                raise SchemaError(f"{_where(where, fmt, ())}: mixed halfspace dimensions")
             strict = d.get("strict", False)
             if not isinstance(strict, bool):
-                raise SchemaError(f"{where}.halfspaces[{i}].strict: expected a boolean")
-            face.append(_number(d["b"], read, where, ".halfspaces[{}].b", i))
+                raise SchemaError(f"{_where(where, row, (i,))}.strict: expected a boolean")
+            face.append(_number(d["b"], read, where, row_b, i))
             faces.append(face)
             flags.append(strict)
         if not faces:
-            raise SchemaError(f"{where}: empty halfspace list")
+            raise SchemaError(f"{_where(where, fmt, ())}: empty halfspace list")
         dim = len(faces[0]) - 1
         if exact:
             return RealPolytope.from_integer_rows(dim, faces=_integer_rows(faces), strict=flags)
         return RealPolytope(dim, halfspaces=[Halfspace(tuple(f[:-1]), f[-1], s)
                                              for f, s in zip(faces, flags)])
-    raise SchemaError(f"{where}: need either vertices or halfspaces")
+    raise SchemaError(f"{_where(where, fmt, ())}: need either vertices or halfspaces")
+
+
+def decode_polytope(obj, backend: str = EXACT, *, where: str = "polytope") -> RealPolytope:
+    return _polytope(obj, backend, where)
 
 
 def encode_dconvex(S: DConvexSet) -> dict:
@@ -291,8 +299,8 @@ def decode_dconvex(obj, backend: str = EXACT, *, where: str = "set") -> DConvexS
         raise SchemaError(f"{where}.open: expected a boolean")
     try:
         return DConvexSet(
-            decode_polytope(d["p1"], backend, where=f"{where}.p1"),
-            decode_polytope(d["p2"], backend, where=f"{where}.p2"),
+            _polytope(d["p1"], backend, where, ".p1"),
+            _polytope(d["p2"], backend, where, ".p2"),
             open=open_flag,
         )
     except SchemaError:

@@ -96,6 +96,20 @@ scalar operators, one ring operation per term.  Values, types, reprs and
 float bits must come out the same, and so must raised errors.  This
 module's other references use this `rdiv`, not the library's.
 
+The separation glue is the `Fraction` code that ran around the polar LP
+before it moved to integer rows over one denominator:
+`polar_extend_dominated` and `_polar_extend_component`
+(`analysis.extend_dominated` and `_extend_component`),
+`PolarDifferenceBody` with `meeting_points` (`convex.DifferenceBody`),
+`integer_centroid` and `polar_difference_body` (`convex._centroid` and
+`difference_body`) and `polar_separate_hyperbolic`
+(`analysis.separate_hyperbolic`).  Their bodies are copied verbatim, on
+this module's names (`matrix_rank` is this module's `Fraction` rank); only
+the names and docstrings differ.  They still read the library's
+`GaugeBody`: its polar LP, least-gauge LP and `group_maxima` are the parts
+that did not change.  Results must be equal in value and type, and raised
+errors in type, message and component.
+
 `_parse_fraction`, `as_real`, `decode_real`, `_real` and `decode_polytope`
 are the wire decoders before every number was read into a reduced integer
 pair and a set into integer rows, copied verbatim: one `Fraction` (or
@@ -103,10 +117,10 @@ float) per coordinate, and a set built by `RealPolytope.from_vertices` or
 `from_halfspaces`.  Values, types, reprs and every `SchemaError` message
 must come out the same.
 `_expect_dict`, `_expect_list`, `_decode_entries` and the decoders of
-scalars, vectors, functionals, maps, rectangles and covers are the
-serializers that built every path hint eagerly, an f-string per entry,
-before hints were joined only to raise; copied verbatim, on this module's
-`_real`.  Values, types, reprs and every `SchemaError` message must come
+scalars, vectors, functionals, maps, rectangles, covers and sets
+(`decode_dconvex`) are the serializers that built every path hint eagerly,
+an f-string per entry, before hints were joined only to raise; copied
+verbatim, on this module's `_real` and `decode_polytope`.  Values, types, reprs and every `SchemaError` message must come
 out the same.
 """
 
@@ -119,7 +133,7 @@ from itertools import combinations, product
 from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
-from bicomplex.analysis import DHyperplane
+from bicomplex.analysis import DHyperplane, SeparationCertificate
 from bicomplex.backend import EPSILON, EXACT, FLOAT, Real, rdot
 from bicomplex.convex import DConvexSet, is_dabsorbing
 from bicomplex.errors import (
@@ -127,23 +141,29 @@ from bicomplex.errors import (
     DegenerateBasisError,
     DimensionMismatch,
     DominationError,
+    EmptyInteriorError,
     EmptySetError,
     LPUnboundedError,
     NotAbsorbingError,
     NotAGraphError,
     NotDisjointError,
+    NotOpenError,
     SchemaError,
 )
 from bicomplex.linear import BCLinearFunctional, BCLinearMap, DLinearFunctional
 from bicomplex.metric import RectSet
 from bicomplex.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPResult
+from bicomplex.order import le
 from bicomplex.polytope import (
+    GaugeBody,
     Halfspace,
     Point,
     RealPolytope,
     _frac_point,
     _probe_forms,
     affine_rank,
+    integer_affine_rank,
+    integer_point,
     matrix_rank,
 )
 from bicomplex.scalars import BicomplexScalar, ComplexScalar, HyperbolicScalar, _as_complex
@@ -1486,3 +1506,160 @@ def decode_cover(obj) -> tuple[list[RectSet], RectSet]:
     rects = _expect_list(d["cover"], "cover file.cover")
     cover = [decode_rectset(r, where=f"cover[{i}]") for i, r in enumerate(rects)]
     return cover, decode_rectset(d["bounding"], where="bounding")
+
+
+def decode_dconvex(obj, backend: str = EXACT, *, where: str = "set") -> DConvexSet:
+    d = _expect_dict(obj, ("p1", "p2"), where)
+    open_flag = d.get("open", False)
+    if not isinstance(open_flag, bool):
+        raise SchemaError(f"{where}.open: expected a boolean")
+    try:
+        return DConvexSet(
+            decode_polytope(d["p1"], backend, where=f"{where}.p1"),
+            decode_polytope(d["p2"], backend, where=f"{where}.p2"),
+            open=open_flag,
+        )
+    except SchemaError:
+        raise
+    except BicomplexError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+# -- the separation glue on Fractions ----------------------------------------------
+
+
+def polar_extend_dominated(
+    g: DLinearFunctional,
+    basisY: Sequence[DVector],
+    B: DConvexSet,
+) -> DLinearFunctional:
+    """`analysis.extend_dominated` before its span, values and division
+    moved to integers."""
+    n = B.dim
+    if g.dim != n or any(u.dim != n for u in basisY):
+        raise DimensionMismatch("ambient dimensions disagree")
+    if not is_dabsorbing(B):
+        raise NotAbsorbingError("extension gauge needs an absorbing set")
+    out: list[list[Fraction]] = []
+    for l in (1, 2):
+        span = [[Fraction(c) for c in u.part(l)] for u in basisY]
+        if span and matrix_rank(span) < len(span):
+            raise DegenerateBasisError(f"dependent basis in component {l}", component=l)
+        coeffs = [Fraction(c) for c in g.component(l)]
+        full = _polar_extend_component(B.component(l).gauge_body(), span,
+                                       [rdot(coeffs, vec) for vec in span], strict=False)
+        if full is None:
+            raise DominationError(f"g exceeds the gauge on Y in component {l}", component=l)
+        out.append(full)
+    return DLinearFunctional.from_parts(out[0], out[1])
+
+
+def _polar_extend_component(P: GaugeBody, span: Sequence[Sequence[Fraction]],
+                            values: Sequence[Fraction], strict: bool) -> Optional[list[Fraction]]:
+    """`analysis._extend_component` before f*/s* was built on integers."""
+    res = P.polar_max(span, values)  # feasible: f = 0, s = 0
+    if res.status == UNBOUNDED:
+        full = [Fraction(0)] * P.dim
+    elif res.value < 1 or (strict and res.value == 1):
+        return None
+    else:
+        full = [c / res.value for c in res.x[:P.dim]]
+    if P.form_max(full) > 1:
+        raise BicomplexError("extension failed its global gauge certificate")
+    return full
+
+
+class PolarDifferenceBody(GaugeBody):
+    """`convex.DifferenceBody` before x0 came from the column sums and its
+    witness from integer sums."""
+
+    def __init__(self, A_l: RealPolytope, B_l: RealPolytope, x0_l: Sequence[Real]):
+        if A_l.dim != B_l.dim or len(x0_l) != A_l.dim:
+            raise DimensionMismatch("difference body parts differ in dimension")
+        self._shift = x0_l
+        (rows_a, L_a), (rows_b, L_b) = A_l.integer_vertices(), B_l.integer_vertices()
+        X, L_x = integer_point(x0_l)
+        E = lcm(L_a, L_x)
+        ka, kx = E // L_a, E // L_x
+        shift = [x * kx for x in X]
+        super().__init__(([tuple(a * ka + s for a, s in zip(row, shift)) for row in rows_a], E),
+                         ([tuple(-b for b in row) for row in rows_b], L_b))
+
+    def origin_interior(self) -> bool:
+        return True
+
+    def meeting_points(self, a0_l: Sequence[Fraction], b0_l: Sequence[Fraction]):
+        shift = [Fraction(x) for x in self._shift]
+        res = self.least_gauge(shift)
+        (rows_a, E), (rows_b, L_b) = self._groups
+        lam, nu, t = res.x[:len(rows_a)], res.x[len(rows_a):], res.value
+        a_star = tuple(sum(w * (Fraction(p[c], E) - s) for w, p in zip(lam, rows_a)) + (1 - t) * a
+                       for c, (s, a) in enumerate(zip(shift, a0_l)))
+        b_star = tuple(sum(-w * Fraction(p[c], L_b) for w, p in zip(nu, rows_b)) + (1 - t) * b
+                       for c, b in enumerate(b0_l))
+        return a_star, b_star
+
+
+def integer_centroid(P: RealPolytope) -> tuple[Fraction, ...]:
+    """`convex._centroid` on the integer vertex rows."""
+    rows, L = P.integer_vertices()
+    den = len(rows) * L
+    return tuple(Fraction(sum(column), den) for column in zip(*rows))
+
+
+def polar_difference_body(A: DConvexSet, B: DConvexSet) -> tuple[DConvexSet, DVector, DVector]:
+    """`convex.difference_body` before x0 came from the column sums."""
+    if A.dim != B.dim:
+        raise DimensionMismatch("set dims differ")
+    for l in (1, 2):
+        if integer_affine_rank(A.component(l).integer_vertices()[0]) < A.dim:
+            raise EmptyInteriorError(
+                f"component {l} of the open set is lower-dimensional: its interior is empty",
+                component=l,
+            )
+    a0 = DVector.from_parts(integer_centroid(A.p1), integer_centroid(A.p2))
+    b0 = DVector.from_parts(integer_centroid(B.p1), integer_centroid(B.p2))
+    x0 = b0 - a0
+    G = DConvexSet(
+        *(PolarDifferenceBody(A.component(l), B.component(l), x0.part(l)) for l in (1, 2)),
+        open=A.open,
+    )
+    return G, a0, b0
+
+
+def polar_separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
+    """`analysis.separate_hyperbolic` before its seed, extension and
+    extrema moved to integers."""
+    if not A.open:
+        raise NotOpenError("strict separation needs an open first set")
+    if A.dim != B.dim:
+        raise DimensionMismatch("sets live in different dimensions")
+    G, a0, b0 = polar_difference_body(A, B)
+    x0 = b0 - a0
+    # Seed functional: any ambient representative with g(x0) = 1 per
+    # component, or 0 where x0_l = 0 (the centroids coincide).
+    rep = []
+    for l in (1, 2):
+        part = [Fraction(c) for c in x0.part(l)]
+        norm_sq = sum(c * c for c in part)
+        rep.append([c / norm_sq for c in part] if norm_sq else part)
+    g = DLinearFunctional.from_parts(rep[0], rep[1])
+    try:
+        f = polar_extend_dominated(g, [x0], G)
+    except (DominationError, DegenerateBasisError) as exc:  # q_l(x0) < 1
+        l = exc.component
+        a_star, b_star = G.component(l).meeting_points(a0.part(l), b0.part(l))
+        if a_star != b_star:
+            raise BicomplexError(f"gauge weights gave no common point in component {l}")
+        raise NotDisjointError(f"components {l} of A and B intersect",
+                               component=l, witness=a_star) from None
+    (mA1, mB1), (mA2, mB2) = (G.component(l).group_maxima(f.component(l)) for l in (1, 2))
+    gamma = HyperbolicScalar(-mB1, -mB2)
+    sup_A = HyperbolicScalar(mA1, mA2) - f(x0)
+    if not le(sup_A, gamma):
+        raise BicomplexError(f"f exceeds gamma={gamma} on A's closure (sup {sup_A})")
+    if not all(any(f.component(l)) for l in (1, 2)):
+        raise BicomplexError("separating functional is constant in a component")
+    qg_x0 = HyperbolicScalar(1 / (mA1 + mB1), 1 / (mA2 + mB2))
+    trace = {"x0": x0, "qg_x0": qg_x0, "a0": a0, "b0": b0}
+    return SeparationCertificate(f, gamma, sup_A, trace)

@@ -29,8 +29,11 @@ vertices and the `Halfspace`s are built only on request.
   `Fraction` result component and calls `integer_points` zero times.
 """
 
+import dis
+import io
 import json
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -467,6 +470,102 @@ def test_cover_path_hints_are_pinned():
             with pytest.raises(SchemaError) as info:
                 decode(doc)
             assert str(info.value) == message
+
+
+SETS = _shaped(st.fixed_dictionaries({"p1": _shaped(POLYTOPES), "p2": _shaped(POLYTOPES)},
+                                     optional={"open": _shaped(st.booleans())}))
+
+
+@SETTINGS
+@given(SETS, st.sampled_from([EXACT, FLOAT]))
+def test_set_decoder_matches_the_eager_reference(doc, backend):
+    _same_outcome(lambda d: decode_dconvex(d, backend, where="A"),
+                  lambda d: ref.decode_dconvex(d, backend, where="A"), doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"p1": 3, "p2": {"vertices": [[1]]}}, "A.p1: expected an object"),
+    ({"p1": {"vertices": [[1]]}, "p2": {}}, "A.p2: need either vertices or halfspaces"),
+    ({"p1": {"vertices": [[1], ["x"]]}, "p2": {"vertices": [[1]]}}, "A.p1.vertices[1]: bad number 'x'"),
+    ({"p1": {"vertices": [[1]]}, "p2": {"vertices": [[1], 2]}}, "A.p2.vertices[1]: expected an array"),
+    ({"p1": {"vertices": []}, "p2": {"vertices": [[1]]}}, "A.p1: no vertices"),
+    ({"p1": {"vertices": [[1]]}, "p2": {"halfspaces": [{"a": [1], "b": 1, "strict": 1}]}},
+     "A.p2.halfspaces[0].strict: expected a boolean"),
+    ({"p1": {"halfspaces": [{"a": [1], "b": 1}, {"a": [2]}]}, "p2": {"vertices": [[1]]}},
+     "A.p1.halfspaces[1]: missing keys ['b']"),
+    ({"p1": {"vertices": [[1]]}, "p2": {"halfspaces": [{"a": [1], "b": "1/0"}]}},
+     "A.p2.halfspaces[0].b: bad number '1/0'"),
+    ({"p1": {"vertices": [[1]]}, "p2": {"halfspaces": {"a": [1], "b": 1}}}, "A.p2.halfspaces: expected an array"),
+    ({"p1": {"vertices": [[1]]}, "p2": {"vertices": [[1, 2]]}},
+     "A: component polytopes must share a dimension"),
+    ({"p1": {"vertices": [[1]]}, "p2": {"vertices": [[1]]}, "open": 1}, "A.open: expected a boolean"),
+])
+def test_set_path_hints_are_pinned(doc, message):
+    for decode in (decode_dconvex, ref.decode_dconvex):
+        with pytest.raises(SchemaError) as info:
+            decode(doc, where="A")
+        assert str(info.value) == message
+
+
+def _string_ops(fn, *args) -> int:
+    """How many f-string opcodes (formatting a value, joining pieces) run in
+    serialize.py while fn(*args) runs, traced opcode by opcode."""
+    names = {"BUILD_STRING", "FORMAT_VALUE", "FORMAT_SIMPLE", "FORMAT_WITH_SPEC"}
+    count = 0
+
+    def opcodes(frame, event, arg):
+        nonlocal count
+        if event == "opcode" and dis.opname[frame.f_code.co_code[frame.f_lasti]] in names:
+            count += 1
+        return opcodes
+
+    def calls(frame, event, arg):
+        if frame.f_code.co_filename != serialize.__file__:
+            return None
+        frame.f_trace_opcodes, frame.f_trace_lines = True, False
+        return opcodes
+
+    sys.settrace(calls)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_sets_and_separation_inputs_decode_without_a_path_hint(monkeypatch, tmp_path):
+    """A set's component hints are joined only to raise: decoding valid sets,
+    and running `separate` on valid inputs, calls `_where` zero times."""
+    from bicomplex import cli
+
+    rng = Random("lazy-set-hints")
+    docs = []
+    for dim in (1, 2, 3):
+        A, B = gen.rand_separation_instance(rng, dim)
+        A_h = DConvexSet(*(RealPolytope.from_halfspaces(P.halfspaces(), dim) for P in (A.p1, A.p2)),
+                         open=True)
+        docs.append({"A": encode_dconvex(A_h), "B": encode_dconvex(B)})
+        docs.append({"A": encode_dconvex(A), "B": encode_dconvex(B)})
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(tmp_path / f"pair-{i}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    hints = []
+    where = serialize._where
+    monkeypatch.setattr(serialize, "_where", lambda *a: hints.append(a) or where(*a))
+    for doc in docs:
+        for backend in (EXACT, FLOAT):
+            decode_dconvex(json.loads(json.dumps(doc["A"])), backend, where="A")
+            decode_dconvex(json.loads(json.dumps(doc["B"])), backend, where="B")
+    for path in paths:
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.cmd_separate(str(path), out=out, err=err) == 0, err.getvalue()
+    assert hints == []
+    for doc in docs:  # and no f-string is formatted in serialize.py
+        assert _string_ops(decode_dconvex, doc["A"]) == _string_ops(decode_dconvex, doc["B"]) == 0
+    with pytest.raises(SchemaError, match=r"^A\.p2\.vertices\[0\]: bad number 'x'$"):
+        decode_dconvex({"p1": {"vertices": [[1]]}, "p2": {"vertices": [["x"]]}}, where="A")
+    assert hints
 
 
 # -- the closed-form gauge on one-pass integer points ----------------------------------------
