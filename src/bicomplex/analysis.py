@@ -33,7 +33,7 @@ the least t at which the variety meets t*B_l, and only a meeting variety
 solves the least-gauge LP along the span, for a common point.  So no
 theorem engine builds a halfspace list for a V-rep set: its absorbency test
 reads the facet rays of each component's vertex rows, found once by
-`polytope._cone_rays` and memoized in `_integer_faces`.  A bound f <=' q is
+`polytope._facet_rays` and memoized in `_integer_faces`.  A bound f <=' q is
 certified by plain evaluation (`form_max`): a linear form is largest over
 a body at a column point of each group, and f <= 1 on an absorbing body
 is f <=' q everywhere.  The same evaluation decides whether a hyperplane
@@ -194,7 +194,8 @@ def _extend_component(P: GaugeBody, span: Sequence[Sequence[Fraction]],
     """f*/s* from the one polar LP of P (`GaugeBody.polar_max`), certified
     by `form_max`, or None when s* < 1, or s* = 1 and ``strict``; 0 when the
     values vanish and the LP is unbounded.  With s* = p/q and f* = X/L as
-    integers, f*/s* is X*q/(L*p), one `Fraction` per coordinate."""
+    integers (f* read over the LP's denominator, `LPResult.integer_x`),
+    f*/s* is X*q/(L*p), one `Fraction` per coordinate."""
     res = P.polar_max(span, values)  # feasible: f = 0, s = 0
     if res.status == UNBOUNDED:
         full = [Fraction(0)] * P.dim
@@ -202,8 +203,8 @@ def _extend_component(P: GaugeBody, span: Sequence[Sequence[Fraction]],
         p, q = res.value.numerator, res.value.denominator
         if p < q or (strict and p == q):
             return None
-        X, L = integer_point(res.x[:P.dim])
-        full = [Fraction(x * q, L * p) for x in X]
+        X, L = res.integer_x
+        full = [Fraction(x * q, L * p) for x in X[:P.dim]]
     if P.form_max(full) > 1:
         raise BicomplexError("extension failed its global gauge certificate")
     return full

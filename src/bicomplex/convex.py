@@ -235,15 +235,16 @@ class DifferenceBody(GaugeBody):
         sum nu b = x0, so a* = sum lambda a + (1 - t) a0 = sum nu b + (1 - t) b0
         = b*.  For t < 1, a0 keeps weight 1 - t > 0: a* is interior to A_l.
 
-        The weights are read as integers W over L_w, so each coordinate is a
-        few integer dots over the group rows and one `Fraction`: a*_c =
-        sum_i W_i R_ic/(L_w E) - (sum_i W_i) X_c/(L_w L_x) + (1 - t) a0_c with
-        A's shifted rows R over E and x0_l = X/L_x, and b*_c = -sum_j W_j
-        R'_jc/(L_w L_b) + (1 - t) b0_c with B's negated rows R' over L_b."""
+        The weights are read as integers W over L_w (`LPResult.integer_x`),
+        so each coordinate is a few integer dots over the group rows and one
+        `Fraction`: a*_c = sum_i W_i R_ic/(L_w E) - (sum_i W_i) X_c/(L_w L_x)
+        + (1 - t) a0_c with A's shifted rows R over E and x0_l = X/L_x, and
+        b*_c = -sum_j W_j R'_jc/(L_w L_b) + (1 - t) b0_c with B's negated
+        rows R' over L_b."""
         res = self.least_gauge(self.shift)
         (rows_a, E), (rows_b, L_b) = self._groups
         X, L_x = self._integer_shift
-        W, L_w = integer_point(res.x)
+        W, L_w = res.integer_x
         lam, nu = W[:len(rows_a)], W[len(rows_a):]
         (A0, La), (B0, Lb) = integer_point(a0_l), integer_point(b0_l)
         tn, td = res.value.numerator, res.value.denominator

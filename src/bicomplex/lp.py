@@ -8,7 +8,8 @@ once; the tableau is then integer rows T over one common denominator d > 0
 d.  Reduced costs are integers on the scale s*d, with s > 0 the lcm of the
 objective's denominators, so their signs, and with them Bland's choice of
 entering variable and the cross-multiplied ratio test, are those of the
-rational tableau.  Answers are certificate-grade `Fraction`s, never floats.
+rational tableau.  Answers are certificate-grade `Fraction`s, never floats;
+an optimal x is also handed over as integers over d (`LPResult.integer_x`).
 
 The problem is the split standard form: each free variable x = u - v, then
 one slack per <= row, then one artificial per row that has no usable slack.
@@ -34,7 +35,6 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -54,14 +54,41 @@ def _exact(v) -> Rational:
     return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
-@dataclass
 class LPResult:
-    status: str
-    x: Optional[list[Fraction]]
-    value: Optional[Fraction]
-    # basic columns of the internal standard form (free variables split in
-    # two, then slacks, then artificials) where the solve stopped
-    basis: tuple[int, ...] = ()
+    """A solve's status, x, value, and the `basis` labels where it stopped:
+    the basic columns of the internal standard form (free variables split
+    in two, then slacks, then artificials).
+
+    An optimal solve hands x over as integers X over its final denominator
+    d > 0 (`integer_x`, x = X/d, not reduced); the list of `Fraction`s `x`
+    is built from them when first read, so a caller that wants integers
+    (or only the value) builds none.
+    """
+
+    __slots__ = ("status", "value", "basis", "integer_x", "_x")
+
+    def __init__(self, status: str, x: Optional[list[Fraction]], value: Optional[Fraction],
+                 basis: tuple[int, ...] = (),
+                 integer_x: Optional[tuple[list[int], int]] = None):
+        self.status, self.value, self.basis = status, value, basis
+        self._x, self.integer_x = x, integer_x
+
+    @property
+    def x(self) -> Optional[list[Fraction]]:
+        if self._x is None and self.integer_x is not None:
+            X, d = self.integer_x
+            self._x = [Fraction(v, d) for v in X]
+        return self._x
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LPResult):
+            return NotImplemented
+        return ((self.status, self.x, self.value, self.basis)
+                == (other.status, other.x, other.value, other.basis))
+
+    def __repr__(self) -> str:
+        return (f"LPResult(status={self.status!r}, x={self.x!r}, value={self.value!r}, "
+                f"basis={self.basis!r})")
 
     def __bool__(self) -> bool:
         return self.status == OPTIMAL
@@ -200,12 +227,11 @@ class LinearProgram:
         values = [0] * total  # times d
         for i, row in enumerate(tableau):
             values[basis[i]] = row[-1]
-        x = [Fraction(values[pos] - (values[neg] if neg is not None else 0), d)
-             for pos, neg in col_of]
+        X = [values[pos] - values[neg] if neg is not None else values[pos] for pos, neg in col_of]
         # z[-1] = -d * c_int . x_std, with c_int = s * c_std = s * sense * c_user
         scale = lcm(*(c.denominator for c in c_std))
         objective = Fraction(-self._sense * z[-1], scale * d)
-        return LPResult(OPTIMAL, x, objective, tuple(basis))
+        return LPResult(OPTIMAL, None, objective, tuple(basis), (X, d))
 
     @staticmethod
     def _iterate(tableau, basis, slots, partner, z, d) -> tuple[str, int]:

@@ -2,12 +2,14 @@
 
 Everything here works over exact rationals (float inputs are converted to
 their exact binary values), so hulls, conversions, memberships and gauges
-are certificate-grade.  One double-description routine on integer rows
-(`_cone_rays`, which hands back each ray's incidence bitmask) decides every
-hull fact in every dimension: H→V runs it on the cone over the halfspaces;
-V→H, `extreme_points` (in the coordinates of the affine hull) and the
-facets a vertex list is gauged by, by polarity, on the cone of valid
-inequalities.  The LPs left on a vertex list are hull membership
+are certificate-grade.  Every hull fact comes from facet rays with their
+incidence bitmasks.  V→H, `extreme_points` (in the coordinates of the
+affine hull) and the facets a vertex list is gauged by read them, by
+polarity, from the cone of valid inequalities (`_facet_rays`): planar
+points from their hull's cyclic order (a monotone chain on integer cross
+products), points of any other dimension from the double description on
+integer rows (`_cone_rays`), which H→V also runs on the cone over the
+halfspaces.  The LPs left on a vertex list are hull membership
 (`contains`), the least-gauge LP on the epigraph (`least_gauge`, at a
 point or along an affine set's span) and the extension LP over the polar
 (both on `GaugeBody`).
@@ -16,9 +18,9 @@ Elimination runs on integers: `matrix_rank` scales each row to integers
 and pivots with the fraction-free kernel of `bicomplex.elim` (integer rows
 T over one denominator d > 0, true matrix T/d), the same kernel under the
 simplex of `bicomplex.lp`.  Rank and affine-rank tests, the double
-description, hull membership and the vertex order (`_vertex_order`) work on
-the points times the lcm of their denominators, in plain `int`s; only
-returned values are built as `Fraction`s.
+description, the planar chain, hull membership and the vertex order
+(`_vertex_order`) work on the points times the lcm of their denominators,
+in plain `int`s; only returned values are built as `Fraction`s.
 
 A `RealPolytope` holds the representation it was built with: integer rows
 over one denominator as the exact decoder hands them over (vertex rows, or
@@ -183,7 +185,7 @@ def extreme_points(points: Sequence[Point]) -> list[Point]:
     _, _, pivots = elim.eliminate([[x - y for x, y in zip(p, base)] for p in scaled[1:]],
                                   len(base))
     flat = [[p[c] for c in pivots] for p in scaled]
-    _, on_facet = _cone_rays([[*p, -1] for p in flat], len(pivots) + 1)
+    _, on_facet = _facet_rays(flat)
     common = [-1] * len(flat)  # bit j of common[i]: point j is on every facet through point i
     for mask in on_facet:
         rest = mask
@@ -222,14 +224,19 @@ def _cone_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[Optional[list[lis
     """The primitive integer extreme rays of the cone {y : r.y <= 0 for each
     row r}, each with the bitmask of the rows it is tight on (bit j for row
     j); (None, []) when the rows do not span R^n (the cone holds a line).
+    H→V, and the facets of point sets that are not planar (`_facet_rays`),
+    run here.
 
     Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
     Prodon 1996): one elimination of [R^T | I] picks the first n independent
     rows and inverts them, and minus row k of the inverse is the ray of
-    their simplicial cone that leaves the k-th.  Each row r then cuts the
-    cone: rays with r.y > 0 go, and each adjacent pair across r.y = 0 gives
-    the ray where their edge crosses it.  Two rays are adjacent when no
-    third is tight on every row both are tight on, at least n - 2 rows.
+    their simplicial cone that leaves the k-th.  Each other row r then cuts
+    the cone: rays with r.y > 0 go, and each adjacent pair across r.y = 0
+    gives the ray where their edge crosses it.  Two rays are adjacent when
+    no third is tight on every row both are tight on, at least n - 2 rows.
+    The picked rows cut nothing: every ray lies in their cone, and a new
+    ray, a positive combination of its parents, is tight on one of them
+    exactly when both parents are, so the masks start with those bits.
     """
     m = len(rows)
     T, _, picked = elim.eliminate(
@@ -238,22 +245,84 @@ def _cone_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[Optional[list[lis
         return None, []
     rays = [_primitive_ray([-v for v in row[m:]]) for row in T]
     tight = [sum(1 << j for j in picked if j != i) for i in picked]  # bit j: row j is tight
+    done = set(picked)
     for i, row in enumerate(rows):
-        values = [sum(map(mul, row, y)) for y in rays]
-        keep = [k for k, v in enumerate(values) if v <= 0]
-        new_rays = [rays[k] for k in keep]
-        new_tight = [tight[k] | (1 << i if values[k] == 0 else 0) for k in keep]
-        below = [k for k in keep if values[k] < 0]
-        for p in (k for k, v in enumerate(values) if v > 0):
-            for q in below:
-                common = tight[p] & tight[q]
-                if common.bit_count() >= n - 2 and not any(
-                        k != p and k != q and z & common == common for k, z in enumerate(tight)):
-                    new_rays.append(_primitive_ray([values[p] * a - values[q] * b
-                                                    for a, b in zip(rays[q], rays[p])]))
-                    new_tight.append(common | 1 << i)
+        if i in done:
+            continue
+        bit = 1 << i
+        new_rays, new_tight, cut, below = [], [], [], []
+        for y, z in zip(rays, tight):
+            v = sum(map(mul, row, y))
+            if v > 0:
+                cut.append((v, y, z))
+                continue
+            new_rays.append(y)
+            if v:
+                new_tight.append(z)
+                below.append((v, y, z))
+            else:
+                new_tight.append(z | bit)
+        for vp, yp, zp in cut:
+            for vq, yq, zq in below:
+                common = zp & zq
+                if common.bit_count() < n - 2:
+                    continue
+                holders = 0  # rays tight on every row of common: p and q at least
+                for z in tight:
+                    if z & common == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                else:
+                    new_rays.append(_primitive_ray([vp * a - vq * b for a, b in zip(yq, yp)]))
+                    new_tight.append(common | bit)
         rays, tight = new_rays, new_tight
     return rays, tight
+
+
+def _facet_rays(points: Sequence[Sequence[int]]) -> tuple[Optional[list[list[int]]], list[int]]:
+    """The facets of the hull of integer points, as `_cone_rays` gives them
+    on the rows [*p, -1]: the primitive rays (a, beta) with a.p <= beta on
+    every point, each with the bitmask of the points on it, or (None, [])
+    when the points do not span their space affinely.
+
+    Planar points take their hull's cyclic order instead (Andrew's monotone
+    chain, 1979, on exact integer cross products): the edge from u to the
+    next vertex v counter-clockwise is a = (v_y - u_y, u_x - v_x), beta =
+    a.u, made primitive, and its mask holds the points with a.p = beta.
+    The rays are the same, in the chain's order; every other dimension runs
+    the double description.
+    """
+    if len(points[0]) != 2:
+        return _cone_rays([[*p, -1] for p in points], len(points[0]) + 1)
+    ordered = sorted(points)
+    hull = []
+    for chain in (ordered, ordered[::-1]):  # lower hull left to right, then upper back
+        start = len(hull)
+        for p in chain:
+            x, y = p
+            while len(hull) - start >= 2:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break
+                hull.pop()
+            hull.append(p)
+        hull.pop()  # the chain's last point starts the other one
+    if len(hull) < 3:
+        return None, []
+    rays, masks = [], []
+    for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
+        a, b = vy - uy, ux - vx
+        beta = a * ux + b * uy
+        g = gcd(a, b)  # which divides beta = a.u
+        rays.append([a // g, b // g, beta // g])
+        mask, bit = 0, 1
+        for x, y in points:
+            if a * x + b * y == beta:
+                mask |= bit
+            bit <<= 1
+        masks.append(mask)
+    return rays, masks
 
 
 def _primitive_ray(y: list[int]) -> list[int]:
@@ -282,7 +351,7 @@ def facet_enumeration(vertices: Sequence[Point], dim: int) -> list[Halfspace]:
     if not vertices:
         raise EmptySetError("no vertices")
     pts, scale = integer_points(vertices)
-    rays, tight = _cone_rays([[*p, -1] for p in pts], dim + 1)
+    rays, tight = _facet_rays(pts)
     if rays is None:
         raise DimensionMismatch("V->H conversion needs a full-dimensional polytope")
 
@@ -628,7 +697,7 @@ class RealPolytope:
         if self._gauge_faces is None:
             if self._built_from_vertices:
                 pts, scale = self.integer_vertices()
-                rays, _ = _cone_rays([[*p, -1] for p in pts], self.dim + 1)
+                rays, _ = _facet_rays(pts)
                 faces = [([scale * v for v in a], beta) for *a, beta in rays or ()]
                 spans = rays is not None  # else the vertices are flat: 0 is not interior
                 self._gauge_faces = (spans and all(b > 0 for _, b in faces), faces)

@@ -122,6 +122,13 @@ scalars, vectors, functionals, maps, rectangles, covers and sets
 an f-string per entry, before hints were joined only to raise; copied
 verbatim, on this module's `_real` and `decode_polytope`.  Values, types, reprs and every `SchemaError` message must come
 out the same.
+
+`_cone_rays` and `_primitive_ray` are the double description as it ran
+before planar point sets took their facets from the hull's cyclic order
+(`polytope._facet_rays`) and before it skipped the rows of its start cone,
+copied verbatim.  `_facet_rays` must give the same set of (ray, mask)
+pairs on planar points, and the library's `_cone_rays` the same rays,
+masks and ray order on every cone.
 """
 
 from __future__ import annotations
@@ -131,8 +138,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
 from math import gcd, inf, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from bicomplex import elim
 from bicomplex.analysis import DHyperplane, SeparationCertificate
 from bicomplex.backend import EPSILON, EXACT, FLOAT, Real, rdot
 from bicomplex.convex import DConvexSet, is_dabsorbing
@@ -1663,3 +1672,47 @@ def polar_separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertifi
     qg_x0 = HyperbolicScalar(1 / (mA1 + mB1), 1 / (mA2 + mB2))
     trace = {"x0": x0, "qg_x0": qg_x0, "a0": a0, "b0": b0}
     return SeparationCertificate(f, gamma, sup_A, trace)
+
+
+def _cone_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[Optional[list[list[int]]], list[int]]:
+    """The primitive integer extreme rays of the cone {y : r.y <= 0 for each
+    row r}, each with the bitmask of the rows it is tight on (bit j for row
+    j); (None, []) when the rows do not span R^n (the cone holds a line).
+
+    Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
+    Prodon 1996): one elimination of [R^T | I] picks the first n independent
+    rows and inverts them, and minus row k of the inverse is the ray of
+    their simplicial cone that leaves the k-th.  Each row r then cuts the
+    cone: rays with r.y > 0 go, and each adjacent pair across r.y = 0 gives
+    the ray where their edge crosses it.  Two rays are adjacent when no
+    third is tight on every row both are tight on, at least n - 2 rows.
+    """
+    m = len(rows)
+    T, _, picked = elim.eliminate(
+        [[r[k] for r in rows] + [int(j == k) for j in range(n)] for k in range(n)], m)
+    if len(picked) < n:
+        return None, []
+    rays = [_primitive_ray([-v for v in row[m:]]) for row in T]
+    tight = [sum(1 << j for j in picked if j != i) for i in picked]  # bit j: row j is tight
+    for i, row in enumerate(rows):
+        values = [sum(map(mul, row, y)) for y in rays]
+        keep = [k for k, v in enumerate(values) if v <= 0]
+        new_rays = [rays[k] for k in keep]
+        new_tight = [tight[k] | (1 << i if values[k] == 0 else 0) for k in keep]
+        below = [k for k in keep if values[k] < 0]
+        for p in (k for k, v in enumerate(values) if v > 0):
+            for q in below:
+                common = tight[p] & tight[q]
+                if common.bit_count() >= n - 2 and not any(
+                        k != p and k != q and z & common == common for k, z in enumerate(tight)):
+                    new_rays.append(_primitive_ray([values[p] * a - values[q] * b
+                                                    for a, b in zip(rays[q], rays[p])]))
+                    new_tight.append(common | 1 << i)
+        rays, tight = new_rays, new_tight
+    return rays, tight
+
+
+def _primitive_ray(y: list[int]) -> list[int]:
+    """y divided by the gcd of its entries (y is nonzero)."""
+    g = gcd(*y)
+    return [v // g for v in y]

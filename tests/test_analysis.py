@@ -380,11 +380,11 @@ class TestHyperplane:
     def test_vertex_list_rays_found_once_per_component(self, monkeypatch):
         """The gauge bound, then the variety extension, on one vertex-list B:
         each engine's absorbency test reads the facet rays of each component's
-        vertex rows, which `_cone_rays` finds once and `_integer_faces`
+        vertex rows, which `_facet_rays` finds once and `_integer_faces`
         memoizes.  No halfspace list is built."""
         rays, facets = [], []
-        cone_rays, enumerate_facets = polytope._cone_rays, polytope.facet_enumeration
-        monkeypatch.setattr(polytope, "_cone_rays", lambda *args: rays.append(args) or cone_rays(*args))
+        facet_rays, enumerate_facets = polytope._facet_rays, polytope.facet_enumeration
+        monkeypatch.setattr(polytope, "_facet_rays", lambda *args: rays.append(args) or facet_rays(*args))
         monkeypatch.setattr(polytope, "facet_enumeration",
                             lambda *args: facets.append(args) or enumerate_facets(*args))
         square = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=2)))
