@@ -4,32 +4,38 @@ uniform-boundedness / open-mapping / inverse-mapping / closed-graph checks.
 The separation path executes the gauge construction end to end: translate the
 problem so the origin becomes interior (G = A - B + x0), take the hyperbolic
 Minkowski gauge of G, seed a functional on the ray through x0, and extend it
-under the gauge bound.  Every numeric step is an exact rational LP, so
-certificates re-check by plain evaluation.  D-convex sets are products, so a
-certificate states its inequalities once per component: gamma (the minimum
-of f over B's vertices) and sup_A (the maximum over the vertices of A's
-closure) are all a checker needs besides f.  Both are read exactly from the
-maxima of f on the two point groups of the difference body G_l: -gamma_l on
--B_l, and sup_A_l + f_l(x0_l) on A_l + x0_l.
+under the gauge bound.  Every numeric step is exact rational arithmetic (an
+LP or a closed form), so certificates re-check by plain evaluation.
+D-convex sets are products, so a certificate states its inequalities once
+per component: gamma (the minimum of f over B's vertices) and sup_A (the
+maximum over the vertices of A's closure) are all a checker needs besides
+f.  Both are read exactly from the maxima of f on the two point groups of
+the difference body G_l: -gamma_l on -B_l, and sup_A_l + f_l(x0_l) on
+A_l + x0_l.
 
 The gauge and the extension read one body on columns, `polytope.GaugeBody`:
 q(z) <= t iff z = sum_k mu_k v_k with mu >= 0 and the t-weighted sum of mu
 equal to t.  For a polytope the columns are its vertices and every weight
-is 1.  The extension is the dual side of that epigraph: one LP per
+is 1.  The extension is the dual side of that epigraph: one optimum per
 component over the polar of the body (f <= 1 at its points), maximizing
-the scale s with f = s*g on the subspace.  Its optimum s* is 1 over the
-maximum of g on the subspace inside the body, so s* >= 1 is exactly the
-domination hypothesis g <= q there, and f/s* is the extension (LP duality,
-Schrijver 1986 ch. 7; the polar, Rockafellar 1970 §14).  G is never built:
-separation gauges it as a `convex.DifferenceBody` per component, the
-two-group body whose |A| + |B| columns are A's vertices shifted by x0
-(weight 1) and B's negated (weight 0), tied by one balance row, so no
-Minkowski sum, hull or facet of G is ever formed.  The extension LP also
-decides disjointness: its optimum in component l is q_G(x0)_l, and G is
-open, so A meets B there exactly when it is below 1.  Only then is the
-gauge LP at x0 solved, whose weights give a common point.  The same LP
-decides whether an affine variety x0 + span(M) misses B: its optimum is
-the least t at which the variety meets t*B_l, and only a meeting variety
+the scale s with f = s*g on the subspace.  On the line and in the plane,
+with a one-vector subspace (separation's ray, a point variety), it is read
+from the edge normals of the body's point groups with no LP
+(`GaugeBody.polar_vertex`); in R^3 and up, for longer subspaces, or where
+two normals tie, one LP finds it (`GaugeBody.polar_max`).  Its optimum s*
+is 1 over the maximum of g on the subspace inside the body, so s* >= 1 is
+exactly the domination hypothesis g <= q there, and f/s* is the extension
+(LP duality, Schrijver 1986 ch. 7; the polar, Rockafellar 1970 §14).  G is
+never built: separation gauges it as a `convex.DifferenceBody` per
+component, the two-group body whose |A| + |B| columns are A's vertices
+shifted by x0 (weight 1) and B's negated (weight 0), tied by one balance
+row, so no Minkowski sum or facet list of G is ever formed (in the plane,
+the hulls of its two groups give G's edge normals).  The extension also
+decides disjointness: its optimum in component l is q_G(x0)_l, and G is open, so
+A meets B there exactly when it is below 1.  Only then is the gauge LP at
+x0 solved, whose weights give a common point.  The same optimum decides
+whether an affine variety x0 + span(M) misses B: it is the least t at
+which the variety meets t*B_l, and only a meeting variety
 solves the least-gauge LP along the span, for a common point.  So no
 theorem engine builds a halfspace list for a V-rep set: its absorbency test
 reads the facet rays of each component's vertex rows, found once by
@@ -146,9 +152,10 @@ def extend_dominated(
     """Extend g from span(basisY) to the whole space under the gauge of B.
 
     The result f agrees with g on the subspace and satisfies f <=' q_B
-    everywhere.  Each component is one exact LP over the polar of B_l
-    (`GaugeBody.polar_max`): maximize s over f with f = s*g on the span and
-    f <= 1 on B_l.  Its optimum is s* = 1/c with c = max{g(y) : y in
+    everywhere.  Each component maximizes s over f with f = s*g on the span
+    and f <= 1 on B_l, over the polar of B_l (`_extend_component`: read from
+    B_l's edge normals in R^1 and R^2 with a one-vector span, else one exact
+    LP, `GaugeBody.polar_max`).  Its optimum is s* = 1/c with c = max{g(y) : y in
     Y ∩ B_l}, and g <= q_l on Y exactly when c <= 1 (g is linear and q_l
     positively homogeneous), so the domination hypothesis holds exactly when
     s* >= 1 and `DominationError` is raised otherwise (it carries the
@@ -156,7 +163,7 @@ def extend_dominated(
     extension: it equals g on Y and is at most 1/s* <= 1 on B_l, which on
     an absorbing B_l is f <= q_l everywhere (the Hahn-Banach step as one LP
     duality; Schrijver 1986, ch. 7).  When g vanishes on Y the LP is
-    unbounded and the component is 0.  The LP reads the points of
+    unbounded and the component is 0.  Both paths read the points of
     `B.component(l).gauge_body()`: B's vertices, so an H-rep B is converted
     once (an unbounded one raises), and a V-rep B gets no halfspace list
     (only `is_dabsorbing`'s facet rays, memoized); or the two groups of a
@@ -191,20 +198,32 @@ def extend_dominated(
 
 def _extend_component(P: GaugeBody, span: Sequence[Sequence[Fraction]],
                       values: Sequence[Fraction], strict: bool) -> Optional[list[Fraction]]:
-    """f*/s* from the one polar LP of P (`GaugeBody.polar_max`), certified
-    by `form_max`, or None when s* < 1, or s* = 1 and ``strict``; 0 when the
-    values vanish and the LP is unbounded.  With s* = p/q and f* = X/L as
-    integers (f* read over the LP's denominator, `LPResult.integer_x`),
-    f*/s* is X*q/(L*p), one `Fraction` per coordinate."""
-    res = P.polar_max(span, values)  # feasible: f = 0, s = 0
-    if res.status == UNBOUNDED:
-        full = [Fraction(0)] * P.dim
-    else:
-        p, q = res.value.numerator, res.value.denominator
+    """f*/s* for the optimum of P's polar LP, certified by `form_max`, or
+    None when s* < 1, or s* = 1 and ``strict``; 0 when the values vanish and
+    the LP is unbounded.
+
+    A body in R^1 or R^2 with one span vector and a nonzero value reads s*
+    and f*/s* from its edge normals (`GaugeBody.polar_vertex`), with no LP.
+    Where two normals tie, f* is not unique and the LP picks it, as it does
+    in R^3 and up and for longer spans (`GaugeBody.polar_max`).  With s* =
+    p/q and f* = X/L as integers (f* read over the LP's denominator,
+    `LPResult.integer_x`), f*/s* is X*q/(L*p), one `Fraction` per
+    coordinate."""
+    full = None
+    if P.dim <= 2 and len(span) == 1 and values[0]:
+        p, q, full = P.polar_vertex(span[0], values[0])
         if p < q or (strict and p == q):
             return None
-        X, L = res.integer_x
-        full = [Fraction(x * q, L * p) for x in X[:P.dim]]
+    if full is None:
+        res = P.polar_max(span, values)  # feasible: f = 0, s = 0
+        if res.status == UNBOUNDED:
+            full = [Fraction(0)] * P.dim
+        else:
+            p, q = res.value.numerator, res.value.denominator
+            if p < q or (strict and p == q):
+                return None
+            X, L = res.integer_x
+            full = [Fraction(x * q, L * p) for x in X[:P.dim]]
     if P.form_max(full) > 1:
         raise BicomplexError("extension failed its global gauge certificate")
     return full
@@ -237,9 +256,11 @@ def separate_hyperbolic(A: DConvexSet, B: DConvexSet) -> SeparationCertificate:
     centroids a0, b0 of A and B (`difference_body`, which refuses a
     component of A with an empty interior; G itself is never formed), q_G
     its gauge.  g(lambda*x0) = lambda on the ray is extended to f <=' q_G
-    on the whole space by `extend_dominated`, one LP per component over the
-    polar of G_l (l = 1 first).  Its optimum is s* = q_l(x0), so that one
-    LP also decides overlap: G is open, so A meets B in component l exactly
+    on the whole space by `extend_dominated`, one optimum per component over
+    the polar of G_l (l = 1 first): on the line and in the plane read from
+    the edge normals of G_l's two point groups, in R^3 and up (or where two
+    normals tie) one LP.  Its optimum is s* = q_l(x0), so that one step
+    also decides overlap: G is open, so A meets B in component l exactly
     when s* < 1, which `extend_dominated` refuses as `DominationError` (or,
     when x0_l = 0 and so q_l(x0) = 0, as `DegenerateBasisError` on the zero
     span).  Only then is the gauge LP at x0_l solved, for the weights that
@@ -390,8 +411,10 @@ def variety_extend_hyperplane(
 ) -> DHyperplane:
     """A hyperplane containing the variety x0 + span(basisM) with f <=' q_B.
 
-    Per component (l = 1 first) one polar LP (`GaugeBody.polar_max`) pins f
-    to 0 on the directions and s at x0 with f <= 1 on B_l, and maximizes s.
+    Per component (l = 1 first) one optimum over the polar (`_extend_component`:
+    from B_l's edge normals in R^1 and R^2 when M is empty, else one LP,
+    `GaugeBody.polar_max`) pins f to 0 on the directions and s at x0 with
+    f <= 1 on B_l, and maximizes s.
     Its optimum is s* = 1/c for c the largest g on Y ∩ B_l, g the form that
     is 0 on M and 1 at x0 on Y = span(M, x0): the variety meets t*B_l
     exactly for t >= s*.  B_l is convex with 0 interior, so t*B_l lies in

@@ -12,7 +12,11 @@ integer rows (`_cone_rays`), which H→V also runs on the cone over the
 halfspaces.  The LPs left on a vertex list are hull membership
 (`contains`), the least-gauge LP on the epigraph (`least_gauge`, at a
 point or along an affine set's span) and the extension LP over the polar
-(both on `GaugeBody`).
+(`polar_max`, both on `GaugeBody`).  The extension solves that LP only in
+R^3 and up, for a span of two or more vectors, or where two edge normals
+tie: on the line and in the plane with one span vector its optimum is read
+from the edge normals of the body's point groups (`polar_vertex`, on the
+same monotone chain).
 
 Elimination runs on integers: `matrix_rank` scales each row to integers
 and pivots with the fraction-free kernel of `bicomplex.elim` (integer rows
@@ -39,7 +43,8 @@ else writes it, so each set-level fact is derived once and memoized:
   gauge query solves an LP;
 - its `GaugeBody` (`gauge_body`) on the integer vertex rows: the epigraph of
   `gauge_vrep` and a variety's witness, the polar's rows for the extension
-  LP (`polar_max`) and the integer dots of `form_max` and `form_argmax`.
+  LP (`polar_max`), the edge normals of its closed form (`polar_vertex`)
+  and the integer dots of `form_max` and `form_argmax`.
 
 Membership (`contains`), absorbency and the gauge answer in the
 representation the polytope was built with, never in one an earlier query
@@ -48,10 +53,11 @@ derived, so an answer does not depend on query history.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -286,16 +292,43 @@ def _facet_rays(points: Sequence[Sequence[int]]) -> tuple[Optional[list[list[int
     every point, each with the bitmask of the points on it, or (None, [])
     when the points do not span their space affinely.
 
-    Planar points take their hull's cyclic order instead (Andrew's monotone
-    chain, 1979, on exact integer cross products): the edge from u to the
-    next vertex v counter-clockwise is a = (v_y - u_y, u_x - v_x), beta =
-    a.u, made primitive, and its mask holds the points with a.p = beta.
-    The rays are the same, in the chain's order; every other dimension runs
-    the double description.
+    Planar points take their hull's cyclic order instead (`_monotone_chain`):
+    the edge from u to the next vertex v counter-clockwise is a = (v_y -
+    u_y, u_x - v_x), beta = a.u, made primitive, and its mask holds the
+    points with a.p = beta.  Those lie on the segment uv, so between u and v
+    in lexicographic order: each edge tests only the sorted points from
+    min(u, v) to max(u, v), and the edges of each half of the chain split
+    the sorted points between them.  The rays are the same, in the chain's
+    order; every other dimension runs the double description.
     """
     if len(points[0]) != 2:
         return _cone_rays([[*p, -1] for p in points], len(points[0]) + 1)
-    ordered = sorted(points)
+    order = sorted(range(len(points)), key=points.__getitem__)
+    ordered = [points[i] for i in order]
+    hull = _monotone_chain(ordered)
+    if len(hull) < 3:
+        return None, []
+    rays, masks = [], []
+    for u, v in zip(hull, hull[1:] + hull[:1]):
+        (ux, uy), (vx, vy) = u, v
+        a, b = vy - uy, ux - vx
+        beta = a * ux + b * uy
+        g = gcd(a, b)  # which divides beta = a.u
+        rays.append([a // g, b // g, beta // g])
+        mask = 0
+        for k in range(bisect_left(ordered, min(u, v)), bisect_right(ordered, max(u, v))):
+            x, y = ordered[k]
+            if a * x + b * y == beta:
+                mask |= 1 << order[k]
+        masks.append(mask)
+    return rays, masks
+
+
+def _monotone_chain(ordered: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    """The vertices of the hull of lexicographically sorted planar integer
+    points, counter-clockwise from the least (Andrew's monotone chain, 1979,
+    on exact integer cross products); fewer than three when the points are
+    collinear (the least and the greatest point then, or none for one)."""
     hull = []
     for chain in (ordered, ordered[::-1]):  # lower hull left to right, then upper back
         start = len(hull)
@@ -308,21 +341,7 @@ def _facet_rays(points: Sequence[Sequence[int]]) -> tuple[Optional[list[list[int
                 hull.pop()
             hull.append(p)
         hull.pop()  # the chain's last point starts the other one
-    if len(hull) < 3:
-        return None, []
-    rays, masks = [], []
-    for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
-        a, b = vy - uy, ux - vx
-        beta = a * ux + b * uy
-        g = gcd(a, b)  # which divides beta = a.u
-        rays.append([a // g, b // g, beta // g])
-        mask, bit = 0, 1
-        for x, y in points:
-            if a * x + b * y == beta:
-                mask |= bit
-            bit <<= 1
-        masks.append(mask)
-    return rays, masks
+    return hull
 
 
 def _primitive_ray(y: list[int]) -> list[int]:
@@ -415,11 +434,14 @@ class GaugeBody:
     in order; the t-weight is 1 on each point of the first group and 0 on
     the second, and one balance row says sum(lambda) - sum(nu) = 0.  One
     group is a V-rep polytope: every weight 1, no balance row.  Each gauge
-    LP builds the `Fraction` columns it reads, then the free columns -u_j
-    of a span it is moved along, and one solve (`least_gauge`) minimizes
-    its t-weighted sum for every caller; the extension LP
-    (`polar_max`) reads the integer rows as the rows of the body's polar,
-    and a linear form is evaluated by integer dots (`group_maxima`).
+    LP hands the rows over as integers (the group columns, then the free
+    columns -u_j of a span it is moved along), and one solve
+    (`least_gauge`) minimizes its t-weighted sum for every caller; the
+    extension LP (`polar_max`) reads the integer rows as the rows of the
+    body's polar, which `polar_vertex` replaces on the line and in the
+    plane for one span vector (the optimum read from the groups' edge
+    normals), and a linear form is evaluated by integer dots
+    (`group_maxima`).
     """
 
     def __init__(self, first: IntegerGroup, second: Optional[IntegerGroup] = None):
@@ -445,12 +467,23 @@ class GaugeBody:
         So q(point + sum_j s_j u_j) <= t holds exactly when some such (mu, s)
         has t-weighted sum t, and the least one is the least gauge on the
         affine set point + span(u) (the gauge at the point for no span).
+
+        Each row is handed over as the integers `LinearProgram.solve` would
+        scale it to: the row of rationals times S, the lcm of their reduced
+        denominators.  A group's entries R_kc/D reduce to denominators whose
+        lcm is D' = D/e, e = gcd(D, R_1c, R_2c, ...), so the group's entries
+        are (R_kc/e)*(S/D') with S the lcm of every D' and of the
+        denominators of the span's and the point's coordinates.
         """
         k, p = len(self._weights), len(span)
         lp = LinearProgram(k + p, nonneg=[True] * k + [False] * p)
         for c, x in zip(range(self.dim), point):
-            lp.add_eq([*(Fraction(r[c], D) for rows, D in self._groups for r in rows),
-                       *(-u[c] for u in span)], x)
+            rest, L = integer_point([*(-u[c] for u in span), x])
+            shares = [gcd(D, *(r[c] for r in rows)) for rows, D in self._groups]
+            S = lcm(L, *(D // e for (_, D), e in zip(self._groups, shares)))
+            row = [r[c] // e * (S * e // D) for (rows, D), e in zip(self._groups, shares)
+                   for r in rows]
+            lp.add_eq(row + [v * (S // L) for v in rest[:-1]], rest[-1] * (S // L))
         if self._balance:
             lp.add_eq(self._balance + [0] * p, 0)
         return lp
@@ -503,6 +536,61 @@ class GaugeBody:
                 lp.add_le([*r, 0, *beta], top * D)
         lp.set_maximize([0] * n + [1] + [0] * two)
         return lp.solve()
+
+    def polar_vertex(self, u: Sequence[Real], v: Real) -> tuple[int, int, Optional[list[Fraction]]]:
+        """`polar_max` in closed form on a body in R^1 or R^2 with 0 interior,
+        for one span vector u != 0 with value v != 0: (p, q, full) with s* =
+        p/q and full = f*/s*, or full None when f* is not unique.
+
+        f.u = s*v makes s = f.w/|v| for w = sign(v)*u, so f* maximizes f.w
+        over the polar, an interval or a polygon whose vertices are a/h(a)
+        for the outer normals a of the body's edges, h(a) the body's largest
+        value of a.  Those are the edge normals of the groups' hulls (a
+        Minkowski sum's edges are its summands' edges; de Berg, Cheong, van
+        Kreveld & Overmars 2008, §13.3): the edges of a polygon's
+        `_monotone_chain`, both sides of a segment, none for a point, and +-1
+        on the line.  With the groups' rows R over D, h(a) = H(a)/prod(D)
+        for the integer H(a), the sum of each group's largest a.R (over its
+        hull) times the other group's D.  The a with the largest a.w/H(a)
+        wins, compared by integer cross-multiplication; two tying normals
+        leave a whole edge of the polar optimal.  Otherwise f* = a/h(a), so
+        s* = a.w/(h(a)|v|) and f*/s* = a*v/(a.u), one `Fraction` per
+        coordinate.
+        """
+        U, L = integer_point(u)
+        sign = 1 if v > 0 else -1
+        wx, wy = sign * U[0], sign * U[1] if self.dim == 2 else 0  # w = (wx, wy)/L
+        vn, vd = abs(v.numerator), v.denominator
+        if self.dim == 1:  # the line as the x-axis: each group's ends, and +-1
+            hulls = [[(min(rows)[0], 0), (max(rows)[0], 0)] for rows, _ in self._groups]
+            normals = {(1, 0), (-1, 0)}
+        else:
+            hulls, normals = [], set()
+            for rows, _ in self._groups:
+                ordered = sorted(rows)
+                hull = _monotone_chain(ordered)
+                if len(hull) < 3:  # a segment, or a point
+                    hull = list(dict.fromkeys((ordered[0], ordered[-1])))
+                hulls.append(hull)
+                if len(hull) > 1:
+                    for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
+                        g = gcd(vy - uy, ux - vx)
+                        normals.add(((vy - uy) // g, (ux - vx) // g))
+        dens = [D for _, D in self._groups]
+        others = [dens[1], dens[0]] if len(dens) == 2 else [1]
+        best, tied = None, False
+        for ax, ay in normals:
+            n = ax * wx + ay * wy
+            if n <= 0:
+                continue
+            H = sum(k * max(ax * x + ay * y for x, y in hull) for hull, k in zip(hulls, others))
+            if best is None or n * best[2] > best[1] * H:
+                best, tied = ((ax, ay), n, H), False
+            elif n * best[2] == best[1] * H:
+                tied = True
+        a, n, H = best
+        full = None if tied else [Fraction(c * vn * L, vd * n) for c in a[:self.dim]]
+        return n * vd * prod(dens), L * H * vn, full
 
     def group_maxima(self, coeffs: Sequence[Real]) -> list[Fraction]:
         """The largest value of an exact linear form at a point of each group.

@@ -129,6 +129,13 @@ before planar point sets took their facets from the hull's cyclic order
 copied verbatim.  `_facet_rays` must give the same set of (ray, mask)
 pairs on planar points, and the library's `_cone_rays` the same rays,
 masks and ray order on every cone.
+
+`gauge_lp` is `GaugeBody.gauge_lp` before it handed its rows over as
+integers, copied verbatim.  The gauge LP's rows must be the same once the
+simplex scales them to integers, and every solve the same `LPResult`.
+The extension LP that the closed form on the line and in the plane
+replaced is `_polar_extend_component` above, on the library's unchanged
+`polar_max`.
 """
 
 from __future__ import annotations
@@ -1716,3 +1723,19 @@ def _primitive_ray(y: list[int]) -> list[int]:
     """y divided by the gcd of its entries (y is nonzero)."""
     g = gcd(*y)
     return [v // g for v in y]
+
+
+def gauge_lp(body: GaugeBody, point: Sequence[Real],
+             span: Sequence[Sequence[Real]] = ()) -> LinearProgram:
+    """`GaugeBody.gauge_lp` before it handed its rows over as integers,
+    copied verbatim as a function of the body: one `Fraction` per
+    coordinate of every column point."""
+    self = body
+    k, p = len(self._weights), len(span)
+    lp = LinearProgram(k + p, nonneg=[True] * k + [False] * p)
+    for c, x in zip(range(self.dim), point):
+        lp.add_eq([*(Fraction(r[c], D) for rows, D in self._groups for r in rows),
+                   *(-u[c] for u in span)], x)
+    if self._balance:
+        lp.add_eq(self._balance + [0] * p, 0)
+    return lp

@@ -236,16 +236,24 @@ class TestSeparation:
             assert witnesses[0] == witnesses[1]
 
     @pytest.mark.parametrize("B1, B2, outcome, solves", [
-        (((3,),), ((5,),), None, 2),  # disjoint: one polar LP per component
-        (((0,), (2,)), ((5,),), 1, 2),  # component 1 overlaps: its polar LP, then the witness
-        (((5,),), ((0,), (2,)), 2, 3),  # only component 2 overlaps
-        (((-1,), (1,)), ((5,),), 1, 1),  # the centroids coincide in component 1: no polar LP
+        # on the line the extension reads its optimum from the edge normals:
+        # the only LP left is the gauge LP at x0 for an overlap's witness
+        (((3,),), ((5,),), None, 0),  # disjoint: no LP
+        (((0,), (2,)), ((5,),), 1, 1),  # component 1 overlaps: the witness only
+        (((5,),), ((0,), (2,)), 2, 1),  # only component 2 overlaps
+        (((-1,), (1,)), ((5,),), 1, 1),  # the centroids coincide in component 1
+        # in R^3 each component still solves one polar LP
+        (((3, 0, 0),), ((0, 5, 0),), None, 2),  # disjoint: one polar LP per component
+        (((0, 0, 0), (2, 0, 0)), ((0, 5, 0),), 1, 2),  # component 1: its polar LP, the witness
+        (((0, 0, 5),), ((0, 0, 0), (0, 2, 0)), 2, 3),  # only component 2 overlaps
+        (((-1, 0, 0), (1, 0, 0)), ((5, 0, 0),), 1, 1),  # the centroids coincide: no polar LP
     ])
     def test_one_lp_per_component(self, B1, B2, outcome, solves, monkeypatch):
-        # the polar LP of the extension decides overlap; the gauge LP at x0
-        # runs only for the witness of the component that overlaps
-        segment = RealPolytope.from_vertices([(F(-1),), (F(1),)])
-        A = DConvexSet(segment, segment, open=True)
+        # the extension decides overlap; the gauge LP at x0 runs only for the
+        # witness of the component that overlaps
+        dim = len(B1[0])
+        box = RealPolytope.from_vertices(list(product((F(-1), F(1)), repeat=dim)))
+        A = DConvexSet(box, box, open=True)
         B = DConvexSet(*(RealPolytope.from_vertices([tuple(map(F, p)) for p in part])
                          for part in (B1, B2)))
         count = []

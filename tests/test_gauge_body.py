@@ -3,8 +3,9 @@
 `RealPolytope.gauge_lp` read a V-rep polytope and `convex.DifferenceBody.gauge_lp`
 read G = A - B + x0; ``fraction_reference.py`` keeps both verbatim.  On
 seeded bodies and points in dimensions 1-3 the body's gauge LP must have the
-same variables and rows as theirs with an empty span, so the simplex takes
-the same pivots: every `LPResult` (status, x, value, basis) must be equal
+same variables as theirs with an empty span, and the same rows once the
+simplex scales each to integers (the body hands its rows over already
+scaled), so the simplex takes the same pivots: every `LPResult` (status, x, value, basis) must be equal
 under the gauge's objective.
 
 `hyperplane_gauge_bound` decides and certifies -q_B(-x) <=' f(x) <=' q_B(x)
@@ -20,6 +21,7 @@ from random import Random
 import pytest
 
 import fraction_reference as ref
+from bicomplex import elim
 from bicomplex import generators as gen
 from bicomplex.analysis import (
     DHyperplane,
@@ -57,6 +59,11 @@ def _epigraph_pairs(rng: Random, dim: int):
         yield DifferenceBody(*args), ref.DifferenceEpigraph(*args)
 
 
+def _scaled(lp):
+    """Each row [*coeffs, b] as `LinearProgram.solve` scales it to integers."""
+    return [(elim.integer_row([*coeffs, b]), kind) for coeffs, b, kind in lp._rows]
+
+
 def test_lp_rows_and_results_match_both_epigraphs():
     rng = Random("gauge-body:lp")
     solved = {"optimal": 0, "infeasible": 0}
@@ -69,7 +76,7 @@ def test_lp_rows_and_results_match_both_epigraphs():
                     new, want = body.gauge_lp(xhat), old.gauge_lp((), xhat)
                     for lp in (new, want):
                         lp.set_minimize(body._weights)
-                    assert (new.n, new.nonneg, new._rows) == (want.n, want.nonneg, want._rows)
+                    assert (new.n, new.nonneg, _scaled(new)) == (want.n, want.nonneg, _scaled(want))
                     got = new.solve()
                     assert got == want.solve(), (dim, xhat)
                     solved[got.status] += 1

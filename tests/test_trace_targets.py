@@ -6,8 +6,10 @@ per-layer metrics read the spans those wrappers record.  A refactor that
 moves a target, or stops routing separation through the public
 `extend_dominated` or the gauge query through `minkowski_gauge`, would break
 ``--trace 1`` or zero a metric without failing any other test.  Separation
-decides overlap from the extension LP, so a disjoint pair records no
-`minkowski_gauge` span (a missing span reads as 0 in the per-layer rows).
+decides overlap from the extension's optimum (read from edge normals on the
+line and in the plane, from its LP in 3-D and up), so a disjoint pair
+records no `minkowski_gauge` span (a missing span reads as 0 in the
+per-layer rows).
 The tracer is imported from its path; nothing under ``perfbench/`` is
 changed.
 """
