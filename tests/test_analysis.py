@@ -236,17 +236,17 @@ class TestSeparation:
             assert witnesses[0] == witnesses[1]
 
     @pytest.mark.parametrize("B1, B2, outcome, solves", [
+        # in R^3 each component still solves one polar LP
+        (((3, 0, 0),), ((0, 5, 0),), None, 2),  # disjoint: one polar LP per component
+        (((0, 0, 0), (2, 0, 0)), ((0, 5, 0),), 1, 2),  # component 1: its polar LP, the witness
+        (((0, 0, 5),), ((0, 0, 0), (0, 2, 0)), 2, 3),  # only component 2 overlaps
+        (((-1, 0, 0), (1, 0, 0)), ((5, 0, 0),), 1, 1),  # the centroids coincide: no polar LP
         # on the line the extension reads its optimum from the edge normals:
         # the only LP left is the gauge LP at x0 for an overlap's witness
         (((3,),), ((5,),), None, 0),  # disjoint: no LP
         (((0,), (2,)), ((5,),), 1, 1),  # component 1 overlaps: the witness only
         (((5,),), ((0,), (2,)), 2, 1),  # only component 2 overlaps
         (((-1,), (1,)), ((5,),), 1, 1),  # the centroids coincide in component 1
-        # in R^3 each component still solves one polar LP
-        (((3, 0, 0),), ((0, 5, 0),), None, 2),  # disjoint: one polar LP per component
-        (((0, 0, 0), (2, 0, 0)), ((0, 5, 0),), 1, 2),  # component 1: its polar LP, the witness
-        (((0, 0, 5),), ((0, 0, 0), (0, 2, 0)), 2, 3),  # only component 2 overlaps
-        (((-1, 0, 0), (1, 0, 0)), ((5, 0, 0),), 1, 1),  # the centroids coincide: no polar LP
     ])
     def test_one_lp_per_component(self, B1, B2, outcome, solves, monkeypatch):
         # the extension decides overlap; the gauge LP at x0 runs only for the
